@@ -82,7 +82,6 @@ from .suitable3 import (
     build_3_suitable,
     build_3_suitable_for,
     exact_min_3_suitable,
-    spencer_target,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -93,6 +93,7 @@ def cmd_bound_degenerate(args) -> int:
     report.add("base_generator", result.base.generator)
     report.add("family_size", len(result.family.members))
     report.add("size_bound_4kr", 4 * result.degeneracy * result.base_size)
+    report.add("verification", witness.verification)
     report.add("verdict", _witness_str(witness))
     if args.out:
         doc = family_to_json(
@@ -129,6 +130,7 @@ def cmd_bound_subdivision(args) -> int:
     c = result.num_classes
     if c >= 3:
         report.add("bound_loglog_classes", f"{math.log2(math.log2(c - 1)) + 2:.4f}")
+    report.add("verification", witness.verification)
     report.add("verdict", _witness_str(witness))
     if args.out:
         doc = family_to_json(

@@ -87,22 +87,32 @@ class PermutationFamily:
         return iter(self.members)
 
     @cached_property
+    def positions(self) -> dict[int, int]:
+        """Vertex id -> its index in the sorted ground set."""
+        return {v: j for j, v in enumerate(self.ground_set)}
+
+    @cached_property
     def rank_matrix(self) -> np.ndarray:
-        """Row per member: vertex-id-indexed rank array (0 where undefined)."""
-        size = (max(self.ground_set) + 1) if self.ground_set else 0
-        mat = np.zeros((len(self.members), size), dtype=np.int64)
+        """Row per member: ranks 1..n, indexed by position in `ground_set`."""
+        pos = self.positions
+        mat = np.empty((len(self.members), len(self.ground_set)), dtype=np.int64)
+        ranks = np.arange(1, len(self.ground_set) + 1, dtype=np.int64)
         for i, m in enumerate(self.members):
-            for r, v in enumerate(m.order, start=1):
-                mat[i, v] = r
+            mat[i, [pos[v] for v in m.order]] = ranks
         return mat
 
 
 @dataclass(frozen=True)
 class SeparationWitness:
-    """Verification verdict: Ok, or the offending disjoint edge pair."""
+    """Verification verdict: Ok, or the offending disjoint edge pair.
+
+    `verification` says how the verdict was reached: "exhaustive" (every
+    disjoint edge pair) or "sampled" (a uniform sample of them).
+    """
 
     ok: bool
     counterexample: tuple[Edge, Edge] | None = None
+    verification: str = "exhaustive"
 
     def __bool__(self) -> bool:
         return self.ok
@@ -127,15 +137,14 @@ def disjoint_edge_pairs(g: Graph):
                 yield e, f
 
 
-def _pair_arrays(g: Graph) -> np.ndarray:
-    """Disjoint edge pairs as an (P, 4) vertex-id array in lex order."""
-    m = g.num_edges
-    if m < 2:
-        return np.empty((0, 4), dtype=np.int64)
-    edges = np.asarray(g.edges, dtype=np.int64)
-    ii, jj = np.triu_indices(m, k=1)
-    a = edges[ii]
-    b = edges[jj]
+def _edge_positions(fam: PermutationFamily, g: Graph) -> np.ndarray:
+    """Edges as an (m, 2) array of positions in the family's ground set."""
+    pos = fam.positions
+    return np.array([(pos[u], pos[v]) for u, v in g.edges], dtype=np.int64).reshape(-1, 2)
+
+
+def _disjoint_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows [a[i] | b[i]] of the edge pairs that share no vertex."""
     disjoint = (
         (a[:, 0] != b[:, 0]) & (a[:, 0] != b[:, 1])
         & (a[:, 1] != b[:, 0]) & (a[:, 1] != b[:, 1])
@@ -143,11 +152,15 @@ def _pair_arrays(g: Graph) -> np.ndarray:
     return np.concatenate([a[disjoint], b[disjoint]], axis=1)
 
 
-def _unseparated_mask(fam: PermutationFamily, pairs: np.ndarray) -> np.ndarray:
-    """Boolean mask of pairs no member separates; shrinks the pool per member."""
+def _pair_arrays(edges: np.ndarray) -> np.ndarray:
+    """Disjoint edge pairs as an (P, 4) array in lex order."""
+    ii, jj = np.triu_indices(edges.shape[0], k=1)
+    return _disjoint_rows(edges[ii], edges[jj])
+
+
+def _unseparated(fam: PermutationFamily, pairs: np.ndarray) -> np.ndarray:
+    """Indices (ascending) of the position pairs no member separates."""
     remaining = np.arange(pairs.shape[0])
-    if not len(fam.members):
-        return np.ones(pairs.shape[0], dtype=bool) if pairs.size else np.zeros(0, dtype=bool)
     ranks = fam.rank_matrix
     for i in range(len(fam.members)):
         if remaining.size == 0:
@@ -164,9 +177,14 @@ def _unseparated_mask(fam: PermutationFamily, pairs: np.ndarray) -> np.ndarray:
         bmin = np.minimum(rc, rd)
         sep = (amax < bmin) | (bmax < amin)
         remaining = remaining[~sep]
-    mask = np.zeros(pairs.shape[0], dtype=bool)
-    mask[remaining] = True
-    return mask
+    return remaining
+
+
+def _to_ids(fam: PermutationFamily, row) -> tuple[Edge, Edge]:
+    """A position pair row back to the vertex-id edge pair."""
+    ground = fam.ground_set
+    a, b, c, d = (ground[int(j)] for j in row)
+    return (a, b), (c, d)
 
 
 def _check_ground_set(fam: PermutationFamily, g: Graph) -> None:
@@ -177,17 +195,11 @@ def _check_ground_set(fam: PermutationFamily, g: Graph) -> None:
 def verify_pairwise_suitable(fam: PermutationFamily, g: Graph) -> SeparationWitness:
     """Exhaustive check; returns the lexicographically smallest counterexample."""
     _check_ground_set(fam, g)
-    pairs = _pair_arrays(g)
-    if pairs.shape[0] == 0:
-        return SeparationWitness(True)
-    mask = _unseparated_mask(fam, pairs)
-    bad = np.flatnonzero(mask)
+    pairs = _pair_arrays(_edge_positions(fam, g))
+    bad = _unseparated(fam, pairs)
     if bad.size == 0:
         return SeparationWitness(True)
-    row = pairs[bad[0]]
-    e = (int(row[0]), int(row[1]))
-    f = (int(row[2]), int(row[3]))
-    return SeparationWitness(False, (e, f))
+    return SeparationWitness(False, _to_ids(fam, pairs[bad[0]]))
 
 
 def verify_pairwise_suitable_sampled(
@@ -199,7 +211,7 @@ def verify_pairwise_suitable_sampled(
     if m < 2:
         return SeparationWitness(True)
     rng = np.random.default_rng(seed)
-    edges = np.asarray(g.edges, dtype=np.int64)
+    edges = _edge_positions(fam, g)
     collected: list[np.ndarray] = []
     total = 0
     rounds = 0
@@ -214,35 +226,28 @@ def verify_pairwise_suitable_sampled(
         jj = rng.integers(0, m, size=2 * want + 16)
         keep = ii < jj
         ii, jj = ii[keep], jj[keep]
-        a = edges[ii]
-        b = edges[jj]
-        disjoint = (
-            (a[:, 0] != b[:, 0]) & (a[:, 0] != b[:, 1])
-            & (a[:, 1] != b[:, 0]) & (a[:, 1] != b[:, 1])
-        )
-        chunk = np.concatenate([a[disjoint], b[disjoint]], axis=1)[:want]
+        chunk = _disjoint_rows(edges[ii], edges[jj])[:want]
         collected.append(chunk)
         total += chunk.shape[0]
     pairs = np.concatenate(collected, axis=0)
-    mask = _unseparated_mask(fam, pairs)
-    bad = np.flatnonzero(mask)
+    bad = _unseparated(fam, pairs)
     if bad.size == 0:
-        return SeparationWitness(True)
-    rows = pairs[bad]
-    keys = [((int(r[0]), int(r[1])), (int(r[2]), int(r[3]))) for r in rows]
-    e, f = min(keys)
-    return SeparationWitness(False, (e, f))
+        return SeparationWitness(True, verification="sampled")
+    # Positions keep the id order, so the smallest row is the smallest pair.
+    smallest = min(tuple(int(j) for j in row) for row in pairs[bad])
+    return SeparationWitness(False, _to_ids(fam, smallest), "sampled")
 
 
 def verify_auto(
     fam: PermutationFamily,
     g: Graph,
     seed: int = 0,
-    exhaustive_below: int = 300,
     samples: int = 1_000_000,
 ) -> SeparationWitness:
-    """Exhaustive pair check for small graphs, uniform sample beyond."""
-    if g.num_vertices <= exhaustive_below:
+    """Exhaustive pair check when it materialises at most `samples` edge
+    pairs (m(m-1)/2), a uniform sample of `samples` pairs beyond."""
+    m = g.num_edges
+    if m * (m - 1) // 2 <= samples:
         return verify_pairwise_suitable(fam, g)
     return verify_pairwise_suitable_sampled(fam, g, samples, seed)
 

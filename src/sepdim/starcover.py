@@ -88,13 +88,14 @@ def degenerate_family(g: Graph, seed: int = 0) -> DegenerateCoverResult:
 
     r is the size of the 3-suitable base family over the vertex ids; the
     number of star forests is at most twice the (recomputed) degeneracy,
-    so the family has at most 4*k*r members.
+    so the family has at most 4*k*r members.  The family does not depend
+    on `seed`, which is only recorded in the result.
     """
     if not g.vertices:
         raise ValueError("graph must have at least one vertex")
     k = degeneracy_order(g).k
     forests = star_forest_decomposition(g)
-    base = build_3_suitable_for(g.vertices, seed)
+    base = build_3_suitable_for(g.vertices)
     members: list[Permutation] = []
     for forest in forests:
         labeling = star_labels(forest)

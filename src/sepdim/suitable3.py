@@ -1,187 +1,90 @@
 """Builders for 3-suitable permutation families.
 
 A family is 3-suitable when for every 3-set and every designated element
-some member places the other two entirely before it.  Small ground sets
-get a randomized cover with a greedy fallback; large ones use a
-deterministic xor-mask construction whose correctness does not require
-enumerating the constraint set.
+some member places the other two entirely before it.  Ground sets of at
+most six elements get an exact minimum family; larger ones get Spencer's
+lexicographic family (Spencer 1971, "Minimal scrambling sets of simple
+orders"), whose size grows as log log n.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-import numpy as np
-
 from .families import Permutation, PermutationFamily, verify_k_suitable
 
-# Beyond this many elements the (3-set, designated element) constraint
-# space is too large to enumerate; the xor-mask construction takes over.
-COVER_LIMIT = 75
+# Up to this many elements every result is re-checked by verify_k_suitable,
+# which walks all C(n, 3) triples.
+VERIFY_LIMIT = 75
+# Largest ground set exact_min_3_suitable solves.
+EXACT_LIMIT = 6
 
 
 @dataclass(frozen=True)
 class Suitable3Result:
     family: PermutationFamily
     generator: str
-    seed: int
-    target: int
 
 
-def spencer_target(n: int) -> int:
-    """Size goal for the randomized phase, from the known N(n,3) estimate.
+def _spencer_orders(n: int) -> list[list[int]]:
+    """Spencer's t-member 3-suitable family over positions 0..n-1.
 
-    The asymptotic formula under-floors tiny ground sets, where the true
-    minimum is already 3, so we clamp from below.
+    t is the smallest value with 2^C(t-2, h) >= n, h = (t-2) // 2.  Bit p
+    of a position (p = 0 most significant) gets the set S_p = {0} | B_p,
+    where B_p runs over the h-subsets of {1..t-2}.  Member i sorts the
+    positions j by j ^ flip_i, where bit p of flip_i is set iff i is not
+    in S_p: of two positions first differing at bit p, the one with a 1
+    there comes later iff i is in S_p.
+
+    For distinct a, x, y let p and q be the first bits where a differs
+    from x and from y.  Member i puts a above x iff i lies in S_p or in
+    its complement (which one depends on a's bit p), and likewise for y
+    at q.  The two sets always meet: every S_p contains 0, no S_p
+    contains t-1, and distinct S_p, S_q are incomparable (Sperner), so
+    S_p - S_q and S_q - S_p are non-empty.
     """
-    if n < 3:
-        return 0
-    ll = math.log2(math.log2(n)) if n > 2 else 0.0
-    lll = math.log2(ll) if ll > 1.0 else 0.0
-    value = math.floor(ll + 0.5 * lll + math.log2(math.sqrt(2) * math.pi))
-    return max(3, value)
+    t = 2
+    while 2 ** math.comb(t - 2, (t - 2) // 2) < n:
+        t += 1
+    layer = list(combinations(range(1, t - 1), (t - 2) // 2))
+    width = len(layer)
+    orders = []
+    for i in range(t):
+        flip = sum(
+            1 << (width - 1 - p)
+            for p, subset in enumerate(layer)
+            if i != 0 and i not in subset
+        )
+        orders.append(sorted(range(n), key=lambda j: j ^ flip))
+    return orders
 
 
-def _xor_mask_orders(ids: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Orders sorted by (position ^ mask) for every mask with <= 2 set bits.
+def build_3_suitable(n: int) -> Suitable3Result:
+    """3-suitable family over [n] = {1..n}."""
+    return build_3_suitable_for(tuple(range(1, n + 1)))
 
-    For any distinct a, x, y there is such a mask making a the largest of
-    the three keys: flip the highest bit where the triple disagrees (and,
-    if one of x, y still compares above a, the highest bit where that one
-    differs from a).  Hence x and y both precede a in that member, which
-    is exactly 3-suitability.
+
+def build_3_suitable_for(ids) -> Suitable3Result:
+    """3-suitable family over an arbitrary id universe.
+
+    Members order the ids by position in the sorted universe; the result
+    depends only on how many ids there are.
     """
-    n = len(ids)
-    pos = {v: i for i, v in enumerate(ids)}
-    bits = max(1, (n - 1).bit_length())
-    masks = [0]
-    masks += [1 << b for b in range(bits)]
-    masks += [(1 << b1) | (1 << b2) for b1, b2 in combinations(range(bits), 2)]
-    return [tuple(sorted(ids, key=lambda v: pos[v] ^ m)) for m in masks]
-
-
-class _CoverState:
-    """Uncovered (3-set, designated) constraints, tracked as a (T, 3) mask."""
-
-    def __init__(self, ids: tuple[int, ...]):
-        self.ids = ids
-        self.index = {v: i for i, v in enumerate(ids)}
-        self.triples = np.asarray(list(combinations(range(len(ids)), 3)), dtype=np.int64)
-        self.uncovered = np.ones((len(self.triples), 3), dtype=bool)
-
-    def hits(self, order: tuple[int, ...]) -> np.ndarray:
-        ranks = np.empty(len(self.ids), dtype=np.int64)
-        for r, v in enumerate(order):
-            ranks[self.index[v]] = r
-        tri_ranks = ranks[self.triples]
-        arg = tri_ranks.argmax(axis=1)
-        onehot = np.zeros_like(self.uncovered)
-        onehot[np.arange(len(self.triples)), arg] = True
-        return onehot & self.uncovered
-
-    def apply(self, hits: np.ndarray) -> None:
-        self.uncovered &= ~hits
-
-    @property
-    def remaining(self) -> int:
-        return int(self.uncovered.sum())
-
-    def first_uncovered(self) -> tuple[tuple[int, ...], int]:
-        t, pos = np.argwhere(self.uncovered)[0]
-        triple = tuple(self.ids[i] for i in self.triples[t])
-        return triple, triple[pos]
-
-
-def _randomized_cover(ids, rng: random.Random, cap: int) -> list[tuple[int, ...]] | None:
-    """Accept-if-progress sampling; None when the cap is exceeded."""
-    state = _CoverState(ids)
-    members: list[tuple[int, ...]] = []
-    misses = 0
-    while state.remaining:
-        order = list(ids)
-        rng.shuffle(order)
-        order = tuple(order)
-        hits = state.hits(order)
-        if hits.any():
-            members.append(order)
-            state.apply(hits)
-            misses = 0
-            if len(members) > cap:
-                return None
-        else:
-            misses += 1
-            if misses > 200:
-                return None
-    return members
-
-
-def _greedy_cover(ids, rng: random.Random) -> list[tuple[int, ...]]:
-    """Deterministic greedy set cover over seeded candidate batches.
-
-    Every round also includes one targeted candidate built from the first
-    uncovered constraint, so progress is guaranteed.
-    """
-    state = _CoverState(ids)
-    members: list[tuple[int, ...]] = []
-    while state.remaining:
-        candidates: list[tuple[int, ...]] = []
-        for _ in range(32):
-            order = list(ids)
-            rng.shuffle(order)
-            candidates.append(tuple(order))
-        triple, a = state.first_uncovered()
-        rest = [v for v in ids if v != a]
-        candidates.append(tuple(rest) + (a,))
-        best = None
-        best_hits = None
-        best_count = -1
-        for cand in candidates:
-            hits = state.hits(cand)
-            count = int(hits.sum())
-            if count > best_count:
-                best, best_hits, best_count = cand, hits, count
-        members.append(best)
-        state.apply(best_hits)
-    return members
-
-
-def build_3_suitable(n: int, seed: int = 0) -> Suitable3Result:
-    """3-suitable family over [n] = {1..n}; deterministic given the seed."""
-    return build_3_suitable_for(tuple(range(1, n + 1)), seed)
-
-
-def build_3_suitable_for(ids, seed: int = 0) -> Suitable3Result:
-    """3-suitable family over an arbitrary id universe."""
     ids = tuple(sorted(set(ids)))
     n = len(ids)
-    if n < 3:
-        return Suitable3Result(PermutationFamily.build(ids, ()), "empty", seed, 0)
-    target = spencer_target(n)
-    mask_orders = _xor_mask_orders(ids)
-    if n > COVER_LIMIT:
-        fam = PermutationFamily.build(ids, [Permutation(o) for o in mask_orders])
-        return Suitable3Result(fam, "xor-mask", seed, target)
-
-    chosen: list[tuple[int, ...]] | None = None
-    generator = "xor-mask"
-    for attempt in range(6):
-        result = _randomized_cover(ids, random.Random(seed * 6151 + attempt), cap=target)
-        if result is not None and len(result) <= target:
-            chosen, generator = result, "random-cover"
-            break
-    if chosen is None:
-        greedy = _greedy_cover(ids, random.Random(seed))
-        if len(greedy) <= len(mask_orders):
-            chosen, generator = greedy, "greedy-cover"
-        else:
-            chosen = mask_orders
-    fam = PermutationFamily.build(ids, [Permutation(o) for o in chosen])
-    if not verify_k_suitable(fam, 3):
+    if n <= EXACT_LIMIT:
+        _, witness = exact_min_3_suitable(n)
+        orders = [[j - 1 for j in m.order] for m in witness.members]
+        generator = "exact"
+    else:
+        orders = _spencer_orders(n)
+        generator = "spencer"
+    fam = PermutationFamily.build(ids, [Permutation(ids[j] for j in o) for o in orders])
+    if n <= VERIFY_LIMIT and not verify_k_suitable(fam, 3):
         raise AssertionError("3-suitable construction failed verification")
-    return Suitable3Result(fam, generator, seed, target)
+    return Suitable3Result(fam, generator)
 
 
 def exact_min_3_suitable(n: int):
@@ -190,8 +93,8 @@ def exact_min_3_suitable(n: int):
     The constraint system is invariant under relabeling [n], so the first
     member can be fixed to the identity.
     """
-    if n > 6:
-        raise ValueError("exact 3-suitable search is limited to n <= 6")
+    if n > EXACT_LIMIT:
+        raise ValueError(f"exact 3-suitable search is limited to n <= {EXACT_LIMIT}")
     ids = tuple(range(1, n + 1))
     if n < 3:
         return 0, PermutationFamily.build(ids, ())

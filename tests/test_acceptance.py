@@ -263,7 +263,7 @@ def test_criterion_7_structural_decompositions():
                 failures.append((seed, "structure", str(exc)))
                 break
     for n in (2, 3, 4, 5, 8, 16, 32, 48, 64):
-        res = build_3_suitable(n, seed=0)
+        res = build_3_suitable(n)
         if not verify_k_suitable(res.family, 3):
             failures.append(("3-suitable", n))
     goldens = {2: 0, 3: 3}
@@ -271,6 +271,6 @@ def test_criterion_7_structural_decompositions():
         exact, _ = exact_min_3_suitable(n)
         if n in goldens and exact != goldens[n]:
             failures.append(("N(n,3) golden", n, exact))
-        if len(build_3_suitable(n, seed=0).family) < exact:
+        if len(build_3_suitable(n).family) < exact:
             failures.append(("built below minimum", n))
     _report("criterion 7: structural decompositions", failures, started)

@@ -54,6 +54,19 @@ class TestBoundDegenerate:
         doc = json.loads(first)
         assert doc["verdict"] == "ok"
         assert doc["family_size"] == 2 * doc["star_forests"] * doc["base_family_size"]
+        assert doc["base_generator"] == "exact"
+        assert doc["verification"] == "exhaustive"
+
+    @pytest.mark.parametrize("big", [99999999999, 2**70])
+    def test_sparse_huge_ids(self, big, tmp_path, capsys):
+        # arrays are sized by the vertex count, not by the largest id
+        graph = tmp_path / "sparse.txt"
+        graph.write_text(f"1 2\n2 3\n3 {big}\n")
+        out = str(tmp_path / "fam.json")
+        assert main(["bound-degenerate", str(graph), "--out", out]) == 0
+        assert "verdict: ok" in capsys.readouterr().out
+        assert main(["verify", str(graph), out]) == 0
+        assert "verdict: ok" in capsys.readouterr().out
 
 
 class TestBoundSubdivision:

@@ -9,7 +9,6 @@ from sepdim.suitable3 import (
     build_3_suitable,
     build_3_suitable_for,
     exact_min_3_suitable,
-    spencer_target,
 )
 
 
@@ -28,30 +27,30 @@ def brute_is_3_suitable(orders, n):
 
 class TestBuilders:
     def test_n2_empty(self):
-        res = build_3_suitable(2, seed=0)
+        res = build_3_suitable(2)
         assert len(res.family) == 0
 
     def test_n3_size_three(self):
-        res = build_3_suitable(3, seed=0)
+        res = build_3_suitable(3)
         assert len(res.family) == 3
         assert verify_k_suitable(res.family, 3)
 
-    @pytest.mark.parametrize("n", [4, 5, 8, 16, 33, 64])
+    @pytest.mark.parametrize("n", [4, 5, 7, 8, 16, 33, 64, 65, 76])
     def test_verified_and_oracle(self, n):
-        res = build_3_suitable(n, seed=0)
+        res = build_3_suitable(n)
         assert verify_k_suitable(res.family, 3)
         if n <= 8:
             orders = [list(m.order) for m in res.family.members]
             assert brute_is_3_suitable(orders, n)
 
-    def test_deterministic_given_seed(self):
-        a = build_3_suitable(16, seed=9)
-        b = build_3_suitable(16, seed=9)
+    def test_deterministic(self):
+        a = build_3_suitable(16)
+        b = build_3_suitable(16)
         assert a.family == b.family and a.generator == b.generator
 
     def test_large_uses_mask_construction(self):
-        res = build_3_suitable_for(range(200), seed=0)
-        assert res.generator == "xor-mask"
+        res = build_3_suitable_for(range(200))
+        assert res.generator == "spencer"
         # spot-check suitability on a sampled sub-universe via restriction
         import random
 
@@ -67,14 +66,14 @@ class TestBuilders:
 
     def test_arbitrary_id_universe(self):
         ids = (3, 17, 40, 41, 99)
-        res = build_3_suitable_for(ids, seed=1)
+        res = build_3_suitable_for(ids)
         assert res.family.ground_set == ids
         assert verify_k_suitable(res.family, 3)
 
     def test_size_at_most_greedy_bound(self):
-        # the returned family is never larger than the xor-mask fallback
+        # never larger than 1 + b + C(b, 2), b = bit length of n - 1
         for n in (8, 16, 32):
-            res = build_3_suitable(n, seed=0)
+            res = build_3_suitable(n)
             bits = max(1, (n - 1).bit_length())
             assert len(res.family) <= 1 + bits + bits * (bits - 1) // 2
 
@@ -109,21 +108,23 @@ class TestExactMinimum:
             exact_min_3_suitable(7)
 
     def test_builder_never_beats_exact_minimum(self):
-        for n in (3, 4, 5):
-            built = build_3_suitable(n, seed=0)
+        for n in (2, 3, 4, 5):
+            built = build_3_suitable(n)
             exact, _ = exact_min_3_suitable(n)
-            assert len(built.family) >= exact
+            assert len(built.family) == exact
 
 
-def test_spencer_target_monotone_and_clamped():
-    assert spencer_target(2) == 0
-    assert spencer_target(3) == 3
-    values = [spencer_target(n) for n in range(3, 300)]
-    assert all(b >= a for a, b in zip(values, values[1:]))
+@pytest.mark.parametrize(
+    "n, size", [(7, 5), (8, 5), (9, 6), (64, 6), (65, 7), (1024, 7), (1025, 8)]
+)
+def test_spencer_base_size(n, size):
+    res = build_3_suitable(n)
+    assert res.generator == "spencer"
+    assert len(res.family) == size
 
 
 def test_builder_size_at_least_exact_minimum_n6():
-    built = build_3_suitable(6, seed=0)
+    built = build_3_suitable(6)
     exact, _ = exact_min_3_suitable(6)
-    assert len(built.family) >= exact
+    assert len(built.family) == exact
     assert verify_k_suitable(built.family, 3)
