@@ -107,15 +107,15 @@ def subdivided_clique_automorphisms(n: int, smap) -> list[dict[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _separation_masks(g: Graph, pairs: list) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Per-permutation bitmasks of separated disjoint edge pairs."""
-    verts = g.vertices
-    n = len(verts)
-    perms = [p for p in permutations(verts)]
+def _separation_masks(n: int, pairs: list) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Per-permutation bitmasks of separated disjoint edge pairs.
+
+    Vertices are the positions 0..n-1, so arrays are sized by n alone.
+    """
+    perms = list(permutations(range(n)))
     pair_arr = np.asarray([[e[0], e[1], f[0], f[1]] for e, f in pairs], dtype=np.int64)
     perm_arr = np.asarray(perms, dtype=np.int64)
-    size = max(verts) + 1
-    rank = np.zeros((len(perms), size), dtype=np.int64)
+    rank = np.zeros((len(perms), n), dtype=np.int64)
     rows = np.arange(len(perms))[:, None]
     rank[rows, perm_arr] = np.arange(n)[None, :]
     ra = rank[:, pair_arr[:, 0]]
@@ -133,16 +133,17 @@ def _separation_masks(g: Graph, pairs: list) -> tuple[list[tuple[int, ...]], lis
 def _canonical_first_flags(perms: list[tuple[int, ...]], autos: list[dict[int, int]]) -> list[bool]:
     """True for permutations that are lex-minimal in their orbit.
 
-    The orbit is under relabeling by the supplied automorphisms combined
-    with sequence reversal; both map suitable families to suitable
-    families for the same graph.  Vectorized so that full symmetric
-    groups (complete graphs) stay affordable.
+    Permutations and automorphisms are over positions 0..n-1.  The orbit
+    is under relabeling by the supplied automorphisms combined with
+    sequence reversal; both map suitable families to suitable families
+    for the same graph.  Vectorized so that full symmetric groups
+    (complete graphs) stay affordable.
     """
     if not perms:
         return []
     perm_arr = np.asarray(perms, dtype=np.int64)
     rows = np.arange(len(perms))
-    size = int(perm_arr.max()) + 1
+    size = perm_arr.shape[1]
     flags = np.ones(len(perms), dtype=bool)
 
     def lex_smaller(images: np.ndarray) -> np.ndarray:
@@ -162,10 +163,15 @@ def _canonical_first_flags(perms: list[tuple[int, ...]], autos: list[dict[int, i
 
 
 def _mask_engine(g: Graph, limit: int, budget: _Budget, autos, accept=None) -> ExactSearchResult:
-    pairs = list(disjoint_edge_pairs(g))
+    # The search runs over positions in g.vertices, which keep the id
+    # order, so ids of any size cost nothing and the search order is the
+    # one the ids would give.
+    verts = g.vertices
+    pos = {v: j for j, v in enumerate(verts)}
+    pairs = [tuple(tuple(pos[v] for v in edge) for edge in pair) for pair in disjoint_edge_pairs(g)]
     if not pairs:
-        return ExactSearchResult(0, PermutationFamily.build(g.vertices, ()), False, budget.spent)
-    perms, masks = _separation_masks(g, pairs)
+        return ExactSearchResult(0, PermutationFamily.build(verts, ()), False, budget.spent)
+    perms, masks = _separation_masks(len(verts), pairs)
     full = (1 << len(pairs)) - 1
 
     # Per-member reversal canonicalization keeps only orders whose first
@@ -173,8 +179,13 @@ def _mask_engine(g: Graph, limit: int, budget: _Budget, autos, accept=None) -> E
     keep = [i for i, p in enumerate(perms) if p[0] < p[-1]]
     if autos is None:
         autos = brute_automorphisms(g)
+    autos = [{pos[v]: pos[w] for v, w in psi.items()} for psi in autos]
     cand_perms = [perms[i] for i in keep]
     cand_masks = [masks[i] for i in keep]
+
+    def member(i: int) -> Permutation:
+        return Permutation(verts[j] for j in cand_perms[i])
+
     if len(cand_perms) * len(autos) > 40_000_000:
         autos = autos[:256]
     first_ok = _canonical_first_flags(cand_perms, autos)
@@ -215,9 +226,7 @@ def _mask_engine(g: Graph, limit: int, budget: _Budget, autos, accept=None) -> E
             if covered == full:
                 if accept is None:
                     return list(chosen)
-                fam = PermutationFamily.build(
-                    g.vertices, [Permutation(cand_perms[i]) for i in chosen]
-                )
+                fam = PermutationFamily.build(verts, [member(i) for i in chosen])
                 if accept(fam):
                     return list(chosen)
                 if first_found is None:
@@ -263,8 +272,7 @@ def _mask_engine(g: Graph, limit: int, budget: _Budget, autos, accept=None) -> E
     for t in range(1, limit + 1):
         chosen = run(t)
         if chosen is not None:
-            members = [Permutation(cand_perms[i]) for i in sorted(chosen)]
-            fam = PermutationFamily.build(g.vertices, members)
+            fam = PermutationFamily.build(verts, [member(i) for i in sorted(chosen)])
             return ExactSearchResult(t, fam, False, budget.spent)
     return ExactSearchResult(None, None, True, budget.spent)
 

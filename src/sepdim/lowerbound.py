@@ -271,7 +271,7 @@ def lower_bound_harness(n: int, seed: int = 0, budget: int | None = None) -> Har
         kn = Graph.from_edges(
             [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         )
-        built = colored_subdivision_family(kn, seed=seed)
+        built = colored_subdivision_family(kn)
         family, smap = built.family, built.subdivision
         pi = None
         exact = False

@@ -88,18 +88,13 @@ def height(p: Poset) -> int:
     preds: dict[int, list[int]] = {i: [] for i in range(len(p.elements))}
     for x, y in p.relation:
         preds[index[y]].append(index[x])
-    # elements sorted topologically by number of predecessors via DP
+    # the relation is transitively closed, so an element has more
+    # predecessors than any of them: their count is a topological key
     longest = [1] * len(p.elements)
-    order = sorted(range(len(p.elements)), key=lambda i: len(_below(p, i)))
-    for i in order:
+    for i in sorted(preds, key=lambda i: len(preds[i])):
         for j in preds[i]:
             longest[i] = max(longest[i], longest[j] + 1)
     return max(longest)
-
-
-def _below(p: Poset, i: int) -> set:
-    x = p.elements[i]
-    return {y for y, z in p.relation if z == x}
 
 
 @dataclass(frozen=True)

@@ -76,20 +76,18 @@ class DegenerateCoverResult:
     degeneracy: int
     forest_count: int
     base: Suitable3Result
-    seed: int
 
     @property
     def base_size(self) -> int:
         return len(self.base.family)
 
 
-def degenerate_family(g: Graph, seed: int = 0) -> DegenerateCoverResult:
+def degenerate_family(g: Graph) -> DegenerateCoverResult:
     """Pairwise-suitable family of size 2 * (#star forests) * r for g.
 
     r is the size of the 3-suitable base family over the vertex ids; the
     number of star forests is at most twice the (recomputed) degeneracy,
-    so the family has at most 4*k*r members.  The family does not depend
-    on `seed`, which is only recorded in the result.
+    so the family has at most 4*k*r members.
     """
     if not g.vertices:
         raise ValueError("graph must have at least one vertex")
@@ -104,7 +102,7 @@ def degenerate_family(g: Graph, seed: int = 0) -> DegenerateCoverResult:
             members.append(forward)
             members.append(backward)
     family = PermutationFamily.build(g.vertices, members)
-    return DegenerateCoverResult(family, k, len(forests), base, seed)
+    return DegenerateCoverResult(family, k, len(forests), base)
 
 
 def random_k_degenerate_graph(n: int, k: int, seed: int = 0) -> Graph:

@@ -1,13 +1,13 @@
 """Pairwise-suitable families for fully subdivided graphs.
 
-Given a vertex order, the edges of the base graph form an interval
-order; a realizer of that order yields a family of |realizer| + 2
-permutations of the subdivided graph: one per extension (subdivided
-vertices first, originals inserted at their leftmost valid position)
-plus the two permutations that pin each subdivided vertex right after
-its left neighbour or right before its right neighbour.  Ordering the
-vertices by color classes keeps the interval order's height below the
-number of classes.
+A proper colouring of G lists its classes consecutively as the vertex
+order σ.  A 3-suitable family F of class orders (Spencer's scrambling
+permutations, so |F| grows as log log χ) is lifted to G^{1/2}: each
+class order gives one member that lists the classes in that order,
+keeps σ order inside each class and puts every mid vertex right after
+its later endpoint.  Two pinned members, which place each mid right
+after its σ-left or right before its σ-right endpoint, complete a
+family of |F| + 2 members.
 """
 
 from __future__ import annotations
@@ -21,80 +21,97 @@ from .graphs import (
     color_classes,
     degeneracy_order,
     greedy_coloring,
-    make_edge,
     subdivide,
 )
-from .posets import (
-    DimensionBudgetExceeded,
-    Realizer,
-    height,
-    interval_order_from,
-    is_realizer,
-    realizer_heuristic,
-    exact_poset_dimension,
-)
-
-EXACT_REALIZER_MAX = 9
+from .posets import height, interval_order_from
+from .suitable3 import Suitable3Result, build_3_suitable_for
 
 
-def subdivision_family(g: Graph, sigma: Permutation, realizer: Realizer) -> PermutationFamily:
-    """Family of |realizer| + 2 permutations of V(g^{1/2}).
+def subdivision_family(g: Graph, classes) -> tuple[PermutationFamily, Suitable3Result]:
+    """Family of |F| + 2 permutations of V(g^{1/2}) from a proper colouring.
 
-    `realizer` must realize the interval order of g under sigma; its
-    extensions order the subdivided vertices, originals are inserted at
-    the leftmost position after their predecessor and all their incoming
-    mid vertices, and two more permutations place each mid vertex
-    immediately after its left neighbour / before its right neighbour.
+    `classes` partitions the vertices into independent sets; listing them
+    in the given order (and each class in its given order) is σ.  F is
+    the family of class orders: the single swapped order for two
+    classes, else `build_3_suitable_for` over the class indices (empty
+    for at most one class).  Returns the family and F; an edgeless graph
+    has no disjoint edge pairs and gets the empty family.
+
+    Members, each listing the originals with every mid next to one of
+    its endpoints (its anchor):
+      lift of π in F: classes in π order, σ order inside a class, each
+        mid right after its π-later endpoint;
+      after_left: σ order, each mid right after its σ-left endpoint,
+        mids of one anchor by descending σ-rank of their other endpoint;
+      before_right: σ order, each mid right before its σ-right
+        endpoint, mids of one anchor by ascending σ-rank of the other.
+
+    Why it is pairwise suitable.  A disjoint pair of G^{1/2} is (u, m_e),
+    (w, m_f) with e = uu', f = ww', u != w and e != f; c is the colour.
+    1. c(w) not in {c(u), c(u')}: the lift with c(w) after both puts u,
+       u' and m_e before all of class c(w), and m_f after w.  The case
+       c(u) not in {c(w), c(w')} is symmetric.
+    2. c(u) = c(w) = X.  If u' and w' lie on the same side of X in σ,
+       u and w anchor m_e and m_f in after_left (both after X) or in
+       before_right (both before), so the two anchor blocks separate
+       the pair.  Otherwise X, c(u'), c(w') are distinct, and the lift
+       with X last anchors m_e at u and m_f at w.
+    3. c(u) = c(w') = X and c(u') = c(w) = Y != X.  Swapping the two
+       edges swaps X and Y, so let X come first in σ, and let L be the
+       lift that puts Y before X (the swapped order for two classes).
+       If u != w', after_left lists u, m_e ... m_f, w when u is σ-before
+       w', and L lists w ... w', m_f ... u, m_e otherwise.  If u = w',
+       after_left lists u, m_e, m_f ... w when u' is σ-after w, and
+       before_right lists u ... m_e, u' ... m_f, w otherwise.
+    Every case used a member of F that puts one class after one or two
+    others, which a 3-suitable F has (and, for two classes, the swap).
     """
-    order = interval_order_from(g, sigma)
-    if not is_realizer(realizer, order.poset):
-        raise ValueError("supplied realizer does not realize the interval order")
+    color: dict[int, int] = {}
+    for c, cls in enumerate(classes):
+        if not cls:
+            raise ValueError("colour classes must be non-empty")
+        for v in cls:
+            if v in color:
+                raise ValueError(f"vertex {v} lies in two colour classes")
+            color[v] = c
+    if color.keys() != set(g.vertices):
+        raise ValueError("colour classes do not cover exactly the graph's vertices")
+    if any(color[u] == color[v] for u, v in g.edges):
+        raise ValueError("a colour class contains an edge")
+    if len(classes) == 2:
+        base = Suitable3Result(PermutationFamily.build((0, 1), [(1, 0)]), "swap")
+    else:
+        base = build_3_suitable_for(range(len(classes)))
     gsub, smap = subdivide(g)
-    by_rank = sorted(g.vertices, key=sigma.rank)
+    if not g.edges:
+        return PermutationFamily.build(gsub.vertices, ()), base
 
-    def original(rank: int) -> int:
-        return by_rank[rank - 1]
+    rank = {v: i for i, v in enumerate(v for cls in classes for v in cls)}
+    mids = [(*sorted(e, key=rank.__getitem__), m) for e, m in smap.assignments]
 
-    def mid(interval: tuple[int, int]) -> int:
-        e = make_edge(original(interval[0]), original(interval[1]))
-        return smap.mid_of[e]
+    def listing(position, attach) -> Permutation:
+        """Originals by `position`; attach(left, right) -> (anchor, side, tie) for each mid."""
+        keys = {v: (position(v), 0, 0) for v in g.vertices}
+        for a, b, m in mids:
+            anchor, side, tie = attach(a, b)
+            keys[m] = (position(anchor), side, tie)
+        return Permutation(sorted(keys, key=keys.__getitem__))
 
-    intervals_by_right: dict[int, list[tuple[int, int]]] = {}
-    intervals_by_left: dict[int, list[tuple[int, int]]] = {}
-    for iv in order.intervals:
-        intervals_by_left.setdefault(iv[0], []).append(iv)
-        intervals_by_right.setdefault(iv[1], []).append(iv)
+    members = []
+    for pi in base.family.members:
+        place = pi.ranks
 
-    members: list[Permutation] = []
-    n = len(by_rank)
-    for ext in realizer.extensions:
-        seq: list[int] = [mid(iv) for iv in ext]
-        for j in range(1, n + 1):
-            at = -1
-            if j > 1:
-                at = seq.index(original(j - 1))
-            for iv in intervals_by_right.get(j, ()):
-                at = max(at, seq.index(mid(iv)))
-            seq.insert(at + 1, original(j))
-            # the proof guarantees v_j lands before every u_{jk}
-            for iv in intervals_by_left.get(j, ()):
-                if seq.index(mid(iv)) < at + 1:
-                    raise AssertionError("original vertex landed after an outgoing mid")
-        members.append(Permutation(seq))
+        def lifted(v: int) -> tuple[int, int]:
+            return place[color[v]], rank[v]
 
-    after_left: list[int] = []
-    for j in range(1, n + 1):
-        after_left.append(original(j))
-        after_left.extend(mid(iv) for iv in sorted(intervals_by_left.get(j, ())))
-    members.append(Permutation(after_left))
+        def after_later(a: int, b: int):
+            later, other = (a, b) if place[color[a]] > place[color[b]] else (b, a)
+            return later, 1, rank[other]
 
-    before_right: list[int] = []
-    for j in range(1, n + 1):
-        before_right.extend(mid(iv) for iv in sorted(intervals_by_right.get(j, ())))
-        before_right.append(original(j))
-    members.append(Permutation(before_right))
-
-    return PermutationFamily.build(gsub.vertices, members)
+        members.append(listing(lifted, after_later))
+    members.append(listing(rank.__getitem__, lambda a, b: (a, 1, -rank[b])))
+    members.append(listing(rank.__getitem__, lambda a, b: (b, -1, rank[a])))
+    return PermutationFamily.build(gsub.vertices, members), base
 
 
 @dataclass(frozen=True)
@@ -105,58 +122,33 @@ class SubdividedBoundResult:
     sigma: Permutation
     num_classes: int
     interval_height: int
-    realizer: Realizer
-    used_exact_realizer: bool
-    seed: int
+    base: Suitable3Result
 
     @property
     def realizer_size(self) -> int:
-        return len(self.realizer)
+        """|F|, the number of lifted members (the family has |F| + 2)."""
+        return len(self.base.family)
 
 
-def colored_subdivision_family(
-    g: Graph, seed: int = 0, check: bool = True
-) -> SubdividedBoundResult:
-    """Suitable family for g^{1/2} built from a color-class vertex order.
+def colored_subdivision_family(g: Graph, check: bool = True) -> SubdividedBoundResult:
+    """Suitable family for g^{1/2} lifted from the greedy colour classes.
 
-    The order lists greedy color classes consecutively, which caps the
-    interval order's height at (#classes - 1).  The realizer comes from
-    the exact search on small interval orders, else from the heuristic.
+    The classes come from a greedy colouring along the degeneracy order;
+    listed consecutively they also cap the height of g's interval order
+    under σ at (#classes - 1), which the result reports.
     """
-    d = degeneracy_order(g)
-    coloring = greedy_coloring(g, d)
-    classes = color_classes(coloring)
+    classes = color_classes(greedy_coloring(g, degeneracy_order(g)))
     sigma = Permutation([v for cls in classes for v in cls])
     gsub, smap = subdivide(g)
-    if not g.edges:
-        family = PermutationFamily.build(gsub.vertices, ())
-        return SubdividedBoundResult(
-            family, gsub, smap, sigma, len(classes), 0, Realizer(()), False, seed
-        )
-
-    order = interval_order_from(g, sigma)
-    h = height(order.poset)
-    if classes and h > len(classes) - 1:
-        raise AssertionError("interval order height exceeds the coloring bound")
-
-    used_exact = False
-    realizer = None
-    if len(order) <= EXACT_REALIZER_MAX:
-        try:
-            res = exact_poset_dimension(order.poset, limit=4, budget=400_000)
-            if res.dimension is not None:
-                realizer = res.realizer
-                used_exact = True
-        except DimensionBudgetExceeded:
-            realizer = None
-    if realizer is None:
-        realizer = realizer_heuristic(order)
-
-    family = subdivision_family(g, sigma, realizer)
+    family, base = subdivision_family(g, classes)
+    h = height(interval_order_from(g, sigma).poset)
+    if g.edges:
+        if h > len(classes) - 1:
+            raise AssertionError("interval order height exceeds the coloring bound")
+        if len(family.members) != len(base.family) + 2:
+            raise AssertionError("subdivision family size differs from |F| + 2")
     if check:
         witness = verify_pairwise_suitable(family, gsub)
         if not witness.ok:
             raise AssertionError(f"subdivision family failed verification: {witness}")
-    return SubdividedBoundResult(
-        family, gsub, smap, sigma, len(classes), h, realizer, used_exact, seed
-    )
+    return SubdividedBoundResult(family, gsub, smap, sigma, len(classes), h, base)

@@ -61,7 +61,7 @@ def test_criterion_1_degenerate_pipeline():
                 seed = 10_000 * k + 100 * n + trial
                 g = random_k_degenerate_graph(n, k, seed=seed)
                 per_graph = time.time()
-                result = degenerate_family(g, seed=seed)
+                result = degenerate_family(g)
                 size = len(result.family.members)
                 expected = 2 * result.forest_count * result.base_size
                 bound = 4 * k * result.base_size
@@ -161,8 +161,8 @@ def test_criterion_3_canonical_interval_order():
 
 
 def test_criterion_4_subdivision_pipeline():
-    """Realizer families for 100 random subdivided graphs verify with the
-    stated size and height bounds; C4 gives exactly 4."""
+    """Lifted families for 100 random subdivided graphs verify with the
+    stated size and height bounds; C4 gives exactly 3."""
     started = time.time()
     failures = []
     for seed in range(100):
@@ -174,7 +174,7 @@ def test_criterion_4_subdivision_pipeline():
         }
         g = Graph.build(range(1, n + 1), edges)
         try:
-            result = colored_subdivision_family(g, seed=seed)
+            result = colored_subdivision_family(g)
         except AssertionError as exc:
             failures.append((seed, "pipeline", str(exc)))
             continue
@@ -186,7 +186,7 @@ def test_criterion_4_subdivision_pipeline():
         if not witness.ok:
             failures.append((seed, "verify", witness.counterexample))
     c4 = colored_subdivision_family(cycle(4))
-    if len(c4.family.members) != 4:
+    if len(c4.family.members) != 3:
         failures.append(("c4 size", len(c4.family.members)))
     _report("criterion 4: subdivision pipeline", failures, started)
 

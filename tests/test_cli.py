@@ -67,14 +67,20 @@ class TestBoundDegenerate:
         assert "verdict: ok" in capsys.readouterr().out
         assert main(["verify", str(graph), out]) == 0
         assert "verdict: ok" in capsys.readouterr().out
+        assert main(["exact", str(graph), "--format", "structured"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["separation_dimension"] == 1
+        assert sorted(map(int, doc["witness_0"].split())) == [1, 2, 3, big]
 
 
 class TestBoundSubdivision:
-    def test_c4_size_four(self, c4_file, tmp_path, capsys):
+    def test_c4_size_three(self, c4_file, tmp_path, capsys):
         out = str(tmp_path / "fam.json")
         assert main(["bound-subdivision", c4_file, "--out", out, "--format", "structured"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["family_size"] == 4
+        assert doc["family_size"] == 3
+        assert doc["realizer_size"] == 1
+        assert doc["base_generator"] == "swap"
         assert doc["verdict"] == "ok"
         mapping = json.loads(open(out + ".subdivision.json").read())
         assert len(mapping["mids"]) == 4

@@ -77,41 +77,41 @@ class TestConstructSigma:
 class TestDegenerateFamily:
     def test_star_graph_no_disjoint_pairs(self):
         g = Graph.from_edges([(0, i) for i in range(1, 6)])
-        result = degenerate_family(g, seed=0)
+        result = degenerate_family(g)
         assert verify_pairwise_suitable(result.family, g).ok
 
     def test_p4_verified_and_sized(self):
         g = Graph.from_edges([(1, 2), (2, 3), (3, 4)])
-        result = degenerate_family(g, seed=0)
+        result = degenerate_family(g)
         assert verify_pairwise_suitable(result.family, g).ok
         assert len(result.family.members) == 2 * result.forest_count * result.base_size
         assert len(result.family.members) <= 4 * result.degeneracy * result.base_size
 
     def test_k4_verified_and_sized(self):
         g = Graph.from_edges([(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
-        result = degenerate_family(g, seed=0)
+        result = degenerate_family(g)
         assert verify_pairwise_suitable(result.family, g).ok
         assert len(result.family.members) == 2 * result.forest_count * result.base_size
 
     def test_deterministic(self):
         g = random_k_degenerate_graph(30, 2, seed=5)
-        a = degenerate_family(g, seed=11)
-        b = degenerate_family(g, seed=11)
+        a = degenerate_family(g)
+        b = degenerate_family(g)
         assert a.family == b.family
 
     def test_base_family_is_three_suitable(self):
         g = random_k_degenerate_graph(20, 2, seed=1)
-        result = degenerate_family(g, seed=0)
+        result = degenerate_family(g)
         assert verify_k_suitable(result.base.family, 3)
 
     def test_single_vertex(self):
         g = Graph.build([7], [])
-        result = degenerate_family(g, seed=0)
+        result = degenerate_family(g)
         assert len(result.family.members) == 0
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
-            degenerate_family(Graph.build([], []), seed=0)
+            degenerate_family(Graph.build([], []))
 
 
 class TestClaimCaseReplay:
@@ -123,7 +123,7 @@ class TestClaimCaseReplay:
     def test_owning_forest_separates(self, seed):
         rng = random.Random(seed)
         g = random_k_degenerate_graph(rng.randint(8, 18), rng.randint(1, 3), seed=seed)
-        result = degenerate_family(g, seed=seed)
+        result = degenerate_family(g)
         forests = star_forest_decomposition(g)
         r = result.base_size
         edges = g.edges

@@ -1,12 +1,11 @@
-"""Families for fully subdivided graphs built from interval-order realizers."""
+"""Families for fully subdivided graphs lifted from colour classes."""
 
 import random
 
 import pytest
 
-from sepdim.families import Permutation, verify_pairwise_suitable
-from sepdim.graphs import Graph, degeneracy_order, greedy_coloring, subdivide
-from sepdim.posets import Realizer, interval_order_from, realizer_heuristic
+from sepdim.families import verify_pairwise_suitable
+from sepdim.graphs import Graph, color_classes, degeneracy_order, greedy_coloring, subdivide
 from sepdim.subdivided import colored_subdivision_family, subdivision_family
 
 
@@ -18,40 +17,70 @@ def cycle(n):
     return Graph.from_edges([(i, i % n + 1) for i in range(1, n + 1)])
 
 
+def greedy_classes(g):
+    return color_classes(greedy_coloring(g, degeneracy_order(g)))
+
+
+def verified_family(g, classes):
+    fam, base = subdivision_family(g, classes)
+    gsub, _ = subdivide(g)
+    assert verify_pairwise_suitable(fam, gsub).ok
+    if g.edges:
+        assert len(fam.members) == len(base.family) + 2
+    return fam
+
+
+def random_proper_classes(g, rng):
+    """A random proper colouring (not a greedy one), classes and their
+    insides in random order."""
+    palette = rng.randint(1, 6)
+    color = {}
+    for v in rng.sample(list(g.vertices), g.num_vertices):
+        used = {color[w] for w in g.adjacency[v] if w in color}
+        free = [c for c in range(palette + len(used)) if c not in used]
+        color[v] = rng.choice(free[:palette])
+    classes = {}
+    for v, c in color.items():
+        classes.setdefault(c, []).append(v)
+    out = [rng.sample(cls, len(cls)) for cls in classes.values()]
+    rng.shuffle(out)
+    return out
+
+
 class TestSubdivisionFamily:
     def test_path_three_permutations(self):
         g = Graph.from_edges([(1, 2), (2, 3)])
-        sigma = Permutation((1, 2, 3))
-        realizer = Realizer((((1, 2), (2, 3)),))
-        fam = subdivision_family(g, sigma, realizer)
-        gsub, _ = subdivide(g)
-        assert len(fam.members) == 3
-        assert verify_pairwise_suitable(fam, gsub).ok
+        assert len(verified_family(g, [(1, 3), (2,)]).members) == 3
 
     def test_single_edge(self):
         g = Graph.from_edges([(1, 2)])
-        fam = subdivision_family(g, Permutation((1, 2)), Realizer((((1, 2),),)))
-        gsub, _ = subdivide(g)
-        assert len(fam.members) == 3
-        assert verify_pairwise_suitable(fam, gsub).ok
+        assert len(verified_family(g, [(1,), (2,)]).members) == 3
 
-    def test_triangle_with_size_two_realizer(self):
-        g = complete(3)
-        sigma = Permutation((1, 2, 3))
-        order = interval_order_from(g, sigma)
-        realizer = realizer_heuristic(order)
-        assert len(realizer) == 2
-        fam = subdivision_family(g, sigma, realizer)
-        gsub, _ = subdivide(g)
-        assert len(fam.members) == 4
-        assert verify_pairwise_suitable(fam, gsub).ok
+    def test_exact_sizes(self):
+        assert len(verified_family(Graph.from_edges([(1, 2)]), [(2,), (1,)]).members) == 3
+        assert len(verified_family(cycle(4), [(1, 3), (2, 4)]).members) == 3
+        assert len(verified_family(complete(3), [(1,), (2,), (3,)]).members) == 5
+        assert len(verified_family(Graph.build([1, 2, 3], []), [(1, 2, 3)]).members) == 0
 
-    def test_invalid_realizer_rejected(self):
-        g = complete(3)
-        sigma = Permutation((1, 2, 3))
-        bogus = Realizer((((1, 2), (1, 3), (2, 3)),))  # single extension
-        with pytest.raises(ValueError, match="realizer"):
-            subdivision_family(g, sigma, bogus)
+    def test_invalid_classes_rejected(self):
+        for classes in (
+            [(1, 2), (3,)],            # a class holds the edge 1-2
+            [(1,), (2,)],              # vertex 3 is missing
+            [(1,), (2,), (3,), (1,)],  # vertex 1 twice
+            [(1,), (2,), (3,), ()],    # an empty class
+            [(1,), (2,), (3, 4)],      # 4 is not a vertex
+        ):
+            with pytest.raises(ValueError, match="class"):
+                subdivision_family(complete(3), classes)
+
+    def test_random_colourings(self):
+        for seed in range(320):
+            rng = random.Random(seed)
+            n = rng.randint(2, 12)
+            p = rng.random()
+            edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < p]
+            g = Graph.build(range(1, n + 1), edges)
+            verified_family(g, random_proper_classes(g, rng))
 
     def test_mid_between_neighbors_in_pinned_members(self):
         g = cycle(5)
@@ -66,17 +95,20 @@ class TestSubdivisionFamily:
 
 
 class TestColoredPipeline:
-    def test_c4_family_size_four(self):
+    def test_c4_family_size_three(self):
         res = colored_subdivision_family(cycle(4))
         assert res.num_classes == 2
-        # the interval order is an antichain of 4, needing a 2-realizer
         assert res.interval_height == 1
-        assert res.realizer_size == 2
-        assert len(res.family.members) == 4
+        assert res.realizer_size == 1 and res.base.generator == "swap"
+        assert len(res.family.members) == 3
 
-    def test_k3_size_at_most_four(self):
+    def test_k3_size_five(self):
         res = colored_subdivision_family(complete(3))
-        assert len(res.family.members) <= 4
+        assert len(res.family.members) == 5
+
+    def test_complete_graph_sizes(self):
+        sizes = {n: len(colored_subdivision_family(complete(n)).family.members) for n in (4, 7, 12, 40)}
+        assert sizes == {4: 5, 7: 7, 12: 8, 40: 8}
 
     def test_edgeless_empty_family(self):
         res = colored_subdivision_family(Graph.build([1, 2, 3], []))
@@ -91,7 +123,7 @@ class TestColoredPipeline:
                 for _ in range(rng.randint(1, 2 * n))
             }
             g = Graph.build(range(1, n + 1), edges)
-            res = colored_subdivision_family(g, seed=seed)
+            res = colored_subdivision_family(g)
             if g.edges:
                 assert len(res.family.members) == res.realizer_size + 2
 
@@ -104,7 +136,7 @@ class TestColoredPipeline:
                 for _ in range(rng.randint(1, 3 * n))
             }
             g = Graph.build(range(1, n + 1), edges)
-            res = colored_subdivision_family(g, seed=seed)
+            res = colored_subdivision_family(g)
             assert res.interval_height <= res.num_classes - 1
 
     def test_sigma_orders_color_classes_consecutively(self):
@@ -114,17 +146,10 @@ class TestColoredPipeline:
         seen_colors = [coloring[v] for v in res.sigma.order]
         assert seen_colors == sorted(seen_colors)
 
+    def test_greedy_classes_give_the_pipeline_family(self):
+        g = cycle(7)
+        assert subdivision_family(g, greedy_classes(g))[0] == colored_subdivision_family(g).family
+
     def test_deterministic(self):
         g = cycle(7)
-        assert colored_subdivision_family(g, seed=1).family == colored_subdivision_family(g, seed=1).family
-
-
-def test_exact_realizer_size_matches_dimension():
-    from sepdim.posets import exact_poset_dimension, interval_order_from
-
-    g = complete(3)
-    res = colored_subdivision_family(g)
-    if res.used_exact_realizer:
-        order = interval_order_from(g, res.sigma)
-        dim = exact_poset_dimension(order.poset, limit=4).dimension
-        assert len(res.family.members) == dim + 2
+        assert colored_subdivision_family(g).family == colored_subdivision_family(g).family
