@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report determinism, round trips."""
 
+import hashlib
 import json
 
 import pytest
@@ -175,3 +176,66 @@ class TestRoundTripIntegrity:
         out = str(tmp_path / "fam.json")
         assert main(["bound-subdivision", c4_file, "--out", out]) == 0
         assert main(["verify", out + ".subdivided.txt", out]) == 0
+
+
+def _spread_degenerate(n: int, k: int) -> str:
+    """A k-degenerate edge list whose ids are spread over 0..100002 out of index order."""
+    ids = [(v * 7919) % 100003 for v in range(n)]
+    lines = []
+    for i in range(1, n):
+        for j in sorted({(i * 31 + t * 17) % i for t in range(min(k, i))}):
+            lines.append(f"{ids[j]} {ids[i]}\n")
+    return "".join(lines)
+
+
+def _clique(n: int) -> str:
+    return "".join(f"{i} {j}\n" for i in range(1, n + 1) for j in range(i + 1, n + 1))
+
+
+# sha256 of the text report and of every --out file (run from the output
+# directory, so the report names relative paths); any change in the bytes
+# a command writes shows here.
+GOLDEN = {
+    ("bound-degenerate", "deg30"): {
+        "report": "c853e1e284eef81dbb2fdbedd4134e87bc420adced75d71ecb0e8278dcf0a43a",
+        "fam.json": "d58aa6825b2844be22e4c10eee0ef95ab3f0ec27f26ab3cbaeac8b89704b3f57",
+    },
+    ("bound-degenerate", "deg120"): {
+        "report": "7cbb4731c205fc3d2342a6ba172e05f494e2b966b2b18a3455aa49e31b9190e6",
+        "fam.json": "09a67237fdba2549af0b4edcb47f38aede33751ba2509ac5a3fd2b5d9a412bf0",
+    },
+    ("bound-subdivision", "k4"): {
+        "report": "37e385a09269430cafa1fca73ac2b60a48e271605e93de851ae0533026fbcb75",
+        "fam.json": "0d125419429e4ee9285c1349897a7d773fa9bcbf14c19a5a6b36095e9d85dc4c",
+        "fam.json.subdivided.txt": "a579d10f211c13b2dbef89b999cc8377f0930643cdef6e9792b5e56ad6e51c37",
+        "fam.json.subdivision.json": "ed8bb2dc036a9ad096c497aefc2adc26c9d308fcb3900bae326a430b03af9658",
+    },
+    ("bound-subdivision", "deg20"): {
+        "report": "5a7c4f743469c9849336d4fc93904dd94bfe6f6d856e5db21e4a82743bbe6f2a",
+        "fam.json": "f8ab87f9ac800af4951a58779e150cafb303d5bad2b5930f8ef6d229c767f5fd",
+        "fam.json.subdivided.txt": "8f5525b545fe6096e5a086d8c18af74d236f24286628874af945753c57a5bbc2",
+        "fam.json.subdivision.json": "6d24b306b78a1f6592af9abde9f753a53232f8fdfb70b7e6582a2db8397af7b9",
+    },
+    ("exact", "c5"): {
+        "report": "81e8fe99aa7fcbf9f184828e623ac21b301bdc6d9b0f5e555cff02f9710c0696",
+    },
+}
+GOLDEN_GRAPHS = {
+    "deg30": _spread_degenerate(30, 2),
+    "deg120": _spread_degenerate(120, 3),
+    "k4": _clique(4),
+    "deg20": _spread_degenerate(20, 3),
+    "c5": "1 2\n2 3\n3 4\n4 5\n1 5\n",
+}
+
+
+@pytest.mark.parametrize("command,graph", sorted(GOLDEN))
+def test_golden_output(command, graph, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_text(GOLDEN_GRAPHS[graph])
+    argv = [command, "g.txt"] + (["--out", "fam.json"] if command != "exact" else [])
+    assert main(argv) == 0
+    digests = {"report": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+    for path in sorted(tmp_path.glob("fam.json*")):
+        digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == GOLDEN[(command, graph)]
