@@ -70,13 +70,17 @@ from .posets import (
 )
 from .starcover import (
     DegenerateCoverResult,
-    StarLabeling,
     construct_sigma,
     degenerate_family,
     random_k_degenerate_graph,
-    star_labels,
+    star_roots,
 )
-from .subdivided import SubdividedBoundResult, colored_subdivision_family, subdivision_family
+from .subdivided import (
+    SubdividedBoundResult,
+    colored_subdivision_family,
+    interval_height,
+    subdivision_family,
+)
 from .suitable3 import (
     Suitable3Result,
     build_3_suitable,

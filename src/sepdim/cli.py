@@ -91,7 +91,7 @@ def cmd_bound_degenerate(args) -> int:
     report.add("star_forests", result.forest_count)
     report.add("base_family_size", result.base_size)
     report.add("base_generator", result.base.generator)
-    report.add("family_size", len(result.family.members))
+    report.add("family_size", len(result.family))
     report.add("size_bound_4kr", 4 * result.degeneracy * result.base_size)
     report.add("verification", witness.verification)
     report.add("verdict", _witness_str(witness))
@@ -128,7 +128,7 @@ def cmd_bound_subdivision(args) -> int:
     # checks among them) expect family_size == realizer_size + 2
     report.add("realizer_size", result.realizer_size)
     report.add("base_generator", result.base.generator)
-    report.add("family_size", len(result.family.members))
+    report.add("family_size", len(result.family))
     c = result.num_classes
     if c >= 3:
         report.add("bound_loglog_classes", f"{math.log2(math.log2(c - 1)) + 2:.4f}")
@@ -189,7 +189,7 @@ def cmd_verify(args) -> int:
     report = Report("verify")
     report.add("input_digest", digest)
     report.add("family_digest", _digest(raw))
-    report.add("family_size", len(fam.members))
+    report.add("family_size", len(fam))
     report.add("verdict", _witness_str(witness))
     _emit(report, args.format, started)
     return OK if witness.ok else COUNTEREXAMPLE
@@ -233,7 +233,7 @@ def cmd_lower_harness(args) -> int:
     if rep.pi is not None:
         report.add("separation_dimension", rep.pi)
     if rep.family is not None:
-        report.add("family_size", len(rep.family.members))
+        report.add("family_size", len(rep.family))
     if rep.subset is not None:
         report.add("subset_size", len(rep.subset.vertices))
         report.add("subset", " ".join(map(str, rep.subset.vertices)))

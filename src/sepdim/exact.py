@@ -14,18 +14,14 @@ group (or a known subgroup) rather than by arbitrary relabelings.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 
-from .families import (
-    Permutation,
-    PermutationFamily,
-    disjoint_edge_pairs,
-    verify_pairwise_suitable,
-)
+from .families import PermutationFamily, disjoint_edge_pairs, verify_pairwise_suitable
 from .graphs import Graph, make_edge, subdivide
 
 DEFAULT_BUDGET = 20_000_000
@@ -69,7 +65,7 @@ def brute_automorphisms(g: Graph, cap: int = 2_000_000) -> list[dict[int, int]]:
     """All edge-preserving vertex bijections, by brute force (small graphs)."""
     verts = g.vertices
     n = len(verts)
-    if n > 8 or _factorial(n) * max(1, g.num_edges) > cap:
+    if n > 8 or math.factorial(n) * max(1, g.num_edges) > cap:
         return [dict(zip(verts, verts))]
     edge_set = set(g.edges)
     degs = {v: g.degree(v) for v in verts}
@@ -81,13 +77,6 @@ def brute_automorphisms(g: Graph, cap: int = 2_000_000) -> list[dict[int, int]]:
         if all(make_edge(m[u], m[v]) in edge_set for u, v in g.edges):
             autos.append(m)
     return autos
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def subdivided_clique_automorphisms(n: int, smap) -> list[dict[int, int]]:
@@ -183,8 +172,8 @@ def _mask_engine(g: Graph, limit: int, budget: _Budget, autos, accept=None) -> E
     cand_perms = [perms[i] for i in keep]
     cand_masks = [masks[i] for i in keep]
 
-    def member(i: int) -> Permutation:
-        return Permutation(verts[j] for j in cand_perms[i])
+    def family(chosen: list[int]) -> PermutationFamily:
+        return PermutationFamily(verts, np.array([cand_perms[i] for i in chosen]))
 
     if len(cand_perms) * len(autos) > 40_000_000:
         autos = autos[:256]
@@ -226,8 +215,7 @@ def _mask_engine(g: Graph, limit: int, budget: _Budget, autos, accept=None) -> E
             if covered == full:
                 if accept is None:
                     return list(chosen)
-                fam = PermutationFamily.build(verts, [member(i) for i in chosen])
-                if accept(fam):
+                if accept(family(chosen)):
                     return list(chosen)
                 if first_found is None:
                     first_found = list(chosen)
@@ -272,8 +260,7 @@ def _mask_engine(g: Graph, limit: int, budget: _Budget, autos, accept=None) -> E
     for t in range(1, limit + 1):
         chosen = run(t)
         if chosen is not None:
-            fam = PermutationFamily.build(verts, [member(i) for i in sorted(chosen)])
-            return ExactSearchResult(t, fam, False, budget.spent)
+            return ExactSearchResult(t, family(sorted(chosen)), False, budget.spent)
     return ExactSearchResult(None, None, True, budget.spent)
 
 
@@ -478,9 +465,6 @@ def _prefix_engine_two(g: Graph, budget: _Budget, autos, accept=None) -> Permuta
     used: set[int] = set()
     doomed: list[int] = []
 
-    def family_of(a, b) -> PermutationFamily:
-        return PermutationFamily.build(g.vertices, [Permutation(a), Permutation(b)])
-
     def solve(live: list[dict[int, int]]) -> tuple[tuple, tuple] | None:
         budget.spend()
         if len(order) == n:
@@ -499,7 +483,7 @@ def _prefix_engine_two(g: Graph, budget: _Budget, autos, accept=None) -> Permuta
                 return (first, hit[0]) if hit is not None else None
             hit = _completion_search(
                 verts, tracker, sorted(uncovered), budget,
-                test=lambda other: accept(family_of(first, other)),
+                test=lambda other: accept(PermutationFamily.build(verts, [first, other])),
             )
             if hit is None:
                 return None
@@ -549,7 +533,7 @@ def _prefix_engine_two(g: Graph, budget: _Budget, autos, accept=None) -> Permuta
         found = first_found[0]
     if found is None:
         return None
-    return PermutationFamily.build(g.vertices, [Permutation(o) for o in found])
+    return PermutationFamily.build(g.vertices, found)
 
 
 def randomized_family_search(
@@ -593,7 +577,7 @@ def randomized_family_search(
     stale = 0
     for _ in range(iterations):
         if unsep == 0:
-            fam = PermutationFamily.build(g.vertices, [Permutation(m) for m in members])
+            fam = PermutationFamily.build(g.vertices, members)
             if verify_pairwise_suitable(fam, g).ok:
                 return fam
             return None
@@ -685,13 +669,10 @@ def exact_separation_dimension(
     ptracker = _PairTracker(pairs)
     one = _completion_search(
         list(g.vertices), ptracker, list(range(len(pairs))), tracker,
-        test=(lambda order: accept(
-            PermutationFamily.build(g.vertices, [Permutation(order)])
-        )) if accept else None,
+        test=(lambda order: accept(PermutationFamily.build(g.vertices, [order]))) if accept else None,
     )
     if one is not None:
-        fam = PermutationFamily.build(g.vertices, [Permutation(one[0])])
-        return ExactSearchResult(1, fam, False, tracker.spent)
+        return ExactSearchResult(1, PermutationFamily.build(g.vertices, [one[0]]), False, tracker.spent)
     if limit == 1:
         return ExactSearchResult(None, None, True, tracker.spent)
     fam2 = _prefix_engine_two(g, tracker, autos, accept=accept)

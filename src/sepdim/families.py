@@ -1,8 +1,11 @@
 """Permutations, permutation families, and pairwise-suitability verification.
 
-A permutation ranks a finite vertex set 1..n.  A family is pairwise
-suitable for a graph when every pair of disjoint edges is placed as two
-blocks (one entirely before the other) by at least one member.
+A permutation ranks a finite vertex set 1..n.  A family is one
+(members x n) array of positions in its sorted ground set; ranks are
+scattered from it, and `Permutation`s of ids are built from it only at
+API boundaries (JSON, reports, exact solvers, lower bounds).  It is
+pairwise suitable for a graph when every pair of disjoint edges is
+placed as two blocks (one entirely before the other) by some member.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -64,27 +67,79 @@ class Permutation:
         return f"Permutation({list(self.order)})"
 
 
-@dataclass(frozen=True)
+def _vertex_ids(values, what: str) -> tuple[int, ...]:
+    """`values` as a tuple of vertex ids: non-negative ints (bools excluded)."""
+    try:
+        ids = tuple(values)
+    except TypeError:
+        ids = (None,)
+    if not set(map(type, ids)) <= {int} or (ids and min(ids) < 0):
+        raise ValueError(f"{what} must be a list of non-negative integer vertex ids")
+    return ids
+
+
+@dataclass(frozen=True, eq=False)
 class PermutationFamily:
-    """Ordered list of permutations sharing one ground set."""
+    """Ordered permutations of one ground set, as a single order array.
+
+    `ground_set` is the sorted tuple of vertex ids; row i of the (r, n)
+    integer array `orders` lists the positions 0..n-1 of those ids in
+    member i's order.  Every family is validated here, however it was
+    built.  `rank_matrix` and `members` are views derived from `orders`.
+    """
 
     ground_set: tuple[int, ...]
-    members: tuple[Permutation, ...]
+    orders: np.ndarray
+
+    def __post_init__(self):
+        ground = _vertex_ids(self.ground_set, "ground set")
+        if any(a >= b for a, b in zip(ground, ground[1:])):
+            raise ValueError("ground set must be sorted and free of repeats")
+        orders = np.array(self.orders)
+        if orders.ndim != 2 or orders.shape[1] != len(ground) or orders.dtype.kind not in "iu":
+            raise ValueError(f"orders must be an integer array of shape (members, {len(ground)})")
+        if (np.sort(orders, axis=1) != np.arange(len(ground))).any():
+            raise ValueError("family member is not a permutation of the ground set")
+        orders = orders.astype(np.int64, copy=False)
+        orders.flags.writeable = False
+        object.__setattr__(self, "ground_set", ground)
+        object.__setattr__(self, "orders", orders)
 
     @staticmethod
     def build(ground_set, members) -> "PermutationFamily":
-        ground = tuple(sorted(set(ground_set)))
-        members = tuple(m if isinstance(m, Permutation) else Permutation(m) for m in members)
+        """Family from vertex ids: the ground set and each member's id order."""
+        ground = tuple(sorted(set(_vertex_ids(ground_set, "ground set"))))
+        pos = {v: j for j, v in enumerate(ground)}
+        rows = []
         for m in members:
-            if m.domain != frozenset(ground):
+            order = _vertex_ids(m.order if isinstance(m, Permutation) else m, "family member")
+            if len(order) != len(ground):
                 raise ValueError("family member does not cover the ground set")
-        return PermutationFamily(ground, members)
+            rows.append([pos.get(v, -1) for v in order])
+        return PermutationFamily(ground, np.array(rows, dtype=np.int64).reshape(len(rows), len(ground)))
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.orders.shape[0]
 
     def __iter__(self):
         return iter(self.members)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PermutationFamily) and self.ground_set == other.ground_set \
+            and np.array_equal(self.orders, other.orders)
+
+    def __hash__(self) -> int:
+        return hash((self.ground_set, self.orders.tobytes()))
+
+    def id_orders(self) -> list[list[int]]:
+        """Each member's order as a list of vertex ids."""
+        ground = self.ground_set
+        return [[ground[j] for j in row] for row in self.orders.tolist()]
+
+    @cached_property
+    def members(self) -> tuple[Permutation, ...]:
+        """The members as `Permutation`s of vertex ids."""
+        return tuple(map(Permutation, self.id_orders()))
 
     @cached_property
     def positions(self) -> dict[int, int]:
@@ -94,12 +149,9 @@ class PermutationFamily:
     @cached_property
     def rank_matrix(self) -> np.ndarray:
         """Row per member: ranks 1..n, indexed by position in `ground_set`."""
-        pos = self.positions
-        mat = np.empty((len(self.members), len(self.ground_set)), dtype=np.int64)
-        ranks = np.arange(1, len(self.ground_set) + 1, dtype=np.int64)
-        for i, m in enumerate(self.members):
-            mat[i, [pos[v] for v in m.order]] = ranks
-        return mat
+        ranks = np.empty_like(self.orders)
+        np.put_along_axis(ranks, self.orders, np.arange(1, self.orders.shape[1] + 1), axis=1)
+        return ranks
 
 
 @dataclass(frozen=True)
@@ -161,21 +213,11 @@ def _pair_arrays(edges: np.ndarray) -> np.ndarray:
 def _unseparated(fam: PermutationFamily, pairs: np.ndarray) -> np.ndarray:
     """Indices (ascending) of the position pairs no member separates."""
     remaining = np.arange(pairs.shape[0])
-    ranks = fam.rank_matrix
-    for i in range(len(fam.members)):
+    for r in fam.rank_matrix:
         if remaining.size == 0:
             break
-        block = pairs[remaining]
-        r = ranks[i]
-        ra = r[block[:, 0]]
-        rb = r[block[:, 1]]
-        rc = r[block[:, 2]]
-        rd = r[block[:, 3]]
-        amax = np.maximum(ra, rb)
-        amin = np.minimum(ra, rb)
-        bmax = np.maximum(rc, rd)
-        bmin = np.minimum(rc, rd)
-        sep = (amax < bmin) | (bmax < amin)
+        a, b, c, d = r[pairs[remaining]].T
+        sep = (np.maximum(a, b) < np.minimum(c, d)) | (np.maximum(c, d) < np.minimum(a, b))
         remaining = remaining[~sep]
     return remaining
 
@@ -259,25 +301,23 @@ def verify_k_suitable(fam: PermutationFamily, k: int) -> bool:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    ground = fam.ground_set
-    if k == 1 or k > len(ground):
+    n = len(fam.ground_set)
+    if k == 1 or k > n:
         return True
-    for subset in combinations(ground, k):
-        seen = set()
-        for m in fam.members:
-            seen.add(max(subset, key=m.ranks.__getitem__))
-            if len(seen) == k:
-                break
-        if len(seen) != k:
+    subsets = combinations(range(n), k)
+    while (block := np.array(list(islice(subsets, 1 << 14)), dtype=np.int64)).size:
+        # last[i, s]: which element of subset s member i puts last
+        last = fam.rank_matrix[:, block].argmax(axis=2)
+        if not all((last == j).any(axis=0).all() for j in range(k)):
             return False
     return True
 
 
 def embedding_from_family(fam: PermutationFamily) -> dict[int, tuple[int, ...]]:
     """Map each vertex to its rank vector across the members."""
-    if not fam.members:
+    if not len(fam):
         raise ValueError("cannot embed with an empty family")
-    return {v: tuple(m.rank(v) for m in fam.members) for v in fam.ground_set}
+    return dict(zip(fam.ground_set, map(tuple, fam.rank_matrix.T.tolist())))
 
 
 def family_from_embedding(points: dict[int, tuple[float, ...]]) -> PermutationFamily:
@@ -291,11 +331,11 @@ def family_from_embedding(points: dict[int, tuple[float, ...]]) -> PermutationFa
     if d < 1:
         raise ValueError("embedding needs at least one dimension")
     verts = sorted(points)
-    members = [
-        Permutation(sorted(verts, key=lambda v: (points[v][axis], v)))
+    orders = [
+        sorted(range(len(verts)), key=lambda j: (points[verts[j]][axis], j))
         for axis in range(d)
     ]
-    return PermutationFamily.build(verts, members)
+    return PermutationFamily(tuple(verts), np.array(orders, dtype=np.int64))
 
 
 def family_to_json(
@@ -306,7 +346,7 @@ def family_to_json(
     doc = {
         "n": len(fam.ground_set),
         "ground_set": list(fam.ground_set),
-        "permutations": [list(m.order) for m in fam.members],
+        "permutations": fam.id_orders(),
         "seed": seed,
         "generator": generator,
     }
@@ -318,7 +358,9 @@ def family_to_json(
 def family_from_json(text: str) -> tuple[PermutationFamily, dict]:
     """Parse a serialized family; returns the family and the full document."""
     doc = json.loads(text)
-    fam = PermutationFamily.build(doc["ground_set"], doc["permutations"])
+    if not isinstance(doc, dict) or not isinstance(doc.get("permutations"), list):
+        raise ValueError("family document must be an object with a permutations list")
+    fam = PermutationFamily.build(doc.get("ground_set"), doc["permutations"])
     if doc.get("n") != len(fam.ground_set):
         raise ValueError("family document is inconsistent: n != |ground_set|")
     return fam, doc

@@ -245,14 +245,13 @@ def _designate_root(center: int, children: list[int]) -> Star:
     return Star(center, tuple(sorted(children)))
 
 
-def star_forest_decomposition(g: Graph) -> list[StarForest]:
-    """Cover E(g) with at most 2k spanning star forests (k = degeneracy).
+def star_forest_decomposition(g: Graph, d: DegeneracyOrder) -> list[StarForest]:
+    """Cover E(g) with at most 2k spanning star forests (k = d.k).
 
-    Each forest from the degeneracy orientation is rooted at its unique
-    out-edge-free vertex; edges whose parent sits on an even level go to
-    one star forest, odd levels to the other.
+    Each forest from the degeneracy orientation `d` is rooted at its
+    unique out-edge-free vertex; edges whose parent sits on an even level
+    go to one star forest, odd levels to the other.
     """
-    d = degeneracy_order(g)
     forests = partition_into_forests(g, d)
     result: list[StarForest] = []
     for forest in forests:

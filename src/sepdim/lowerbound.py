@@ -79,7 +79,7 @@ def common_monotone_subset(fam: PermutationFamily, target) -> MonotoneSubsetResu
     The first member fixes the reference order; each later member keeps a
     longest subsequence that it orders monotonely.
     """
-    if not fam.members:
+    if not len(fam):
         raise ValueError("family must have at least one member")
     target = sorted(set(target))
     if any(v not in fam.members[0].ranks for v in target):
@@ -100,18 +100,16 @@ def best_monotone_subset(fam: PermutationFamily, target) -> MonotoneSubsetResult
 
     Beyond six members only cyclic rotations are tried.
     """
-    if not fam.members:
+    r = len(fam)
+    if not r:
         raise ValueError("family must have at least one member")
-    r = len(fam.members)
     if r <= 6:
         orderings = iter_permutations(range(r))
     else:
         orderings = (tuple(range(s, r)) + tuple(range(s)) for s in range(r))
     best: MonotoneSubsetResult | None = None
     for perm in orderings:
-        reordered = PermutationFamily.build(
-            fam.ground_set, [fam.members[i] for i in perm]
-        )
+        reordered = PermutationFamily(fam.ground_set, fam.orders[list(perm)])
         result = common_monotone_subset(reordered, target)
         if best is None or len(result.vertices) > len(best.vertices):
             best = result
@@ -171,7 +169,7 @@ def normalize_lower_bound_family(
                 order.pop(iu)
                 order.insert(order.index(xs[s]) + 1, u)
 
-    normalized = PermutationFamily.build(fam.ground_set, [Permutation(o) for o in members])
+    normalized = PermutationFamily.build(fam.ground_set, members)
     witness = verify_pairwise_suitable(normalized, gsub)
     if not witness.ok:
         raise AssertionError(f"normalization broke pairwise suitability: {witness}")
@@ -276,14 +274,14 @@ def lower_bound_harness(n: int, seed: int = 0, budget: int | None = None) -> Har
         pi = None
         exact = False
 
-    if not family or not len(family.members):
+    if not family:
         return HarnessReport(
             n, pi, exact, family, None, None, None, None, None, None, None, None
         )
 
     originals = smap.original_vertices
     subset = best_monotone_subset(family, originals)
-    floor = extraction_floor(len(originals), len(family.members))
+    floor = extraction_floor(len(originals), len(family))
     floor_met = len(subset.vertices) >= floor
     normalized = normalize_lower_bound_family(family, smap, subset.vertices)
     realizer = extract_realizer(normalized, smap, subset.vertices)
@@ -297,7 +295,7 @@ def lower_bound_harness(n: int, seed: int = 0, budget: int | None = None) -> Har
             dim_cp = None
     lower = canonical_dimension_lower_bound(p)
     reference = dim_cp if dim_cp is not None else lower
-    bound_holds = None if reference is None else len(family.members) >= reference
+    bound_holds = None if reference is None else len(family) >= reference
     return HarnessReport(
         n, pi, exact, family, subset, floor, floor_met,
         normalized, realizer, dim_cp, lower, bound_holds,

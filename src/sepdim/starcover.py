@@ -12,62 +12,33 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .families import Permutation, PermutationFamily
+import numpy as np
+
+from .families import PermutationFamily
 from .graphs import Graph, StarForest, star_forest_decomposition, degeneracy_order
 from .suitable3 import Suitable3Result, build_3_suitable_for
 
 
-@dataclass(frozen=True)
-class StarLabeling:
-    """Vertex labels: `star_key` is shared exactly within a star, `leaf_key`
-    is injective within each star."""
-
-    star_key: dict[int, int]
-    leaf_key: dict[int, int]
-
-    def validate(self, forest: StarForest) -> None:
-        for star in forest.stars:
-            keys = {self.leaf_key[v] for v in star.members}
-            if len(keys) != len(star.members):
-                raise ValueError("leaf labels collide within a star")
-        roots = {self.star_key[star.root] for star in forest.stars}
-        if len(roots) != len(forest.stars):
-            raise ValueError("star labels collide across stars")
-        for star in forest.stars:
-            if any(self.star_key[v] != self.star_key[star.root] for v in star.members):
-                raise ValueError("star label not constant within a star")
+def star_roots(forest: StarForest, positions: dict[int, int]) -> np.ndarray:
+    """Position of each vertex's star root, indexed by the vertex `positions`."""
+    roots = np.arange(len(positions))
+    leaves = [positions[v] for star in forest.stars for v in star.leaves]
+    roots[leaves] = [positions[star.root] for star in forest.stars for _ in star.leaves]
+    return roots
 
 
-def star_labels(forest: StarForest) -> StarLabeling:
-    """Label each vertex by its star's root id and by its own id."""
-    star_key: dict[int, int] = {}
-    leaf_key: dict[int, int] = {}
-    for star in forest.stars:
-        for v in star.members:
-            star_key[v] = star.root
-            leaf_key[v] = v
-    return StarLabeling(star_key, leaf_key)
-
-
-def construct_sigma(
-    forest: StarForest, base: Permutation, labeling: StarLabeling
-) -> tuple[Permutation, Permutation]:
+def construct_sigma(roots: np.ndarray, base_rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Block permutation and its block-reversed twin for one star forest.
 
-    Stars form blocks ordered by the base rank of their star label; the
-    twin reverses the block order.  Within a block the non-root vertices
-    follow the base rank of their leaf labels and the root comes last in
-    both outputs.
+    `roots` is the forest's `star_roots` table and `base_rank` one base
+    member's rank of each position; both outputs are rows of positions.
+    Stars form blocks ordered by the base rank of their root; the twin
+    reverses the block order.  Within a block the leaves follow their
+    own base rank and the root comes last in both outputs.
     """
-    blocks = []
-    for star in forest.stars:
-        label = labeling.star_key[star.root]
-        inner = sorted(star.leaves, key=lambda v: base.rank(labeling.leaf_key[v]))
-        blocks.append((base.rank(label), inner + [star.root]))
-    blocks.sort(key=lambda item: item[0])
-    forward = [v for _, block in blocks for v in block]
-    backward = [v for _, block in reversed(blocks) for v in block]
-    return Permutation(forward), Permutation(backward)
+    is_root = roots == np.arange(roots.size)
+    block = base_rank[roots]
+    return np.lexsort((base_rank, is_root, block)), np.lexsort((base_rank, is_root, -block))
 
 
 @dataclass(frozen=True)
@@ -86,23 +57,23 @@ def degenerate_family(g: Graph) -> DegenerateCoverResult:
     """Pairwise-suitable family of size 2 * (#star forests) * r for g.
 
     r is the size of the 3-suitable base family over the vertex ids; the
-    number of star forests is at most twice the (recomputed) degeneracy,
-    so the family has at most 4*k*r members.
+    number of star forests is at most twice the degeneracy k, so the
+    family has at most 4*k*r members.
     """
     if not g.vertices:
         raise ValueError("graph must have at least one vertex")
-    k = degeneracy_order(g).k
-    forests = star_forest_decomposition(g)
+    d = degeneracy_order(g)
+    forests = star_forest_decomposition(g, d)
     base = build_3_suitable_for(g.vertices)
-    members: list[Permutation] = []
+    # the base family shares g's ground set, so its positions are g's
+    rows = []
     for forest in forests:
-        labeling = star_labels(forest)
-        for base_perm in base.family.members:
-            forward, backward = construct_sigma(forest, base_perm, labeling)
-            members.append(forward)
-            members.append(backward)
-    family = PermutationFamily.build(g.vertices, members)
-    return DegenerateCoverResult(family, k, len(forests), base)
+        roots = star_roots(forest, base.family.positions)
+        for base_rank in base.family.rank_matrix:
+            rows.extend(construct_sigma(roots, base_rank))
+    n = g.num_vertices
+    family = PermutationFamily(g.vertices, np.array(rows, dtype=np.int64).reshape(len(rows), n))
+    return DegenerateCoverResult(family, d.k, len(forests), base)
 
 
 def random_k_degenerate_graph(n: int, k: int, seed: int = 0) -> Graph:

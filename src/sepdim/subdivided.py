@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .families import Permutation, PermutationFamily, verify_pairwise_suitable
 from .graphs import (
     Graph,
@@ -23,7 +25,6 @@ from .graphs import (
     greedy_coloring,
     subdivide,
 )
-from .posets import height, interval_order_from
 from .suitable3 import Suitable3Result, build_3_suitable_for
 
 
@@ -66,52 +67,44 @@ def subdivision_family(g: Graph, classes) -> tuple[PermutationFamily, Suitable3R
     Every case used a member of F that puts one class after one or two
     others, which a 3-suitable F has (and, for two classes, the swap).
     """
-    color: dict[int, int] = {}
-    for c, cls in enumerate(classes):
-        if not cls:
-            raise ValueError("colour classes must be non-empty")
-        for v in cls:
-            if v in color:
-                raise ValueError(f"vertex {v} lies in two colour classes")
-            color[v] = c
-    if color.keys() != set(g.vertices):
+    n = g.num_vertices
+    pos = {v: j for j, v in enumerate(g.vertices)}
+    sigma = [pos.get(v, -1) for cls in classes for v in cls]
+    if not all(map(len, classes)):
+        raise ValueError("colour classes must be non-empty")
+    if sorted(sigma) != list(range(n)):
         raise ValueError("colour classes do not cover exactly the graph's vertices")
-    if any(color[u] == color[v] for u, v in g.edges):
+    # σ-rank and colour of each original, by position in g.vertices
+    rank = np.argsort(sigma)
+    color = np.repeat(np.arange(len(classes)), list(map(len, classes)))[rank]
+    ends = np.array([(pos[u], pos[v]) for u, v in g.edges], dtype=np.int64).reshape(-1, 2)
+    if (color[ends[:, 0]] == color[ends[:, 1]]).any():
         raise ValueError("a colour class contains an edge")
     if len(classes) == 2:
-        base = Suitable3Result(PermutationFamily.build((0, 1), [(1, 0)]), "swap")
+        base = Suitable3Result(PermutationFamily((0, 1), np.array([[1, 0]])), "swap")
     else:
         base = build_3_suitable_for(range(len(classes)))
-    gsub, smap = subdivide(g)
+    gsub, _ = subdivide(g)
     if not g.edges:
         return PermutationFamily.build(gsub.vertices, ()), base
 
-    rank = {v: i for i, v in enumerate(v for cls in classes for v in cls)}
-    mids = [(*sorted(e, key=rank.__getitem__), m) for e, m in smap.assignments]
+    # G^{1/2} lists the originals first, then the mid of g.edges[i] at n + i
+    left, right = np.take_along_axis(ends, np.argsort(rank[ends], axis=1), axis=1).T
+    zeros = np.zeros(n, dtype=np.int64)
 
-    def listing(position, attach) -> Permutation:
-        """Originals by `position`; attach(left, right) -> (anchor, side, tie) for each mid."""
-        keys = {v: (position(v), 0, 0) for v in g.vertices}
-        for a, b, m in mids:
-            anchor, side, tie = attach(a, b)
-            keys[m] = (position(anchor), side, tie)
-        return Permutation(sorted(keys, key=keys.__getitem__))
+    def member(key, anchor, side: int, tie) -> np.ndarray:
+        """Originals by `key` (distinct per original); each mid right after
+        (side 1) or before (side -1) its anchor, mids of one anchor by `tie`."""
+        return np.lexsort((np.r_[zeros, tie], np.r_[zeros, np.full(len(tie), side)], np.r_[key, key[anchor]]))
 
-    members = []
-    for pi in base.family.members:
-        place = pi.ranks
-
-        def lifted(v: int) -> tuple[int, int]:
-            return place[color[v]], rank[v]
-
-        def after_later(a: int, b: int):
-            later, other = (a, b) if place[color[a]] > place[color[b]] else (b, a)
-            return later, 1, rank[other]
-
-        members.append(listing(lifted, after_later))
-    members.append(listing(rank.__getitem__, lambda a, b: (a, 1, -rank[b])))
-    members.append(listing(rank.__getitem__, lambda a, b: (b, -1, rank[a])))
-    return PermutationFamily.build(gsub.vertices, members), base
+    rows = []
+    for place in base.family.rank_matrix:
+        left_later = place[color[left]] > place[color[right]]
+        later, other = np.where(left_later, left, right), np.where(left_later, right, left)
+        rows.append(member(place[color] * n + rank, later, 1, rank[other]))
+    rows.append(member(rank, left, 1, -rank[right]))
+    rows.append(member(rank, right, -1, rank[left]))
+    return PermutationFamily(gsub.vertices, np.array(rows)), base
 
 
 @dataclass(frozen=True)
@@ -130,6 +123,19 @@ class SubdividedBoundResult:
         return len(self.base.family)
 
 
+def interval_height(g: Graph, sigma: Permutation) -> int:
+    """Height of g's interval order under σ (edge uv is the open interval
+    between the σ-ranks of u and v), by the greedy interval schedule:
+    take intervals by right end, keeping each that starts at or after
+    the last kept end."""
+    ends = sorted(sorted((sigma.rank(u), sigma.rank(v)), reverse=True) for u, v in g.edges)
+    chain, last = 0, 0
+    for right, left in ends:
+        if left >= last:
+            chain, last = chain + 1, right
+    return chain
+
+
 def colored_subdivision_family(g: Graph, check: bool = True) -> SubdividedBoundResult:
     """Suitable family for g^{1/2} lifted from the greedy colour classes.
 
@@ -141,11 +147,11 @@ def colored_subdivision_family(g: Graph, check: bool = True) -> SubdividedBoundR
     sigma = Permutation([v for cls in classes for v in cls])
     gsub, smap = subdivide(g)
     family, base = subdivision_family(g, classes)
-    h = height(interval_order_from(g, sigma).poset)
+    h = interval_height(g, sigma)
     if g.edges:
         if h > len(classes) - 1:
             raise AssertionError("interval order height exceeds the coloring bound")
-        if len(family.members) != len(base.family) + 2:
+        if len(family) != len(base.family) + 2:
             raise AssertionError("subdivision family size differs from |F| + 2")
     if check:
         witness = verify_pairwise_suitable(family, gsub)

@@ -13,7 +13,9 @@ import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .families import Permutation, PermutationFamily, verify_k_suitable
+import numpy as np
+
+from .families import PermutationFamily, verify_k_suitable
 
 # Up to this many elements every result is re-checked by verify_k_suitable,
 # which walks all C(n, 3) triples.
@@ -28,7 +30,7 @@ class Suitable3Result:
     generator: str
 
 
-def _spencer_orders(n: int) -> list[list[int]]:
+def _spencer_orders(n: int) -> np.ndarray:
     """Spencer's t-member 3-suitable family over positions 0..n-1.
 
     t is the smallest value with 2^C(t-2, h) >= n, h = (t-2) // 2.  Bit p
@@ -50,15 +52,11 @@ def _spencer_orders(n: int) -> list[list[int]]:
         t += 1
     layer = list(combinations(range(1, t - 1), (t - 2) // 2))
     width = len(layer)
-    orders = []
-    for i in range(t):
-        flip = sum(
-            1 << (width - 1 - p)
-            for p, subset in enumerate(layer)
-            if i != 0 and i not in subset
-        )
-        orders.append(sorted(range(n), key=lambda j: j ^ flip))
-    return orders
+    flips = [
+        sum(1 << (width - 1 - p) for p, subset in enumerate(layer) if i != 0 and i not in subset)
+        for i in range(t)
+    ]
+    return np.argsort(np.arange(n)[None, :] ^ np.array(flips)[:, None], axis=1)
 
 
 def build_3_suitable(n: int) -> Suitable3Result:
@@ -75,13 +73,13 @@ def build_3_suitable_for(ids) -> Suitable3Result:
     ids = tuple(sorted(set(ids)))
     n = len(ids)
     if n <= EXACT_LIMIT:
-        _, witness = exact_min_3_suitable(n)
-        orders = [[j - 1 for j in m.order] for m in witness.members]
+        # the witness is over 1..n, so its rows are already positions
+        orders = exact_min_3_suitable(n)[1].orders
         generator = "exact"
     else:
         orders = _spencer_orders(n)
         generator = "spencer"
-    fam = PermutationFamily.build(ids, [Permutation(ids[j] for j in o) for o in orders])
+    fam = PermutationFamily(ids, orders)
     if n <= VERIFY_LIMIT and not verify_k_suitable(fam, 3):
         raise AssertionError("3-suitable construction failed verification")
     return Suitable3Result(fam, generator)
@@ -149,6 +147,5 @@ def exact_min_3_suitable(n: int):
     while True:
         found = search(t)
         if found is not None:
-            members = [Permutation(identity)] + [Permutation(perms[i]) for i in found]
-            return t, PermutationFamily.build(ids, members)
+            return t, PermutationFamily.build(ids, [identity] + [perms[i] for i in found])
         t += 1

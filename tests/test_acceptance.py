@@ -249,10 +249,10 @@ def test_criterion_7_structural_decompositions():
             for _ in range(rng.randint(0, 2 * n))
         }
         g = Graph.build(range(n), edges)
-        k = degeneracy_order(g).k
-        forests = star_forest_decomposition(g)
-        if len(forests) > 2 * k:
-            failures.append((seed, "count", len(forests), k))
+        d = degeneracy_order(g)
+        forests = star_forest_decomposition(g, d)
+        if len(forests) > 2 * d.k:
+            failures.append((seed, "count", len(forests), d.k))
         covered = [e for f in forests for e in f.covered_edges]
         if len(covered) != len(set(covered)) or set(covered) != set(g.edges):
             failures.append((seed, "partition"))

@@ -127,6 +127,26 @@ class TestVerify:
         assert main(["verify", c4_file, str(fam)]) == 1
         assert "counterexample" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("doc", [
+        {},
+        [],
+        {"n": 4, "ground_set": 5, "permutations": [[1, 2, 3, 4]]},
+        {"n": 4, "permutations": [[1, 2, 3, 4]]},
+        {"n": 4, "ground_set": [1, 2, 3, 4], "permutations": 5},
+        {"n": 4, "ground_set": [[1], 2, 3, 4], "permutations": [[1, 2, 3, 4]]},
+        {"n": 4, "ground_set": [1, 2, 3, 4], "permutations": [[4, 3, 2, 1.0]]},
+        {"n": 4, "ground_set": [1, 2, 3, 4], "permutations": [[4, 3, 2, True]]},
+        {"n": 4, "ground_set": [1, 2, 3, 4], "permutations": [[1, 2, 3, 3]]},
+        {"n": 4, "ground_set": [1, 2, 3, 4], "permutations": [[1, 2, 3]]},
+        {"n": 4, "ground_set": [1, 2, 3, 4], "permutations": ["1234"]},
+        {"n": 4, "ground_set": [-1, 2, 3, 4], "permutations": [[-1, 2, 3, 4]]},
+    ])
+    def test_malformed_family_is_input_error(self, doc, c4_file, tmp_path, capsys):
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps(doc) + "\n")
+        assert main(["verify", c4_file, str(fam)]) == 2
+        assert "input error" in capsys.readouterr().err
+
     def test_ground_set_mismatch(self, p4_file, tmp_path):
         fam = tmp_path / "fam.json"
         fam.write_text(

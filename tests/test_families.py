@@ -1,7 +1,9 @@
 """Separation predicates, suitability verification, embeddings, serialization."""
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -186,6 +188,57 @@ class TestKSuitable:
     def test_k_above_ground_set_vacuous(self):
         fam = PermutationFamily.build([1, 2], [Permutation((1, 2))])
         assert verify_k_suitable(fam, 3)
+
+    def test_matches_loop_reference(self):
+        def reference(fam, k):
+            # the definition: each element of each k-set is some member's last
+            return all(
+                len({max(subset, key=m.rank) for m in fam.members}) == k
+                for subset in itertools.combinations(fam.ground_set, k)
+            )
+
+        outcomes = set()
+        for seed in range(60):
+            rng = random.Random(seed)
+            n = rng.randint(2, 9)
+            ids = sorted(rng.sample(range(100), n))
+            fam = PermutationFamily.build(ids, [rng.sample(ids, n) for _ in range(rng.randint(0, 6))])
+            for k in (2, 3, 4):
+                expected = reference(fam, k)
+                assert verify_k_suitable(fam, k) == expected
+                outcomes.add(expected)
+        assert outcomes == {True, False}
+
+
+class TestFamilyArray:
+    def test_views_follow_orders(self):
+        fam = PermutationFamily((3, 7, 9), np.array([[2, 0, 1], [0, 1, 2]]))
+        assert [m.order for m in fam.members] == [(9, 3, 7), (3, 7, 9)]
+        assert fam.rank_matrix.tolist() == [[2, 3, 1], [1, 2, 3]]
+        assert fam == PermutationFamily.build([9, 7, 3], [(9, 3, 7), (3, 7, 9)])
+        assert len(fam) == 2 and not fam.orders.flags.writeable
+
+    @pytest.mark.parametrize("ground,orders", [
+        ((1, 2, 3), [[0, 1, 1]]),        # a repeated position
+        ((1, 2, 3), [[0, 1, 3]]),        # a position outside range(n)
+        ((1, 2, 3), [[0, -1, 2]]),
+        ((1, 2, 3), [[0, 1]]),           # a row of the wrong length
+        ((1, 2, 3), [0, 1, 2]),          # not two-dimensional
+        ((1, 2, 3), [[0.0, 1.0, 2.0]]),  # not integers
+        ((2, 1, 3), [[0, 1, 2]]),        # ground set not sorted
+        ((1, 1, 3), [[0, 1, 2]]),        # ground set with a repeat
+        ((-1, 2, 3), [[0, 1, 2]]),       # negative id
+        ((True, 2, 3), [[0, 1, 2]]),     # bool id
+        ((1.0, 2, 3), [[0, 1, 2]]),      # float id
+    ])
+    def test_rejects_invalid(self, ground, orders):
+        with pytest.raises(ValueError):
+            PermutationFamily(ground, np.array(orders))
+
+    @pytest.mark.parametrize("members", [[(1, 2, 2)], [(1, 2)], [(1, 2, 4)], [(1, 2, 3.0)], [(1, 2, True)]])
+    def test_build_rejects_non_permutations(self, members):
+        with pytest.raises(ValueError):
+            PermutationFamily.build([1, 2, 3], members)
 
 
 class TestEmbeddings:

@@ -185,15 +185,18 @@ def _component_is_star(vertices, edges):
 
 class TestStarForests:
     def test_path_at_most_two(self):
-        forests = star_forest_decomposition(path(4))
+        g = path(4)
+        forests = star_forest_decomposition(g, degeneracy_order(g))
         assert 1 <= len(forests) <= 2
 
     def test_k4_at_most_six(self):
-        forests = star_forest_decomposition(complete(4))
+        g = complete(4)
+        forests = star_forest_decomposition(g, degeneracy_order(g))
         assert len(forests) <= 6
 
     def test_single_edge_single_forest(self):
-        forests = star_forest_decomposition(Graph.from_edges([(1, 2)]))
+        g = Graph.from_edges([(1, 2)])
+        forests = star_forest_decomposition(g, degeneracy_order(g))
         assert len(forests) == 1
         assert forests[0].covered_edges == ((1, 2),)
 
@@ -206,9 +209,9 @@ class TestStarForests:
                 for _ in range(rng.randint(0, 2 * n))
             }
             g = Graph.build(range(n), edges)
-            k = degeneracy_order(g).k
-            forests = star_forest_decomposition(g)
-            assert len(forests) <= 2 * k
+            d = degeneracy_order(g)
+            forests = star_forest_decomposition(g, d)
+            assert len(forests) <= 2 * d.k
             covered = [e for f in forests for e in f.covered_edges]
             assert len(covered) == len(set(covered)) == g.num_edges
             for forest in forests:

@@ -1,7 +1,8 @@
-"""Star labelings, block permutations, and the k-degenerate family pipeline."""
+"""Block permutations and the k-degenerate family pipeline."""
 
 import random
 
+import numpy as np
 import pytest
 
 from sepdim.families import (
@@ -10,12 +11,12 @@ from sepdim.families import (
     verify_k_suitable,
     verify_pairwise_suitable,
 )
-from sepdim.graphs import Graph, Star, StarForest, star_forest_decomposition
+from sepdim.graphs import Graph, Star, StarForest, degeneracy_order, star_forest_decomposition
 from sepdim.starcover import (
     construct_sigma,
     degenerate_family,
     random_k_degenerate_graph,
-    star_labels,
+    star_roots,
 )
 
 
@@ -30,24 +31,22 @@ def forest_of(*stars):
     return StarForest(tuple(stars), covered)
 
 
-class TestStarLabels:
-    def test_single_star(self):
-        forest = forest_of(Star(3, (1, 5)))
-        lab = star_labels(forest)
-        assert lab.star_key == {1: 3, 3: 3, 5: 3}
-        assert lab.leaf_key == {1: 1, 3: 3, 5: 5}
-        lab.validate(forest)
+def sigma_orders(forest, base):
+    """construct_sigma on ids: the forest's vertices and a base Permutation of them."""
+    verts = sorted(base.order)
+    positions = {v: j for j, v in enumerate(verts)}
+    base_rank = np.array([base.rank(v) for v in verts])
+    forward, backward = construct_sigma(star_roots(forest, positions), base_rank)
+    return tuple(verts[j] for j in forward), tuple(verts[j] for j in backward)
 
-    def test_two_stars(self):
-        forest = forest_of(Star(1, ()), Star(2, (4,)))
-        lab = star_labels(forest)
-        assert lab.star_key == {1: 1, 2: 2, 4: 2}
-        lab.validate(forest)
 
-    def test_empty_forest(self):
-        forest = forest_of()
-        lab = star_labels(forest)
-        assert lab.star_key == {} and lab.leaf_key == {}
+class TestStarRoots:
+    def test_leaves_point_at_their_root(self):
+        forest = forest_of(Star(3, (1, 5)), Star(7, ()))
+        assert star_roots(forest, {1: 0, 3: 1, 5: 2, 7: 3}).tolist() == [1, 1, 1, 3]
+
+    def test_empty_forest_roots_itself(self):
+        assert star_roots(forest_of(), {4: 0, 9: 1}).tolist() == [0, 1]
 
 
 class TestConstructSigma:
@@ -55,23 +54,22 @@ class TestConstructSigma:
         a, b, c, d, e = 1, 2, 3, 4, 5
         forest = forest_of(Star(a, (b, c)), Star(d, (e,)))
         base = Permutation((a, b, c, d, e))
-        lab = star_labels(forest)
-        forward, backward = construct_sigma(forest, base, lab)
-        assert forward.order == (b, c, a, e, d)
-        assert backward.order == (e, d, b, c, a)
+        forward, backward = sigma_orders(forest, base)
+        assert forward == (b, c, a, e, d)
+        assert backward == (e, d, b, c, a)
 
     def test_single_block_twin_equal(self):
         forest = forest_of(Star(1, (2, 3)))
         base = Permutation((1, 2, 3))
-        forward, backward = construct_sigma(forest, base, star_labels(forest))
-        assert forward.order == backward.order == (2, 3, 1)
+        forward, backward = sigma_orders(forest, base)
+        assert forward == backward == (2, 3, 1)
 
     def test_singleton_stars_follow_base(self):
         forest = forest_of(Star(1, ()), Star(2, ()))
         base = Permutation((2, 1))
-        forward, backward = construct_sigma(forest, base, star_labels(forest))
-        assert forward.order == (2, 1)
-        assert backward.order == (1, 2)
+        forward, backward = sigma_orders(forest, base)
+        assert forward == (2, 1)
+        assert backward == (1, 2)
 
 
 class TestDegenerateFamily:
@@ -124,7 +122,7 @@ class TestClaimCaseReplay:
         rng = random.Random(seed)
         g = random_k_degenerate_graph(rng.randint(8, 18), rng.randint(1, 3), seed=seed)
         result = degenerate_family(g)
-        forests = star_forest_decomposition(g)
+        forests = star_forest_decomposition(g, degeneracy_order(g))
         r = result.base_size
         edges = g.edges
         cases_seen = set()

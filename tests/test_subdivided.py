@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from sepdim.families import verify_pairwise_suitable
+from sepdim.families import Permutation, verify_pairwise_suitable
 from sepdim.graphs import Graph, color_classes, degeneracy_order, greedy_coloring, subdivide
-from sepdim.subdivided import colored_subdivision_family, subdivision_family
+from sepdim.posets import height, interval_order_from
+from sepdim.subdivided import colored_subdivision_family, interval_height, subdivision_family
 
 
 def complete(n):
@@ -153,3 +154,20 @@ class TestColoredPipeline:
     def test_deterministic(self):
         g = cycle(7)
         assert colored_subdivision_family(g).family == colored_subdivision_family(g).family
+
+
+def test_interval_height_matches_poset_height():
+    # the greedy chain over right endpoints against the height of the
+    # materialised interval order, on seeded graphs and random orders
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(2, 16)
+        edges = {
+            tuple(sorted(rng.sample(range(n), 2)))
+            for _ in range(rng.randint(0, 3 * n))
+        }
+        g = Graph.build(range(n), edges)
+        order = list(g.vertices)
+        rng.shuffle(order)
+        sigma = Permutation(order)
+        assert interval_height(g, sigma) == height(interval_order_from(g, sigma).poset)
