@@ -6,6 +6,15 @@ scattered from it, and `Permutation`s of ids are built from it only at
 API boundaries (JSON, reports, exact solvers, lower bounds).  It is
 pairwise suitable for a graph when every pair of disjoint edges is
 placed as two blocks (one entirely before the other) by some member.
+
+Member k separates edges e and f exactly when their rank intervals
+[lo_k, hi_k] are disjoint; edges that share a vertex share a rank, so
+they never look separated.  The exhaustive check walks the edges in
+row blocks of BLOCK_ROWS against every later edge: the first
+DENSE_MEMBERS members thin a (block, m) overlap matrix, and the pairs
+left that share no vertex are sifted by the other members one at a
+time.  It holds O(BLOCK_ROWS * m) memory whatever the pair count, and
+stops at the first block with an unseparated pair.
 """
 
 from __future__ import annotations
@@ -18,6 +27,10 @@ from itertools import combinations, islice
 import numpy as np
 
 from .graphs import Edge, Graph
+
+# Row-block height and dense-prefix length of the exhaustive check.
+BLOCK_ROWS = 128
+DENSE_MEMBERS = 8
 
 
 class Permutation:
@@ -195,38 +208,37 @@ def _edge_positions(fam: PermutationFamily, g: Graph) -> np.ndarray:
     return np.array([(pos[u], pos[v]) for u, v in g.edges], dtype=np.int64).reshape(-1, 2)
 
 
-def _disjoint_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rows [a[i] | b[i]] of the edge pairs that share no vertex."""
-    disjoint = (
-        (a[:, 0] != b[:, 0]) & (a[:, 0] != b[:, 1])
-        & (a[:, 1] != b[:, 0]) & (a[:, 1] != b[:, 1])
-    )
-    return np.concatenate([a[disjoint], b[disjoint]], axis=1)
+def _edge_intervals(fam: PermutationFamily, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(r, m) arrays of each edge's lower and upper rank in each member, in
+    the narrowest unsigned type that holds n (comparisons run wider per
+    vector step)."""
+    ranks = fam.rank_matrix[:, edges].astype(np.min_scalar_type(len(fam.ground_set)))
+    return ranks.min(axis=2), ranks.max(axis=2)
 
 
-def _pair_arrays(edges: np.ndarray) -> np.ndarray:
-    """Disjoint edge pairs as an (P, 4) array in lex order."""
-    ii, jj = np.triu_indices(edges.shape[0], k=1)
-    return _disjoint_rows(edges[ii], edges[jj])
+def _disjoint(edges: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+    """Mask of the edge index pairs (ii, jj) that share no vertex."""
+    a, b = edges[ii].T
+    c, d = edges[jj].T
+    return (a != c) & (a != d) & (b != c) & (b != d)
 
 
-def _unseparated(fam: PermutationFamily, pairs: np.ndarray) -> np.ndarray:
-    """Indices (ascending) of the position pairs no member separates."""
-    remaining = np.arange(pairs.shape[0])
-    for r in fam.rank_matrix:
-        if remaining.size == 0:
+def _overlapping(lo: np.ndarray, hi: np.ndarray, ii: np.ndarray, jj: np.ndarray):
+    """The edge index pairs (ii, jj), in their order, whose rank intervals
+    overlap in every row of lo/hi: no member separates them."""
+    for lo_k, hi_k in zip(lo, hi):
+        if not ii.size:
             break
-        a, b, c, d = r[pairs[remaining]].T
-        sep = (np.maximum(a, b) < np.minimum(c, d)) | (np.maximum(c, d) < np.minimum(a, b))
-        remaining = remaining[~sep]
-    return remaining
+        keep = (hi_k[ii] >= lo_k[jj]) & (hi_k[jj] >= lo_k[ii])
+        ii, jj = ii[keep], jj[keep]
+    return ii, jj
 
 
-def _to_ids(fam: PermutationFamily, row) -> tuple[Edge, Edge]:
-    """A position pair row back to the vertex-id edge pair."""
+def _to_ids(fam: PermutationFamily, edges: np.ndarray, i: int, j: int) -> tuple[Edge, Edge]:
+    """An edge index pair back to the vertex-id edge pair."""
     ground = fam.ground_set
-    a, b, c, d = (ground[int(j)] for j in row)
-    return (a, b), (c, d)
+    (a, b), (c, d) = edges[[i, j]].tolist()
+    return (ground[a], ground[b]), (ground[c], ground[d])
 
 
 def _check_ground_set(fam: PermutationFamily, g: Graph) -> None:
@@ -235,13 +247,30 @@ def _check_ground_set(fam: PermutationFamily, g: Graph) -> None:
 
 
 def verify_pairwise_suitable(fam: PermutationFamily, g: Graph) -> SeparationWitness:
-    """Exhaustive check; returns the lexicographically smallest counterexample."""
+    """Exhaustive check; returns the lexicographically smallest counterexample.
+
+    Blocks and `np.nonzero` both run in (i, j) order, and sifting keeps
+    that order, so the first survivor found is the smallest pair.
+    """
     _check_ground_set(fam, g)
-    pairs = _pair_arrays(_edge_positions(fam, g))
-    bad = _unseparated(fam, pairs)
-    if bad.size == 0:
-        return SeparationWitness(True)
-    return SeparationWitness(False, _to_ids(fam, pairs[bad[0]]))
+    edges = _edge_positions(fam, g)
+    lo, hi = _edge_intervals(fam, edges)
+    dense = min(DENSE_MEMBERS, len(fam))
+    m = edges.shape[0]
+    for start in range(0, m - 1, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, m)
+        # alive[a, c]: edges i = start + a and j = start + c, j > i, still overlap
+        alive = np.arange(start, m) > np.arange(start, stop)[:, None]
+        for k in range(dense):
+            alive &= hi[k, start:stop, None] >= lo[k, start:]
+            alive &= hi[k, start:] >= lo[k, start:stop, None]
+        ii, jj = np.nonzero(alive)
+        ii, jj = ii + start, jj + start
+        keep = _disjoint(edges, ii, jj)
+        ii, jj = _overlapping(lo[dense:], hi[dense:], ii[keep], jj[keep])
+        if ii.size:
+            return SeparationWitness(False, _to_ids(fam, edges, ii[0], jj[0]))
+    return SeparationWitness(True)
 
 
 def verify_pairwise_suitable_sampled(
@@ -254,30 +283,29 @@ def verify_pairwise_suitable_sampled(
         return SeparationWitness(True)
     rng = np.random.default_rng(seed)
     edges = _edge_positions(fam, g)
-    collected: list[np.ndarray] = []
-    total = 0
+    ii = jj = np.empty(0, dtype=np.int64)
     rounds = 0
-    while total < samples:
+    while ii.size < samples:
         rounds += 1
         if rounds > 64:
             # Almost all candidate pairs share a vertex; the exhaustive
             # check is cheap in that regime.
             return verify_pairwise_suitable(fam, g)
-        want = samples - total
-        ii = rng.integers(0, m, size=2 * want + 16)
-        jj = rng.integers(0, m, size=2 * want + 16)
-        keep = ii < jj
-        ii, jj = ii[keep], jj[keep]
-        chunk = _disjoint_rows(edges[ii], edges[jj])[:want]
-        collected.append(chunk)
-        total += chunk.shape[0]
-    pairs = np.concatenate(collected, axis=0)
-    bad = _unseparated(fam, pairs)
-    if bad.size == 0:
+        want = samples - ii.size
+        a = rng.integers(0, m, size=2 * want + 16)
+        b = rng.integers(0, m, size=2 * want + 16)
+        keep = a < b
+        a, b = a[keep], b[keep]
+        keep = _disjoint(edges, a, b)
+        ii = np.concatenate([ii, a[keep][:want]])
+        jj = np.concatenate([jj, b[keep][:want]])
+    lo, hi = _edge_intervals(fam, edges)
+    ii, jj = _overlapping(lo, hi, ii, jj)
+    if not ii.size:
         return SeparationWitness(True, verification="sampled")
-    # Positions keep the id order, so the smallest row is the smallest pair.
-    smallest = min(tuple(int(j) for j in row) for row in pairs[bad])
-    return SeparationWitness(False, _to_ids(fam, smallest), "sampled")
+    # Edges are sorted, so the smallest index pair is the smallest edge pair.
+    t = np.lexsort((jj, ii))[0]
+    return SeparationWitness(False, _to_ids(fam, edges, ii[t], jj[t]), "sampled")
 
 
 def verify_auto(
@@ -286,8 +314,9 @@ def verify_auto(
     seed: int = 0,
     samples: int = 1_000_000,
 ) -> SeparationWitness:
-    """Exhaustive pair check when it materialises at most `samples` edge
-    pairs (m(m-1)/2), a uniform sample of `samples` pairs beyond."""
+    """Exhaustive pair check when the graph has at most `samples` edge
+    pairs (m(m-1)/2, shared-vertex pairs included), a uniform sample of
+    `samples` disjoint pairs beyond."""
     m = g.num_edges
     if m * (m - 1) // 2 <= samples:
         return verify_pairwise_suitable(fam, g)

@@ -141,7 +141,10 @@ def colored_subdivision_family(g: Graph, check: bool = True) -> SubdividedBoundR
 
     The classes come from a greedy colouring along the degeneracy order;
     listed consecutively they also cap the height of g's interval order
-    under σ at (#classes - 1), which the result reports.
+    under σ at (#classes - 1), which the result reports.  With `check`
+    the family is verified exhaustively here and a failure raises
+    AssertionError; a caller that reports its own verdict (the CLI)
+    passes check=False.
     """
     classes = color_classes(greedy_coloring(g, degeneracy_order(g)))
     sigma = Permutation([v for cls in classes for v in cls])

@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, report determinism, round trips."""
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
+from sepdim import cli, subdivided
 from sepdim.cli import main
+from sepdim.families import PermutationFamily, verify_pairwise_suitable
 
 P4 = "1 2\n2 3\n3 4\n"
 C4 = "1 2\n2 3\n3 4\n1 4\n"
@@ -90,6 +93,37 @@ class TestBoundSubdivision:
         path = tmp_path / "empty.txt"
         path.write_text("")
         assert main(["bound-subdivision", str(path)]) == 0
+
+    def test_unsuitable_family_is_a_counterexample(self, c4_file, monkeypatch, capsys):
+        # A family one member short must reach the report as a counterexample
+        # (exit 1), found by the command's single exhaustive check.
+        real = subdivided.subdivision_family
+
+        def short(g, classes):
+            family, base = real(g, classes)
+            # keep |family| == |F| + 2 so only the pair check can object
+            fewer = dataclasses.replace(base, family=PermutationFamily(
+                base.family.ground_set, base.family.orders[:-1]))
+            return PermutationFamily(family.ground_set, family.orders[:-1]), fewer
+
+        calls = []
+
+        def counted(fam, g):
+            calls.append(len(fam))
+            return verify_pairwise_suitable(fam, g)
+
+        monkeypatch.setattr(subdivided, "subdivision_family", short)
+        monkeypatch.setattr(subdivided, "verify_pairwise_suitable", counted)
+        monkeypatch.setattr(cli, "verify_pairwise_suitable", counted)
+        monkeypatch.setattr(cli, "verify_auto", counted)
+        assert main(["bound-subdivision", c4_file, "--format", "structured"]) == 1
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert doc["verdict"] == "counterexample 1-5 | 3-7"
+        assert doc["verification"] == "exhaustive"
+        assert doc["family_size"] == doc["realizer_size"] + 2
+        assert "Traceback" not in captured.err
+        assert calls == [doc["family_size"]]
 
 
 class TestExact:

@@ -2,14 +2,18 @@
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sepdim.families import (
+    BLOCK_ROWS,
+    DENSE_MEMBERS,
     Permutation,
     PermutationFamily,
+    SeparationWitness,
     disjoint_edge_pairs,
     embedding_from_family,
     family_from_embedding,
@@ -34,6 +38,11 @@ def brute_verify(fam, g):
             if not any(separates(m, e, f) for m in fam.members):
                 return (e, f)
     return None
+
+
+def rng_order(n, seed):
+    """A seeded random order of range(n)."""
+    return random.Random(seed).sample(range(n), n)
 
 
 C4 = Graph.from_edges([(1, 2), (2, 3), (3, 4), (1, 4)])
@@ -111,10 +120,102 @@ class TestVerifyPairwiseSuitable:
             fam = PermutationFamily.build(range(n), members)
             expected = brute_verify(fam, g)
             witness = verify_pairwise_suitable(fam, g)
-            if expected is None:
+            assert witness.ok == (expected is None)
+            assert witness.counterexample == expected
+
+    def test_sampled_counterexample_is_unseparated(self):
+        found = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            n = rng.randint(4, 12)
+            edges = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(2, 3 * n))}
+            g = Graph.build(range(n), edges)
+            members = [rng.sample(range(n), n) for _ in range(rng.randint(0, 3))]
+            fam = PermutationFamily.build(range(n), members)
+            witness = verify_pairwise_suitable_sampled(fam, g, 40, seed=seed)
+            if brute_verify(fam, g) is None:
                 assert witness.ok
-            else:
-                assert not witness.ok
+            elif not witness.ok:
+                found += 1
+                e, f = witness.counterexample
+                assert e in g.edges and f in g.edges and not set(e) & set(f)
+                assert not any(separates(p, e, f) for p in fam.members)
+        assert found > 10
+
+    @pytest.mark.parametrize("m", [0, 1])
+    @pytest.mark.parametrize("members", [0, 2])
+    def test_fewer_than_two_edges_ok(self, m, members):
+        g = Graph.build(range(5), [(0, 1)][:m])
+        fam = PermutationFamily.build(range(5), [rng_order(5, s) for s in range(members)])
+        assert verify_pairwise_suitable(fam, g) == SeparationWitness(True)
+        assert verify_pairwise_suitable_sampled(fam, g, 10, seed=0).ok
+
+    def test_empty_family_many_blocks(self):
+        # no member: the first disjoint pair, with shared-vertex pairs skipped
+        rng = random.Random(11)
+        edges = {tuple(sorted(rng.sample(range(60), 2))) for _ in range(2 * BLOCK_ROWS + 40)}
+        g = Graph.build(range(60), edges)
+        fam = PermutationFamily.build(range(60), [])
+        assert g.num_edges > 2 * BLOCK_ROWS
+        assert verify_pairwise_suitable(fam, g).counterexample == brute_verify(fam, g)
+
+    @pytest.mark.parametrize("size", [1, DENSE_MEMBERS - 1, DENSE_MEMBERS + 4])
+    @pytest.mark.parametrize("where", ["late block", "block boundary"])
+    def test_planted_pair_found_in_any_block(self, where, size):
+        # Paths 10t - 10t+5 - 10t+6, scrambled in every member but one
+        # (the first past the dense prefix when there is one), which keeps
+        # each path contiguous and so alone separates every two disjoint
+        # path edges; then fresh vertices x, x+1, x+2, x+3 that every
+        # member lists last, in that order, and two edges e = (x, x+2),
+        # f = (x+1, x+3) on them.  (e, f) is the only unseparated pair.
+        paths = BLOCK_ROWS + 20
+        # late: after every path edge; boundary: right after (10t, 10t+5)
+        # of path t = BLOCK_ROWS / 2 - 1, the 2t + 1 = BLOCK_ROWS - 1st edge
+        x = 10 * paths if where == "late block" else 10 * (BLOCK_ROWS // 2 - 1) + 1
+        planted = [x, x + 1, x + 2, x + 3]
+        e, f = (x, x + 2), (x + 1, x + 3)
+        g = Graph.build(
+            [10 * t + i for t in range(paths) for i in (0, 5, 6)] + planted,
+            [(10 * t, 10 * t + 5) for t in range(paths)]
+            + [(10 * t + 5, 10 * t + 6) for t in range(paths)] + [e, f],
+        )
+        rng = random.Random(5)
+        members = []
+        for k in range(size):
+            blocks = [[10 * t, 10 * t + 5, 10 * t + 6][:: rng.choice((1, -1))] for t in range(paths)]
+            rng.shuffle(blocks)
+            flat = [v for b in blocks for v in b]
+            if k != max(size - 4, 0):
+                rng.shuffle(flat)
+            members.append(flat + planted)
+        fam = PermutationFamily.build(g.vertices, members)
+        i, j = g.edges.index(e), g.edges.index(f)
+        assert g.num_edges > 2 * BLOCK_ROWS
+        if where == "late block":
+            assert i // BLOCK_ROWS == j // BLOCK_ROWS >= 2
+        else:
+            assert (i, j) == (BLOCK_ROWS - 1, BLOCK_ROWS)
+        assert verify_pairwise_suitable(fam, g).counterexample == (e, f)
+        # 200,000 draws over about 44,000 disjoint pairs hit the planted one
+        sampled = verify_pairwise_suitable_sampled(fam, g, 200_000, seed=1)
+        assert sampled == SeparationWitness(False, (e, f), "sampled")
+
+    def test_memory_bounded_by_block(self):
+        # 4.5 million edge pairs: materialised as int64 rows they alone
+        # would take over 100 MiB; a row block of 128 x 3022 takes a few.
+        from sepdim.starcover import degenerate_family, random_k_degenerate_graph
+
+        g = random_k_degenerate_graph(1500, 3, seed=1)
+        fam = degenerate_family(g).family
+        assert g.num_edges == 3022
+        tracemalloc.start()
+        try:
+            witness = verify_pairwise_suitable(fam, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert witness.ok
+        assert peak < 64 * 2**20
 
     def test_counterexample_is_lex_smallest(self):
         g = Graph.from_edges([(1, 2), (3, 4), (5, 6)])
