@@ -278,6 +278,8 @@ def verify_pairwise_suitable_sampled(
 ) -> SeparationWitness:
     """Check a uniform sample of disjoint edge pairs (for large graphs)."""
     _check_ground_set(fam, g)
+    if samples < 1:
+        raise ValueError("a sampled check needs at least one sample")
     m = g.num_edges
     if m < 2:
         return SeparationWitness(True)

@@ -150,6 +150,11 @@ class TestVerifyPairwiseSuitable:
         assert verify_pairwise_suitable(fam, g) == SeparationWitness(True)
         assert verify_pairwise_suitable_sampled(fam, g, 10, seed=0).ok
 
+    def test_sampled_needs_a_sample(self):
+        fam = PermutationFamily.build([1, 2, 3, 4], [Permutation((1, 2, 3, 4))])
+        with pytest.raises(ValueError, match="sample"):
+            verify_pairwise_suitable_sampled(fam, C4, 0, seed=0)
+
     def test_empty_family_many_blocks(self):
         # no member: the first disjoint pair, with shared-vertex pairs skipped
         rng = random.Random(11)
