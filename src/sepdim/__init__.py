@@ -25,14 +25,12 @@ from .graphs import (
     DegeneracyOrder,
     Graph,
     GraphFormatError,
-    Star,
-    StarForest,
     SubdivisionMap,
+    check_star_forest,
     color_classes,
     degeneracy_order,
     greedy_coloring,
     load_graph,
-    partition_into_forests,
     serialize_graph,
     star_forest_decomposition,
     subdivide,
@@ -58,22 +56,15 @@ from .posets import (
     exact_poset_dimension,
     height,
     interval_order_from,
-    interval_order_from_json,
-    interval_order_to_json,
     is_linear_extension,
     is_realizer,
-    poset_from_json,
-    poset_to_json,
-    realizer_from_json,
     realizer_heuristic,
-    realizer_to_json,
 )
 from .starcover import (
     DegenerateCoverResult,
     construct_sigma,
     degenerate_family,
     random_k_degenerate_graph,
-    star_roots,
 )
 from .subdivided import (
     SubdividedBoundResult,

@@ -155,11 +155,6 @@ class PermutationFamily:
         return tuple(map(Permutation, self.id_orders()))
 
     @cached_property
-    def positions(self) -> dict[int, int]:
-        """Vertex id -> its index in the sorted ground set."""
-        return {v: j for j, v in enumerate(self.ground_set)}
-
-    @cached_property
     def rank_matrix(self) -> np.ndarray:
         """Row per member: ranks 1..n, indexed by position in `ground_set`."""
         ranks = np.empty_like(self.orders)
@@ -200,12 +195,6 @@ def disjoint_edge_pairs(g: Graph):
         for f in edges[i + 1:]:
             if e[0] != f[0] and e[0] != f[1] and e[1] != f[0] and e[1] != f[1]:
                 yield e, f
-
-
-def _edge_positions(fam: PermutationFamily, g: Graph) -> np.ndarray:
-    """Edges as an (m, 2) array of positions in the family's ground set."""
-    pos = fam.positions
-    return np.array([(pos[u], pos[v]) for u, v in g.edges], dtype=np.int64).reshape(-1, 2)
 
 
 def _edge_intervals(fam: PermutationFamily, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -253,7 +242,7 @@ def verify_pairwise_suitable(fam: PermutationFamily, g: Graph) -> SeparationWitn
     that order, so the first survivor found is the smallest pair.
     """
     _check_ground_set(fam, g)
-    edges = _edge_positions(fam, g)
+    edges = g.edge_positions
     lo, hi = _edge_intervals(fam, edges)
     dense = min(DENSE_MEMBERS, len(fam))
     m = edges.shape[0]
@@ -284,7 +273,7 @@ def verify_pairwise_suitable_sampled(
     if m < 2:
         return SeparationWitness(True)
     rng = np.random.default_rng(seed)
-    edges = _edge_positions(fam, g)
+    edges = g.edge_positions
     ii = jj = np.empty(0, dtype=np.int64)
     rounds = 0
     while ii.size < samples:

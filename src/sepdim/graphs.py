@@ -10,6 +10,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, product
+
+import numpy as np
 
 Edge = tuple[int, int]
 
@@ -67,10 +70,14 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        return make_edge(u, v) in self._edge_set
+    @cached_property
+    def edge_positions(self) -> np.ndarray:
+        """Read-only (m, 2) int64 array: each edge's endpoints as positions in `vertices`."""
+        index = {v: i for i, v in enumerate(self.vertices)}
+        flat = map(index.__getitem__, chain.from_iterable(self.edges))
+        pairs = np.fromiter(flat, dtype=np.int64, count=2 * self.num_edges).reshape(-1, 2)
+        pairs.setflags(write=False)
+        return pairs
 
     @cached_property
     def _edge_set(self) -> frozenset[Edge]:
@@ -151,10 +158,6 @@ class DegeneracyOrder:
     order: tuple[int, ...]
     k: int
 
-    @cached_property
-    def position(self) -> dict[int, int]:
-        return {v: i for i, v in enumerate(self.order)}
-
 
 def degeneracy_order(g: Graph) -> DegeneracyOrder:
     """Peel a minimum-degree vertex repeatedly, ties broken by smallest id.
@@ -182,112 +185,66 @@ def degeneracy_order(g: Graph) -> DegeneracyOrder:
     return DegeneracyOrder(tuple(order), k)
 
 
-def partition_into_forests(g: Graph, d: DegeneracyOrder) -> list[tuple[Edge, ...]]:
-    """Split E(g) into at most `k` forests.
+def star_forest_decomposition(g: Graph, d: DegeneracyOrder) -> list[np.ndarray]:
+    """Cover E(g) with at most 2k spanning star forests (k = d.k).
 
-    Orient every edge from its earlier endpoint (in the peeling order)
-    toward the later one, so each vertex has out-degree at most k, and
-    hand each vertex's outgoing edges to distinct forests.  Within a
-    forest every vertex keeps at most one out-edge of an acyclic
-    orientation, so each part is a forest.
+    A star forest is an int64 array giving, for each position in
+    `g.vertices`, the position of its star's root.  Every edge runs from
+    its child, the endpoint peeled earlier in `d`, to its parent, and a
+    child's edges (at most k) go to slots 0, 1, ... in order of their
+    parents' ids; each vertex then has at most one parent per slot, and
+    parents are peeled later, so each slot is a forest.  Within a slot,
+    the edges whose parent sits on an even level (the forest's roots are
+    on level 0) form one star forest and the odd levels another; each
+    parent roots its star, except that a single-edge star is rooted at
+    its smaller id.  Empty star forests are left out.
     """
     if set(d.order) != set(g.vertices):
         raise ValueError("degeneracy order does not match graph vertices")
-    pos = d.position
-    forests: list[list[Edge]] = [[] for _ in range(d.k)]
-    for v in g.vertices:
-        later = sorted(w for w in g.adjacency[v] if pos[w] > pos[v])
-        for slot, w in enumerate(later):
-            forests[slot].append(make_edge(v, w))
-    return [tuple(sorted(f)) for f in forests]
+    n = g.num_vertices
+    index = {v: i for i, v in enumerate(g.vertices)}
+    rank = np.argsort([index[v] for v in d.order])  # peeling step of each position
+    u, v = g.edge_positions.T
+    child = np.where(rank[u] < rank[v], u, v)
+    parent = u + v - child
+    by_child = np.lexsort((parent, child))
+    child, parent = child[by_child], parent[by_child]
+    slot = np.arange(child.size) - np.searchsorted(child, child)
+    # parents are peeled later, so reverse peeling order meets each
+    # parent's level before its children need it
+    cell, up = (slot * n + child).tolist(), (slot * n + parent).tolist()
+    level: dict[int, int] = {}
+    odd = np.zeros(child.size, dtype=bool)
+    for e in np.argsort(-rank[child], kind="stable").tolist():
+        above = level.get(up[e], 0)
+        odd[e] = above % 2
+        level[cell[e]] = above + 1
+    forests = []
+    for s, parity in product(range(d.k), (False, True)):
+        mask = (slot == s) & (odd == parity)
+        if mask.any():
+            c, p = child[mask], parent[mask]
+            flip = (np.bincount(p, minlength=n)[p] == 1) & (c < p)
+            roots = np.arange(n, dtype=np.int64)
+            roots[np.where(flip, p, c)] = np.where(flip, c, p)
+            forests.append(roots)
+    return forests
 
 
-@dataclass(frozen=True)
-class Star:
-    root: int
-    leaves: tuple[int, ...]
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return (self.root,) + self.leaves
-
-
-@dataclass(frozen=True)
-class StarForest:
-    """Vertex-disjoint stars spanning the host graph's vertex set."""
-
-    stars: tuple[Star, ...]
-    covered_edges: tuple[Edge, ...]
-
-    def validate(self) -> None:
-        seen: set[int] = set()
-        edge_set = set()
-        for star in self.stars:
-            for v in star.members:
-                if v in seen:
-                    raise ValueError(f"vertex {v} appears in two stars")
-                seen.add(v)
-            for leaf in star.leaves:
-                edge_set.add(make_edge(star.root, leaf))
-        if edge_set != set(self.covered_edges):
-            raise ValueError("covered_edges do not match the stars")
-
-    @cached_property
-    def star_of(self) -> dict[int, Star]:
-        return {v: star for star in self.stars for v in star.members}
-
-
-def _designate_root(center: int, children: list[int]) -> Star:
-    # Root is a highest-degree vertex of the star; the only tie is a
-    # single-edge star, resolved toward the smaller id.
-    if len(children) == 1 and children[0] < center:
-        return Star(children[0], (center,))
-    return Star(center, tuple(sorted(children)))
-
-
-def star_forest_decomposition(g: Graph, d: DegeneracyOrder) -> list[StarForest]:
-    """Cover E(g) with at most 2k spanning star forests (k = d.k).
-
-    Each forest from the degeneracy orientation `d` is rooted at its
-    unique out-edge-free vertex; edges whose parent sits on an even level
-    go to one star forest, odd levels to the other.
-    """
-    forests = partition_into_forests(g, d)
-    result: list[StarForest] = []
-    for forest in forests:
-        parent: dict[int, int] = {}
-        pos = d.position
-        for u, v in forest:
-            child, par = (u, v) if pos[u] < pos[v] else (v, u)
-            parent[child] = par
-        level: dict[int, int] = {}
-
-        def level_of(v: int) -> int:
-            trail = []
-            while v in parent and v not in level:
-                trail.append(v)
-                v = parent[v]
-            base = level.get(v, 0)
-            level.setdefault(v, base)
-            for u in reversed(trail):
-                base += 1
-                level[u] = base
-            return level[trail[0]] if trail else level[v]
-
-        buckets: list[dict[int, list[int]]] = [{}, {}]
-        for child, par in parent.items():
-            level_of(child)
-            buckets[level[par] % 2].setdefault(par, []).append(child)
-        for bucket in buckets:
-            if not bucket:
-                continue
-            stars = [_designate_root(center, children) for center, children in bucket.items()]
-            covered = {make_edge(center, child) for center, children in bucket.items() for child in children}
-            present = {v for s in stars for v in s.members}
-            stars.extend(Star(v, ()) for v in g.vertices if v not in present)
-            stars.sort(key=lambda s: s.root)
-            result.append(StarForest(tuple(stars), tuple(sorted(covered))))
-    return result
+def check_star_forest(g: Graph, roots: np.ndarray) -> None:
+    """Raise ValueError unless `roots` (per position in `g.vertices`, the
+    position of its star's root) is a spanning star forest of g: roots
+    root themselves, and every other vertex is joined to its root by an edge."""
+    n = g.num_vertices
+    if roots.shape != (n,) or ((roots < 0) | (roots >= n)).any():
+        raise ValueError("roots must hold one position in g.vertices per vertex")
+    if (roots[roots] != roots).any():
+        raise ValueError("a star root lies in another star")
+    leaves = np.flatnonzero(roots != np.arange(n))
+    pairs = np.sort(np.stack([leaves, roots[leaves]], axis=1), axis=1)
+    edges = g.edge_positions
+    if not np.isin(pairs[:, 0] * n + pairs[:, 1], edges[:, 0] * n + edges[:, 1]).all():
+        raise ValueError("a leaf is not joined to its root by an edge")
 
 
 @dataclass(frozen=True)

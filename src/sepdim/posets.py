@@ -7,7 +7,6 @@ integer tuples with ``a < b`` and the rule ``(a, b) < (c, d)`` iff
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -205,58 +204,6 @@ def closed_canonical_isomorphism(n: int) -> dict[tuple[int, int], tuple[int, int
 
 
 # ---------------------------------------------------------------------------
-# Serialization (elements canonical, relation as sorted pairs)
-# ---------------------------------------------------------------------------
-
-
-def poset_to_json(p: Poset) -> str:
-    doc = {
-        "elements": [list(x) if isinstance(x, tuple) else x for x in p.elements],
-        "relation": sorted(
-            [list(x) if isinstance(x, tuple) else x,
-             list(y) if isinstance(y, tuple) else y]
-            for x, y in p.relation
-        ),
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def poset_from_json(text: str) -> Poset:
-    doc = json.loads(text)
-    fix = lambda x: tuple(x) if isinstance(x, list) else x
-    return Poset.build(
-        [fix(x) for x in doc["elements"]],
-        [(fix(x), fix(y)) for x, y in doc["relation"]],
-    )
-
-
-def realizer_to_json(r: Realizer) -> str:
-    doc = {
-        "extensions": [
-            [list(x) if isinstance(x, tuple) else x for x in ext]
-            for ext in r.extensions
-        ]
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def realizer_from_json(text: str) -> Realizer:
-    doc = json.loads(text)
-    fix = lambda x: tuple(x) if isinstance(x, list) else x
-    return Realizer(tuple(tuple(fix(x) for x in ext) for ext in doc["extensions"]))
-
-
-def interval_order_to_json(c: IntervalOrder) -> str:
-    doc = {"intervals": [list(iv) for iv in c.intervals]}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def interval_order_from_json(text: str) -> IntervalOrder:
-    doc = json.loads(text)
-    return IntervalOrder.build([tuple(iv) for iv in doc["intervals"]])
-
-
-# ---------------------------------------------------------------------------
 # Exact poset dimension
 # ---------------------------------------------------------------------------
 
@@ -396,11 +343,7 @@ def _dimension_dfs(exts: _Extensions, inc_pairs, budget: int):
             exts.touched[e] = was_touched
         return False
 
-    try:
-        ok = dfs()
-    except DimensionBudgetExceeded:
-        raise
-    return (True, nodes) if ok else (None, nodes)
+    return (True, nodes) if dfs() else (None, nodes)
 
 
 def _topo_indices(up: list[int], m: int) -> list[int]:

@@ -15,22 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import PermutationFamily
-from .graphs import Graph, StarForest, star_forest_decomposition, degeneracy_order
+from .graphs import Graph, star_forest_decomposition, degeneracy_order
 from .suitable3 import Suitable3Result, build_3_suitable_for
-
-
-def star_roots(forest: StarForest, positions: dict[int, int]) -> np.ndarray:
-    """Position of each vertex's star root, indexed by the vertex `positions`."""
-    roots = np.arange(len(positions))
-    leaves = [positions[v] for star in forest.stars for v in star.leaves]
-    roots[leaves] = [positions[star.root] for star in forest.stars for _ in star.leaves]
-    return roots
 
 
 def construct_sigma(roots: np.ndarray, base_rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Block permutation and its block-reversed twin for one star forest.
 
-    `roots` is the forest's `star_roots` table and `base_rank` one base
+    `roots` is one star forest from `star_forest_decomposition` (the
+    position of each vertex's star root) and `base_rank` one base
     member's rank of each position; both outputs are rows of positions.
     Stars form blocks ordered by the base rank of their root; the twin
     reverses the block order.  Within a block the leaves follow their
@@ -67,8 +60,7 @@ def degenerate_family(g: Graph) -> DegenerateCoverResult:
     base = build_3_suitable_for(g.vertices)
     # the base family shares g's ground set, so its positions are g's
     rows = []
-    for forest in forests:
-        roots = star_roots(forest, base.family.positions)
+    for roots in forests:
         for base_rank in base.family.rank_matrix:
             rows.extend(construct_sigma(roots, base_rank))
     n = g.num_vertices

@@ -14,7 +14,7 @@ from sepdim.families import (
     verify_k_suitable,
     verify_pairwise_suitable,
 )
-from sepdim.graphs import Graph, degeneracy_order, star_forest_decomposition
+from sepdim.graphs import Graph, check_star_forest, degeneracy_order, star_forest_decomposition
 from sepdim.lowerbound import (
     common_monotone_subset,
     extraction_floor,
@@ -253,12 +253,16 @@ def test_criterion_7_structural_decompositions():
         forests = star_forest_decomposition(g, d)
         if len(forests) > 2 * d.k:
             failures.append((seed, "count", len(forests), d.k))
-        covered = [e for f in forests for e in f.covered_edges]
-        if len(covered) != len(set(covered)) or set(covered) != set(g.edges):
+        # each leaf's edge to its root, as a pair of positions
+        covered = [
+            (min(v, r), max(v, r)) for f in forests for v, r in enumerate(f.tolist()) if v != r
+        ]
+        edges = set(map(tuple, g.edge_positions.tolist()))
+        if len(covered) != len(set(covered)) or set(covered) != edges:
             failures.append((seed, "partition"))
         for f in forests:
             try:
-                f.validate()
+                check_star_forest(g, f)
             except ValueError as exc:
                 failures.append((seed, "structure", str(exc)))
                 break

@@ -3,21 +3,23 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from sepdim.graphs import (
     Graph,
     GraphFormatError,
+    check_star_forest,
     color_classes,
     degeneracy_order,
     greedy_coloring,
     load_graph,
     make_edge,
-    partition_into_forests,
     serialize_graph,
     star_forest_decomposition,
     subdivide,
 )
+from sepdim.starcover import random_k_degenerate_graph
 
 
 def complete(n):
@@ -83,7 +85,7 @@ class TestDegeneracy:
     def test_later_neighbor_bound(self):
         g = complete(5)
         d = degeneracy_order(g)
-        pos = d.position
+        pos = {v: i for i, v in enumerate(d.order)}
         for v in g.vertices:
             later = sum(1 for w in g.adjacency[v] if pos[w] > pos[v])
             assert later <= d.k
@@ -114,26 +116,16 @@ class TestDegeneracy:
             assert degeneracy_order(g).k <= int(best) or (not edges and degeneracy_order(g).k == 0)
 
 
+def covered_edges(g, roots):
+    """The edges of a star forest as sorted vertex-id pairs: each leaf to its root."""
+    ids = g.vertices
+    return sorted(make_edge(ids[v], ids[r]) for v, r in enumerate(roots.tolist()) if v != r)
+
+
 class TestForests:
-    def test_path_single_forest(self):
-        g = path(4)
-        d = degeneracy_order(g)
-        forests = partition_into_forests(g, d)
-        assert len(forests) == 1
-        assert set(forests[0]) == set(g.edges)
-
-    def test_triangle_two_forests(self):
-        g = complete(3)
-        forests = partition_into_forests(g, degeneracy_order(g))
-        assert len(forests) == 2
-        covered = [e for f in forests for e in f]
-        assert sorted(covered) == list(g.edges)
-        for forest in forests:
-            assert _is_acyclic(forest)
-
     def test_empty_graph(self):
         g = Graph.build([], [])
-        assert partition_into_forests(g, degeneracy_order(g)) == []
+        assert star_forest_decomposition(g, degeneracy_order(g)) == []
 
     def test_union_and_acyclicity_random(self):
         for seed in range(8):
@@ -145,12 +137,13 @@ class TestForests:
             }
             g = Graph.build(range(n), edges)
             d = degeneracy_order(g)
-            forests = partition_into_forests(g, d)
-            assert len(forests) == d.k
-            all_edges = [e for f in forests for e in f]
+            forests = star_forest_decomposition(g, d)
+            # every one of the k slots is nonempty and yields one or two star forests
+            assert d.k <= len(forests) <= 2 * d.k
+            all_edges = [e for f in forests for e in covered_edges(g, f)]
             assert len(all_edges) == len(set(all_edges)) == g.num_edges
             for forest in forests:
-                assert _is_acyclic(forest)
+                assert _is_acyclic(covered_edges(g, forest))
 
 
 def _is_acyclic(edges):
@@ -197,8 +190,9 @@ class TestStarForests:
     def test_single_edge_single_forest(self):
         g = Graph.from_edges([(1, 2)])
         forests = star_forest_decomposition(g, degeneracy_order(g))
-        assert len(forests) == 1
-        assert forests[0].covered_edges == ((1, 2),)
+        # a single-edge star is rooted at its smaller id
+        assert [f.tolist() for f in forests] == [[0, 0]]
+        assert forests[0].dtype == np.int64
 
     def test_partition_and_structure_random(self):
         for seed in range(10):
@@ -212,16 +206,14 @@ class TestStarForests:
             d = degeneracy_order(g)
             forests = star_forest_decomposition(g, d)
             assert len(forests) <= 2 * d.k
-            covered = [e for f in forests for e in f.covered_edges]
+            covered = [e for f in forests for e in covered_edges(g, f)]
             assert len(covered) == len(set(covered)) == g.num_edges
             for forest in forests:
-                forest.validate()
-                # spanning: every vertex present
-                present = {v for s in forest.stars for v in s.members}
-                assert present == set(g.vertices)
+                check_star_forest(g, forest)
                 # structural star check on the covered edges themselves
+                forest_edges = covered_edges(g, forest)
                 comp = {}
-                for u, v in forest.covered_edges:
+                for u, v in forest_edges:
                     comp.setdefault(u, set()).add(v)
                     comp.setdefault(v, set()).add(u)
                 seen = set()
@@ -236,8 +228,46 @@ class TestStarForests:
                         verts.add(x)
                         stack.extend(comp[x])
                     seen |= verts
-                    inside = [e for e in forest.covered_edges if e[0] in verts]
+                    inside = [e for e in forest_edges if e[0] in verts]
                     assert _component_is_star(verts, inside)
+
+    def test_root_arrays_sweep(self):
+        """k-degenerate graphs (k = 1..4) and graphs with sparse ids given in shuffled order."""
+        graphs = []
+        for seed in range(160):
+            rng = random.Random(seed)
+            k = 1 + seed % 4
+            graphs.append((random_k_degenerate_graph(rng.randint(1, 90), k, seed=seed), k))
+        for seed in range(160):
+            rng = random.Random(5000 + seed)
+            n = rng.randint(1, 60)
+            ids = rng.sample(range(10 * n), n)
+            pairs = [rng.sample(ids, 2) for _ in range(rng.randint(0, 3 * n))] if n > 1 else []
+            edges = list({make_edge(u, v) for u, v in pairs})
+            rng.shuffle(edges)
+            graphs.append((Graph.build(ids, edges), None))
+        for g, k in graphs:
+            d = degeneracy_order(g)
+            if k is not None:
+                assert d.k <= k
+            forests = star_forest_decomposition(g, d)
+            assert len(forests) <= 2 * d.k
+            covered = [e for f in forests for e in covered_edges(g, f)]
+            assert sorted(covered) == list(g.edges)
+            for forest in forests:
+                check_star_forest(g, forest)
+
+    def test_check_rejects_non_star_forests(self):
+        g = path(4)  # positions 0-1-2-3
+        check_star_forest(g, np.array([1, 1, 1, 3]))
+        with pytest.raises(ValueError, match="root"):
+            check_star_forest(g, np.array([1, 2, 2, 3]))  # root 1 is a leaf of 2
+        with pytest.raises(ValueError, match="edge"):
+            check_star_forest(g, np.array([0, 1, 0, 3]))  # 2 is not adjacent to 0
+        with pytest.raises(ValueError, match="one position"):
+            check_star_forest(g, np.array([0, 1, 2]))
+        with pytest.raises(ValueError, match="one position"):
+            check_star_forest(g, np.array([0, 1, 2, 4]))
 
 
 class TestSubdivide:

@@ -215,28 +215,3 @@ def test_dimension_monotone_in_n():
         for n in range(2, 8)
     ]
     assert all(b >= a for a, b in zip(dims, dims[1:]))
-
-
-class TestSerialization:
-    def test_poset_round_trip(self):
-        from sepdim.posets import poset_from_json, poset_to_json
-
-        p = canonical_interval_order(4).poset
-        text = poset_to_json(p)
-        assert poset_from_json(text) == p
-        assert poset_to_json(poset_from_json(text)) == text
-
-    def test_realizer_round_trip(self):
-        from sepdim.posets import realizer_from_json, realizer_to_json
-
-        r = exact_poset_dimension(canonical_interval_order(3).poset, limit=3).realizer
-        text = realizer_to_json(r)
-        assert realizer_from_json(text) == r
-        assert realizer_to_json(realizer_from_json(text)) == text
-
-    def test_interval_order_round_trip(self):
-        from sepdim.posets import interval_order_from_json, interval_order_to_json
-
-        c = canonical_interval_order(5)
-        text = interval_order_to_json(c)
-        assert interval_order_from_json(text) == c

@@ -11,63 +11,65 @@ from sepdim.families import (
     verify_k_suitable,
     verify_pairwise_suitable,
 )
-from sepdim.graphs import Graph, Star, StarForest, degeneracy_order, star_forest_decomposition
+from sepdim.graphs import Graph, degeneracy_order, star_forest_decomposition
 from sepdim.starcover import (
     construct_sigma,
     degenerate_family,
     random_k_degenerate_graph,
-    star_roots,
 )
 
 
-def forest_of(*stars):
-    covered = tuple(
-        sorted(
-            tuple(sorted((s.root, leaf)))
-            for s in stars
-            for leaf in s.leaves
-        )
-    )
-    return StarForest(tuple(stars), covered)
-
-
-def sigma_orders(forest, base):
-    """construct_sigma on ids: the forest's vertices and a base Permutation of them."""
+def sigma_orders(root_of, base):
+    """construct_sigma on ids: `root_of` maps each leaf to its star's root,
+    every other vertex of the base Permutation roots itself."""
     verts = sorted(base.order)
     positions = {v: j for j, v in enumerate(verts)}
+    roots = np.array([positions[root_of.get(v, v)] for v in verts])
     base_rank = np.array([base.rank(v) for v in verts])
-    forward, backward = construct_sigma(star_roots(forest, positions), base_rank)
+    forward, backward = construct_sigma(roots, base_rank)
     return tuple(verts[j] for j in forward), tuple(verts[j] for j in backward)
 
 
+def decompose(g):
+    return [f.tolist() for f in star_forest_decomposition(g, degeneracy_order(g))]
+
+
 class TestStarRoots:
+    """Root arrays are positions in g.vertices."""
+
     def test_leaves_point_at_their_root(self):
-        forest = forest_of(Star(3, (1, 5)), Star(7, ()))
-        assert star_roots(forest, {1: 0, 3: 1, 5: 2, 7: 3}).tolist() == [1, 1, 1, 3]
+        # vertices 1, 2, 3, 5, 9: centre 5 keeps all three leaves, 9 roots itself
+        g = Graph.from_edges([(5, 1), (5, 2), (5, 3)], isolated=[9])
+        assert decompose(g) == [[3, 3, 3, 3, 4]]
+
+    def test_single_edge_star_rooted_at_smaller_id(self):
+        # 7 is peeled before 8, so 8 is the centre, yet 7 roots the star
+        g = Graph.from_edges([(5, 1), (5, 2), (5, 3), (7, 8)], isolated=[9])
+        assert decompose(g) == [[3, 3, 3, 3, 4, 4, 6]]
 
     def test_empty_forest_roots_itself(self):
-        assert star_roots(forest_of(), {4: 0, 9: 1}).tolist() == [0, 1]
+        assert decompose(Graph.build([4, 9], [])) == []
+        # 7 lies on no edge, so it roots itself in every star forest
+        forests = decompose(Graph.from_edges([(1, 3), (3, 5)], isolated=[7]))
+        assert forests == [[0, 1, 1, 3], [0, 0, 2, 3]]
 
 
 class TestConstructSigma:
     def test_two_blocks_identity_base(self):
         a, b, c, d, e = 1, 2, 3, 4, 5
-        forest = forest_of(Star(a, (b, c)), Star(d, (e,)))
         base = Permutation((a, b, c, d, e))
-        forward, backward = sigma_orders(forest, base)
+        forward, backward = sigma_orders({b: a, c: a, e: d}, base)
         assert forward == (b, c, a, e, d)
         assert backward == (e, d, b, c, a)
 
     def test_single_block_twin_equal(self):
-        forest = forest_of(Star(1, (2, 3)))
         base = Permutation((1, 2, 3))
-        forward, backward = sigma_orders(forest, base)
+        forward, backward = sigma_orders({2: 1, 3: 1}, base)
         assert forward == backward == (2, 3, 1)
 
     def test_singleton_stars_follow_base(self):
-        forest = forest_of(Star(1, ()), Star(2, ()))
         base = Permutation((2, 1))
-        forward, backward = sigma_orders(forest, base)
+        forward, backward = sigma_orders({}, base)
         assert forward == (2, 1)
         assert backward == (1, 2)
 
@@ -123,21 +125,25 @@ class TestClaimCaseReplay:
         g = random_k_degenerate_graph(rng.randint(8, 18), rng.randint(1, 3), seed=seed)
         result = degenerate_family(g)
         forests = star_forest_decomposition(g, degeneracy_order(g))
+        ids = g.vertices
+        pos = {v: j for j, v in enumerate(ids)}
         r = result.base_size
         edges = g.edges
         cases_seen = set()
         for i, e in enumerate(edges):
+            a, b = pos[e[0]], pos[e[1]]
+            # e belongs to the forest where one endpoint is the other's root
             owner = next(
-                fi for fi, f in enumerate(forests) if e in set(f.covered_edges)
+                fi for fi, roots in enumerate(forests) if roots[a] == b or roots[b] == a
             )
-            forest = forests[owner]
+            roots = forests[owner]
             sub_members = result.family.members[owner * 2 * r:(owner + 1) * 2 * r]
-            star = forest.star_of[e[0]]
-            assert set(e) <= set(star.members)
+            star = {ids[j] for j in np.flatnonzero(roots == roots[a])}
+            assert set(e) <= star
             for f in edges[i + 1:]:
                 if set(e) & set(f):
                     continue
-                inside = sum(1 for v in f if v in star.members)
+                inside = sum(1 for v in f if v in star)
                 cases_seen.add(inside)
                 assert any(separates(m, e, f) for m in sub_members)
         # the analysis distinguishes 0, 1, and 2 endpoints inside the star
