@@ -6,6 +6,8 @@ search is an exact set cover over bitmasks.  Larger desk-scale instances
 (notably subdivided cliques on ten vertices) use a prefix search over
 the first permutation with automorphism symmetry breaking, joint
 infeasibility pruning, and a completion solver for the last member.
+Both return the first minimum family in their search order; there is
+no filter over witnesses.
 
 Fixing the first member to a canonical representative is sound only up
 to graph automorphism, so the searches quotient by the automorphism
@@ -151,15 +153,13 @@ def _canonical_first_flags(perms: list[tuple[int, ...]], autos: list[dict[int, i
     return flags.tolist()
 
 
-def _mask_engine(g: Graph, limit: int, budget: _Budget, autos, accept=None) -> ExactSearchResult:
+def _mask_engine(g: Graph, pairs: list, limit: int, budget: _Budget, autos) -> ExactSearchResult:
     # The search runs over positions in g.vertices, which keep the id
     # order, so ids of any size cost nothing and the search order is the
     # one the ids would give.
     verts = g.vertices
     pos = {v: j for j, v in enumerate(verts)}
-    pairs = [tuple(tuple(pos[v] for v in edge) for edge in pair) for pair in disjoint_edge_pairs(g)]
-    if not pairs:
-        return ExactSearchResult(0, PermutationFamily.build(verts, ()), False, budget.spent)
+    pairs = [tuple(tuple(pos[v] for v in edge) for edge in pair) for pair in pairs]
     perms, masks = _separation_masks(len(verts), pairs)
     full = (1 << len(pairs)) - 1
 
@@ -172,9 +172,6 @@ def _mask_engine(g: Graph, limit: int, budget: _Budget, autos, accept=None) -> E
     cand_perms = [perms[i] for i in keep]
     cand_masks = [masks[i] for i in keep]
 
-    def family(chosen: list[int]) -> PermutationFamily:
-        return PermutationFamily(verts, np.array([cand_perms[i] for i in chosen]))
-
     if len(cand_perms) * len(autos) > 40_000_000:
         autos = autos[:256]
     first_ok = _canonical_first_flags(cand_perms, autos)
@@ -183,21 +180,16 @@ def _mask_engine(g: Graph, limit: int, budget: _Budget, autos, accept=None) -> E
     # Members beyond the first only matter through their masks: at the
     # minimal level any member can be swapped for a mask-maximal
     # representative, so the pool shrinks to distinct maximal masks.
-    # Witness filtering must see every optimal family, so skip the
-    # reduction when an acceptance predicate is given.
-    if accept is None:
-        rep: dict[int, int] = {}
-        for i, m in enumerate(cand_masks):
-            rep.setdefault(m, i)
-        by_size = sorted(rep.values(), key=lambda i: -bin(cand_masks[i]).count("1"))
-        maximal: list[int] = []
-        for i in by_size:
-            m = cand_masks[i]
-            if not any(cand_masks[j] & m == m for j in maximal):
-                maximal.append(i)
-        pool_rest = sorted(maximal)
-    else:
-        pool_rest = list(range(len(cand_masks)))
+    rep: dict[int, int] = {}
+    for i, m in enumerate(cand_masks):
+        rep.setdefault(m, i)
+    by_size = sorted(rep.values(), key=lambda i: -bin(cand_masks[i]).count("1"))
+    maximal: list[int] = []
+    for i in by_size:
+        m = cand_masks[i]
+        if not any(cand_masks[j] & m == m for j in maximal):
+            maximal.append(i)
+    pool_rest = sorted(maximal)
 
     suffix_or = [0] * (len(pool_rest) + 1)
     for i in range(len(pool_rest) - 1, -1, -1):
@@ -207,19 +199,11 @@ def _mask_engine(g: Graph, limit: int, budget: _Budget, autos, accept=None) -> E
     def run(t: int):
         failed: dict[tuple[int, int], int] = {}
         chosen: list[int] = []
-        first_found: list[int] | None = None
 
         def dfs(covered: int, start: int, depth: int) -> list[int] | None:
-            nonlocal first_found
             budget.spend()
             if covered == full:
-                if accept is None:
-                    return list(chosen)
-                if accept(family(chosen)):
-                    return list(chosen)
-                if first_found is None:
-                    first_found = list(chosen)
-                return None
+                return list(chosen)
             if depth == t:
                 return None
             key = (covered, depth)
@@ -254,13 +238,13 @@ def _mask_engine(g: Graph, limit: int, budget: _Budget, autos, accept=None) -> E
             failed[key] = min(failed.get(key, 1 << 60), start)
             return None
 
-        hit = dfs(0, 0, 0)
-        return hit if hit is not None else first_found
+        return dfs(0, 0, 0)
 
     for t in range(1, limit + 1):
         chosen = run(t)
         if chosen is not None:
-            return ExactSearchResult(t, family(sorted(chosen)), False, budget.spent)
+            family = PermutationFamily(verts, np.array([cand_perms[i] for i in sorted(chosen)]))
+            return ExactSearchResult(t, family, False, budget.spent)
     return ExactSearchResult(None, None, True, budget.spent)
 
 
@@ -269,164 +253,81 @@ def _mask_engine(g: Graph, limit: int, budget: _Budget, autos, accept=None) -> E
 # ---------------------------------------------------------------------------
 
 
-class _PairTracker:
-    """Feasibility state of `all-of-e-before-all-of-f` pairs under a prefix.
+def _pair_index(pairs: list) -> dict[int, list[int]]:
+    """Indices of the pairs that touch each vertex."""
+    by_vertex: dict[int, list[int]] = {}
+    for idx, (e, f) in enumerate(pairs):
+        for v in (*e, *f):
+            by_vertex.setdefault(v, []).append(idx)
+    return by_vertex
+
+
+def _can_precede(rank: dict[int, int], e, f) -> bool:
+    placed_f = [rank[v] for v in f if v in rank]
+    if not placed_f:
+        return True
+    return e[0] in rank and e[1] in rank and max(rank[e[0]], rank[e[1]]) < min(placed_f)
+
+
+def _doomed(rank: dict[int, int], e, f) -> bool:
+    """Can no completion of the placed prefix `rank` separate e and f?
 
     Vertices are placed left to right, so placed ranks are final and any
-    unplaced vertex lands after all placed ones.  The pair e|f can still
-    be separated as e < f iff f has no placed vertex yet, or e is fully
+    unplaced vertex lands after all placed ones.  Then e can still
+    precede f iff no vertex of f is placed, or both vertices of e are
     placed below every placed vertex of f.
     """
-
-    def __init__(self, pairs: list):
-        self.pairs = pairs
-        self.by_vertex: dict[int, list[int]] = {}
-        for idx, (e, f) in enumerate(pairs):
-            for v in (*e, *f):
-                self.by_vertex.setdefault(v, []).append(idx)
-
-    def new_state(self):
-        # per pair: placed counts and rank extremes per side
-        return {
-            "rank": {},
-            "pe": [0] * len(self.pairs),
-            "pf": [0] * len(self.pairs),
-            "emax": [-1] * len(self.pairs),
-            "emin": [1 << 30] * len(self.pairs),
-            "fmax": [-1] * len(self.pairs),
-            "fmin": [1 << 30] * len(self.pairs),
-        }
-
-    def place(self, state, v: int, rank: int) -> list[int]:
-        state["rank"][v] = rank
-        touched = []
-        for idx in self.by_vertex.get(v, ()):
-            e, f = self.pairs[idx]
-            if v in e:
-                state["pe"][idx] += 1
-                state["emax"][idx] = max(state["emax"][idx], rank)
-                state["emin"][idx] = min(state["emin"][idx], rank)
-            else:
-                state["pf"][idx] += 1
-                state["fmax"][idx] = max(state["fmax"][idx], rank)
-                state["fmin"][idx] = min(state["fmin"][idx], rank)
-            touched.append(idx)
-        return touched
-
-    def unplace(self, state, v: int) -> None:
-        del state["rank"][v]
-        for idx in self.by_vertex.get(v, ()):
-            e, f = self.pairs[idx]
-            rank = state["rank"]
-            if v in e:
-                state["pe"][idx] -= 1
-                placed = [rank[x] for x in e if x in rank]
-            else:
-                state["pf"][idx] -= 1
-                placed = [rank[x] for x in f if x in rank]
-            key = "e" if v in e else "f"
-            state[key + "max"][idx] = max(placed) if placed else -1
-            state[key + "min"][idx] = min(placed) if placed else (1 << 30)
-
-    def forward_feasible(self, state, idx: int) -> bool:
-        return state["pf"][idx] == 0 or (
-            state["pe"][idx] == 2 and state["fmin"][idx] > state["emax"][idx]
-        )
-
-    def backward_feasible(self, state, idx: int) -> bool:
-        return state["pe"][idx] == 0 or (
-            state["pf"][idx] == 2 and state["emin"][idx] > state["fmax"][idx]
-        )
-
-    def doomed(self, state, idx: int) -> bool:
-        return not (self.forward_feasible(state, idx) or self.backward_feasible(state, idx))
-
-
-def _block_constraints_consistent(oriented: list[tuple]) -> bool:
-    """Can all `X entirely before Y` constraints hold in one linear order?"""
-    succ: dict[int, set[int]] = {}
-    for x_set, y_set in oriented:
-        for x in x_set:
-            for y in y_set:
-                if x == y:
-                    return False
-                succ.setdefault(x, set()).add(y)
-    seen: dict[int, int] = {}
-
-    def cyclic(v: int) -> bool:
-        seen[v] = 1
-        for w in succ.get(v, ()):
-            mark = seen.get(w)
-            if mark == 1:
-                return True
-            if mark is None and cyclic(w):
-                return True
-        seen[v] = 2
-        return False
-
-    return not any(seen.get(v) is None and cyclic(v) for v in list(succ))
+    return not (_can_precede(rank, e, f) or _can_precede(rank, f, e))
 
 
 def _pair_compatibility(pairs: list) -> list[list[bool]]:
-    """compat[i][j]: some single permutation separates both pairs."""
+    """compat[i][j]: some single permutation separates both pairs.
+
+    Each pair is separated as e < f or as f < e.  Two constraints X < Y
+    and X' < Y' on disjoint sides fail together iff Y meets X' and Y'
+    meets X, the only way their union can hold a cycle.  Taken over the
+    four orientations, two pairs conflict iff every side of one meets
+    every side of the other: two matchings of the same four vertices.
+    """
+    sides = [(set(e), set(f)) for e, f in pairs]
     m = len(pairs)
     compat = [[True] * m for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            e1, f1 = pairs[i]
-            e2, f2 = pairs[j]
-            ok = any(
-                _block_constraints_consistent([c1, c2])
-                for c1 in ((e1, f1), (f1, e1))
-                for c2 in ((e2, f2), (f2, e2))
-            )
+            ok = any(x.isdisjoint(y) for x in sides[i] for y in sides[j])
             compat[i][j] = compat[j][i] = ok
     return compat
 
 
-def _completion_search(verts, tracker: _PairTracker, required: list[int], budget: _Budget, test=None):
-    """Find a permutation separating every required pair.
+def _completion_search(verts, pairs: list, by_vertex, required, budget: _Budget):
+    """First permutation, in lexicographic order, separating every required pair.
 
-    Returns (order, True) for a hit (passing `test` when given),
-    (order, False) when completions exist but none passed the test, and
-    None when no completion exists.  Enumeration is lexicographic.
+    Returns None when no completion exists.
     """
-    state = tracker.new_state()
     req = set(required)
+    rank: dict[int, int] = {}
     order: list[int] = []
-    used: set[int] = set()
-    fallback: list[tuple] = []
 
     def dfs():
         budget.spend()
         if len(order) == len(verts):
-            full = tuple(order)
-            if test is None or test(full):
-                return full
-            if not fallback:
-                fallback.append(full)
-            return None
-        for v in sorted(set(verts) - used):
-            touched = tracker.place(state, v, len(order))
-            if any(idx in req and tracker.doomed(state, idx) for idx in touched):
-                tracker.unplace(state, v)
+            return tuple(order)
+        for v in verts:
+            if v in rank:
                 continue
-            order.append(v)
-            used.add(v)
-            found = dfs()
-            if found is not None:
-                return found
-            order.pop()
-            used.remove(v)
-            tracker.unplace(state, v)
+            rank[v] = len(order)
+            if not any(
+                idx in req and _doomed(rank, *pairs[idx]) for idx in by_vertex.get(v, ())
+            ):
+                order.append(v)
+                found = dfs()
+                if found is not None:
+                    return found
+                order.pop()
+            del rank[v]
         return None
 
-    hit = dfs()
-    if hit is not None:
-        return hit, True
-    if fallback:
-        return fallback[0], False
-    return None
+    return dfs()
 
 
 def _is_closure_minimal(order: tuple, autos) -> bool:
@@ -438,7 +339,7 @@ def _is_closure_minimal(order: tuple, autos) -> bool:
     return True
 
 
-def _prefix_engine_two(g: Graph, budget: _Budget, autos, accept=None) -> PermutationFamily | None:
+def _prefix_engine_two(g: Graph, pairs: list, budget: _Budget, autos) -> PermutationFamily | None:
     """Search for a pairwise-suitable family of size exactly 2.
 
     The first permutation is built position by position.  Branches where
@@ -446,94 +347,60 @@ def _prefix_engine_two(g: Graph, budget: _Budget, autos, accept=None) -> Permuta
     are branches whose already-unseparable pairs cannot all be handled
     by any single second permutation (pairwise compatibility test).  A
     completion solver then looks for the second member.
-
-    With `accept` given, the search keeps enumerating size-2 families
-    until one is accepted, falling back to the first family found.  The
-    predicate must be invariant under the supplied automorphisms and
-    under member reversal, since the search quotients by those.
     """
-    pairs = list(disjoint_edge_pairs(g))
-    tracker = _PairTracker(pairs)
+    by_vertex = _pair_index(pairs)
     compat = _pair_compatibility(pairs)
-    verts = list(g.vertices)
-    n = len(verts)
+    verts = g.vertices
     completion_memo: dict[frozenset, tuple | None] = {}
-    first_found: list[tuple[tuple, tuple]] = []
-
-    state = tracker.new_state()
+    rank: dict[int, int] = {}
     order: list[int] = []
-    used: set[int] = set()
+    # Pairs the prefix can no longer separate.  Only pairs touching the
+    # newly placed vertex change state, so at a full order this is every
+    # pair the first member leaves unseparated.
     doomed: list[int] = []
 
     def solve(live: list[dict[int, int]]) -> tuple[tuple, tuple] | None:
         budget.spend()
-        if len(order) == n:
+        if len(order) == len(verts):
             first = tuple(order)
             if not _is_closure_minimal(first, autos):
                 return None
-            uncovered = frozenset(
-                idx for idx in range(len(pairs)) if tracker.doomed(state, idx)
-            )
-            if accept is None:
-                if uncovered not in completion_memo:
-                    completion_memo[uncovered] = _completion_search(
-                        verts, tracker, sorted(uncovered), budget
-                    )
-                hit = completion_memo[uncovered]
-                return (first, hit[0]) if hit is not None else None
-            hit = _completion_search(
-                verts, tracker, sorted(uncovered), budget,
-                test=lambda other: accept(PermutationFamily.build(verts, [first, other])),
-            )
-            if hit is None:
-                return None
-            other, accepted = hit
-            if accepted:
-                return first, other
-            if not first_found:
-                first_found.append((first, other))
-            return None
+            uncovered = frozenset(doomed)
+            if uncovered not in completion_memo:
+                completion_memo[uncovered] = _completion_search(
+                    verts, pairs, by_vertex, uncovered, budget
+                )
+            other = completion_memo[uncovered]
+            return None if other is None else (first, other)
 
-        for v in sorted(set(verts) - used):
+        for v in verts:
             # minimal-image pruning: a live automorphism maps the prefix
             # to itself; if it maps v lower, a smaller representative of
             # this branch exists elsewhere in the tree.
-            if any(psi[v] < v for psi in live):
+            if v in rank or any(psi[v] < v for psi in live):
                 continue
-            next_live = [psi for psi in live if psi[v] == v]
-            touched = tracker.place(state, v, len(order))
+            rank[v] = len(order)
             new_doomed = [
-                idx for idx in touched if tracker.doomed(state, idx) and idx not in doomed
+                idx for idx in by_vertex.get(v, ())
+                if idx not in doomed and _doomed(rank, *pairs[idx])
             ]
-            conflict = any(
-                not compat[a][b] for a in new_doomed for b in doomed
-            ) or any(
+            if not any(
                 not compat[a][b]
-                for ai, a in enumerate(new_doomed)
-                for b in new_doomed[ai + 1:]
-            )
-            if conflict:
-                tracker.unplace(state, v)
-                continue
-            order.append(v)
-            used.add(v)
-            doomed.extend(new_doomed)
-            found = solve(next_live)
-            if found is not None:
-                return found
-            for _ in new_doomed:
-                doomed.pop()
-            used.remove(v)
-            order.pop()
-            tracker.unplace(state, v)
+                for i, a in enumerate(new_doomed)
+                for b in doomed + new_doomed[:i]
+            ):
+                order.append(v)
+                doomed.extend(new_doomed)
+                found = solve([psi for psi in live if psi[v] == v])
+                if found is not None:
+                    return found
+                del doomed[len(doomed) - len(new_doomed):]
+                order.pop()
+            del rank[v]
         return None
 
     found = solve(list(autos))
-    if found is None and first_found:
-        found = first_found[0]
-    if found is None:
-        return None
-    return PermutationFamily.build(g.vertices, found)
+    return None if found is None else PermutationFamily.build(verts, found)
 
 
 def randomized_family_search(
@@ -549,10 +416,7 @@ def randomized_family_search(
     rng = random.Random(seed)
     verts = list(g.vertices)
     n = len(verts)
-    by_vertex: dict[int, list[int]] = {}
-    for idx, (e, f) in enumerate(pairs):
-        for v in (*e, *f):
-            by_vertex.setdefault(v, []).append(idx)
+    by_vertex = _pair_index(pairs)
 
     def separated(ranks, idx):
         e, f = pairs[idx]
@@ -636,46 +500,35 @@ def exact_separation_dimension(
     budget: int = DEFAULT_BUDGET,
     autos: list[dict[int, int]] | None = None,
     seed: int = 0,
-    accept=None,
 ) -> ExactSearchResult:
     """Smallest pairwise-suitable family size up to `limit`, with witness.
 
     Raises SearchBudgetExceeded when the instance is too large or the
     node budget runs out; returns an `exceeded` result when the search
     completes without finding a family within the limit.
-
-    `accept` filters among minimum witnesses: the search returns the
-    first accepted one, or the first found if none is accepted.  The
-    predicate must be invariant under graph automorphisms and member
-    reversal.
     """
     if limit < 0:
         raise ValueError("limit must be non-negative")
-    tracker = _Budget(budget)
-    pairs_exist = any(True for _ in disjoint_edge_pairs(g))
-    if not pairs_exist:
+    pairs = list(disjoint_edge_pairs(g))
+    if not pairs:
         return ExactSearchResult(0, PermutationFamily.build(g.vertices, ()), False, 0)
     if limit == 0:
         return ExactSearchResult(None, None, True, 0)
+    tracker = _Budget(budget)
     n = g.num_vertices
     if n <= MASK_ENGINE_MAX:
-        return _mask_engine(g, limit, tracker, autos, accept=accept)
+        return _mask_engine(g, pairs, limit, tracker, autos)
     if n > PREFIX_ENGINE_MAX:
         raise SearchBudgetExceeded(f"exact search is limited to {PREFIX_ENGINE_MAX} vertices")
-    if autos is None:
-        autos = brute_automorphisms(g)
 
-    pairs = list(disjoint_edge_pairs(g))
-    ptracker = _PairTracker(pairs)
-    one = _completion_search(
-        list(g.vertices), ptracker, list(range(len(pairs))), tracker,
-        test=(lambda order: accept(PermutationFamily.build(g.vertices, [order]))) if accept else None,
-    )
+    one = _completion_search(g.vertices, pairs, _pair_index(pairs), range(len(pairs)), tracker)
     if one is not None:
-        return ExactSearchResult(1, PermutationFamily.build(g.vertices, [one[0]]), False, tracker.spent)
+        return ExactSearchResult(1, PermutationFamily.build(g.vertices, [one]), False, tracker.spent)
     if limit == 1:
         return ExactSearchResult(None, None, True, tracker.spent)
-    fam2 = _prefix_engine_two(g, tracker, autos, accept=accept)
+    if autos is None:
+        autos = brute_automorphisms(g)
+    fam2 = _prefix_engine_two(g, pairs, tracker, autos)
     if fam2 is not None:
         return ExactSearchResult(2, fam2, False, tracker.spent)
     if limit == 2:
@@ -686,7 +539,7 @@ def exact_separation_dimension(
     raise SearchBudgetExceeded("exact search beyond size 2 is not supported at this scale")
 
 
-def exact_pi_subdivided_clique(n: int, budget: int = DEFAULT_BUDGET, seed: int = 0, accept=None):
+def exact_pi_subdivided_clique(n: int, budget: int = DEFAULT_BUDGET, seed: int = 0):
     """Exact separation dimension of K_n^{1/2} with witness (n <= 4).
 
     Returns (result, subdivided graph, subdivision map).
@@ -701,7 +554,5 @@ def exact_pi_subdivided_clique(n: int, budget: int = DEFAULT_BUDGET, seed: int =
     )
     gsub, smap = subdivide(kn)
     autos = subdivided_clique_automorphisms(n, smap) if n >= 2 else None
-    result = exact_separation_dimension(
-        gsub, limit=6, budget=budget, autos=autos, seed=seed, accept=accept
-    )
+    result = exact_separation_dimension(gsub, limit=6, budget=budget, autos=autos, seed=seed)
     return result, gsub, smap

@@ -79,10 +79,6 @@ class Graph:
         pairs.setflags(write=False)
         return pairs
 
-    @cached_property
-    def _edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
-
     @property
     def num_vertices(self) -> int:
         return len(self.vertices)
@@ -90,13 +86,6 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    def subgraph(self, vertices=None, edges=None) -> "Graph":
-        """Induced subgraph on `vertices`, optionally restricted to `edges`."""
-        verts = set(self.vertices) if vertices is None else set(vertices)
-        keep = self.edges if edges is None else [make_edge(u, v) for u, v in edges]
-        kept = [e for e in keep if e[0] in verts and e[1] in verts and e in self._edge_set]
-        return Graph.build(verts, kept)
 
 
 def load_graph(text: str) -> Graph:
@@ -257,16 +246,6 @@ class SubdivisionMap:
     @cached_property
     def mid_of(self) -> dict[Edge, int]:
         return {e: m for e, m in self.assignments}
-
-    @cached_property
-    def edge_of(self) -> dict[int, Edge]:
-        return {m: e for e, m in self.assignments}
-
-    def left(self, mid: int) -> int:
-        return self.edge_of[mid][0]
-
-    def right(self, mid: int) -> int:
-        return self.edge_of[mid][1]
 
     @cached_property
     def mid_vertices(self) -> tuple[int, ...]:

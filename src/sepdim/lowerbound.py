@@ -201,19 +201,20 @@ def extract_realizer(
 
 
 def extraction_floor(target_size: int, r: int) -> int:
-    """ceil((target_size - 1) ** (1 / 2**(r-1))) + 1, computed exactly."""
+    """Subset size that `common_monotone_subset` always reaches with r members.
+
+    The first member keeps all f_1 = target_size vertices.  By
+    Erdős–Szekeres every sequence of f distinct values has a monotone
+    subsequence of ceil(sqrt(f)), so f_{j+1} = ceil(sqrt(f_j)).
+    """
     if r < 1:
         raise ValueError("family size must be at least 1")
-    value = target_size - 1
-    if value <= 0:
-        return 1
-    k = 2 ** (r - 1)
-    c = max(1, round(value ** (1.0 / k)))
-    while c ** k >= value:
-        c -= 1
-    while c ** k < value:
-        c += 1
-    return c + 1
+    if target_size < 1:
+        raise ValueError("target size must be at least 1")
+    f = target_size
+    for _ in range(r - 1):
+        f = math.isqrt(f - 1) + 1
+    return f
 
 
 def canonical_dimension_lower_bound(p: int) -> int:
@@ -245,23 +246,17 @@ class HarnessReport:
 def lower_bound_harness(n: int, seed: int = 0, budget: int | None = None) -> HarnessReport:
     """Run the full extraction pipeline on K_n^{1/2}.
 
-    For n <= 4 the family is an exact-optimal one (preferring, among the
-    minimum witnesses, one whose extracted subset meets the floor).  For
-    larger n the exact stage is out of reach and the verified coloring
-    construction is used instead (construction-only mode).
+    For n <= 4 the family is an exact-optimal one.  For larger n the
+    exact stage is out of reach and the verified coloring construction is
+    used instead (construction-only mode).  Every family meets the floor:
+    `extraction_floor` is what the extraction is guaranteed to keep.
     """
     if n < 1:
         raise ValueError("n must be positive")
     kwargs = {"budget": budget} if budget else {}
 
     if n <= 4:
-        originals = tuple(range(1, n + 1))
-
-        def accept(candidate: PermutationFamily) -> bool:
-            want = extraction_floor(len(originals), len(candidate))
-            return len(best_monotone_subset(candidate, originals).vertices) >= want
-
-        result, gsub, smap = exact_pi_subdivided_clique(n, seed=seed, accept=accept, **kwargs)
+        result, gsub, smap = exact_pi_subdivided_clique(n, seed=seed, **kwargs)
         family = result.witness
         pi = result.dimension
         exact = True

@@ -108,7 +108,10 @@ def test_criterion_2_exact_ground_truth():
         }
         g = Graph.build(range(1, n + 1), edges)
         pi = exact_separation_dimension(g, limit=5).dimension
-        subgraphs = [g.subgraph(vertices=set(g.vertices) - {v}) for v in g.vertices]
+        subgraphs = [
+            Graph.build(set(g.vertices) - {v}, [e for e in g.edges if v not in e])
+            for v in g.vertices
+        ]
         subgraphs += [Graph.build(g.vertices, set(g.edges) - {e}) for e in g.edges]
         for sub in subgraphs:
             if exact_separation_dimension(sub, limit=5).dimension > pi:

@@ -218,6 +218,11 @@ class TestLowerHarness:
         assert main(["lower-harness", "2", "--format", "structured"]) == 0
         assert json.loads(capsys.readouterr().out)["separation_dimension"] == 0
 
+    @pytest.mark.parametrize("n", [5, 6, 8])
+    def test_construction_meets_floor(self, n, capsys):
+        assert main(["lower-harness", str(n), "--format", "structured"]) == 3
+        assert json.loads(capsys.readouterr().out)["floor_met"] is True
+
     def test_large_n_budget_but_construction_runs(self, capsys):
         assert main(["lower-harness", "10", "--format", "structured"]) == 3
         doc = json.loads(capsys.readouterr().out)

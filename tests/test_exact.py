@@ -1,12 +1,19 @@
 """Exact separation-dimension search engines."""
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
 from sepdim.exact import (
     SearchBudgetExceeded,
+    _Budget,
+    _completion_search,
+    _doomed,
+    _pair_compatibility,
+    _pair_index,
+    _prefix_engine_two,
     brute_automorphisms,
     exact_pi_subdivided_clique,
     exact_separation_dimension,
@@ -105,7 +112,7 @@ class TestMonotonicity:
             g = Graph.build(range(1, n + 1), edges)
             pi = exact_separation_dimension(g, limit=4).dimension
             for v in g.vertices:
-                sub = g.subgraph(vertices=set(g.vertices) - {v})
+                sub = Graph.build(set(g.vertices) - {v}, [e for e in g.edges if v not in e])
                 assert exact_separation_dimension(sub, limit=4).dimension <= pi
             for e in g.edges:
                 sub = Graph.build(g.vertices, set(g.edges) - {e})
@@ -114,15 +121,11 @@ class TestMonotonicity:
 
 class TestEngineCrossCheck:
     def _cross_check(self, g):
-        from sepdim.exact import _Budget, _prefix_engine_two, _PairTracker, _completion_search
-
         mask_result = exact_separation_dimension(g, limit=5)
         budget = _Budget(10_000_000)
         pairs = list(disjoint_edge_pairs(g))
-        tracker = _PairTracker(pairs)
-        one = _completion_search(list(g.vertices), tracker, list(range(len(pairs))), budget)
-        autos = brute_automorphisms(g)
-        two = _prefix_engine_two(g, budget, autos)
+        one = _completion_search(g.vertices, pairs, _pair_index(pairs), range(len(pairs)), budget)
+        two = _prefix_engine_two(g, pairs, budget, brute_automorphisms(g))
         if mask_result.dimension == 0:
             assert not pairs
         elif mask_result.dimension == 1:
@@ -133,6 +136,8 @@ class TestEngineCrossCheck:
             assert verify_pairwise_suitable(two, g).ok
         else:
             assert one is None and two is None
+        if one is not None:
+            assert all(separates(Permutation(one), e, f) for e, f in pairs)
 
     def test_prefix_engine_agrees_with_mask_engine(self):
         # same instances through both engines: force the prefix path by
@@ -150,6 +155,46 @@ class TestEngineCrossCheck:
             while len(edges) < m:
                 edges.add(tuple(sorted(rng.sample(range(1, n + 1), 2))))
             self._cross_check(Graph.build(range(1, n + 1), edges))
+
+
+def _separated_by(ranks, e, f):
+    """Boolean vector over rank rows: does each order separate e and f?"""
+    re, rf = ranks[:, list(e)], ranks[:, list(f)]
+    return (re.max(axis=1) < rf.min(axis=1)) | (rf.max(axis=1) < re.min(axis=1))
+
+
+class TestPrefixChecks:
+    def test_pair_compatibility_matches_all_orders(self):
+        # every two disjoint pairs of K7 against all 7! orders of its vertices
+        n = 7
+        ranks = np.argsort(np.asarray(list(permutations(range(n)))), axis=1)
+        pairs = list(disjoint_edge_pairs(complete(n)))
+        pairs = [tuple(tuple(v - 1 for v in edge) for edge in pair) for pair in pairs]
+        compat = _pair_compatibility(pairs)
+        seps = [_separated_by(ranks, e, f) for e, f in pairs]
+        conflicts = 0
+        for i, j in combinations(range(len(pairs)), 2):
+            brute = bool((seps[i] & seps[j]).any())
+            assert compat[i][j] == compat[j][i] == brute, (pairs[i], pairs[j])
+            conflicts += not brute
+        assert conflicts > 0
+
+    def test_doomed_matches_every_completion(self):
+        rng = random.Random(7)
+        verts = list(range(6))
+        seen = set()
+        for _ in range(3000):
+            a, b, c, d = rng.sample(verts, 4)
+            e, f = (a, b), (c, d)
+            prefix = rng.sample(verts, rng.randint(0, len(verts)))
+            rank = {v: i for i, v in enumerate(prefix)}
+            rest = [v for v in verts if v not in rank]
+            separable = any(
+                separates(Permutation(prefix + list(tail)), e, f) for tail in permutations(rest)
+            )
+            assert _doomed(rank, e, f) == (not separable), (e, f, prefix)
+            seen.add(separable)
+        assert seen == {True, False}
 
 
 class TestSubdividedClique:

@@ -284,8 +284,7 @@ class TestSubdivide:
     def test_single_edge_becomes_path(self):
         gsub, smap = subdivide(Graph.from_edges([(1, 2)]))
         assert gsub.num_vertices == 3 and gsub.num_edges == 2
-        mid = smap.mid_of[(1, 2)]
-        assert smap.left(mid) == 1 and smap.right(mid) == 2
+        assert list(smap.mid_of) == [(1, 2)]
 
     def test_mid_adjacency_and_degree_preservation(self):
         g = complete(4)

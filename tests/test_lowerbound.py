@@ -1,7 +1,8 @@
 """Monotone subset extraction, normalization, and realizer extraction."""
 
+import math
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 from hypothesis import given, settings, strategies as st
 
@@ -102,19 +103,40 @@ class TestCommonMonotoneSubset:
 
 class TestExtractionFloor:
     def test_values(self):
-        assert extraction_floor(3, 2) == 3  # ceil(sqrt(2)) + 1
-        assert extraction_floor(4, 2) == 3  # ceil(sqrt(3)) + 1
-        assert extraction_floor(4, 3) == 3  # ceil(3 ** (1/4)) + 1
+        assert extraction_floor(3, 2) == 2  # ceil(sqrt(3)); (2, 3, 1) has no monotone triple
+        assert extraction_floor(4, 2) == 2  # ceil(sqrt(4))
+        assert extraction_floor(4, 3) == 2  # ceil(sqrt(ceil(sqrt(4))))
         assert extraction_floor(2, 1) == 2
-        assert extraction_floor(17, 3) == 3
+        assert extraction_floor(17, 3) == 3  # ceil(sqrt(ceil(sqrt(17)))) = ceil(sqrt(5))
+        assert extraction_floor(1, 4) == 1
 
     def test_exactness_against_floats(self):
-        for target in range(2, 40):
+        for target in range(1, 2000):
             for r in range(1, 5):
-                k = 2 ** (r - 1)
-                c = extraction_floor(target, r) - 1
-                assert c ** k >= target - 1
-                assert c == 0 or (c - 1) ** k < target - 1
+                f = target
+                for _ in range(r - 1):
+                    f = math.ceil(math.sqrt(f))
+                assert extraction_floor(target, r) == f
+
+    def test_two_member_floor_is_tight(self):
+        # Erdős–Szekeres is tight: some second member keeps only the floor
+        for size in range(1, 8):
+            worst = min(
+                len(longest_monotone_indices(list(seq))[0])
+                for seq in permutations(range(size))
+            )
+            assert worst == extraction_floor(size, 2)
+
+    @settings(max_examples=150)
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda n: st.lists(st.permutations(list(range(n))), min_size=1, max_size=4)
+        )
+    )
+    def test_extraction_always_meets_floor(self, orders):
+        fam = PermutationFamily.build(range(len(orders[0])), orders)
+        res = common_monotone_subset(fam, range(len(orders[0])))
+        assert len(res.vertices) >= extraction_floor(len(orders[0]), len(orders))
 
 
 class TestNormalizeAndExtract:
@@ -188,7 +210,7 @@ class TestHarness:
     def test_n3_full_pipeline(self):
         rep = lower_bound_harness(3)
         assert rep.exact and rep.pi == 2
-        assert rep.floor == 3 and rep.floor_met
+        assert rep.floor == 2 and rep.floor_met
         assert rep.realizer is not None
         assert rep.bound_holds
 
