@@ -52,7 +52,6 @@ from .posets import (
     PosetDimensionResult,
     Realizer,
     canonical_interval_order,
-    closed_canonical_isomorphism,
     exact_poset_dimension,
     height,
     interval_order_from,

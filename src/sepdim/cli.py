@@ -307,7 +307,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, FileNotFoundError, ValueError, json.JSONDecodeError) as exc:
+    except (GraphFormatError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except (SearchBudgetExceeded, DimensionBudgetExceeded) as exc:

@@ -1,34 +1,39 @@
 """Exact computation of the separation dimension of small graphs.
 
-Two engines share an iterative-deepening wrapper.  For up to seven
-vertices every permutation's separation mask is precomputed and the
-search is an exact set cover over bitmasks.  Larger desk-scale instances
-(notably subdivided cliques on ten vertices) use a prefix search over
-the first permutation with automorphism symmetry breaking, joint
-infeasibility pruning, and a completion solver for the last member.
-Both return the first minimum family in their search order; there is
-no filter over witnesses.
+Vertices in no edge lie in no disjoint edge pair: the search runs
+without them, the size guards do not count them, and they close every
+witness member in id order.  Two engines then share an
+iterative-deepening wrapper.  For up to seven vertices every
+permutation's separation mask is precomputed and the search is an exact
+set cover over bitmasks.  Larger desk-scale instances (notably
+subdivided cliques on ten vertices) use a prefix search over the first
+permutation with automorphism symmetry breaking, joint infeasibility
+pruning, and a completion solver for the last member.  Both return the
+first minimum family in their search order; there is no filter over
+witnesses.
 
 Fixing the first member to a canonical representative is sound only up
-to graph automorphism, so the searches quotient by the automorphism
-group (or a known subgroup) rather than by arbitrary relabelings.
+to graph automorphism.  Both engines take their automorphisms from
+`automorphisms`, which stops at AUTOMORPHISM_CAP maps; any subset of
+the group keeps them exact (see its docstring), it only prunes less.
 """
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass
-from itertools import permutations
+from dataclasses import dataclass, replace
+from itertools import combinations, permutations
 
 import numpy as np
 
 from .families import PermutationFamily, disjoint_edge_pairs, verify_pairwise_suitable
-from .graphs import Graph, make_edge, subdivide
+from .graphs import Graph, subdivide
 
 DEFAULT_BUDGET = 20_000_000
 MASK_ENGINE_MAX = 7
 PREFIX_ENGINE_MAX = 12
+# 8!, the most automorphisms the earlier n! enumeration (n <= 8) returned
+AUTOMORPHISM_CAP = 40_320
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -63,34 +68,60 @@ class _Budget:
             raise SearchBudgetExceeded(f"search budget exhausted after {self.spent} nodes")
 
 
-def brute_automorphisms(g: Graph, cap: int = 2_000_000) -> list[dict[int, int]]:
-    """All edge-preserving vertex bijections, by brute force (small graphs)."""
-    verts = g.vertices
-    n = len(verts)
-    if n > 8 or math.factorial(n) * max(1, g.num_edges) > cap:
-        return [dict(zip(verts, verts))]
-    edge_set = set(g.edges)
-    degs = {v: g.degree(v) for v in verts}
-    autos = []
-    for img in permutations(verts):
-        m = dict(zip(verts, img))
-        if any(degs[v] != degs[m[v]] for v in verts):
-            continue
-        if all(make_edge(m[u], m[v]) in edge_set for u, v in g.edges):
-            autos.append(m)
-    return autos
+def automorphisms(g: Graph) -> list[dict[int, int]]:
+    """Edge-preserving vertex bijections of g, at most AUTOMORPHISM_CAP of them.
 
+    Backtracking over the vertices in BFS order (components by lowest
+    id, neighbours by id): each goes to an unused vertex of its degree
+    that keeps adjacency with every vertex already mapped.
 
-def subdivided_clique_automorphisms(n: int, smap) -> list[dict[int, int]]:
-    """Automorphisms of K_n^{1/2} induced by permuting the original vertices."""
-    originals = smap.original_vertices
-    autos = []
-    for img in permutations(originals):
-        m = dict(zip(originals, img))
-        for (u, v), mid in smap.mid_of.items():
-            m[mid] = smap.mid_of[make_edge(m[u], m[v])]
-        autos.append(m)
-    return autos
+    Any set S of automorphisms keeps both engines exact.  Relabeling a
+    suitable family by an automorphism, or reversing one member, keeps
+    it suitable, so every order in the orbit of a minimum family's first
+    member under the group H generated by S and reversal starts some
+    minimum family.  The engines discard an order only when it has a
+    lex-smaller image in that orbit: its reverse, or its image or
+    reversed image under some ψ in S (the prefix engine also drops a
+    prefix that a ψ fixing it maps lower, which lowers every
+    completion).  So the lex-least order of each orbit is never
+    discarded, and a minimum family starting with it is found.
+    """
+    adj = g.adjacency
+    order: list[int] = []
+    seen: set[int] = set()
+    for root in g.vertices:
+        component = [] if root in seen else [root]
+        seen.add(root)
+        for v in component:
+            fresh = sorted(adj[v] - seen)
+            seen.update(fresh)
+            component += fresh
+        order += component
+
+    image: dict[int, int] = {}
+    used: set[int] = set()
+    found: list[dict[int, int]] = []
+
+    def extend(i: int) -> None:
+        if i == len(order):
+            found.append(dict(image))
+            return
+        v = order[i]
+        mapped = {image[u] for u in adj[v] if u in image}
+        for w in g.vertices:
+            # w's mapped neighbours must be exactly the images of v's
+            if w in used or len(adj[w]) != len(adj[v]) or adj[w] & used != mapped:
+                continue
+            image[v] = w
+            used.add(w)
+            extend(i + 1)
+            del image[v]
+            used.discard(w)
+            if len(found) >= AUTOMORPHISM_CAP:
+                return
+
+    extend(0)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +161,6 @@ def _canonical_first_flags(perms: list[tuple[int, ...]], autos: list[dict[int, i
     for the same graph.  Vectorized so that full symmetric groups
     (complete graphs) stay affordable.
     """
-    if not perms:
-        return []
     perm_arr = np.asarray(perms, dtype=np.int64)
     rows = np.arange(len(perms))
     size = perm_arr.shape[1]
@@ -153,7 +182,7 @@ def _canonical_first_flags(perms: list[tuple[int, ...]], autos: list[dict[int, i
     return flags.tolist()
 
 
-def _mask_engine(g: Graph, pairs: list, limit: int, budget: _Budget, autos) -> ExactSearchResult:
+def _mask_engine(g: Graph, pairs: list, limit: int, budget: _Budget) -> ExactSearchResult:
     # The search runs over positions in g.vertices, which keep the id
     # order, so ids of any size cost nothing and the search order is the
     # one the ids would give.
@@ -166,14 +195,9 @@ def _mask_engine(g: Graph, pairs: list, limit: int, budget: _Budget, autos) -> E
     # Per-member reversal canonicalization keeps only orders whose first
     # vertex is below the last; reversal preserves every separation.
     keep = [i for i, p in enumerate(perms) if p[0] < p[-1]]
-    if autos is None:
-        autos = brute_automorphisms(g)
-    autos = [{pos[v]: pos[w] for v, w in psi.items()} for psi in autos]
+    autos = [{pos[v]: pos[w] for v, w in psi.items()} for psi in automorphisms(g)]
     cand_perms = [perms[i] for i in keep]
     cand_masks = [masks[i] for i in keep]
-
-    if len(cand_perms) * len(autos) > 40_000_000:
-        autos = autos[:256]
     first_ok = _canonical_first_flags(cand_perms, autos)
     pool_first = [i for i in range(len(cand_masks)) if first_ok[i]]
 
@@ -330,15 +354,6 @@ def _completion_search(verts, pairs: list, by_vertex, required, budget: _Budget)
     return dfs()
 
 
-def _is_closure_minimal(order: tuple, autos) -> bool:
-    """Is `order` the lex minimum over relabelings and their reversals?"""
-    for psi in autos:
-        img = tuple(psi[v] for v in order)
-        if img < order or img[::-1] < order:
-            return False
-    return True
-
-
 def _prefix_engine_two(g: Graph, pairs: list, budget: _Budget, autos) -> PermutationFamily | None:
     """Search for a pairwise-suitable family of size exactly 2.
 
@@ -363,7 +378,9 @@ def _prefix_engine_two(g: Graph, pairs: list, budget: _Budget, autos) -> Permuta
         budget.spend()
         if len(order) == len(verts):
             first = tuple(order)
-            if not _is_closure_minimal(first, autos):
+            # the prefix pruning below already dropped every order with a
+            # smaller image ψ(first); a smaller reversed image is left
+            if any(tuple(psi[v] for v in reversed(first)) < first for psi in autos):
                 return None
             uncovered = frozenset(doomed)
             if uncovered not in completion_memo:
@@ -498,7 +515,6 @@ def exact_separation_dimension(
     g: Graph,
     limit: int,
     budget: int = DEFAULT_BUDGET,
-    autos: list[dict[int, int]] | None = None,
     seed: int = 0,
 ) -> ExactSearchResult:
     """Smallest pairwise-suitable family size up to `limit`, with witness.
@@ -514,21 +530,27 @@ def exact_separation_dimension(
         return ExactSearchResult(0, PermutationFamily.build(g.vertices, ()), False, 0)
     if limit == 0:
         return ExactSearchResult(None, None, True, 0)
+    isolated = [v for v in g.vertices if not g.adjacency[v]]
+    if isolated:
+        core = Graph.build(set(g.vertices) - set(isolated), g.edges)
+        result = exact_separation_dimension(core, limit, budget, seed)
+        if result.witness is None:
+            return result
+        members = [order + isolated for order in result.witness.id_orders()]
+        return replace(result, witness=PermutationFamily.build(g.vertices, members))
     tracker = _Budget(budget)
     n = g.num_vertices
     if n <= MASK_ENGINE_MAX:
-        return _mask_engine(g, pairs, limit, tracker, autos)
+        return _mask_engine(g, pairs, limit, tracker)
     if n > PREFIX_ENGINE_MAX:
-        raise SearchBudgetExceeded(f"exact search is limited to {PREFIX_ENGINE_MAX} vertices")
+        raise SearchBudgetExceeded(f"exact search is limited to {PREFIX_ENGINE_MAX} non-isolated vertices")
 
     one = _completion_search(g.vertices, pairs, _pair_index(pairs), range(len(pairs)), tracker)
     if one is not None:
         return ExactSearchResult(1, PermutationFamily.build(g.vertices, [one]), False, tracker.spent)
     if limit == 1:
         return ExactSearchResult(None, None, True, tracker.spent)
-    if autos is None:
-        autos = brute_automorphisms(g)
-    fam2 = _prefix_engine_two(g, pairs, tracker, autos)
+    fam2 = _prefix_engine_two(g, pairs, tracker, automorphisms(g))
     if fam2 is not None:
         return ExactSearchResult(2, fam2, False, tracker.spent)
     if limit == 2:
@@ -548,11 +570,7 @@ def exact_pi_subdivided_clique(n: int, budget: int = DEFAULT_BUDGET, seed: int =
         raise ValueError("n must be positive")
     if n > 4:
         raise SearchBudgetExceeded("exact subdivided-clique stage is limited to n <= 4")
-    kn = Graph.from_edges(
-        [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)],
-        isolated=range(1, n + 1),
-    )
+    kn = Graph.from_edges(combinations(range(1, n + 1), 2), isolated=range(1, n + 1))
     gsub, smap = subdivide(kn)
-    autos = subdivided_clique_automorphisms(n, smap) if n >= 2 else None
-    result = exact_separation_dimension(gsub, limit=6, budget=budget, autos=autos, seed=seed)
+    result = exact_separation_dimension(gsub, limit=6, budget=budget, seed=seed)
     return result, gsub, smap

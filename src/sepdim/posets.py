@@ -182,27 +182,6 @@ def canonical_interval_order(n: int) -> IntervalOrder:
     return IntervalOrder.build([(a, b) for a in range(1, n) for b in range(a + 1, n + 1)])
 
 
-def closed_canonical_isomorphism(n: int) -> dict[tuple[int, int], tuple[int, int]]:
-    """Order isomorphism from the open C_n onto closed intervals over [n-1].
-
-    Maps (i, j) to [i, j-1]; the mapping is checked to preserve and
-    reflect the order on every pair before being returned.
-    """
-    cn = canonical_interval_order(n)
-    mapping = {(a, b): (a, b - 1) for a, b in cn.intervals}
-    if len(set(mapping.values())) != len(mapping):
-        raise AssertionError("isomorphism image is not injective")
-    for x in cn.intervals:
-        for y in cn.intervals:
-            if x == y:
-                continue
-            open_lt = x[1] <= y[0]
-            closed_lt = mapping[x][1] < mapping[y][0]
-            if open_lt != closed_lt:
-                raise AssertionError(f"isomorphism fails on ({x}, {y})")
-    return mapping
-
-
 # ---------------------------------------------------------------------------
 # Exact poset dimension
 # ---------------------------------------------------------------------------

@@ -84,11 +84,12 @@ def subdivision_family(g: Graph, classes) -> tuple[PermutationFamily, Suitable3R
         base = Suitable3Result(PermutationFamily((0, 1), np.array([[1, 0]])), "swap")
     else:
         base = build_3_suitable_for(range(len(classes)))
-    gsub, _ = subdivide(g)
+    # G^{1/2} lists the originals, then the mid of g.edges[i] at n + i (ids as `subdivide` gives)
+    top = max(g.vertices, default=-1) + 1
+    ground = g.vertices + tuple(range(top, top + g.num_edges))
     if not g.edges:
-        return PermutationFamily.build(gsub.vertices, ()), base
+        return PermutationFamily.build(ground, ()), base
 
-    # G^{1/2} lists the originals first, then the mid of g.edges[i] at n + i
     left, right = np.take_along_axis(ends, np.argsort(rank[ends], axis=1), axis=1).T
     zeros = np.zeros(n, dtype=np.int64)
 
@@ -104,7 +105,7 @@ def subdivision_family(g: Graph, classes) -> tuple[PermutationFamily, Suitable3R
         rows.append(member(place[color] * n + rank, later, 1, rank[other]))
     rows.append(member(rank, left, 1, -rank[right]))
     rows.append(member(rank, right, -1, rank[left]))
-    return PermutationFamily(gsub.vertices, np.array(rows)), base
+    return PermutationFamily(ground, np.array(rows)), base
 
 
 @dataclass(frozen=True)

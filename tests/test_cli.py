@@ -49,6 +49,10 @@ class TestBoundDegenerate:
     def test_missing_file(self):
         assert main(["bound-degenerate", "/nonexistent/file"]) == 2
 
+    def test_directory_as_out_is_input_error(self, p4_file, tmp_path, capsys):
+        assert main(["bound-degenerate", p4_file, "--out", str(tmp_path)]) == 2
+        assert "input error" in capsys.readouterr().err
+
     def test_reports_byte_identical(self, p4_file, capsys):
         assert main(["bound-degenerate", p4_file, "--seed", "5", "--format", "structured"]) == 0
         first = capsys.readouterr().out
@@ -179,6 +183,10 @@ class TestVerify:
         fam = tmp_path / "fam.json"
         fam.write_text(json.dumps(doc) + "\n")
         assert main(["verify", c4_file, str(fam)]) == 2
+        assert "input error" in capsys.readouterr().err
+
+    def test_directory_as_family_is_input_error(self, c4_file, tmp_path, capsys):
+        assert main(["verify", c4_file, str(tmp_path)]) == 2
         assert "input error" in capsys.readouterr().err
 
     def test_ground_set_mismatch(self, p4_file, tmp_path):

@@ -5,7 +5,9 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sepdim import exact
 from sepdim.exact import (
     SearchBudgetExceeded,
     _Budget,
@@ -14,7 +16,7 @@ from sepdim.exact import (
     _pair_compatibility,
     _pair_index,
     _prefix_engine_two,
-    brute_automorphisms,
+    automorphisms,
     exact_pi_subdivided_clique,
     exact_separation_dimension,
     randomized_family_search,
@@ -25,7 +27,7 @@ from sepdim.families import (
     separates,
     verify_pairwise_suitable,
 )
-from sepdim.graphs import Graph
+from sepdim.graphs import Graph, subdivide
 
 
 def complete(n):
@@ -38,6 +40,25 @@ def cycle(n):
 
 def path(n):
     return Graph.from_edges([(i, i + 1) for i in range(1, n)])
+
+
+def ladder4():
+    return Graph.from_edges([(i, i + 1) for i in (1, 2, 3, 5, 6, 7)] + [(i, i + 4) for i in range(1, 5)])
+
+
+def brute_automorphisms(g):
+    """Oracle: every edge-preserving bijection, over all n! permutations."""
+    edges = set(g.edges)
+    found = []
+    for img in permutations(g.vertices):
+        m = dict(zip(g.vertices, img))
+        if all(tuple(sorted((m[u], m[v]))) in edges for u, v in g.edges):
+            found.append(m)
+    return found
+
+
+def as_set(autos):
+    return {tuple(sorted(m.items())) for m in autos}
 
 
 def brute_no_single_permutation(g):
@@ -125,7 +146,7 @@ class TestEngineCrossCheck:
         budget = _Budget(10_000_000)
         pairs = list(disjoint_edge_pairs(g))
         one = _completion_search(g.vertices, pairs, _pair_index(pairs), range(len(pairs)), budget)
-        two = _prefix_engine_two(g, pairs, budget, brute_automorphisms(g))
+        two = _prefix_engine_two(g, pairs, budget, automorphisms(g))
         if mask_result.dimension == 0:
             assert not pairs
         elif mask_result.dimension == 1:
@@ -225,8 +246,76 @@ def test_randomized_search_finds_known_family():
 
 
 def test_automorphisms_of_cycle():
-    autos = brute_automorphisms(cycle(4))
+    autos = automorphisms(cycle(4))
     assert len(autos) == 8  # dihedral group of the 4-cycle
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 7))
+    ids = sorted(draw(st.sets(st.integers(0, 40), min_size=n, max_size=n)))
+    pairs = list(combinations(ids, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph.build(ids, edges)
+
+
+class TestAutomorphisms:
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs())
+    def test_matches_brute_force(self, g):
+        autos = automorphisms(g)
+        assert len(as_set(autos)) == len(autos)
+        assert as_set(autos) == as_set(brute_automorphisms(g))
+
+    @pytest.mark.parametrize("g", [
+        cycle(8),
+        ladder4(),
+        Graph.from_edges([(1, i) for i in range(2, 9)]),
+    ], ids=["c8", "ladder4", "k17"])
+    def test_matches_brute_force_on_eight_vertices(self, g):
+        assert as_set(automorphisms(g)) == as_set(brute_automorphisms(g))
+
+    def test_subdivided_k4_is_permutations_of_originals(self):
+        gsub, smap = subdivide(complete(4))
+        induced = []
+        for img in permutations(smap.original_vertices):
+            m = dict(zip(smap.original_vertices, img))
+            for (u, v), mid in smap.mid_of.items():
+                m[mid] = smap.mid_of[tuple(sorted((m[u], m[v])))]
+            induced.append(m)
+        autos = automorphisms(gsub)
+        assert len(autos) == 24
+        assert as_set(autos) == as_set(induced)
+
+    def test_stops_at_cap(self, monkeypatch):
+        monkeypatch.setattr(exact, "AUTOMORPHISM_CAP", 5)
+        assert len(automorphisms(complete(5))) == 5
+
+    @pytest.mark.parametrize("cap", [1, 3])
+    def test_truncated_sets_keep_the_search_exact(self, cap, monkeypatch):
+        graphs = {
+            "c8": cycle(8),
+            "ladder4": ladder4(),
+            "k33": Graph.from_edges([(u, v) for u in (1, 2, 3) for v in (4, 5, 6)]),
+            "k3_half": subdivide(complete(3))[0],
+        }
+        full = {name: exact_separation_dimension(g, limit=4).dimension for name, g in graphs.items()}
+        monkeypatch.setattr(exact, "AUTOMORPHISM_CAP", cap)
+        for name, g in graphs.items():
+            r = exact_separation_dimension(g, limit=4)
+            assert r.dimension == full[name], name
+            assert verify_pairwise_suitable(r.witness, g).ok, name
+
+
+def test_isolated_vertices_leave_the_search():
+    # C4 plus 8 isolated vertices: the completion search once tried every
+    # placement of the isolated ones and ran out of a 2,000,000-node budget
+    g = Graph.from_edges([(i, i % 4 + 1) for i in range(1, 5)], isolated=range(5, 13))
+    r = exact_separation_dimension(g, limit=3, budget=10_000)
+    assert r.dimension == 2
+    assert r.witness.ground_set == g.vertices
+    assert all(m.order[4:] == tuple(range(5, 13)) for m in r.witness.members)
+    assert verify_pairwise_suitable(r.witness, g).ok
 
 
 def test_complete_graph_dimension_nondecreasing():

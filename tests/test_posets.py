@@ -12,7 +12,6 @@ from sepdim.posets import (
     PosetError,
     Realizer,
     canonical_interval_order,
-    closed_canonical_isomorphism,
     exact_poset_dimension,
     height,
     interval_order_from,
@@ -98,22 +97,6 @@ class TestIntervalOrder:
     def test_degenerate_interval_rejected(self):
         with pytest.raises(PosetError):
             IntervalOrder.build([(2, 2)])
-
-
-class TestClosedIsomorphism:
-    def test_formula(self):
-        mapping = closed_canonical_isomorphism(3)
-        assert mapping[(1, 2)] == (1, 1)
-        assert mapping[(2, 3)] == (2, 2)
-
-    def test_example_pair(self):
-        mapping = closed_canonical_isomorphism(5)
-        assert mapping[(2, 5)] == (2, 4)
-
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_exhaustive_verification(self, n):
-        mapping = closed_canonical_isomorphism(n)
-        assert len(mapping) == len(canonical_interval_order(n))
 
 
 class TestIsRealizer:
