@@ -8,7 +8,6 @@ from .exact import (
     randomized_family_search,
 )
 from .families import (
-    Permutation,
     PermutationFamily,
     SeparationWitness,
     embedding_from_family,
@@ -50,7 +49,6 @@ from .posets import (
     IntervalOrder,
     Poset,
     PosetDimensionResult,
-    Realizer,
     canonical_interval_order,
     exact_poset_dimension,
     height,

@@ -170,8 +170,8 @@ def cmd_exact(args) -> int:
     report.add("limit", args.limit)
     if result.found:
         report.add("separation_dimension", result.dimension)
-        for i, member in enumerate(result.witness.members):
-            report.add(f"witness_{i}", " ".join(map(str, member.order)))
+        for i, order in enumerate(result.witness.id_orders()):
+            report.add(f"witness_{i}", " ".join(map(str, order)))
     else:
         report.add("separation_dimension", "exceeded")
     report.add("nodes", result.nodes)
@@ -214,7 +214,7 @@ def cmd_canonical_dim(args) -> int:
         report.add("dimension", "exceeded")
     else:
         report.add("dimension", result.dimension)
-        for i, ext in enumerate(result.realizer.extensions):
+        for i, ext in enumerate(result.realizer):
             report.add(f"extension_{i}", " ".join(f"({a},{b})" for a, b in ext))
     report.add("lower_bound_loglog", canonical_dimension_lower_bound(n))
     _emit(report, args.format, started)
@@ -258,46 +258,48 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="node-expansion cap for exact searches")
+    def options(p, seed=False, budget=False):
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        if budget:
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                           help="node-expansion cap for exact searches")
         p.add_argument("--format", choices=("text", "structured"), default="text")
 
     p = sub.add_parser("bound-degenerate", help="star-forest family for a k-degenerate graph")
     p.add_argument("graph")
     p.add_argument("--out", help="write the family file here")
-    common(p)
+    options(p, seed=True)
     p.set_defaults(func=cmd_bound_degenerate)
 
     p = sub.add_parser("bound-subdivision", help="family for the fully subdivided graph, lifted from a "
                        "3-suitable family over the colour classes")
     p.add_argument("graph")
     p.add_argument("--out", help="write the family file here")
-    common(p)
+    options(p, seed=True)
     p.set_defaults(func=cmd_bound_subdivision)
 
     p = sub.add_parser("exact", help="exact separation dimension (desk scale)")
     p.add_argument("graph")
     p.add_argument("--limit", type=int, default=4)
-    common(p)
+    options(p, seed=True, budget=True)
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("verify", help="verify a family file against a graph")
     p.add_argument("graph")
     p.add_argument("family")
-    common(p)
+    options(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("canonical-dim", help="exact dimension of the canonical interval order")
     p.add_argument("n", type=int)
     p.add_argument("--limit", type=int, default=4)
-    common(p)
+    options(p, budget=True)
     p.set_defaults(func=cmd_canonical_dim)
 
     p = sub.add_parser("lower-harness", help="subdivided-clique lower-bound extraction")
     p.add_argument("n", type=int)
-    common(p)
+    options(p, seed=True, budget=True)
     p.set_defaults(func=cmd_lower_harness)
 
     return parser

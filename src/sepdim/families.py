@@ -2,10 +2,11 @@
 
 A permutation ranks a finite vertex set 1..n.  A family is one
 (members x n) array of positions in its sorted ground set; ranks are
-scattered from it, and `Permutation`s of ids are built from it only at
-API boundaries (JSON, reports, exact solvers, lower bounds).  It is
-pairwise suitable for a graph when every pair of disjoint edges is
-placed as two blocks (one entirely before the other) by some member.
+scattered from it, and the members' orders of vertex ids (`id_orders`)
+are read from it only at API boundaries (JSON, reports, exact solvers,
+lower bounds).  It is pairwise suitable for a graph when every pair of
+disjoint edges is placed as two blocks (one entirely before the other)
+by some member.
 
 Member k separates edges e and f exactly when their rank intervals
 [lo_k, hi_k] are disjoint; edges that share a vertex share a rank, so
@@ -33,53 +34,6 @@ BLOCK_ROWS = 128
 DENSE_MEMBERS = 8
 
 
-class Permutation:
-    """Bijection from a vertex set onto ranks 1..n, stored in rank order."""
-
-    __slots__ = ("order", "_ranks")
-
-    def __init__(self, order):
-        order = tuple(order)
-        if len(set(order)) != len(order):
-            raise ValueError("permutation contains repeated vertices")
-        self.order = order
-        self._ranks: dict[int, int] | None = None
-
-    @property
-    def ranks(self) -> dict[int, int]:
-        if self._ranks is None:
-            self._ranks = {v: i + 1 for i, v in enumerate(self.order)}
-        return self._ranks
-
-    def rank(self, v: int) -> int:
-        try:
-            return self.ranks[v]
-        except KeyError:
-            raise ValueError(f"vertex {v} is outside the permutation domain") from None
-
-    @property
-    def domain(self) -> frozenset[int]:
-        return frozenset(self.order)
-
-    def reverse(self) -> "Permutation":
-        return Permutation(self.order[::-1])
-
-    def __len__(self) -> int:
-        return len(self.order)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.order == other.order
-
-    def __hash__(self) -> int:
-        return hash(self.order)
-
-    def __lt__(self, other: "Permutation") -> bool:
-        return self.order < other.order
-
-    def __repr__(self) -> str:
-        return f"Permutation({list(self.order)})"
-
-
 def _vertex_ids(values, what: str) -> tuple[int, ...]:
     """`values` as a tuple of vertex ids: non-negative ints (bools excluded)."""
     try:
@@ -98,7 +52,7 @@ class PermutationFamily:
     `ground_set` is the sorted tuple of vertex ids; row i of the (r, n)
     integer array `orders` lists the positions 0..n-1 of those ids in
     member i's order.  Every family is validated here, however it was
-    built.  `rank_matrix` and `members` are views derived from `orders`.
+    built.  `rank_matrix` and `id_orders()` are views derived from `orders`.
     """
 
     ground_set: tuple[int, ...]
@@ -125,7 +79,7 @@ class PermutationFamily:
         pos = {v: j for j, v in enumerate(ground)}
         rows = []
         for m in members:
-            order = _vertex_ids(m.order if isinstance(m, Permutation) else m, "family member")
+            order = _vertex_ids(m, "family member")
             if len(order) != len(ground):
                 raise ValueError("family member does not cover the ground set")
             rows.append([pos.get(v, -1) for v in order])
@@ -133,9 +87,6 @@ class PermutationFamily:
 
     def __len__(self) -> int:
         return self.orders.shape[0]
-
-    def __iter__(self):
-        return iter(self.members)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PermutationFamily) and self.ground_set == other.ground_set \
@@ -148,11 +99,6 @@ class PermutationFamily:
         """Each member's order as a list of vertex ids."""
         ground = self.ground_set
         return [[ground[j] for j in row] for row in self.orders.tolist()]
-
-    @cached_property
-    def members(self) -> tuple[Permutation, ...]:
-        """The members as `Permutation`s of vertex ids."""
-        return tuple(map(Permutation, self.id_orders()))
 
     @cached_property
     def rank_matrix(self) -> np.ndarray:
@@ -178,13 +124,18 @@ class SeparationWitness:
         return self.ok
 
 
-def separates(p: Permutation, e, f) -> bool:
-    """True iff both vertices of one edge precede both vertices of the other."""
+def separates(order, e, f) -> bool:
+    """True iff `order` (a sequence of vertex ids) puts both vertices of
+    one edge before both vertices of the other."""
     a, b = e
     c, d = f
     if len({a, b, c, d}) != 4:
         raise ValueError(f"edges {e} and {f} are not disjoint")
-    ra, rb, rc, rd = p.rank(a), p.rank(b), p.rank(c), p.rank(d)
+    rank = {v: i for i, v in enumerate(order)}
+    try:
+        ra, rb, rc, rd = rank[a], rank[b], rank[c], rank[d]
+    except KeyError as exc:
+        raise ValueError(f"vertex {exc.args[0]} is outside the permutation domain") from None
     return max(ra, rb) < min(rc, rd) or max(rc, rd) < min(ra, rb)
 
 

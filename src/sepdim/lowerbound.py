@@ -16,12 +16,13 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import permutations as iter_permutations
 
+import numpy as np
+
 from .exact import exact_pi_subdivided_clique
-from .families import Permutation, PermutationFamily, verify_pairwise_suitable
+from .families import PermutationFamily, verify_pairwise_suitable
 from .graphs import Graph, SubdivisionMap, make_edge
 from .posets import (
     DimensionBudgetExceeded,
-    Realizer,
     canonical_interval_order,
     exact_poset_dimension,
     is_realizer,
@@ -81,17 +82,18 @@ def common_monotone_subset(fam: PermutationFamily, target) -> MonotoneSubsetResu
     """
     if not len(fam):
         raise ValueError("family must have at least one member")
+    pos = {v: j for j, v in enumerate(fam.ground_set)}
     target = sorted(set(target))
-    if any(v not in fam.members[0].ranks for v in target):
+    if any(v not in pos for v in target):
         raise ValueError("target is not contained in the ground set")
-    current = sorted(target, key=fam.members[0].rank)
+    ranks = fam.rank_matrix.tolist()
+    current = sorted((pos[v] for v in target), key=ranks[0].__getitem__)
     directions = [1]
-    for member in fam.members[1:]:
-        seq = [member.rank(x) for x in current]
-        indices, direction = longest_monotone_indices(seq)
+    for row in ranks[1:]:
+        indices, direction = longest_monotone_indices([row[j] for j in current])
         current = [current[i] for i in indices]
         directions.append(direction)
-    return MonotoneSubsetResult(tuple(current), tuple(directions))
+    return MonotoneSubsetResult(tuple(fam.ground_set[j] for j in current), tuple(directions))
 
 
 def best_monotone_subset(fam: PermutationFamily, target) -> MonotoneSubsetResult:
@@ -125,8 +127,8 @@ def _graph_from_subdivision(smap: SubdivisionMap) -> Graph:
     return Graph.build(verts, edges)
 
 
-def _monotone_direction(member: Permutation, xs: tuple[int, ...]) -> int:
-    ranks = [member.rank(x) for x in xs]
+def _monotone_direction(order: list[int], xs: tuple[int, ...]) -> int:
+    ranks = [order.index(x) for x in xs]
     if ranks == sorted(ranks):
         return 1
     if ranks == sorted(ranks, reverse=True):
@@ -146,11 +148,10 @@ def normalize_lower_bound_family(
     here signals an implementation bug.
     """
     gsub = _graph_from_subdivision(smap)
-    members = []
-    for member in fam.members:
-        if _monotone_direction(member, xs) < 0:
-            member = member.reverse()
-        members.append(list(member.order))
+    members = fam.id_orders()
+    for order in members:
+        if _monotone_direction(order, xs) < 0:
+            order.reverse()
 
     pairs = [
         (s, t) for s in range(len(xs)) for t in range(s + 1, len(xs))
@@ -178,7 +179,7 @@ def normalize_lower_bound_family(
 
 def extract_realizer(
     fam: PermutationFamily, smap: SubdivisionMap, xs: tuple[int, ...]
-) -> Realizer:
+) -> tuple[tuple, ...]:
     """One linear extension of C_|xs| per member, ordered by mid ranks.
 
     For a normalized suitable family the extensions must reverse every
@@ -187,14 +188,12 @@ def extract_realizer(
     p = len(xs)
     cn = canonical_interval_order(p)
 
-    def mid_of(interval: tuple[int, int]) -> int:
-        return smap.mid_of[make_edge(xs[interval[0] - 1], xs[interval[1] - 1])]
-
-    extensions = []
-    for member in fam.members:
-        ext = tuple(sorted(cn.intervals, key=lambda iv: member.rank(mid_of(iv))))
-        extensions.append(ext)
-    realizer = Realizer(tuple(extensions))
+    pos = {v: j for j, v in enumerate(fam.ground_set)}
+    mids = [pos[smap.mid_of[make_edge(xs[a - 1], xs[b - 1])]] for a, b in cn.intervals]
+    realizer = tuple(
+        tuple(cn.intervals[i] for i in row)
+        for row in np.argsort(fam.rank_matrix[:, mids], axis=1).tolist()
+    )
     if not is_realizer(realizer, cn.poset):
         raise AssertionError("extracted extensions do not realize the canonical order")
     return realizer
@@ -237,7 +236,7 @@ class HarnessReport:
     floor: int | None
     floor_met: bool | None
     normalized: PermutationFamily | None
-    realizer: Realizer | None
+    realizer: tuple[tuple, ...] | None
     canonical_dimension: int | None
     canonical_lower_bound: int | None
     bound_holds: bool | None

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .families import Permutation
 from .graphs import Graph
 
 
@@ -96,16 +95,6 @@ def height(p: Poset) -> int:
     return max(longest)
 
 
-@dataclass(frozen=True)
-class Realizer:
-    """A set of linear extensions whose intersection is the target order."""
-
-    extensions: tuple[tuple, ...]
-
-    def __len__(self) -> int:
-        return len(self.extensions)
-
-
 def is_linear_extension(order, p: Poset) -> bool:
     if sorted(order) != sorted(p.elements):
         return False
@@ -113,14 +102,16 @@ def is_linear_extension(order, p: Poset) -> bool:
     return all(pos[x] < pos[y] for x, y in p.relation)
 
 
-def is_realizer(r: Realizer, p: Poset) -> bool:
-    """All extensions valid, and every incomparable pair reversed somewhere."""
-    if not r.extensions:
+def is_realizer(extensions, p: Poset) -> bool:
+    """A realizer: linear extensions whose intersection is `p`.  True iff
+    every extension is valid and every incomparable pair is reversed in
+    some extension."""
+    if not extensions:
         return not p.elements
-    for ext in r.extensions:
+    for ext in extensions:
         if not is_linear_extension(ext, p):
             return False
-    positions = [{x: i for i, x in enumerate(ext)} for ext in r.extensions]
+    positions = [{x: i for i, x in enumerate(ext)} for ext in extensions]
     for x, y in p.incomparable_pairs():
         if all(pos[x] < pos[y] for pos in positions):
             return False
@@ -160,17 +151,21 @@ class IntervalOrder:
         return len(self.intervals)
 
 
-def interval_order_from(g: Graph, sigma: Permutation) -> IntervalOrder:
-    """The interval order of a graph under a vertex ordering.
+def interval_order_from(g: Graph, sigma) -> IntervalOrder:
+    """The interval order of a graph under a vertex ordering `sigma`, a
+    sequence of vertex ids.
 
     Each edge becomes the open interval between the ranks of its
     endpoints; edges never share both ranks, so intervals are distinct.
     """
-    if sigma.domain != frozenset(g.vertices):
+    rank = {v: i + 1 for i, v in enumerate(sigma)}
+    if len(rank) != len(sigma):
+        raise ValueError("permutation contains repeated vertices")
+    if rank.keys() != set(g.vertices):
         raise ValueError("permutation does not cover the graph vertices")
     intervals = []
     for u, v in g.edges:
-        ru, rv = sigma.rank(u), sigma.rank(v)
+        ru, rv = rank[u], rank[v]
         intervals.append((min(ru, rv), max(ru, rv)))
     return IntervalOrder.build(intervals)
 
@@ -190,7 +185,7 @@ def canonical_interval_order(n: int) -> IntervalOrder:
 @dataclass(frozen=True)
 class PosetDimensionResult:
     dimension: int | None
-    realizer: Realizer | None
+    realizer: tuple[tuple, ...] | None
     exceeded: bool
     nodes: int
 
@@ -251,7 +246,7 @@ def exact_poset_dimension(
     m = len(elements)
     if m <= 1 or p.is_chain:
         ext = tuple(_topological(p))
-        return PosetDimensionResult(1, Realizer((ext,)), False, 0)
+        return PosetDimensionResult(1, (ext,), False, 0)
 
     index = {x: i for i, x in enumerate(elements)}
     base_up = [0] * m
@@ -268,11 +263,10 @@ def exact_poset_dimension(
         if budget <= 0:
             raise DimensionBudgetExceeded("poset dimension budget exhausted")
         if result[0] is not None:
-            orders = [
+            realizer = tuple(
                 tuple(elements[i] for i in _topo_indices(exts.up[e], m))
                 for e in range(t)
-            ]
-            realizer = Realizer(tuple(orders))
+            )
             if not is_realizer(realizer, p):
                 raise AssertionError("dimension search produced an invalid realizer")
             return PosetDimensionResult(t, realizer, False, nodes)
@@ -301,28 +295,32 @@ def _dimension_dfs(exts: _Extensions, inc_pairs, budget: int):
                 out.append(((a, b), filtered))
         return out
 
-    def dfs() -> bool:
-        nonlocal nodes
+    # one frame per expanded node on the current path: its requirement,
+    # its untried candidates, and the undo record of the child explored
+    stack = []
+    while True:
         nodes += 1
         if nodes > budget:
             raise DimensionBudgetExceeded("poset dimension budget exhausted")
         pending = needs()
         if not pending:
-            return True
-        (a, b), cands = min(pending, key=lambda item: (len(item[1]), item[0]))
-        if not cands:
-            return False
-        for e in cands:
-            was_touched = exts.touched[e]
-            changes = exts.commit(e, a, b)
-            exts.touched[e] = True
-            if dfs():
-                return True
-            exts.rollback(changes)
-            exts.touched[e] = was_touched
-        return False
-
-    return (True, nodes) if dfs() else (None, nodes)
+            return True, nodes
+        pair, cands = min(pending, key=lambda item: (len(item[1]), item[0]))
+        stack.append((pair, iter(cands), []))
+        while stack:  # backtrack to the deepest untried candidate
+            (a, b), untried, undo = stack[-1]
+            if undo:
+                changes, e, was_touched = undo.pop()
+                exts.rollback(changes)
+                exts.touched[e] = was_touched
+            e = next(untried, None)
+            if e is not None:
+                undo.append((exts.commit(e, a, b), e, exts.touched[e]))
+                exts.touched[e] = True
+                break
+            stack.pop()
+        else:
+            return None, nodes
 
 
 def _topo_indices(up: list[int], m: int) -> list[int]:
@@ -357,7 +355,7 @@ def _topological(p: Poset) -> list:
 # ---------------------------------------------------------------------------
 
 
-def realizer_heuristic(c: IntervalOrder) -> Realizer:
+def realizer_heuristic(c: IntervalOrder) -> tuple[tuple, ...]:
     """Small (not necessarily optimal) realizer of an interval order.
 
     Sweeps a fixed rotation of endpoint sort keys, then patches any
@@ -366,12 +364,12 @@ def realizer_heuristic(c: IntervalOrder) -> Realizer:
     """
     p = c.poset
     if len(c) == 0:
-        return Realizer(((),))
+        return ((),)
     if len(c) == 1:
-        return Realizer((tuple(c.intervals),))
+        return (tuple(c.intervals),)
     if not p.relation:
         base = tuple(sorted(c.intervals))
-        return Realizer((base, base[::-1]))
+        return base, base[::-1]
 
     keys = [
         lambda iv: (iv[1], -iv[0]),
@@ -384,8 +382,8 @@ def realizer_heuristic(c: IntervalOrder) -> Realizer:
         ext = tuple(sorted(c.intervals, key=key))
         if ext not in extensions:
             extensions.append(ext)
-        if is_realizer(Realizer(tuple(extensions)), p):
-            return Realizer(tuple(extensions))
+        if is_realizer(extensions, p):
+            return tuple(extensions)
         # drop an extension that added nothing toward reversing pairs
         if len(extensions) > 1 and _reversed_pairs(extensions, p) == _reversed_pairs(extensions[:-1], p):
             extensions.pop()
@@ -395,10 +393,9 @@ def realizer_heuristic(c: IntervalOrder) -> Realizer:
         if not missing:
             break
         extensions.append(_patch_extension(missing, p))
-    realizer = Realizer(tuple(extensions))
-    if not is_realizer(realizer, p):
+    if not is_realizer(extensions, p):
         raise AssertionError("heuristic produced an invalid realizer")
-    return realizer
+    return tuple(extensions)
 
 
 def _reversed_pairs(extensions, p: Poset) -> set:

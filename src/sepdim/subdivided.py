@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import Permutation, PermutationFamily, verify_pairwise_suitable
+from .families import PermutationFamily, verify_pairwise_suitable
 from .graphs import (
     Graph,
     SubdivisionMap,
@@ -113,7 +113,7 @@ class SubdividedBoundResult:
     family: PermutationFamily
     subdivided: Graph
     subdivision: SubdivisionMap
-    sigma: Permutation
+    sigma: tuple[int, ...]
     num_classes: int
     interval_height: int
     base: Suitable3Result
@@ -124,12 +124,13 @@ class SubdividedBoundResult:
         return len(self.base.family)
 
 
-def interval_height(g: Graph, sigma: Permutation) -> int:
-    """Height of g's interval order under σ (edge uv is the open interval
-    between the σ-ranks of u and v), by the greedy interval schedule:
-    take intervals by right end, keeping each that starts at or after
-    the last kept end."""
-    ends = sorted(sorted((sigma.rank(u), sigma.rank(v)), reverse=True) for u, v in g.edges)
+def interval_height(g: Graph, sigma) -> int:
+    """Height of g's interval order under σ, a sequence of g's vertex ids
+    (edge uv is the open interval between the σ-ranks of u and v), by the
+    greedy interval schedule: take intervals by right end, keeping each
+    that starts at or after the last kept end."""
+    rank = {v: i for i, v in enumerate(sigma)}
+    ends = sorted(sorted((rank[u], rank[v]), reverse=True) for u, v in g.edges)
     chain, last = 0, 0
     for right, left in ends:
         if left >= last:
@@ -148,7 +149,7 @@ def colored_subdivision_family(g: Graph, check: bool = True) -> SubdividedBoundR
     passes check=False.
     """
     classes = color_classes(greedy_coloring(g, degeneracy_order(g)))
-    sigma = Permutation([v for cls in classes for v in cls])
+    sigma = tuple(v for cls in classes for v in cls)
     gsub, smap = subdivide(g)
     family, base = subdivision_family(g, classes)
     h = interval_height(g, sigma)

@@ -8,7 +8,6 @@ import time
 
 from sepdim.exact import exact_separation_dimension
 from sepdim.families import (
-    Permutation,
     PermutationFamily,
     verify_auto,
     verify_k_suitable,
@@ -21,7 +20,6 @@ from sepdim.lowerbound import (
     lower_bound_harness,
 )
 from sepdim.posets import (
-    Realizer,
     canonical_interval_order,
     exact_poset_dimension,
     is_linear_extension,
@@ -61,7 +59,7 @@ def test_criterion_1_degenerate_pipeline():
                 g = random_k_degenerate_graph(n, k, seed=seed)
                 per_graph = time.time()
                 result = degenerate_family(g)
-                size = len(result.family.members)
+                size = len(result.family)
                 expected = 2 * result.forest_count * result.base_size
                 bound = 4 * k * result.base_size
                 if size != expected or size > bound:
@@ -93,7 +91,7 @@ def test_criterion_2_exact_ground_truth():
     c4 = cycle(4)
     pairs = list(disjoint_edge_pairs(c4))
     if any(
-        all(separates(Permutation(order), e, f) for e, f in pairs)
+        all(separates(order, e, f) for e, f in pairs)
         for order in iperm(c4.vertices)
     ):
         failures.append(("c4 single-permutation refutation",))
@@ -147,7 +145,7 @@ def test_criterion_3_canonical_interval_order():
         brute = None
         for t in range(1, 4):
             if any(
-                is_realizer(Realizer(tuple(combo)), p)
+                is_realizer(tuple(combo), p)
                 for combo in combinations_with_replacement(exts, t)
             ):
                 brute = t
@@ -175,7 +173,7 @@ def test_criterion_4_subdivision_pipeline():
         except AssertionError as exc:
             failures.append((seed, "pipeline", str(exc)))
             continue
-        if g.edges and len(result.family.members) != result.realizer_size + 2:
+        if g.edges and len(result.family) != result.realizer_size + 2:
             failures.append((seed, "size"))
         if result.interval_height > result.num_classes - 1:
             failures.append((seed, "height"))
@@ -183,8 +181,8 @@ def test_criterion_4_subdivision_pipeline():
         if not witness.ok:
             failures.append((seed, "verify", witness.counterexample))
     c4 = colored_subdivision_family(cycle(4))
-    if len(c4.family.members) != 3:
-        failures.append(("c4 size", len(c4.family.members)))
+    if len(c4.family) != 3:
+        failures.append(("c4 size", len(c4.family)))
     _report("criterion 4: subdivision pipeline", failures, started)
 
 
@@ -227,7 +225,7 @@ def test_criterion_6_erdos_szekeres():
             b = list(range(size))
             rng.shuffle(a)
             rng.shuffle(b)
-            fam = PermutationFamily.build(range(size), [Permutation(a), Permutation(b)])
+            fam = PermutationFamily.build(range(size), [a, b])
             res = common_monotone_subset(fam, range(size))
             if len(res.vertices) < m + 1:
                 failures.append((m, trial, len(res.vertices)))

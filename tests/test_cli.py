@@ -200,6 +200,22 @@ class TestVerify:
         assert main(["verify", p4_file, str(fam)]) == 2
 
 
+class TestOptions:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "g.txt", "fam.json", "--seed", "1"],
+        ["verify", "g.txt", "fam.json", "--budget", "5"],
+        ["bound-degenerate", "g.txt", "--budget", "5"],
+        ["bound-subdivision", "g.txt", "--budget", "5"],
+        ["canonical-dim", "3", "--seed", "1"],
+    ])
+    def test_options_no_command_reads_are_rejected(self, argv, capsys):
+        # argparse exits 2 on an unknown option, before any file is read
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestCanonicalDim:
     def test_n3(self, capsys):
         assert main(["canonical-dim", "3", "--format", "structured"]) == 0

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from sepdim.families import (
     BLOCK_ROWS,
     DENSE_MEMBERS,
-    Permutation,
     PermutationFamily,
     SeparationWitness,
     disjoint_edge_pairs,
@@ -35,7 +34,7 @@ def brute_verify(fam, g):
         for f in edges[i + 1:]:
             if set(e) & set(f):
                 continue
-            if not any(separates(m, e, f) for m in fam.members):
+            if not any(separates(m, e, f) for m in fam.id_orders()):
                 return (e, f)
     return None
 
@@ -51,33 +50,32 @@ K3 = Graph.from_edges([(1, 2), (1, 3), (2, 3)])
 
 class TestSeparates:
     def test_blocks_in_order(self):
-        p = Permutation((10, 11, 12, 13))
+        p = (10, 11, 12, 13)
         assert separates(p, (10, 11), (12, 13))
 
     def test_interleaved(self):
-        p = Permutation((1, 3, 2, 4))
+        p = (1, 3, 2, 4)
         assert not separates(p, (1, 2), (3, 4))
 
     def test_nested(self):
-        p = Permutation((1, 3, 4, 2))
+        p = (1, 3, 4, 2)
         assert not separates(p, (1, 2), (3, 4))
 
     def test_non_disjoint_rejected(self):
-        p = Permutation((1, 2, 3))
+        p = (1, 2, 3)
         with pytest.raises(ValueError, match="disjoint"):
             separates(p, (1, 2), (2, 3))
 
     def test_outside_domain_rejected(self):
-        p = Permutation((1, 2, 3, 4))
+        p = (1, 2, 3, 4)
         with pytest.raises(ValueError, match="domain"):
             separates(p, (1, 2), (3, 9))
 
     @given(st.permutations(list(range(6))))
-    def test_symmetric_and_reversal_invariant(self, order):
-        p = Permutation(order)
+    def test_symmetric_and_reversal_invariant(self, p):
         e, f = (0, 1), (2, 3)
         assert separates(p, e, f) == separates(p, f, e)
-        assert separates(p, e, f) == separates(p.reverse(), e, f)
+        assert separates(p, e, f) == separates(p[::-1], e, f)
 
 
 class TestVerifyPairwiseSuitable:
@@ -86,20 +84,20 @@ class TestVerifyPairwiseSuitable:
         assert verify_pairwise_suitable(fam, K3).ok
 
     def test_c4_single_identity_counterexample(self):
-        fam = PermutationFamily.build([1, 2, 3, 4], [Permutation((1, 2, 3, 4))])
+        fam = PermutationFamily.build([1, 2, 3, 4], [(1, 2, 3, 4)])
         witness = verify_pairwise_suitable(fam, C4)
         assert not witness.ok
         assert witness.counterexample == ((1, 4), (2, 3))
 
     def test_c4_two_members_ok(self):
         fam = PermutationFamily.build(
-            [1, 2, 3, 4], [Permutation((1, 2, 3, 4)), Permutation((2, 3, 4, 1))]
+            [1, 2, 3, 4], [(1, 2, 3, 4), (2, 3, 4, 1)]
         )
         assert brute_verify(fam, C4) is None  # oracle first
         assert verify_pairwise_suitable(fam, C4).ok
 
     def test_ground_set_mismatch(self):
-        fam = PermutationFamily.build([1, 2, 3], [Permutation((1, 2, 3))])
+        fam = PermutationFamily.build([1, 2, 3], [(1, 2, 3)])
         with pytest.raises(ValueError, match="ground set"):
             verify_pairwise_suitable(fam, C4)
 
@@ -116,7 +114,7 @@ class TestVerifyPairwiseSuitable:
             for _ in range(rng.randint(0, 3)):
                 order = list(range(n))
                 rng.shuffle(order)
-                members.append(Permutation(order))
+                members.append(order)
             fam = PermutationFamily.build(range(n), members)
             expected = brute_verify(fam, g)
             witness = verify_pairwise_suitable(fam, g)
@@ -139,7 +137,7 @@ class TestVerifyPairwiseSuitable:
                 found += 1
                 e, f = witness.counterexample
                 assert e in g.edges and f in g.edges and not set(e) & set(f)
-                assert not any(separates(p, e, f) for p in fam.members)
+                assert not any(separates(p, e, f) for p in fam.id_orders())
         assert found > 10
 
     @pytest.mark.parametrize("m", [0, 1])
@@ -151,7 +149,7 @@ class TestVerifyPairwiseSuitable:
         assert verify_pairwise_suitable_sampled(fam, g, 10, seed=0).ok
 
     def test_sampled_needs_a_sample(self):
-        fam = PermutationFamily.build([1, 2, 3, 4], [Permutation((1, 2, 3, 4))])
+        fam = PermutationFamily.build([1, 2, 3, 4], [(1, 2, 3, 4)])
         with pytest.raises(ValueError, match="sample"):
             verify_pairwise_suitable_sampled(fam, C4, 0, seed=0)
 
@@ -224,17 +222,17 @@ class TestVerifyPairwiseSuitable:
 
     def test_counterexample_is_lex_smallest(self):
         g = Graph.from_edges([(1, 2), (3, 4), (5, 6)])
-        fam = PermutationFamily.build(range(1, 7), [Permutation((1, 3, 2, 4, 5, 6))])
+        fam = PermutationFamily.build(range(1, 7), [(1, 3, 2, 4, 5, 6)])
         witness = verify_pairwise_suitable(fam, g)
         assert witness.counterexample == ((1, 2), (3, 4))
 
     def test_reversal_closure(self):
         fam = PermutationFamily.build(
-            [1, 2, 3, 4], [Permutation((1, 2, 3, 4)), Permutation((2, 3, 4, 1))]
+            [1, 2, 3, 4], [(1, 2, 3, 4), (2, 3, 4, 1)]
         )
         for i in range(2):
-            members = list(fam.members)
-            members[i] = members[i].reverse()
+            members = fam.id_orders()
+            members[i].reverse()
             flipped = PermutationFamily.build(fam.ground_set, members)
             assert verify_pairwise_suitable(flipped, C4).ok
 
@@ -265,26 +263,26 @@ class TestVerifyPairwiseSuitable:
         sampled = verify_auto(fam, g, samples=m * (m - 1) // 2 - 1)
         assert sampled.ok and sampled.verification == "sampled"
 
-        one = PermutationFamily.build(ids, [Permutation(ids)])
+        one = PermutationFamily.build(ids, [ids])
         expected = verify_pairwise_suitable(one, g)
         assert not expected.ok and expected.counterexample == brute_verify(one, g)
         assert verify_auto(one, g, samples=10**6) == expected
         bad = verify_auto(one, g, samples=200, seed=1)
         assert not bad.ok and bad.verification == "sampled"
         e, f = bad.counterexample
-        assert not any(separates(p, e, f) for p in one.members)
+        assert not any(separates(p, e, f) for p in one.id_orders())
 
 
 class TestKSuitable:
     def test_cyclic_rotations_three_suitable(self):
         fam = PermutationFamily.build(
             [1, 2, 3],
-            [Permutation((1, 2, 3)), Permutation((2, 3, 1)), Permutation((3, 1, 2))],
+            [(1, 2, 3), (2, 3, 1), (3, 1, 2)],
         )
         assert verify_k_suitable(fam, 3)
 
     def test_single_member_not_three_suitable(self):
-        fam = PermutationFamily.build([1, 2, 3], [Permutation((1, 2, 3))])
+        fam = PermutationFamily.build([1, 2, 3], [(1, 2, 3)])
         assert not verify_k_suitable(fam, 3)
 
     def test_k1_vacuous(self):
@@ -292,14 +290,14 @@ class TestKSuitable:
         assert verify_k_suitable(fam, 1)
 
     def test_k_above_ground_set_vacuous(self):
-        fam = PermutationFamily.build([1, 2], [Permutation((1, 2))])
+        fam = PermutationFamily.build([1, 2], [(1, 2)])
         assert verify_k_suitable(fam, 3)
 
     def test_matches_loop_reference(self):
         def reference(fam, k):
             # the definition: each element of each k-set is some member's last
             return all(
-                len({max(subset, key=m.rank) for m in fam.members}) == k
+                len({max(subset, key=m.index) for m in fam.id_orders()}) == k
                 for subset in itertools.combinations(fam.ground_set, k)
             )
 
@@ -319,7 +317,7 @@ class TestKSuitable:
 class TestFamilyArray:
     def test_views_follow_orders(self):
         fam = PermutationFamily((3, 7, 9), np.array([[2, 0, 1], [0, 1, 2]]))
-        assert [m.order for m in fam.members] == [(9, 3, 7), (3, 7, 9)]
+        assert fam.id_orders() == [[9, 3, 7], [3, 7, 9]]
         assert fam.rank_matrix.tolist() == [[2, 3, 1], [1, 2, 3]]
         assert fam == PermutationFamily.build([9, 7, 3], [(9, 3, 7), (3, 7, 9)])
         assert len(fam) == 2 and not fam.orders.flags.writeable
@@ -349,16 +347,16 @@ class TestFamilyArray:
 
 class TestEmbeddings:
     def test_single_member(self):
-        fam = PermutationFamily.build([5, 6], [Permutation((5, 6))])
+        fam = PermutationFamily.build([5, 6], [(5, 6)])
         assert embedding_from_family(fam) == {5: (1,), 6: (2,)}
 
     def test_two_members(self):
-        fam = PermutationFamily.build([1, 2], [Permutation((1, 2)), Permutation((2, 1))])
+        fam = PermutationFamily.build([1, 2], [(1, 2), (2, 1)])
         assert embedding_from_family(fam) == {1: (1, 2), 2: (2, 1)}
 
     def test_round_trip(self):
         fam = PermutationFamily.build(
-            [1, 2, 3], [Permutation((2, 1, 3)), Permutation((3, 2, 1))]
+            [1, 2, 3], [(2, 1, 3), (3, 2, 1)]
         )
         back = family_from_embedding(embedding_from_family(fam))
         assert back == fam
@@ -370,7 +368,7 @@ class TestEmbeddings:
 
     def test_tie_break_by_id(self):
         fam = family_from_embedding({1: (0.0,), 2: (0.0,)})
-        assert fam.members[0].order == (1, 2)
+        assert fam.id_orders()[0] == [1, 2]
 
     def test_inconsistent_dimensions(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -380,7 +378,7 @@ class TestEmbeddings:
 class TestSerialization:
     def test_round_trip_bit_exact(self):
         fam = PermutationFamily.build(
-            [0, 2, 5], [Permutation((2, 0, 5)), Permutation((5, 2, 0))]
+            [0, 2, 5], [(2, 0, 5), (5, 2, 0)]
         )
         text = family_to_json(fam, seed=42, generator="test")
         loaded, doc = family_from_json(text)
@@ -391,6 +389,32 @@ class TestSerialization:
     def test_inconsistent_document_rejected(self):
         with pytest.raises(ValueError):
             family_from_json('{"n": 5, "ground_set": [1], "permutations": [[1]]}')
+
+
+@st.composite
+def graphs_with_families(draw):
+    """A graph on at most 7 (sparse) ids with 1-4 random member orders."""
+    ids = sorted(draw(st.sets(st.integers(0, 40), min_size=2, max_size=7)))
+    edges = draw(st.lists(st.sampled_from(list(itertools.combinations(ids, 2))), unique=True))
+    members = draw(st.lists(st.permutations(ids), min_size=1, max_size=4))
+    return Graph.build(ids, edges), PermutationFamily.build(ids, members)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_families(), st.integers(1, 60), st.integers(0, 2**32 - 1))
+def test_verifiers_against_brute_oracle(graph_family, samples, seed):
+    g, fam = graph_family
+    expected = brute_verify(fam, g)
+    witness = verify_pairwise_suitable(fam, g)
+    assert witness.ok == (expected is None)
+    assert witness.counterexample == expected
+    sampled = verify_pairwise_suitable_sampled(fam, g, samples, seed)
+    if expected is None:
+        assert sampled.ok
+    if not sampled.ok:
+        e, f = sampled.counterexample
+        assert e in g.edges and f in g.edges and not set(e) & set(f)
+        assert not any(separates(m, e, f) for m in fam.id_orders())
 
 
 @settings(max_examples=60)

@@ -7,7 +7,7 @@ from itertools import combinations, permutations
 from hypothesis import given, settings, strategies as st
 
 from sepdim.exact import exact_pi_subdivided_clique
-from sepdim.families import Permutation, PermutationFamily, verify_pairwise_suitable
+from sepdim.families import PermutationFamily, verify_pairwise_suitable
 from sepdim.graphs import Graph, subdivide
 from sepdim.lowerbound import (
     best_monotone_subset,
@@ -59,26 +59,23 @@ class TestPatience:
 
 class TestCommonMonotoneSubset:
     def test_single_member_returns_target(self):
-        fam = PermutationFamily.build(range(5), [Permutation((3, 1, 4, 0, 2))])
+        fam = PermutationFamily.build(range(5), [(3, 1, 4, 0, 2)])
         res = common_monotone_subset(fam, range(5))
         assert set(res.vertices) == set(range(5))
         assert res.directions == (1,)
 
     def test_two_members_known_pair(self):
-        fam = PermutationFamily.build(
-            range(1, 6),
-            [Permutation((1, 2, 3, 4, 5)), Permutation((2, 1, 4, 3, 5))],
-        )
+        fam = PermutationFamily.build(range(1, 6), [(1, 2, 3, 4, 5), (2, 1, 4, 3, 5)])
         res = common_monotone_subset(fam, range(1, 6))
         assert len(res.vertices) >= 3
         # every member restricted to the subset is monotone
-        for member, direction in zip(fam.members, res.directions):
-            ranks = [member.rank(v) for v in res.vertices]
+        for member, direction in zip(fam.id_orders(), res.directions):
+            ranks = [member.index(v) for v in res.vertices]
             expected = sorted(ranks) if direction > 0 else sorted(ranks, reverse=True)
             assert ranks == expected
 
     def test_identical_members_keep_everything(self):
-        p = Permutation((4, 2, 0, 3, 1))
+        p = (4, 2, 0, 3, 1)
         fam = PermutationFamily.build(range(5), [p, p, p])
         res = common_monotone_subset(fam, range(5))
         assert len(res.vertices) == 5
@@ -94,9 +91,7 @@ class TestCommonMonotoneSubset:
                 b = list(range(size))
                 rng.shuffle(a)
                 rng.shuffle(b)
-                fam = PermutationFamily.build(
-                    range(size), [Permutation(a), Permutation(b)]
-                )
+                fam = PermutationFamily.build(range(size), [a, b])
                 res = common_monotone_subset(fam, range(size))
                 assert len(res.vertices) >= m + 1
 
@@ -149,8 +144,8 @@ class TestNormalizeAndExtract:
         subset = best_monotone_subset(fam, smap.original_vertices)
         normalized = normalize_lower_bound_family(fam, smap, subset.vertices)
         xs = subset.vertices
-        for member in normalized.members:
-            ranks = [member.rank(x) for x in xs]
+        for member in normalized.id_orders():
+            ranks = [member.index(x) for x in xs]
             assert ranks == sorted(ranks)
 
     def test_mids_between_endpoints(self):
@@ -158,12 +153,13 @@ class TestNormalizeAndExtract:
         subset = best_monotone_subset(fam, smap.original_vertices)
         normalized = normalize_lower_bound_family(fam, smap, subset.vertices)
         xs = subset.vertices
-        for member in normalized.members:
+        for member in normalized.id_orders():
+            rank = {v: i for i, v in enumerate(member)}
             for i in range(len(xs)):
                 for j in range(i + 1, len(xs)):
                     lo, hi = sorted((xs[i], xs[j]))
                     mid = smap.mid_of[(lo, hi)]
-                    assert member.rank(xs[i]) < member.rank(mid) < member.rank(xs[j])
+                    assert rank[xs[i]] < rank[mid] < rank[xs[j]]
 
     def test_normalization_preserves_suitability(self):
         fam, gsub, smap = self._k3_setup()
@@ -177,17 +173,15 @@ class TestNormalizeAndExtract:
         g = Graph.from_edges([(1, 2)])
         gsub, smap = subdivide(g)
         mid = smap.mid_of[(1, 2)]
-        fam = PermutationFamily.build(
-            gsub.vertices, [Permutation((1, 2, mid))]
-        )
+        fam = PermutationFamily.build(gsub.vertices, [(1, 2, mid)])
         normalized = normalize_lower_bound_family(fam, smap, (1, 2))
-        assert normalized.members[0].order == (1, mid, 2)
+        assert normalized.id_orders() == [[1, mid, 2]]
 
     def test_extract_realizer_p2(self):
         g = Graph.from_edges([(1, 2)])
         gsub, smap = subdivide(g)
         mid = smap.mid_of[(1, 2)]
-        fam = PermutationFamily.build(gsub.vertices, [Permutation((1, mid, 2))])
+        fam = PermutationFamily.build(gsub.vertices, [(1, mid, 2)])
         realizer = extract_realizer(fam, smap, (1, 2))
         assert len(realizer) == 1
 
@@ -199,7 +193,7 @@ class TestNormalizeAndExtract:
         p = len(subset.vertices)
         assert is_realizer(realizer, canonical_interval_order(p).poset)
         dim = exact_poset_dimension(canonical_interval_order(p).poset, limit=4).dimension
-        assert len(fam.members) >= dim
+        assert len(fam) >= dim
 
 
 class TestHarness:

@@ -1,16 +1,15 @@
 """Posets, interval orders, realizers, exact dimension, heuristic."""
 
+import sys
 from itertools import permutations
 
 import pytest
 
-from sepdim.families import Permutation
 from sepdim.graphs import Graph
 from sepdim.posets import (
     IntervalOrder,
     Poset,
     PosetError,
-    Realizer,
     canonical_interval_order,
     exact_poset_dimension,
     height,
@@ -32,7 +31,7 @@ def brute_dimension(p: Poset, limit: int) -> int | None:
 
     for t in range(1, limit + 1):
         for combo in combinations_with_replacement(exts, t):
-            if is_realizer(Realizer(tuple(combo)), p):
+            if is_realizer(tuple(combo), p):
                 return t
     return None
 
@@ -71,20 +70,31 @@ class TestHeight:
 class TestIntervalOrder:
     def test_from_path_identity(self):
         g = Graph.from_edges([(1, 2), (2, 3)])
-        order = interval_order_from(g, Permutation((1, 2, 3)))
+        order = interval_order_from(g, (1, 2, 3))
         assert order.intervals == ((1, 2), (2, 3))
         assert order.poset.less((1, 2), (2, 3))
 
     def test_from_triangle(self):
         g = Graph.from_edges([(1, 2), (1, 3), (2, 3)])
-        order = interval_order_from(g, Permutation((1, 2, 3)))
+        order = interval_order_from(g, (1, 2, 3))
         assert order.intervals == ((1, 2), (1, 3), (2, 3))
         assert order.poset.relation == frozenset({((1, 2), (2, 3))})
 
     def test_edgeless(self):
         g = Graph.build([1, 2], [])
-        order = interval_order_from(g, Permutation((1, 2)))
+        order = interval_order_from(g, (1, 2))
         assert order.intervals == ()
+
+    @pytest.mark.parametrize("sigma,match", [
+        ((1, 2, 2, 3), "repeated"),
+        ((1, 2), "cover"),
+        ((1, 2, 3, 4), "cover"),
+        ((1, 2, 4), "cover"),
+    ])
+    def test_rejects_orders_off_the_vertex_set(self, sigma, match):
+        g = Graph.from_edges([(1, 2), (2, 3)])
+        with pytest.raises(ValueError, match=match):
+            interval_order_from(g, sigma)
 
     def test_canonical_counts(self):
         assert len(canonical_interval_order(2)) == 1
@@ -102,16 +112,16 @@ class TestIntervalOrder:
 class TestIsRealizer:
     def test_chain_single_extension(self):
         p = Poset.build([1, 2, 3], [(1, 2), (2, 3)])
-        assert is_realizer(Realizer(((1, 2, 3),)), p)
+        assert is_realizer(((1, 2, 3),), p)
 
     def test_antichain_needs_reversal(self):
         p = Poset.build([1, 2], [])
-        assert not is_realizer(Realizer(((1, 2),)), p)
-        assert is_realizer(Realizer(((1, 2), (2, 1))), p)
+        assert not is_realizer(((1, 2),), p)
+        assert is_realizer(((1, 2), (2, 1)), p)
 
     def test_invalid_extension(self):
         p = Poset.build([1, 2], [(1, 2)])
-        assert not is_realizer(Realizer(((2, 1),)), p)
+        assert not is_realizer(((2, 1),), p)
 
 
 class TestExactDimension:
@@ -153,6 +163,19 @@ class TestExactDimension:
         p = Poset.build([1, 2], [])
         res = exact_poset_dimension(p, limit=1)
         assert res.exceeded and res.dimension is None
+
+    def test_antichain_needs_no_recursion(self):
+        # 20 pairwise overlapping intervals: one search level per
+        # requirement met, deeper than a lowered recursion limit allows
+        p = IntervalOrder.build([(i, 100 + i) for i in range(20)]).poset
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(250)
+        try:
+            res = exact_poset_dimension(p, limit=3)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (res.dimension, res.nodes) == (2, 381)
+        assert is_realizer(res.realizer, p)
 
     def test_standard_example_s3(self):
         # dimension-3 poset: 3 minimal vs 3 maximal elements,

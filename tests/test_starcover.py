@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from sepdim.families import (
-    Permutation,
     separates,
     verify_k_suitable,
     verify_pairwise_suitable,
@@ -21,11 +20,11 @@ from sepdim.starcover import (
 
 def sigma_orders(root_of, base):
     """construct_sigma on ids: `root_of` maps each leaf to its star's root,
-    every other vertex of the base Permutation roots itself."""
-    verts = sorted(base.order)
+    every other vertex of the base order (a tuple of ids) roots itself."""
+    verts = sorted(base)
     positions = {v: j for j, v in enumerate(verts)}
     roots = np.array([positions[root_of.get(v, v)] for v in verts])
-    base_rank = np.array([base.rank(v) for v in verts])
+    base_rank = np.array([base.index(v) + 1 for v in verts])
     forward, backward = construct_sigma(roots, base_rank)
     return tuple(verts[j] for j in forward), tuple(verts[j] for j in backward)
 
@@ -57,18 +56,18 @@ class TestStarRoots:
 class TestConstructSigma:
     def test_two_blocks_identity_base(self):
         a, b, c, d, e = 1, 2, 3, 4, 5
-        base = Permutation((a, b, c, d, e))
+        base = (a, b, c, d, e)
         forward, backward = sigma_orders({b: a, c: a, e: d}, base)
         assert forward == (b, c, a, e, d)
         assert backward == (e, d, b, c, a)
 
     def test_single_block_twin_equal(self):
-        base = Permutation((1, 2, 3))
+        base = (1, 2, 3)
         forward, backward = sigma_orders({2: 1, 3: 1}, base)
         assert forward == backward == (2, 3, 1)
 
     def test_singleton_stars_follow_base(self):
-        base = Permutation((2, 1))
+        base = (2, 1)
         forward, backward = sigma_orders({}, base)
         assert forward == (2, 1)
         assert backward == (1, 2)
@@ -84,14 +83,14 @@ class TestDegenerateFamily:
         g = Graph.from_edges([(1, 2), (2, 3), (3, 4)])
         result = degenerate_family(g)
         assert verify_pairwise_suitable(result.family, g).ok
-        assert len(result.family.members) == 2 * result.forest_count * result.base_size
-        assert len(result.family.members) <= 4 * result.degeneracy * result.base_size
+        assert len(result.family) == 2 * result.forest_count * result.base_size
+        assert len(result.family) <= 4 * result.degeneracy * result.base_size
 
     def test_k4_verified_and_sized(self):
         g = Graph.from_edges([(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
         result = degenerate_family(g)
         assert verify_pairwise_suitable(result.family, g).ok
-        assert len(result.family.members) == 2 * result.forest_count * result.base_size
+        assert len(result.family) == 2 * result.forest_count * result.base_size
 
     def test_deterministic(self):
         g = random_k_degenerate_graph(30, 2, seed=5)
@@ -107,7 +106,7 @@ class TestDegenerateFamily:
     def test_single_vertex(self):
         g = Graph.build([7], [])
         result = degenerate_family(g)
-        assert len(result.family.members) == 0
+        assert len(result.family) == 0
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
@@ -128,6 +127,7 @@ class TestClaimCaseReplay:
         ids = g.vertices
         pos = {v: j for j, v in enumerate(ids)}
         r = result.base_size
+        orders = result.family.id_orders()
         edges = g.edges
         cases_seen = set()
         for i, e in enumerate(edges):
@@ -137,7 +137,7 @@ class TestClaimCaseReplay:
                 fi for fi, roots in enumerate(forests) if roots[a] == b or roots[b] == a
             )
             roots = forests[owner]
-            sub_members = result.family.members[owner * 2 * r:(owner + 1) * 2 * r]
+            sub_members = orders[owner * 2 * r:(owner + 1) * 2 * r]
             star = {ids[j] for j in np.flatnonzero(roots == roots[a])}
             assert set(e) <= star
             for f in edges[i + 1:]:

@@ -40,7 +40,7 @@ class TestBuilders:
         res = build_3_suitable(n)
         assert verify_k_suitable(res.family, 3)
         if n <= 8:
-            orders = [list(m.order) for m in res.family.members]
+            orders = res.family.id_orders()
             assert brute_is_3_suitable(orders, n)
 
     def test_deterministic(self):
@@ -56,12 +56,13 @@ class TestBuilders:
 
         rng = random.Random(0)
         sample = sorted(rng.sample(range(200), 8))
+        orders = res.family.id_orders()
         for triple in combinations(sample, 3):
             for a in triple:
                 others = [x for x in triple if x != a]
                 assert any(
-                    all(m.rank(x) < m.rank(a) for x in others)
-                    for m in res.family.members
+                    all(m.index(x) < m.index(a) for x in others)
+                    for m in orders
                 )
 
     def test_arbitrary_id_universe(self):
