@@ -5,7 +5,6 @@ from .exact import (
     SearchBudgetExceeded,
     exact_pi_subdivided_clique,
     exact_separation_dimension,
-    randomized_family_search,
 )
 from .families import (
     PermutationFamily,

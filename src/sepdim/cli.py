@@ -118,7 +118,6 @@ def cmd_bound_subdivision(args) -> int:
     witness = verify_pairwise_suitable(result.family, result.subdivided)
     report = Report("bound-subdivision")
     report.add("input_digest", digest)
-    report.add("seed", args.seed)
     report.add("vertices", g.num_vertices)
     report.add("edges", g.num_edges)
     report.add("subdivided_vertices", result.subdivided.num_vertices)
@@ -136,7 +135,7 @@ def cmd_bound_subdivision(args) -> int:
     report.add("verdict", _witness_str(witness))
     if args.out:
         doc = family_to_json(
-            result.family, seed=args.seed, generator="subdivision-lift",
+            result.family, generator="subdivision-lift",
             extra={"realizer_size": result.realizer_size},
         )
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -161,12 +160,9 @@ def cmd_bound_subdivision(args) -> int:
 def cmd_exact(args) -> int:
     started = time.monotonic()
     g, digest = _read_graph(args.graph)
-    result = exact_separation_dimension(
-        g, limit=args.limit, budget=args.budget, seed=args.seed
-    )
+    result = exact_separation_dimension(g, limit=args.limit, budget=args.budget)
     report = Report("exact")
     report.add("input_digest", digest)
-    report.add("seed", args.seed)
     report.add("limit", args.limit)
     if result.found:
         report.add("separation_dimension", result.dimension)
@@ -224,11 +220,10 @@ def cmd_canonical_dim(args) -> int:
 def cmd_lower_harness(args) -> int:
     started = time.monotonic()
     n = args.n
-    rep = lower_bound_harness(n, seed=args.seed, budget=args.budget or None)
+    rep = lower_bound_harness(n, budget=args.budget)
     report = Report("lower-harness")
     report.add("input_digest", _digest(str(n).encode()))
     report.add("n", n)
-    report.add("seed", args.seed)
     report.add("mode", "exact" if rep.exact else "construction-only")
     if rep.pi is not None:
         report.add("separation_dimension", rep.pi)
@@ -258,9 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def options(p, seed=False, budget=False):
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
+    def options(p, budget=False):
         if budget:
             p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                            help="node-expansion cap for exact searches")
@@ -269,20 +262,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound-degenerate", help="star-forest family for a k-degenerate graph")
     p.add_argument("graph")
     p.add_argument("--out", help="write the family file here")
-    options(p, seed=True)
+    p.add_argument("--seed", type=int, default=0, help="seed of the sampled pair check")
+    options(p)
     p.set_defaults(func=cmd_bound_degenerate)
 
     p = sub.add_parser("bound-subdivision", help="family for the fully subdivided graph, lifted from a "
                        "3-suitable family over the colour classes")
     p.add_argument("graph")
     p.add_argument("--out", help="write the family file here")
-    options(p, seed=True)
+    options(p)
     p.set_defaults(func=cmd_bound_subdivision)
 
     p = sub.add_parser("exact", help="exact separation dimension (desk scale)")
     p.add_argument("graph")
     p.add_argument("--limit", type=int, default=4)
-    options(p, seed=True, budget=True)
+    options(p, budget=True)
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("verify", help="verify a family file against a graph")
@@ -299,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lower-harness", help="subdivided-clique lower-bound extraction")
     p.add_argument("n", type=int)
-    options(p, seed=True, budget=True)
+    options(p, budget=True)
     p.set_defaults(func=cmd_lower_harness)
 
     return parser

@@ -18,7 +18,7 @@ from itertools import permutations as iter_permutations
 
 import numpy as np
 
-from .exact import exact_pi_subdivided_clique
+from .exact import DEFAULT_BUDGET, exact_pi_subdivided_clique
 from .families import PermutationFamily, verify_pairwise_suitable
 from .graphs import Graph, SubdivisionMap, make_edge
 from .posets import (
@@ -242,7 +242,7 @@ class HarnessReport:
     bound_holds: bool | None
 
 
-def lower_bound_harness(n: int, seed: int = 0, budget: int | None = None) -> HarnessReport:
+def lower_bound_harness(n: int, budget: int = DEFAULT_BUDGET) -> HarnessReport:
     """Run the full extraction pipeline on K_n^{1/2}.
 
     For n <= 4 the family is an exact-optimal one.  For larger n the
@@ -252,10 +252,9 @@ def lower_bound_harness(n: int, seed: int = 0, budget: int | None = None) -> Har
     """
     if n < 1:
         raise ValueError("n must be positive")
-    kwargs = {"budget": budget} if budget else {}
 
     if n <= 4:
-        result, gsub, smap = exact_pi_subdivided_clique(n, seed=seed, **kwargs)
+        result, gsub, smap = exact_pi_subdivided_clique(n, budget=budget)
         family = result.witness
         pi = result.dimension
         exact = True

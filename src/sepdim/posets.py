@@ -260,8 +260,6 @@ def exact_poset_dimension(
         result = _dimension_dfs(exts, inc_pairs, budget)
         nodes += result[1]
         budget -= result[1]
-        if budget <= 0:
-            raise DimensionBudgetExceeded("poset dimension budget exhausted")
         if result[0] is not None:
             realizer = tuple(
                 tuple(elements[i] for i in _topo_indices(exts.up[e], m))

@@ -152,6 +152,12 @@ class TestExact:
         path.write_text("".join(f"{i} {j}\n" for i in range(1, 7) for j in range(i + 1, 7)))
         assert main(["exact", str(path), "--budget", "5"]) == 3
 
+    def test_budget_bounds_three_members(self, tmp_path, capsys):
+        path = tmp_path / "k44.txt"
+        path.write_text("".join(f"{i} {j}\n" for i in range(1, 5) for j in range(5, 9)))
+        assert main(["exact", str(path), "--budget", "1000"]) == 3
+        assert "budget exceeded" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_counterexample_exit(self, c4_file, tmp_path, capsys):
@@ -207,6 +213,9 @@ class TestOptions:
         ["bound-degenerate", "g.txt", "--budget", "5"],
         ["bound-subdivision", "g.txt", "--budget", "5"],
         ["canonical-dim", "3", "--seed", "1"],
+        ["exact", "g.txt", "--seed", "1"],
+        ["lower-harness", "3", "--seed", "1"],
+        ["bound-subdivision", "g.txt", "--seed", "1"],
     ])
     def test_options_no_command_reads_are_rejected(self, argv, capsys):
         # argparse exits 2 on an unknown option, before any file is read
@@ -246,6 +255,10 @@ class TestLowerHarness:
     def test_construction_meets_floor(self, n, capsys):
         assert main(["lower-harness", str(n), "--format", "structured"]) == 3
         assert json.loads(capsys.readouterr().out)["floor_met"] is True
+
+    def test_budget_zero_exits_three(self, capsys):
+        assert main(["lower-harness", "3", "--budget", "0"]) == 3
+        assert "budget exceeded" in capsys.readouterr().err
 
     def test_large_n_budget_but_construction_runs(self, capsys):
         assert main(["lower-harness", "10", "--format", "structured"]) == 3
@@ -288,19 +301,25 @@ GOLDEN = {
         "fam.json": "09a67237fdba2549af0b4edcb47f38aede33751ba2509ac5a3fd2b5d9a412bf0",
     },
     ("bound-subdivision", "k4"): {
-        "report": "37e385a09269430cafa1fca73ac2b60a48e271605e93de851ae0533026fbcb75",
-        "fam.json": "0d125419429e4ee9285c1349897a7d773fa9bcbf14c19a5a6b36095e9d85dc4c",
+        "report": "41e859c016f7c2d248aa3f91e2e51333e4299d66d1dc20fbf71a3bac40450fc8",
+        "fam.json": "85c3bb99834ce4bf3cc75a4f19bfe9319ef500c8aebde7a7879e0986f4644d33",
         "fam.json.subdivided.txt": "a579d10f211c13b2dbef89b999cc8377f0930643cdef6e9792b5e56ad6e51c37",
         "fam.json.subdivision.json": "ed8bb2dc036a9ad096c497aefc2adc26c9d308fcb3900bae326a430b03af9658",
     },
     ("bound-subdivision", "deg20"): {
-        "report": "5a7c4f743469c9849336d4fc93904dd94bfe6f6d856e5db21e4a82743bbe6f2a",
-        "fam.json": "f8ab87f9ac800af4951a58779e150cafb303d5bad2b5930f8ef6d229c767f5fd",
+        "report": "aec181d83e0260372ad444f78f0475bdfbfda5f159fdeadfc2f75f41b81fe8ab",
+        "fam.json": "ba2f750d8d6c13f1598d737172233ba90ce04bda39bcf6680d6a9e633ce42df6",
         "fam.json.subdivided.txt": "8f5525b545fe6096e5a086d8c18af74d236f24286628874af945753c57a5bbc2",
         "fam.json.subdivision.json": "6d24b306b78a1f6592af9abde9f753a53232f8fdfb70b7e6582a2db8397af7b9",
     },
     ("exact", "c5"): {
-        "report": "81e8fe99aa7fcbf9f184828e623ac21b301bdc6d9b0f5e555cff02f9710c0696",
+        "report": "2ae6a74a504f02a1fb9360dbe29e13456790902740750e5c1602a6aa279111f4",
+    },
+    ("exact", "c8"): {
+        "report": "84163a3274060874e4d59ad066e75e5562cc24bf5a015a8b7c7b1ee903f46f10",
+    },
+    ("exact", "spider9"): {
+        "report": "c2e9cd099ac607cf13dbb39b4fa67b764a8fe28898eeae98d48757f9b8ff027e",
     },
 }
 GOLDEN_GRAPHS = {
@@ -309,6 +328,8 @@ GOLDEN_GRAPHS = {
     "k4": _clique(4),
     "deg20": _spread_degenerate(20, 3),
     "c5": "1 2\n2 3\n3 4\n4 5\n1 5\n",
+    "c8": "".join(f"{i} {i % 8 + 1}\n" for i in range(1, 9)),
+    "spider9": "".join(f"{u} {v}\n" for u, v in [(1, 2), (2, 3), (1, 4), (4, 5), (1, 6), (6, 7), (1, 8), (8, 9)]),
 }
 
 

@@ -1,7 +1,9 @@
-"""Exact separation-dimension search engines."""
+"""Exact separation-dimension search engine."""
 
 import random
+from functools import reduce
 from itertools import combinations, permutations
+from operator import or_
 
 import numpy as np
 import pytest
@@ -10,16 +12,11 @@ from hypothesis import given, settings, strategies as st
 from sepdim import exact
 from sepdim.exact import (
     SearchBudgetExceeded,
-    _Budget,
-    _completion_search,
     _doomed,
     _pair_compatibility,
-    _pair_index,
-    _prefix_engine_two,
     automorphisms,
     exact_pi_subdivided_clique,
     exact_separation_dimension,
-    randomized_family_search,
 )
 from sepdim.families import (
     disjoint_edge_pairs,
@@ -60,6 +57,24 @@ def as_set(autos):
     return {tuple(sorted(m.items())) for m in autos}
 
 
+def brute_dimension(g):
+    """Oracle: the separated-pair sets of all n! orders, then the smallest covering t."""
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    pairs = [([pos[v] for v in e], [pos[v] for v in f]) for e, f in disjoint_edge_pairs(g)]
+    if not pairs:
+        return 0
+    ranks = np.argsort(np.asarray(list(permutations(range(len(pos))))), axis=1)
+    seps = np.stack([_separated_by(ranks, e, f) for e, f in pairs], axis=1)
+    masks = {int.from_bytes(np.packbits(row).tobytes(), "big") for row in seps}
+    full = int.from_bytes(np.packbits(np.ones(len(pairs), dtype=bool)).tobytes(), "big")
+    # a set inside another order's set never helps a smallest cover
+    maximal = [m for m in masks if not any(m != o and m & o == m for o in masks)]
+    t = 1
+    while not any(reduce(or_, c) == full for c in combinations(maximal, t)):
+        t += 1
+    return t
+
+
 def brute_no_single_permutation(g):
     """Oracle: no one permutation separates all disjoint pairs."""
     pairs = list(disjoint_edge_pairs(g))
@@ -95,6 +110,13 @@ class TestGroundTruth:
         r = exact_separation_dimension(complete(5), limit=4)
         assert r.dimension == 3
         assert verify_pairwise_suitable(r.witness, complete(5)).ok
+
+    def test_k35_needs_three_on_eight_vertices(self):
+        g = Graph.from_edges([(u, v) for u in (1, 2, 3) for v in range(4, 9)])
+        assert exact_separation_dimension(g, limit=2).exceeded
+        r = exact_separation_dimension(g, limit=4)
+        assert r.dimension == 3
+        assert verify_pairwise_suitable(r.witness, g).ok
 
     def test_limit_zero_exceeded(self):
         r = exact_separation_dimension(complete(4), limit=0)
@@ -138,31 +160,17 @@ class TestMonotonicity:
                 assert exact_separation_dimension(sub, limit=4).dimension <= pi
 
 
-class TestEngineCrossCheck:
-    def _cross_check(self, g):
-        mask_result = exact_separation_dimension(g, limit=5)
-        budget = _Budget(10_000_000)
-        pairs = list(disjoint_edge_pairs(g))
-        one = _completion_search(g.vertices, pairs, _pair_index(pairs), range(len(pairs)), budget)
-        two = _prefix_engine_two(g, pairs, budget, automorphisms(g))
-        if mask_result.dimension == 0:
-            assert not pairs
-        elif mask_result.dimension == 1:
-            assert one is not None
-        elif mask_result.dimension == 2:
-            assert one is None
-            assert two is not None
-            assert verify_pairwise_suitable(two, g).ok
-        else:
-            assert one is None and two is None
-        if one is not None:
-            assert all(separates(one, e, f) for e, f in pairs)
+def _cross_check(g):
+    r = exact_separation_dimension(g, limit=5)
+    assert r.dimension == brute_dimension(g)
+    assert len(r.witness) == r.dimension
+    assert verify_pairwise_suitable(r.witness, g).ok
 
-    def test_prefix_engine_agrees_with_mask_engine(self):
-        # same instances through both engines: force the prefix path by
-        # calling its internals directly
-        for g in [cycle(4), cycle(5), cycle(6), complete(4), path(6)]:
-            self._cross_check(g)
+
+class TestEngineCrossCheck:
+    def test_prefix_engine_agrees_with_brute_force(self):
+        for g in [cycle(4), cycle(5), cycle(6), complete(4), complete(5), path(6)]:
+            _cross_check(g)
 
     def test_cross_check_random_graphs(self):
         for seed in range(80):
@@ -173,7 +181,7 @@ class TestEngineCrossCheck:
             edges = set()
             while len(edges) < m:
                 edges.add(tuple(sorted(rng.sample(range(1, n + 1), 2))))
-            self._cross_check(Graph.build(range(1, n + 1), edges))
+            _cross_check(Graph.build(range(1, n + 1), edges))
 
 
 def _separated_by(ranks, e, f):
@@ -236,21 +244,14 @@ class TestSubdividedClique:
             exact_pi_subdivided_clique(10)
 
 
-def test_randomized_search_finds_known_family():
-    g = cycle(4)
-    fam = randomized_family_search(g, 2, seed=0, iterations=50_000)
-    assert fam is not None
-    assert verify_pairwise_suitable(fam, g).ok
-
-
 def test_automorphisms_of_cycle():
     autos = automorphisms(cycle(4))
     assert len(autos) == 8  # dihedral group of the 4-cycle
 
 
 @st.composite
-def small_graphs(draw):
-    n = draw(st.integers(1, 7))
+def small_graphs(draw, max_vertices=7):
+    n = draw(st.integers(1, max_vertices))
     ids = sorted(draw(st.sets(st.integers(0, 40), min_size=n, max_size=n)))
     pairs = list(combinations(ids, 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
@@ -324,3 +325,10 @@ def test_complete_graph_dimension_nondecreasing():
             assert verify_pairwise_suitable(r.witness, complete(n)).ok
         values.append(r.dimension)
     assert values == sorted(values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(max_vertices=6))
+def test_dimension_matches_brute_force(g):
+    # sparse ids, and every vertex an edge list misses is isolated
+    _cross_check(g)

@@ -209,7 +209,7 @@ class TestHarness:
         assert rep.bound_holds
 
     def test_construction_only_mode(self):
-        rep = lower_bound_harness(8, seed=0)
+        rep = lower_bound_harness(8)
         assert not rep.exact
         assert rep.realizer is not None
         assert rep.bound_holds

@@ -7,6 +7,7 @@ import pytest
 
 from sepdim.graphs import Graph
 from sepdim.posets import (
+    DimensionBudgetExceeded,
     IntervalOrder,
     Poset,
     PosetError,
@@ -158,6 +159,15 @@ class TestExactDimension:
         res = exact_poset_dimension(p, limit=4)
         assert res.dimension == expected
         assert is_realizer(res.realizer, p)
+
+    @pytest.mark.parametrize("n,nodes", [(4, 12), (5, 49)])
+    def test_budget_equal_to_node_count_suffices(self, n, nodes):
+        # C_5 fails at t = 2 first, so its budget spans two searches
+        p = canonical_interval_order(n).poset
+        assert exact_poset_dimension(p, limit=4).nodes == nodes
+        assert exact_poset_dimension(p, limit=4, budget=nodes).nodes == nodes
+        with pytest.raises(DimensionBudgetExceeded):
+            exact_poset_dimension(p, limit=4, budget=nodes - 1)
 
     def test_exceeded_below_limit(self):
         p = Poset.build([1, 2], [])
