@@ -44,7 +44,6 @@ from .lowerbound import (
     normalize_lower_bound_family,
 )
 from .posets import (
-    DimensionBudgetExceeded,
     IntervalOrder,
     Poset,
     PosetDimensionResult,

@@ -29,7 +29,6 @@ from .families import (
 from .graphs import Graph, GraphFormatError, load_graph, serialize_graph
 from .lowerbound import canonical_dimension_lower_bound, lower_bound_harness
 from .posets import (
-    DimensionBudgetExceeded,
     canonical_interval_order,
     exact_poset_dimension,
 )
@@ -306,7 +305,7 @@ def main(argv=None) -> int:
     except (GraphFormatError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
-    except (SearchBudgetExceeded, DimensionBudgetExceeded) as exc:
+    except SearchBudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return BUDGET
 

@@ -22,7 +22,7 @@ from .exact import DEFAULT_BUDGET, exact_pi_subdivided_clique
 from .families import PermutationFamily, verify_pairwise_suitable
 from .graphs import Graph, SubdivisionMap, make_edge
 from .posets import (
-    DimensionBudgetExceeded,
+    SearchBudgetExceeded,
     canonical_interval_order,
     exact_poset_dimension,
     is_realizer,
@@ -284,7 +284,7 @@ def lower_bound_harness(n: int, budget: int = DEFAULT_BUDGET) -> HarnessReport:
         try:
             dim_res = exact_poset_dimension(canonical_interval_order(p).poset, limit=4)
             dim_cp = dim_res.dimension
-        except DimensionBudgetExceeded:
+        except SearchBudgetExceeded:
             dim_cp = None
     lower = canonical_dimension_lower_bound(p)
     reference = dim_cp if dim_cp is not None else lower

@@ -1,8 +1,15 @@
-"""Strict partial orders, interval orders, realizers, and poset dimension.
+"""Strict partial orders, interval orders, realizers, and the exact
+dimension search.
 
 Elements may be any sortable hashables; interval orders use ``(a, b)``
 integer tuples with ``a < b`` and the rule ``(a, b) < (c, d)`` iff
 ``b <= c``.
+
+`_dimension_dfs` is the one exact engine: it finds the fewest strict
+orders extending a base order that meet a list of "X before Y"
+requirements.  Poset dimension runs it on the poset with one
+requirement per ordered incomparable pair; separation dimension
+(`sepdim.exact`) runs it on the empty order over a graph's vertices.
 """
 
 from __future__ import annotations
@@ -178,8 +185,12 @@ def canonical_interval_order(n: int) -> IntervalOrder:
 
 
 # ---------------------------------------------------------------------------
-# Exact poset dimension
+# Exact dimension search: poset dimension and separation dimension
 # ---------------------------------------------------------------------------
+
+
+class SearchBudgetExceeded(RuntimeError):
+    """An exact search ran out of its node budget (or hit a size guard)."""
 
 
 @dataclass(frozen=True)
@@ -190,135 +201,153 @@ class PosetDimensionResult:
     nodes: int
 
 
-class DimensionBudgetExceeded(RuntimeError):
-    """The poset-dimension search ran out of its node budget."""
-
-
-class _Extensions:
-    """t partial orders over indexed elements, kept transitively closed."""
-
-    def __init__(self, m: int, base_up: list[int], t: int):
-        self.m = m
-        self.t = t
-        self.up = [list(base_up) for _ in range(t)]
-        self.touched = [False] * t
-
-    def forced(self, e: int, x: int, y: int) -> bool:
-        return self.up[e][x] >> y & 1
-
-    def insertable(self, e: int, x: int, y: int) -> bool:
-        return not self.forced(e, y, x)
-
-    def commit(self, e: int, x: int, y: int) -> list[tuple[int, int, int]]:
-        """Add x<y to extension e with incremental transitive closure."""
-        up = self.up[e]
-        changes: list[tuple[int, int, int]] = []
-        if up[x] >> y & 1:
-            return changes
-        above = up[y] | (1 << y)
-        for a in range(self.m):
-            if a == x or (up[a] >> x & 1):
-                new = up[a] | above
-                if new != up[a]:
-                    changes.append((e, a, up[a]))
-                    up[a] = new
-        return changes
-
-    def rollback(self, changes) -> None:
-        for e, a, old in reversed(changes):
-            self.up[e][a] = old
-
-
 def exact_poset_dimension(
     p: Poset, limit: int, budget: int = 2_000_000
 ) -> PosetDimensionResult:
     """Minimum realizer size up to `limit`, with a witness realizer.
 
-    Chains (and the empty or singleton poset) have dimension 1.  The
-    search assigns, for every incomparable pair, both directions to
-    compatible extensions, propagating transitive consequences, choosing
-    the most constrained pair first, and treating untouched extensions
-    as interchangeable.
+    Chains (and the empty or singleton poset) have dimension 1.  Above
+    that, `_dimension_dfs` runs on the order itself with one
+    requirement "a before b" per ordered incomparable pair (a, b).
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
     elements = p.elements
     m = len(elements)
-    if m <= 1 or p.is_chain:
-        ext = tuple(_topological(p))
-        return PosetDimensionResult(1, (ext,), False, 0)
-
     index = {x: i for i, x in enumerate(elements)}
     base_up = [0] * m
     for x, y in p.relation:
         base_up[index[x]] |= 1 << index[y]
-    inc_pairs = [(index[x], index[y]) for x, y in p.incomparable_pairs()]
+    if m <= 1 or p.is_chain:
+        ext = tuple(elements[i] for i in _topo_indices(base_up, m))
+        return PosetDimensionResult(1, (ext,), False, 0)
+
+    directions = []
+    for x, y in p.incomparable_pairs():
+        directions += [(index[x], index[y]), (index[y], index[x])]
+    requirements = [(((a,), (b,)),) for a, b in sorted(directions)]
+    t, relations, nodes = _dimension_dfs(base_up, requirements, 2, limit, budget)
+    if t is None:
+        return PosetDimensionResult(None, None, True, nodes)
+    realizer = tuple(tuple(elements[i] for i in _topo_indices(up, m)) for up in relations)
+    if not is_realizer(realizer, p):
+        raise AssertionError("dimension search produced an invalid realizer")
+    return PosetDimensionResult(t, realizer, False, nodes)
+
+
+def _dimension_dfs(base_up: list[int], requirements, first_t: int, limit: int, budget: int):
+    """Fewest strict orders, from `first_t` up to `limit`, that extend a
+    base order and meet every requirement.
+
+    `base_up[a]` is the bitset of elements above a in the base order,
+    transitively closed.  A requirement is a tuple of alternatives
+    (X, Y) of index tuples, each meaning "all of X before all of Y"; it
+    is met once one alternative holds in one of the t orders.  The t
+    orders start as the base and stay transitively closed.  Each node
+    takes the unmet requirement with the fewest candidates (the earliest
+    one on a tie) and branches over them: a candidate is an order and
+    an alternative that fits it, i.e. no element of Y is already below
+    an element of X there.  Committing X before Y puts everything up
+    from Y above every element at or below X.
+
+    Orders no alternative has touched all equal the base, so only the
+    first of them is a candidate.  On it, an alternative (Y, X) that
+    follows its mirror (X, Y) in the same requirement is skipped when
+    the base is empty and every requirement is mirror-closed (holds the
+    mirror of each of its alternatives).  That is sound: reversing an
+    untouched member of a solution still extends the (empty) base, and
+    meets every requirement it met through the mirrored alternatives,
+    so some solution takes (X, Y) on that member.
+
+    Returns (t, the t closed relations, nodes spent), or (None, None,
+    nodes) when no t up to `limit` works.  Nodes count over every t;
+    SearchBudgetExceeded is raised once they pass `budget`.
+    """
+    m = len(base_up)
+    symmetric = not any(base_up) and all(
+        (ys, xs) in req for req in requirements for xs, ys in req
+    )
+    reqs = [
+        [(xs, sum(1 << x for x in xs), ys, sum(1 << y for y in ys),
+          symmetric and (ys, xs) in req[:i])
+         for i, (xs, ys) in enumerate(req)]
+        for req in requirements
+    ]
     nodes = 0
-
-    for t in range(2, limit + 1):
-        exts = _Extensions(m, base_up, t)
-        result = _dimension_dfs(exts, inc_pairs, budget)
-        nodes += result[1]
-        budget -= result[1]
-        if result[0] is not None:
-            realizer = tuple(
-                tuple(elements[i] for i in _topo_indices(exts.up[e], m))
-                for e in range(t)
-            )
-            if not is_realizer(realizer, p):
-                raise AssertionError("dimension search produced an invalid realizer")
-            return PosetDimensionResult(t, realizer, False, nodes)
-    return PosetDimensionResult(None, None, True, nodes)
-
-
-def _dimension_dfs(exts: _Extensions, inc_pairs, budget: int):
-    nodes = 0
-
-    def needs():
-        """Unmet (pair, direction) requirements with their candidate extensions."""
-        out = []
-        for x, y in inc_pairs:
-            for a, b in ((x, y), (y, x)):
-                if any(exts.forced(e, a, b) for e in range(exts.t)):
-                    continue
-                cands = [e for e in range(exts.t) if exts.insertable(e, a, b)]
+    for t in range(first_t, limit + 1):
+        ups = [list(base_up) for _ in range(t)]
+        touched = [False] * t
+        # one frame per expanded node on the current path: its untried
+        # candidates, and the undo record of the child explored
+        stack = []
+        while True:
+            nodes += 1
+            if nodes > budget:
+                raise SearchBudgetExceeded(f"search budget of {budget} nodes exhausted")
+            best = None
+            for alts in reqs:
+                cands = []
+                met = False
                 fresh_seen = False
-                filtered = []
-                for e in cands:
-                    if not exts.touched[e]:
+                for k in range(t):
+                    fresh = not touched[k]
+                    if fresh:
                         if fresh_seen:
                             continue
                         fresh_seen = True
-                    filtered.append(e)
-                out.append(((a, b), filtered))
-        return out
-
-    # one frame per expanded node on the current path: its requirement,
-    # its untried candidates, and the undo record of the child explored
-    stack = []
-    while True:
-        nodes += 1
-        if nodes > budget:
-            raise DimensionBudgetExceeded("poset dimension budget exhausted")
-        pending = needs()
-        if not pending:
-            return True, nodes
-        pair, cands = min(pending, key=lambda item: (len(item[1]), item[0]))
-        stack.append((pair, iter(cands), []))
-        while stack:  # backtrack to the deepest untried candidate
-            (a, b), untried, undo = stack[-1]
-            if undo:
-                changes, e, was_touched = undo.pop()
-                exts.rollback(changes)
-                exts.touched[e] = was_touched
-            e = next(untried, None)
-            if e is not None:
-                undo.append((exts.commit(e, a, b), e, exts.touched[e]))
-                exts.touched[e] = True
+                    up = ups[k]
+                    for alt in alts:
+                        xs, xb, ys, yb, mirror = alt
+                        for x in xs:
+                            if up[x] & yb != yb:
+                                break
+                        else:
+                            met = True
+                            break
+                        if fresh and mirror:
+                            continue
+                        for y in ys:
+                            if up[y] & xb:
+                                break
+                        else:
+                            cands.append((k, alt))
+                    if met:
+                        break
+                if not met and (best is None or len(cands) < len(best)):
+                    best = cands
+                    if not cands:
+                        break
+            if best is None:
+                return t, ups, nodes
+            stack.append((iter(best), []))
+            while stack:  # backtrack to the deepest untried candidate
+                untried, undo = stack[-1]
+                if undo:
+                    changes, k, was_touched = undo.pop()
+                    up = ups[k]
+                    for a, old in reversed(changes):
+                        up[a] = old
+                    touched[k] = was_touched
+                cand = next(untried, None)
+                if cand is not None:
+                    k, (xs, xb, ys, yb, _) = cand
+                    up = ups[k]
+                    above = yb
+                    for y in ys:
+                        above |= up[y]
+                    changes = []
+                    for a in range(m):
+                        old = up[a]
+                        if (xb >> a & 1 or old & xb) and old | above != old:
+                            changes.append((a, old))
+                            up[a] = old | above
+                    undo.append((changes, k, touched[k]))
+                    touched[k] = True
+                    break
+                stack.pop()
+            else:
                 break
-            stack.pop()
-        else:
-            return None, nodes
+    return None, None, nodes
 
 
 def _topo_indices(up: list[int], m: int) -> list[int]:
@@ -338,14 +367,6 @@ def _topo_indices(up: list[int], m: int) -> list[int]:
             if j in remaining:
                 below_count[j] -= 1
     return out
-
-
-def _topological(p: Poset) -> list:
-    index = {x: i for i, x in enumerate(p.elements)}
-    up = [0] * len(p.elements)
-    for x, y in p.relation:
-        up[index[x]] |= 1 << index[y]
-    return [p.elements[i] for i in _topo_indices(up, len(p.elements))]
 
 
 # ---------------------------------------------------------------------------

@@ -313,13 +313,13 @@ GOLDEN = {
         "fam.json.subdivision.json": "6d24b306b78a1f6592af9abde9f753a53232f8fdfb70b7e6582a2db8397af7b9",
     },
     ("exact", "c5"): {
-        "report": "2ae6a74a504f02a1fb9360dbe29e13456790902740750e5c1602a6aa279111f4",
+        "report": "80c92cc46c2bcbf6e91513f2686e0d35035cc44a7004cf155e546b40e5bc684e",
     },
     ("exact", "c8"): {
-        "report": "84163a3274060874e4d59ad066e75e5562cc24bf5a015a8b7c7b1ee903f46f10",
+        "report": "b5e54a2570d0e8d5863544ef96a89e004ac7a5914e9b139f054504e5d25be127",
     },
     ("exact", "spider9"): {
-        "report": "c2e9cd099ac607cf13dbb39b4fa67b764a8fe28898eeae98d48757f9b8ff027e",
+        "report": "0eba58556aa8e1dbda558da7b038880294b557fa98a0cf754b57d181cd08bc3a",
     },
 }
 GOLDEN_GRAPHS = {
@@ -343,3 +343,18 @@ def test_golden_output(command, graph, tmp_path, monkeypatch, capsys):
     for path in sorted(tmp_path.glob("fam.json*")):
         digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digests == GOLDEN[(command, graph)]
+
+
+# sha256 of the `canonical-dim` text report: the dimension and every
+# realizer extension of C_n
+CANONICAL_DIM_GOLDEN = {
+    5: "41fecceb6115c5e6f4a76ebabccee302e9e8cd9b221460ed10beecf8dd81be84",
+    6: "a8a234163ceb184a92362342f26c9159e8d64b27e32525d99961d146157f1f90",
+    7: "c3ece284ec1135009ff48a50a49ec1564ffac9dd387df93c9f6d691ee2e0e167",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CANONICAL_DIM_GOLDEN))
+def test_canonical_dim_golden(n, capsys):
+    assert main(["canonical-dim", str(n)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CANONICAL_DIM_GOLDEN[n]

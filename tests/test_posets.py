@@ -4,13 +4,14 @@ import sys
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sepdim.graphs import Graph
 from sepdim.posets import (
-    DimensionBudgetExceeded,
     IntervalOrder,
     Poset,
     PosetError,
+    SearchBudgetExceeded,
     canonical_interval_order,
     exact_poset_dimension,
     height,
@@ -166,7 +167,7 @@ class TestExactDimension:
         p = canonical_interval_order(n).poset
         assert exact_poset_dimension(p, limit=4).nodes == nodes
         assert exact_poset_dimension(p, limit=4, budget=nodes).nodes == nodes
-        with pytest.raises(DimensionBudgetExceeded):
+        with pytest.raises(SearchBudgetExceeded):
             exact_poset_dimension(p, limit=4, budget=nodes - 1)
 
     def test_exceeded_below_limit(self):
@@ -195,6 +196,24 @@ class TestExactDimension:
         ]
         p = Poset.build([f"a{i}" for i in range(3)] + [f"b{j}" for j in range(3)], pairs)
         assert exact_poset_dimension(p, limit=4).dimension == 3
+
+
+@st.composite
+def small_posets(draw):
+    # the drawn element order is a linear extension of every drawn pair
+    elements = draw(st.lists(st.integers(0, 20), unique=True, max_size=5))
+    pairs = [(x, y) for i, x in enumerate(elements) for y in elements[i + 1:]]
+    relation = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Poset.build(elements, relation)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_posets())
+def test_dimension_matches_brute_force(p):
+    # at most 5 elements: dimension at most 2 (Hiraguchi), so limit 3 decides
+    res = exact_poset_dimension(p, limit=3)
+    assert res.dimension == brute_dimension(p, 3)
+    assert is_realizer(res.realizer, p)
 
 
 class TestHeuristic:
