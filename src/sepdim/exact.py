@@ -51,11 +51,6 @@ def exact_separation_dimension(
     """
     if limit < 0:
         raise ValueError("limit must be non-negative")
-    pairs = list(disjoint_edge_pairs(g))
-    if not pairs:
-        return ExactSearchResult(0, PermutationFamily.build(g.vertices, ()), False, 0)
-    if limit == 0:
-        return ExactSearchResult(None, None, True, 0)
     isolated = [v for v in g.vertices if not g.adjacency[v]]
     if isolated:
         core = Graph.build(set(g.vertices) - set(isolated), g.edges)
@@ -64,6 +59,11 @@ def exact_separation_dimension(
             return result
         members = [order + isolated for order in result.witness.id_orders()]
         return replace(result, witness=PermutationFamily.build(g.vertices, members))
+    pairs = list(disjoint_edge_pairs(g))
+    if not pairs:
+        return ExactSearchResult(0, PermutationFamily.build(g.vertices, ()), False, 0)
+    if limit == 0:
+        return ExactSearchResult(None, None, True, 0)
     n = g.num_vertices
     if n > SEARCH_VERTEX_MAX:
         raise SearchBudgetExceeded(f"exact search is limited to {SEARCH_VERTEX_MAX} non-isolated vertices")

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from math import inf
+from operator import add
 
 from .graphs import Graph
 
@@ -241,14 +243,14 @@ def _dimension_dfs(base_up: list[int], requirements, first_t: int, limit: int, b
 
     `base_up[a]` is the bitset of elements above a in the base order,
     transitively closed.  A requirement is a tuple of alternatives
-    (X, Y) of index tuples, each meaning "all of X before all of Y"; it
-    is met once one alternative holds in one of the t orders.  The t
-    orders start as the base and stay transitively closed.  Each node
-    takes the unmet requirement with the fewest candidates (the earliest
-    one on a tie) and branches over them: a candidate is an order and
-    an alternative that fits it, i.e. no element of Y is already below
-    an element of X there.  Committing X before Y puts everything up
-    from Y above every element at or below X.
+    (X, Y) of disjoint index tuples, each meaning "all of X before all
+    of Y"; it is met once one alternative holds in one of the t orders.
+    The t orders start as the base and stay transitively closed.  Each
+    node takes the unmet requirement with the fewest candidates (the
+    earliest one on a tie) and branches over them: a candidate is an
+    order and an alternative that fits it, i.e. no element of Y is
+    already below an element of X there.  Committing X before Y puts
+    everything up from Y above every element at or below X.
 
     Orders no alternative has touched all equal the base, so only the
     first of them is a candidate.  On it, an alternative (Y, X) that
@@ -259,6 +261,34 @@ def _dimension_dfs(base_up: list[int], requirements, first_t: int, limit: int, b
     meets every requirement it met through the mirrored alternatives,
     so some solution takes (X, Y) on that member.
 
+    Requirement state is kept across commit and rollback instead of
+    being rescanned at every node.  Since a commit only ever goes to a
+    touched order or to the first untouched one, the touched orders are
+    always a prefix 0..j-1.  For each touched order the search keeps
+    each requirement's status there: None once an alternative holds,
+    else the alternatives that fit, in the requirement's own order.
+    Orders only grow, so an alternative that stops fitting never fits
+    again and never holds (that would close a cycle): a status only
+    shrinks.  Each requirement also keeps its candidate count, infinite
+    once it is met: its fitting alternatives on orders 0..j-1, plus its
+    untouched-order ones (mirror skip applied) on order j while j < t.
+    The base statuses are computed once; requirements the base meets
+    are dropped, and the rest seed an order when it is first touched.
+    A commit on order k recomputes, on k only, the unmet requirements
+    it can change: those with an alternative that puts, opposite some
+    element a, an element that a's row gained.  The old statuses and
+    counts go into the node's undo record next to the old rows.  A met
+    requirement is not updated: nothing reads its statuses until the
+    commit that met it is rolled back, and every later commit is rolled
+    back first.
+
+    A full rescan lists a requirement's candidates order by order and,
+    within an order, in the requirement's own order: its statuses on
+    orders 0..j-1, then its untouched-order alternatives on order j.
+    The counts are the lengths of those lists.  So the chosen
+    requirement, its candidates and their order, and with them the node
+    count and the relations returned, are those of a full rescan.
+
     Returns (t, the t closed relations, nodes spent), or (None, None,
     nodes) when no t up to `limit` works.  Nodes count over every t;
     SearchBudgetExceeded is raised once they pass `budget`.
@@ -267,16 +297,37 @@ def _dimension_dfs(base_up: list[int], requirements, first_t: int, limit: int, b
     symmetric = not any(base_up) and all(
         (ys, xs) in req for req in requirements for xs, ys in req
     )
-    reqs = [
-        [(xs, sum(1 << x for x in xs), ys, sum(1 << y for y in ys),
-          symmetric and (ys, xs) in req[:i])
-         for i, (xs, ys) in enumerate(req)]
-        for req in requirements
-    ]
+    # base statuses of the requirements the base leaves unmet, on a
+    # touched order (`seed`) and on the first untouched one (`fresh`)
+    seed = []
+    for req in requirements:
+        status = _fitting(base_up, [
+            (xs, sum(1 << x for x in xs), ys, sum(1 << y for y in ys),
+             symmetric and (ys, xs) in req[:i])
+            for i, (xs, ys) in enumerate(req)
+        ])
+        if status is not None:
+            seed.append(status)
+    fresh = [[alt for alt in status if not alt[4]] for status in seed]
+    # mentions[a][r]: the elements requirement r's alternatives put
+    # opposite a; r's status can change only when row a gains one of them
+    mentions = [{} for _ in range(m)]
+    for r, status in enumerate(seed):
+        for xs, xb, ys, yb, _ in status:
+            for x in xs:
+                mentions[x][r] = mentions[x].get(r, 0) | yb
+            for y in ys:
+                mentions[y][r] = mentions[y].get(r, 0) | xb
+    # count change when order j is first touched: its statuses join, and
+    # the untouched-order candidates leave if j is the last order
+    join = [len(status) for status in seed]
+    join_last = [len(status) - len(f) for status, f in zip(seed, fresh)]
     nodes = 0
     for t in range(first_t, limit + 1):
         ups = [list(base_up) for _ in range(t)]
-        touched = [False] * t
+        statuses = [None] * t
+        j = 0
+        counts = [len(f) for f in fresh]
         # one frame per expanded node on the current path: its untried
         # candidates, and the undo record of the child explored
         stack = []
@@ -284,53 +335,37 @@ def _dimension_dfs(base_up: list[int], requirements, first_t: int, limit: int, b
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded(f"search budget of {budget} nodes exhausted")
-            best = None
-            for alts in reqs:
-                cands = []
-                met = False
-                fresh_seen = False
-                for k in range(t):
-                    fresh = not touched[k]
-                    if fresh:
-                        if fresh_seen:
-                            continue
-                        fresh_seen = True
-                    up = ups[k]
-                    for alt in alts:
-                        xs, xb, ys, yb, mirror = alt
-                        for x in xs:
-                            if up[x] & yb != yb:
-                                break
-                        else:
-                            met = True
-                            break
-                        if fresh and mirror:
-                            continue
-                        for y in ys:
-                            if up[y] & xb:
-                                break
-                        else:
-                            cands.append((k, alt))
-                    if met:
-                        break
-                if not met and (best is None or len(cands) < len(best)):
-                    best = cands
-                    if not cands:
-                        break
-            if best is None:
+            fewest = min(counts, default=inf)
+            if fewest == inf:
                 return t, ups, nodes
+            r = counts.index(fewest)
+            best = [(k, alt) for k in range(j) for alt in statuses[k][r]]
+            if j < t:
+                best += [(j, alt) for alt in fresh[r]]
             stack.append((iter(best), []))
             while stack:  # backtrack to the deepest untried candidate
                 untried, undo = stack[-1]
                 if undo:
-                    changes, k, was_touched = undo.pop()
+                    changes, k, log, old_counts = undo.pop()
                     up = ups[k]
                     for a, old in reversed(changes):
                         up[a] = old
-                    touched[k] = was_touched
+                    status = statuses[k]
+                    for r, old, count in log:
+                        status[r] = old
+                        counts[r] = count
+                    if old_counts is not None:
+                        counts = old_counts
+                        j = k
                 cand = next(untried, None)
                 if cand is not None:
                     k, (xs, xb, ys, yb, _) = cand
+                    old_counts = None
+                    if k == j:
+                        old_counts = counts
+                        counts = list(map(add, counts, join if k + 1 < t else join_last))
+                        statuses[k] = list(seed)
+                        j += 1
                     up = ups[k]
                     above = yb
                     for y in ys:
@@ -341,13 +376,48 @@ def _dimension_dfs(base_up: list[int], requirements, first_t: int, limit: int, b
                         if (xb >> a & 1 or old & xb) and old | above != old:
                             changes.append((a, old))
                             up[a] = old | above
-                    undo.append((changes, k, touched[k]))
-                    touched[k] = True
+                    status = statuses[k]
+                    log = []
+                    for r in {r for a, old in changes for r, bits in mentions[a].items()
+                              if bits & ~old & up[a]}:
+                        count = counts[r]
+                        if count == inf:
+                            continue
+                        old = status[r]
+                        new = _fitting(up, old)
+                        if new is None:
+                            log.append((r, old, count))
+                            status[r] = None
+                            counts[r] = inf
+                        elif len(new) < len(old):
+                            log.append((r, old, count))
+                            status[r] = new
+                            counts[r] = count - len(old) + len(new)
+                    undo.append((changes, k, log, old_counts))
                     break
                 stack.pop()
             else:
                 break
     return None, None, nodes
+
+
+def _fitting(up: list[int], alts) -> list | None:
+    """The alternatives that fit order `up`, in their order, or None when
+    one of them already holds there."""
+    out = []
+    for alt in alts:
+        xs, xb, ys, yb, _ = alt
+        for x in xs:
+            if up[x] & yb != yb:
+                break
+        else:
+            return None
+        for y in ys:
+            if up[y] & xb:
+                break
+        else:
+            out.append(alt)
+    return out
 
 
 def _topo_indices(up: list[int], m: int) -> list[int]:

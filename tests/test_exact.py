@@ -151,7 +151,7 @@ def _cross_check(g):
 
 
 class TestEngineCrossCheck:
-    def test_prefix_engine_agrees_with_brute_force(self):
+    def test_engine_agrees_with_brute_force_on_named_graphs(self):
         for g in [cycle(4), cycle(5), cycle(6), complete(4), complete(5), path(6)]:
             _cross_check(g)
 

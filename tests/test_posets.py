@@ -1,11 +1,13 @@
 """Posets, interval orders, realizers, exact dimension, heuristic."""
 
 import sys
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sepdim import exact, posets
+from sepdim.exact import exact_separation_dimension
 from sepdim.graphs import Graph
 from sepdim.posets import (
     IntervalOrder,
@@ -199,9 +201,9 @@ class TestExactDimension:
 
 
 @st.composite
-def small_posets(draw):
+def small_posets(draw, max_elements=5):
     # the drawn element order is a linear extension of every drawn pair
-    elements = draw(st.lists(st.integers(0, 20), unique=True, max_size=5))
+    elements = draw(st.lists(st.integers(0, 20), unique=True, max_size=max_elements))
     pairs = [(x, y) for i, x in enumerate(elements) for y in elements[i + 1:]]
     relation = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     return Poset.build(elements, relation)
@@ -214,6 +216,210 @@ def test_dimension_matches_brute_force(p):
     res = exact_poset_dimension(p, limit=3)
     assert res.dimension == brute_dimension(p, 3)
     assert is_realizer(res.realizer, p)
+
+
+# ---------------------------------------------------------------------------
+# The engine against a full rescan: same search order, so the same result
+# ---------------------------------------------------------------------------
+
+
+def _rescan_dfs(base_up, requirements, first_t, limit, budget):
+    """Reference for `posets._dimension_dfs`: the same search, but every
+    node rescans every requirement on every order instead of keeping
+    requirement state across commit and rollback."""
+    m = len(base_up)
+    symmetric = not any(base_up) and all(
+        (ys, xs) in req for req in requirements for xs, ys in req
+    )
+    reqs = [
+        [(xs, sum(1 << x for x in xs), ys, sum(1 << y for y in ys),
+          symmetric and (ys, xs) in req[:i])
+         for i, (xs, ys) in enumerate(req)]
+        for req in requirements
+    ]
+    nodes = 0
+    for t in range(first_t, limit + 1):
+        ups = [list(base_up) for _ in range(t)]
+        touched = [False] * t
+        # one frame per expanded node on the current path: its untried
+        # candidates, and the undo record of the child explored
+        stack = []
+        while True:
+            nodes += 1
+            if nodes > budget:
+                raise SearchBudgetExceeded(f"search budget of {budget} nodes exhausted")
+            best = None
+            for alts in reqs:
+                cands = []
+                met = False
+                fresh_seen = False
+                for k in range(t):
+                    fresh = not touched[k]
+                    if fresh:
+                        if fresh_seen:
+                            continue
+                        fresh_seen = True
+                    up = ups[k]
+                    for alt in alts:
+                        xs, xb, ys, yb, mirror = alt
+                        for x in xs:
+                            if up[x] & yb != yb:
+                                break
+                        else:
+                            met = True
+                            break
+                        if fresh and mirror:
+                            continue
+                        for y in ys:
+                            if up[y] & xb:
+                                break
+                        else:
+                            cands.append((k, alt))
+                    if met:
+                        break
+                if not met and (best is None or len(cands) < len(best)):
+                    best = cands
+                    if not cands:
+                        break
+            if best is None:
+                return t, ups, nodes
+            stack.append((iter(best), []))
+            while stack:  # backtrack to the deepest untried candidate
+                untried, undo = stack[-1]
+                if undo:
+                    changes, k, was_touched = undo.pop()
+                    up = ups[k]
+                    for a, old in reversed(changes):
+                        up[a] = old
+                    touched[k] = was_touched
+                cand = next(untried, None)
+                if cand is not None:
+                    k, (xs, xb, ys, yb, _) = cand
+                    up = ups[k]
+                    above = yb
+                    for y in ys:
+                        above |= up[y]
+                    changes = []
+                    for a in range(m):
+                        old = up[a]
+                        if (xb >> a & 1 or old & xb) and old | above != old:
+                            changes.append((a, old))
+                            up[a] = old | above
+                    undo.append((changes, k, touched[k]))
+                    touched[k] = True
+                    break
+                stack.pop()
+            else:
+                break
+    return None, None, nodes
+
+
+def _engine_calls(run):
+    """The arguments of every `_dimension_dfs` call that `run()` makes."""
+    engine = posets._dimension_dfs
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return engine(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(posets, "_dimension_dfs", spy)
+        mp.setattr(exact, "_dimension_dfs", spy)
+        try:
+            run()
+        except SearchBudgetExceeded:
+            pass
+    return calls
+
+
+def _outcome(search, args):
+    try:
+        return search(*args)
+    except SearchBudgetExceeded as exc:
+        return str(exc)
+
+
+def _assert_engine_matches_rescan(run):
+    for args in _engine_calls(run):
+        assert _outcome(posets._dimension_dfs, args) == _outcome(_rescan_dfs, args)
+
+
+@st.composite
+def sparse_graphs(draw):
+    # fewer than 4 vertices hold no disjoint edge pair
+    n = draw(st.integers(4, 8))
+    ids = sorted(draw(st.sets(st.integers(0, 40), min_size=n, max_size=n)))
+    pairs = list(combinations(ids, 2))
+    size = st.integers(min(n - 1, len(pairs)), min(2 * n, len(pairs)))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=draw(size))) if pairs else []
+    return Graph.build(ids, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_graphs())
+def test_engine_matches_rescan_on_graphs(g):
+    # a small budget keeps dense graphs cheap; running out is an outcome too
+    _assert_engine_matches_rescan(lambda: exact_separation_dimension(g, limit=3, budget=2_000))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_posets(max_elements=7))
+def test_engine_matches_rescan_on_posets(p):
+    _assert_engine_matches_rescan(lambda: exact_poset_dimension(p, limit=3, budget=20_000))
+
+
+@st.composite
+def requirement_lists(draw):
+    # a sparse base order, and alternatives with disjoint sides, mirrored
+    # or not: shapes beyond the two that the callers build
+    m = draw(st.integers(2, 7))
+    pairs = list(combinations(range(m), 2))
+    p = Poset.build(range(m), draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3)))
+    base_up = [0] * m
+    for a, b in p.relation:
+        base_up[a] |= 1 << b
+    requirements = []
+    for _ in range(draw(st.integers(4, 12))):
+        req = []
+        for _ in range(draw(st.integers(1, 2))):
+            both = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=4, unique=True))
+            cut = draw(st.integers(1, len(both) - 1))
+            xs, ys = tuple(sorted(both[:cut])), tuple(sorted(both[cut:]))
+            req += [(xs, ys), (ys, xs)] if draw(st.booleans()) else [(xs, ys)]
+        requirements.append(tuple(req))
+    first_t = draw(st.integers(1, 2))
+    return base_up, requirements, first_t, draw(st.integers(first_t, 3)), 2_000
+
+
+@settings(max_examples=80, deadline=None)
+@given(requirement_lists())
+def test_engine_matches_rescan_on_any_requirements(args):
+    assert _outcome(posets._dimension_dfs, args) == _outcome(_rescan_dfs, args)
+
+
+# node counts of the full-rescan engine: keeping requirement state
+# incrementally must expand exactly the same nodes
+_PETERSEN = [(i + 1, (i + 1) % 5 + 1) for i in range(5)] \
+    + [(i + 6, (i + 2) % 5 + 6) for i in range(5)] + [(i + 1, i + 6) for i in range(5)]
+_NODE_COUNT_GRAPHS = {
+    "k44": ([(u, v) for u in range(1, 5) for v in range(5, 9)], 8_374),
+    "petersen": (_PETERSEN, 8_521),
+    "k6": (list(combinations(range(1, 7), 2)), 103),
+    "k34": ([(u, v) for u in range(1, 4) for v in range(4, 8)], 65),
+    "c10": ([(i, i % 10 + 1) for i in range(1, 11)], 39),
+}
+
+
+@pytest.mark.parametrize("n,nodes", [(5, 49), (6, 86), (7, 146)])
+def test_canonical_dimension_node_counts(n, nodes):
+    assert exact_poset_dimension(canonical_interval_order(n).poset, limit=4).nodes == nodes
+
+
+@pytest.mark.parametrize("name", _NODE_COUNT_GRAPHS)
+def test_separation_dimension_node_counts(name):
+    edges, nodes = _NODE_COUNT_GRAPHS[name]
+    assert exact_separation_dimension(Graph.from_edges(edges), limit=6).nodes == nodes
 
 
 class TestHeuristic:
