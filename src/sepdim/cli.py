@@ -9,6 +9,7 @@ goes to stderr only.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -245,6 +246,7 @@ def cmd_lower_harness(args) -> int:
     return OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sepdim",

@@ -7,9 +7,11 @@ integer tuples with ``a < b`` and the rule ``(a, b) < (c, d)`` iff
 
 `_dimension_dfs` is the one exact engine: it finds the fewest strict
 orders extending a base order that meet a list of "X before Y"
-requirements.  Poset dimension runs it on the poset with one
-requirement per ordered incomparable pair; separation dimension
-(`sepdim.exact`) runs it on the empty order over a graph's vertices.
+requirements.  It has three users.  Poset dimension runs it on the
+poset with one requirement per ordered incomparable pair; separation
+dimension (`sepdim.exact`) runs it on the empty order over a graph's
+vertices; the minimum 3-suitable family (`sepdim.suitable3`) runs it on
+the empty order with one requirement per 3-set and designated element.
 """
 
 from __future__ import annotations
@@ -46,20 +48,14 @@ class Poset:
             if x not in index or y not in index:
                 raise PosetError(f"pair ({x}, {y}) uses unknown elements")
             up[index[x]] |= 1 << index[y]
-        # transitive closure
-        changed = True
-        while changed:
-            changed = False
-            for i in range(m):
-                acc = up[i]
-                scan = acc
-                while scan:
-                    j = (scan & -scan).bit_length() - 1
-                    scan &= scan - 1
-                    acc |= up[j]
-                if acc != up[i]:
-                    up[i] = acc
-                    changed = True
+        # transitive closure (Warshall)
+        for k in range(m):
+            above = up[k]
+            if above:
+                bit = 1 << k
+                for i in range(m):
+                    if up[i] & bit:
+                        up[i] |= above
         closed = set()
         for i in range(m):
             if up[i] >> i & 1:
@@ -240,6 +236,9 @@ def exact_poset_dimension(
 def _dimension_dfs(base_up: list[int], requirements, first_t: int, limit: int, budget: int):
     """Fewest strict orders, from `first_t` up to `limit`, that extend a
     base order and meet every requirement.
+
+    Its users are `exact_poset_dimension`, `exact.exact_separation_dimension`
+    and `suitable3.exact_min_3_suitable`.
 
     `base_up[a]` is the bitset of elements above a in the base order,
     transitively closed.  A requirement is a tuple of alternatives

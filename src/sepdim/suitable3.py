@@ -5,23 +5,32 @@ some member places the other two entirely before it.  Ground sets of at
 most six elements get an exact minimum family; larger ones get Spencer's
 lexicographic family (Spencer 1971, "Minimal scrambling sets of simple
 orders"), whose size grows as log log n.
+
+The exact minimum comes from the one exact engine,
+`posets._dimension_dfs`, on the empty order over 0..n-1.  Each 3-set
+{a, x, y} and designated a is one requirement with the single
+alternative ((x, y), (a,)), "x and y before a".  The search starts at
+`first_t = 3` members and stops at `limit = n`, which always suffices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 
 from .families import PermutationFamily, verify_k_suitable
+from .posets import _dimension_dfs, _topo_indices
 
 # Up to this many elements every result is re-checked by verify_k_suitable,
 # which walks all C(n, 3) triples.
 VERIFY_LIMIT = 75
 # Largest ground set exact_min_3_suitable solves.
 EXACT_LIMIT = 6
+# Node cap of its search; n = 6 takes under 200 nodes.
+EXACT_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -86,66 +95,26 @@ def build_3_suitable_for(ids) -> Suitable3Result:
 
 
 def exact_min_3_suitable(n: int):
-    """Exact N(n,3) with a witness family; guarded search for n <= 6.
+    """Exact N(n,3) with a witness family, for n <= EXACT_LIMIT.
 
-    The constraint system is invariant under relabeling [n], so the first
-    member can be fixed to the identity.
+    `posets._dimension_dfs` runs on the empty order over 0..n-1 with
+    one single-alternative requirement (((x, y), (a,)),), "x and y
+    before a", per 3-set {a, x, y} and designated a.  A member puts
+    only one element of a 3-set last, so t starts at `first_t = 3`;
+    n members with distinct last elements always suffice, so `limit`
+    is n and the search always ends in a family.  The witness members
+    are the smallest-first extensions of the relations found, sorted.
     """
     if n > EXACT_LIMIT:
         raise ValueError(f"exact 3-suitable search is limited to n <= {EXACT_LIMIT}")
     ids = tuple(range(1, n + 1))
     if n < 3:
         return 0, PermutationFamily.build(ids, ())
-    constraints = [(t, a) for t in combinations(ids, 3) for a in t]
-    index = {c: i for i, c in enumerate(constraints)}
-    full = (1 << len(constraints)) - 1
-    per_perm = math.comb(n, 3)  # every permutation covers exactly this many
-    perms = [tuple(p) for p in permutations(ids)]
-    masks = []
-    for p in perms:
-        ranks = {v: i for i, v in enumerate(p)}
-        mask = 0
-        for triple, a in constraints:
-            if max(triple, key=ranks.__getitem__) == a:
-                mask |= 1 << index[(triple, a)]
-        masks.append(mask)
-
-    identity = perms[0]
-    id_mask = masks[0]
-
-    def search(t: int):
-        def dfs(covered: int, chosen: list[int], depth: int):
-            if covered == full:
-                return list(chosen)
-            if depth == t:
-                return None
-            need = full & ~covered
-            if bin(need).count("1") > (t - depth) * per_perm:
-                return None
-            if depth == t - 1:
-                for i, mask in enumerate(masks):
-                    if mask & need == need:
-                        return chosen + [i]
-                return None
-            ranked = sorted(
-                range(len(perms)),
-                key=lambda i: (-bin(masks[i] & need).count("1"), perms[i]),
-            )
-            for i in ranked:
-                if not masks[i] & need:
-                    break
-                chosen.append(i)
-                found = dfs(covered | masks[i], chosen, depth + 1)
-                if found is not None:
-                    return found
-                chosen.pop()
-            return None
-
-        return dfs(id_mask, [], 1)
-
-    t = 3
-    while True:
-        found = search(t)
-        if found is not None:
-            return t, PermutationFamily.build(ids, [identity] + [perms[i] for i in found])
-        t += 1
+    requirements = [
+        ((tuple(v for v in triple if v != a), (a,)),)
+        for triple in combinations(range(n), 3)
+        for a in triple
+    ]
+    t, relations, _ = _dimension_dfs([0] * n, requirements, 3, n, EXACT_BUDGET)
+    members = sorted([ids[i] for i in _topo_indices(up, n)] for up in relations)
+    return t, PermutationFamily.build(ids, members)

@@ -224,6 +224,10 @@ class TestOptions:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_parser_built_once(self):
+        # main parses every call with the same parser
+        assert cli._build_parser() is cli._build_parser()
+
 
 class TestCanonicalDim:
     def test_n3(self, capsys):

@@ -398,6 +398,18 @@ def test_engine_matches_rescan_on_any_requirements(args):
     assert _outcome(posets._dimension_dfs, args) == _outcome(_rescan_dfs, args)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_engine_matches_rescan_on_3_suitable(n):
+    # the requirements of exact_min_3_suitable: x and y before a
+    requirements = [
+        ((tuple(v for v in triple if v != a), (a,)),)
+        for triple in combinations(range(n), 3)
+        for a in triple
+    ]
+    args = ([0] * n, requirements, 3, n, 100_000)
+    assert _outcome(posets._dimension_dfs, args) == _outcome(_rescan_dfs, args)
+
+
 # node counts of the full-rescan engine: keeping requirement state
 # incrementally must expand exactly the same nodes
 _PETERSEN = [(i + 1, (i + 1) % 5 + 1) for i in range(5)] \

@@ -1,6 +1,6 @@
 """3-suitable family builders and the exact minimum search."""
 
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
@@ -48,7 +48,7 @@ class TestBuilders:
         b = build_3_suitable(16)
         assert a.family == b.family and a.generator == b.generator
 
-    def test_large_uses_mask_construction(self):
+    def test_large_uses_spencer(self):
         res = build_3_suitable_for(range(200))
         assert res.generator == "spencer"
         # spot-check suitability on a sampled sub-universe via restriction
@@ -93,11 +93,30 @@ class TestExactMinimum:
         value, fam = exact_min_3_suitable(3)
         assert value == 3
         assert verify_k_suitable(fam, 3)
+        # the bound-subdivision goldens hash these bytes
+        assert fam.id_orders() == [[1, 2, 3], [1, 3, 2], [2, 3, 1]]
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_no_smaller_family_with_oracle(self, n):
+        # relabelling [n] maps any family to one whose first member is
+        # the identity, so fixing it loses no family
+        value, _ = exact_min_3_suitable(n)
+        identity = list(range(1, n + 1))
+        perms = [list(p) for p in permutations(identity)]
+        for rest in combinations_with_replacement(perms, value - 2):
+            assert not brute_is_3_suitable([identity, *rest], n)
+
+    @pytest.mark.parametrize("n, size", [(2, 0), (3, 3), (4, 3), (5, 4), (6, 4)])
+    def test_exact_sizes(self, n, size):
+        value, fam = exact_min_3_suitable(n)
+        assert value == len(fam) == size
+        assert brute_is_3_suitable(fam.id_orders(), n)
 
     def test_n4_golden(self):
         value, fam = exact_min_3_suitable(4)
         assert value == 3
         assert verify_k_suitable(fam, 3)
+        assert fam.id_orders() == [[1, 2, 3, 4], [1, 4, 3, 2], [2, 4, 3, 1]]
 
     def test_n5_golden(self):
         value, fam = exact_min_3_suitable(5)
