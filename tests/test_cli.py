@@ -362,3 +362,20 @@ CANONICAL_DIM_GOLDEN = {
 def test_canonical_dim_golden(n, capsys):
     assert main(["canonical-dim", str(n)]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CANONICAL_DIM_GOLDEN[n]
+
+
+# sha256 of the `lower-harness` text report and its exit code: the exact
+# stage (n = 3, 4) and the construction-only stage (n = 5, 8)
+LOWER_HARNESS_GOLDEN = {
+    3: ("6f2165ff16e275ec07bbc32dec5338769e5fe37f2c94a270212a057bcb139edb", 0),
+    4: ("3f85a63eb0ec362197d10bbb570a9ad565c5bfe571bcd894c983bc68200e0b26", 0),
+    5: ("fd3fb577c9ff9b603a9ef6b3ce607dfc74ff31739957c5558f8fc3c6a39870a9", 3),
+    8: ("72dd4d23a5da6affedf58d6d3346be2fbad1c51a866a3d3bdf9f2532ca368271", 3),
+}
+
+
+@pytest.mark.parametrize("n", sorted(LOWER_HARNESS_GOLDEN))
+def test_lower_harness_golden(n, capsys):
+    code = main(["lower-harness", str(n)])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (digest, code) == LOWER_HARNESS_GOLDEN[n]
