@@ -3,14 +3,11 @@
 from .exact import (
     ExactSearchResult,
     SearchBudgetExceeded,
-    exact_pi_subdivided_clique,
     exact_separation_dimension,
 )
 from .families import (
     PermutationFamily,
     SeparationWitness,
-    embedding_from_family,
-    family_from_embedding,
     family_from_json,
     family_to_json,
     separates,
@@ -23,7 +20,6 @@ from .graphs import (
     DegeneracyOrder,
     Graph,
     GraphFormatError,
-    SubdivisionMap,
     check_star_forest,
     color_classes,
     degeneracy_order,
@@ -32,6 +28,7 @@ from .graphs import (
     serialize_graph,
     star_forest_decomposition,
     subdivide,
+    subdivision_mids,
 )
 from .lowerbound import (
     HarnessReport,

@@ -27,7 +27,7 @@ from .families import (
     verify_auto,
     verify_pairwise_suitable,
 )
-from .graphs import Graph, GraphFormatError, load_graph, serialize_graph
+from .graphs import Graph, GraphFormatError, load_graph, serialize_graph, subdivision_mids
 from .lowerbound import canonical_dimension_lower_bound, lower_bound_harness
 from .posets import (
     canonical_interval_order,
@@ -114,7 +114,7 @@ def cmd_bound_degenerate(args) -> int:
 def cmd_bound_subdivision(args) -> int:
     started = time.monotonic()
     g, digest = _read_graph(args.graph)
-    result = colored_subdivision_family(g, check=False)
+    result = colored_subdivision_family(g)
     witness = verify_pairwise_suitable(result.family, result.subdivided)
     report = Report("bound-subdivision")
     report.add("input_digest", digest)
@@ -143,8 +143,8 @@ def cmd_bound_subdivision(args) -> int:
         report.add("family_file", args.out)
         map_path = args.out + ".subdivision.json"
         mapping = {
-            "original_vertices": list(result.subdivision.original_vertices),
-            "mids": [[u, v, m] for (u, v), m in result.subdivision.assignments],
+            "original_vertices": list(g.vertices),
+            "mids": [[u, v, m] for (u, v), m in zip(g.edges, subdivision_mids(g))],
         }
         with open(map_path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(mapping, sort_keys=True, separators=(",", ":")) + "\n")

@@ -14,10 +14,9 @@ there is no filter over witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
 
 from .families import PermutationFamily, disjoint_edge_pairs
-from .graphs import Graph, subdivide
+from .graphs import Graph
 from .posets import SearchBudgetExceeded, _dimension_dfs, _topo_indices
 
 DEFAULT_BUDGET = 20_000_000
@@ -78,17 +77,3 @@ def exact_separation_dimension(
     members = [[g.vertices[i] for i in _topo_indices(up, n)] for up in relations]
     return ExactSearchResult(t, PermutationFamily.build(g.vertices, members), False, nodes)
 
-
-def exact_pi_subdivided_clique(n: int, budget: int = DEFAULT_BUDGET):
-    """Exact separation dimension of K_n^{1/2} with witness (n <= 4).
-
-    Returns (result, subdivided graph, subdivision map).
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > 4:
-        raise SearchBudgetExceeded("exact subdivided-clique stage is limited to n <= 4")
-    kn = Graph.from_edges(combinations(range(1, n + 1), 2), isolated=range(1, n + 1))
-    gsub, smap = subdivide(kn)
-    result = exact_separation_dimension(gsub, limit=6, budget=budget)
-    return result, gsub, smap

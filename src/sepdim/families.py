@@ -284,31 +284,6 @@ def verify_k_suitable(fam: PermutationFamily, k: int) -> bool:
     return True
 
 
-def embedding_from_family(fam: PermutationFamily) -> dict[int, tuple[int, ...]]:
-    """Map each vertex to its rank vector across the members."""
-    if not len(fam):
-        raise ValueError("cannot embed with an empty family")
-    return dict(zip(fam.ground_set, map(tuple, fam.rank_matrix.T.tolist())))
-
-
-def family_from_embedding(points: dict[int, tuple[float, ...]]) -> PermutationFamily:
-    """Read permutations off each coordinate axis, ties broken by vertex id."""
-    if not points:
-        raise ValueError("empty embedding")
-    dims = {len(p) for p in points.values()}
-    if len(dims) != 1:
-        raise ValueError("inconsistent embedding dimensions")
-    d = dims.pop()
-    if d < 1:
-        raise ValueError("embedding needs at least one dimension")
-    verts = sorted(points)
-    orders = [
-        sorted(range(len(verts)), key=lambda j: (points[verts[j]][axis], j))
-        for axis in range(d)
-    ]
-    return PermutationFamily(tuple(verts), np.array(orders, dtype=np.int64))
-
-
 def family_to_json(
     fam: PermutationFamily, *, seed: int | None = None, generator: str = "unspecified",
     extra: dict | None = None,

@@ -236,40 +236,19 @@ def check_star_forest(g: Graph, roots: np.ndarray) -> None:
         raise ValueError("a leaf is not joined to its root by an edge")
 
 
-@dataclass(frozen=True)
-class SubdivisionMap:
-    """Bijection between original edges and the degree-2 vertices of G^{1/2}."""
-
-    original_vertices: tuple[int, ...]
-    assignments: tuple[tuple[Edge, int], ...]
-
-    @cached_property
-    def mid_of(self) -> dict[Edge, int]:
-        return {e: m for e, m in self.assignments}
-
-    @cached_property
-    def mid_vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(m for _, m in self.assignments))
+def subdivision_mids(g: Graph) -> range:
+    """Ids of the mid vertices of g^{1/2}: the mid of g.edges[i] (edges in
+    sorted order) is max(V) + 1 + i, so ids are reproducible bit for bit."""
+    top = max(g.vertices, default=-1) + 1
+    return range(top, top + g.num_edges)
 
 
-def subdivide(g: Graph) -> tuple[Graph, SubdivisionMap]:
-    """Replace each edge {u, v} with a path u - m_uv - v.
-
-    New ids start above the largest original id and follow the
-    lexicographic order of the original edges, so the construction is
-    reproducible bit for bit.
-    """
-    next_id = max(g.vertices) + 1 if g.vertices else 0
-    assignments: list[tuple[Edge, int]] = []
-    new_edges: list[Edge] = []
-    for e in g.edges:
-        mid = next_id
-        next_id += 1
-        assignments.append((e, mid))
-        new_edges.append(make_edge(e[0], mid))
-        new_edges.append(make_edge(mid, e[1]))
-    vertices = set(g.vertices) | {m for _, m in assignments}
-    return Graph.build(vertices, new_edges), SubdivisionMap(g.vertices, tuple(assignments))
+def subdivide(g: Graph) -> Graph:
+    """g^{1/2}: each edge {u, v} becomes a path u - m_uv - v, with the mid
+    ids of `subdivision_mids`."""
+    mids = subdivision_mids(g)
+    edges = [(x, m) for e, m in zip(g.edges, mids) for x in e]
+    return Graph.build(chain(g.vertices, mids), edges)
 
 
 def greedy_coloring(g: Graph, d: DegeneracyOrder) -> dict[int, int]:

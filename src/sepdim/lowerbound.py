@@ -14,13 +14,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import permutations as iter_permutations
+from itertools import combinations, permutations as iter_permutations
 
 import numpy as np
 
-from .exact import DEFAULT_BUDGET, exact_pi_subdivided_clique
+from .exact import DEFAULT_BUDGET, exact_separation_dimension
 from .families import PermutationFamily, verify_pairwise_suitable
-from .graphs import Graph, SubdivisionMap, make_edge
+from .graphs import Graph, make_edge, subdivide, subdivision_mids
 from .posets import (
     SearchBudgetExceeded,
     canonical_interval_order,
@@ -68,7 +68,8 @@ def longest_monotone_indices(seq: list[int]) -> tuple[list[int], int]:
 
 @dataclass(frozen=True)
 class MonotoneSubsetResult:
-    """Vertices ordered by the reference member, with per-member directions."""
+    """Vertices ordered by the reference member; directions[i] is +1 when
+    member i lists them in that order and -1 when it lists them reversed."""
 
     vertices: tuple[int, ...]
     directions: tuple[int, ...]
@@ -114,52 +115,40 @@ def best_monotone_subset(fam: PermutationFamily, target) -> MonotoneSubsetResult
         reordered = PermutationFamily(fam.ground_set, fam.orders[list(perm)])
         result = common_monotone_subset(reordered, target)
         if best is None or len(result.vertices) > len(best.vertices):
-            best = result
-    return best
-
-
-def _graph_from_subdivision(smap: SubdivisionMap) -> Graph:
-    edges = []
-    for (u, v), mid in smap.mid_of.items():
-        edges.append(make_edge(u, mid))
-        edges.append(make_edge(mid, v))
-    verts = set(smap.original_vertices) | set(smap.mid_vertices)
-    return Graph.build(verts, edges)
-
-
-def _monotone_direction(order: list[int], xs: tuple[int, ...]) -> int:
-    ranks = [order.index(x) for x in xs]
-    if ranks == sorted(ranks):
-        return 1
-    if ranks == sorted(ranks, reverse=True):
-        return -1
-    raise ValueError("member does not order the subset monotonely")
+            best, best_perm = result, perm
+    # directions come in the reordered members' order; give them fam's
+    directions = [0] * r
+    for i, d in zip(best_perm, best.directions):
+        directions[i] = d
+    return MonotoneSubsetResult(best.vertices, tuple(directions))
 
 
 def normalize_lower_bound_family(
-    fam: PermutationFamily, smap: SubdivisionMap, xs: tuple[int, ...]
+    fam: PermutationFamily, g: Graph, subset: MonotoneSubsetResult
 ) -> PermutationFamily:
-    """Reverse and relocate members so mids sit between their endpoints.
+    """Reverse and relocate members of a family of g^{1/2} so mids sit
+    between their endpoints.
 
-    Members are reversed until all of them list `xs` in the reference
-    order; then each mid vertex of an edge inside `xs` is moved next to
-    the endpoint it strayed past.  The result is re-verified pairwise
-    suitable; the relocation is safe for suitable families, so a failure
-    here signals an implementation bug.
+    Members with direction -1 are reversed, so all of them list
+    `subset.vertices` in the reference order; then each mid vertex of an
+    edge inside the subset is moved next to the endpoint it strayed past.
+    The result is re-verified pairwise suitable; the relocation is safe
+    for suitable families, so a failure here signals an implementation bug.
     """
-    gsub = _graph_from_subdivision(smap)
+    xs = subset.vertices
+    mid_of = dict(zip(g.edges, subdivision_mids(g)))
     members = fam.id_orders()
-    for order in members:
-        if _monotone_direction(order, xs) < 0:
+    for order, direction in zip(members, subset.directions, strict=True):
+        if direction < 0:
             order.reverse()
 
     pairs = [
         (s, t) for s in range(len(xs)) for t in range(s + 1, len(xs))
-        if make_edge(xs[s], xs[t]) in smap.mid_of
+        if make_edge(xs[s], xs[t]) in mid_of
     ]
     for order in members:
         for s, t in pairs:
-            u = smap.mid_of[make_edge(xs[s], xs[t])]
+            u = mid_of[make_edge(xs[s], xs[t])]
             iu = order.index(u)
             i_lo = order.index(xs[s])
             i_hi = order.index(xs[t])
@@ -171,16 +160,17 @@ def normalize_lower_bound_family(
                 order.insert(order.index(xs[s]) + 1, u)
 
     normalized = PermutationFamily.build(fam.ground_set, members)
-    witness = verify_pairwise_suitable(normalized, gsub)
+    witness = verify_pairwise_suitable(normalized, subdivide(g))
     if not witness.ok:
         raise AssertionError(f"normalization broke pairwise suitability: {witness}")
     return normalized
 
 
 def extract_realizer(
-    fam: PermutationFamily, smap: SubdivisionMap, xs: tuple[int, ...]
+    fam: PermutationFamily, g: Graph, xs: tuple[int, ...]
 ) -> tuple[tuple, ...]:
-    """One linear extension of C_|xs| per member, ordered by mid ranks.
+    """One linear extension of C_|xs| per member of a family of g^{1/2},
+    ordered by mid ranks.
 
     For a normalized suitable family the extensions must reverse every
     incomparable pair, so the result is checked to be a realizer.
@@ -189,7 +179,8 @@ def extract_realizer(
     cn = canonical_interval_order(p)
 
     pos = {v: j for j, v in enumerate(fam.ground_set)}
-    mids = [pos[smap.mid_of[make_edge(xs[a - 1], xs[b - 1])]] for a, b in cn.intervals]
+    mid_of = dict(zip(g.edges, subdivision_mids(g)))
+    mids = [pos[mid_of[make_edge(xs[a - 1], xs[b - 1])]] for a, b in cn.intervals]
     realizer = tuple(
         tuple(cn.intervals[i] for i in row)
         for row in np.argsort(fam.rank_matrix[:, mids], axis=1).tolist()
@@ -246,38 +237,35 @@ def lower_bound_harness(n: int, budget: int = DEFAULT_BUDGET) -> HarnessReport:
     """Run the full extraction pipeline on K_n^{1/2}.
 
     For n <= 4 the family is an exact-optimal one.  For larger n the
-    exact stage is out of reach and the verified coloring construction is
-    used instead (construction-only mode).  Every family meets the floor:
+    exact stage is out of reach (K_5^{1/2} has 15 vertices, above
+    `SEARCH_VERTEX_MAX`), and the coloring construction, verified here,
+    is used instead (construction-only mode).  Every family meets the floor:
     `extraction_floor` is what the extraction is guaranteed to keep.
     """
     if n < 1:
         raise ValueError("n must be positive")
 
+    kn = Graph.from_edges(combinations(range(1, n + 1), 2), isolated=range(1, n + 1))
     if n <= 4:
-        result, gsub, smap = exact_pi_subdivided_clique(n, budget=budget)
-        family = result.witness
-        pi = result.dimension
-        exact = True
+        result = exact_separation_dimension(subdivide(kn), limit=6, budget=budget)
+        family, pi, exact = result.witness, result.dimension, True
     else:
-        kn = Graph.from_edges(
-            [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-        )
         built = colored_subdivision_family(kn)
-        family, smap = built.family, built.subdivision
-        pi = None
-        exact = False
+        witness = verify_pairwise_suitable(built.family, built.subdivided)
+        if not witness.ok:
+            raise AssertionError(f"subdivision family failed verification: {witness}")
+        family, pi, exact = built.family, None, False
 
     if not family:
         return HarnessReport(
             n, pi, exact, family, None, None, None, None, None, None, None, None
         )
 
-    originals = smap.original_vertices
-    subset = best_monotone_subset(family, originals)
-    floor = extraction_floor(len(originals), len(family))
+    subset = best_monotone_subset(family, kn.vertices)
+    floor = extraction_floor(n, len(family))
     floor_met = len(subset.vertices) >= floor
-    normalized = normalize_lower_bound_family(family, smap, subset.vertices)
-    realizer = extract_realizer(normalized, smap, subset.vertices)
+    normalized = normalize_lower_bound_family(family, kn, subset)
+    realizer = extract_realizer(normalized, kn, subset.vertices)
     p = len(subset.vertices)
     dim_cp = None
     if p <= 7:

@@ -16,14 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import PermutationFamily, verify_pairwise_suitable
+from .families import PermutationFamily
 from .graphs import (
     Graph,
-    SubdivisionMap,
     color_classes,
     degeneracy_order,
     greedy_coloring,
     subdivide,
+    subdivision_mids,
 )
 from .suitable3 import Suitable3Result, build_3_suitable_for
 
@@ -84,9 +84,8 @@ def subdivision_family(g: Graph, classes) -> tuple[PermutationFamily, Suitable3R
         base = Suitable3Result(PermutationFamily((0, 1), np.array([[1, 0]])), "swap")
     else:
         base = build_3_suitable_for(range(len(classes)))
-    # G^{1/2} lists the originals, then the mid of g.edges[i] at n + i (ids as `subdivide` gives)
-    top = max(g.vertices, default=-1) + 1
-    ground = g.vertices + tuple(range(top, top + g.num_edges))
+    # G^{1/2} lists the originals, then the mid of g.edges[i] at position n + i
+    ground = g.vertices + tuple(subdivision_mids(g))
     if not g.edges:
         return PermutationFamily.build(ground, ()), base
 
@@ -112,7 +111,6 @@ def subdivision_family(g: Graph, classes) -> tuple[PermutationFamily, Suitable3R
 class SubdividedBoundResult:
     family: PermutationFamily
     subdivided: Graph
-    subdivision: SubdivisionMap
     sigma: tuple[int, ...]
     num_classes: int
     interval_height: int
@@ -138,19 +136,16 @@ def interval_height(g: Graph, sigma) -> int:
     return chain
 
 
-def colored_subdivision_family(g: Graph, check: bool = True) -> SubdividedBoundResult:
+def colored_subdivision_family(g: Graph) -> SubdividedBoundResult:
     """Suitable family for g^{1/2} lifted from the greedy colour classes.
 
     The classes come from a greedy colouring along the degeneracy order;
     listed consecutively they also cap the height of g's interval order
-    under σ at (#classes - 1), which the result reports.  With `check`
-    the family is verified exhaustively here and a failure raises
-    AssertionError; a caller that reports its own verdict (the CLI)
-    passes check=False.
+    under σ at (#classes - 1), which the result reports.  The family is
+    not verified here: callers check it against `subdivided`.
     """
     classes = color_classes(greedy_coloring(g, degeneracy_order(g)))
     sigma = tuple(v for cls in classes for v in cls)
-    gsub, smap = subdivide(g)
     family, base = subdivision_family(g, classes)
     h = interval_height(g, sigma)
     if g.edges:
@@ -158,8 +153,4 @@ def colored_subdivision_family(g: Graph, check: bool = True) -> SubdividedBoundR
             raise AssertionError("interval order height exceeds the coloring bound")
         if len(family) != len(base.family) + 2:
             raise AssertionError("subdivision family size differs from |F| + 2")
-    if check:
-        witness = verify_pairwise_suitable(family, gsub)
-        if not witness.ok:
-            raise AssertionError(f"subdivision family failed verification: {witness}")
-    return SubdividedBoundResult(family, gsub, smap, sigma, len(classes), h, base)
+    return SubdividedBoundResult(family, subdivide(g), sigma, len(classes), h, base)

@@ -117,7 +117,6 @@ class TestBoundSubdivision:
             return verify_pairwise_suitable(fam, g)
 
         monkeypatch.setattr(subdivided, "subdivision_family", short)
-        monkeypatch.setattr(subdivided, "verify_pairwise_suitable", counted)
         monkeypatch.setattr(cli, "verify_pairwise_suitable", counted)
         monkeypatch.setattr(cli, "verify_auto", counted)
         assert main(["bound-subdivision", c4_file, "--format", "structured"]) == 1

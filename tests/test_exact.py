@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from sepdim.exact import (
     SearchBudgetExceeded,
-    exact_pi_subdivided_clique,
     exact_separation_dimension,
 )
 from sepdim.families import (
@@ -19,7 +18,7 @@ from sepdim.families import (
     separates,
     verify_pairwise_suitable,
 )
-from sepdim.graphs import Graph
+from sepdim.graphs import Graph, subdivide
 
 
 def complete(n):
@@ -169,22 +168,25 @@ class TestEngineCrossCheck:
 
 class TestSubdividedClique:
     def test_k2_trivial(self):
-        r, gsub, _ = exact_pi_subdivided_clique(2)
-        assert r.dimension == 0
+        assert exact_separation_dimension(subdivide(complete(2)), limit=6).dimension == 0
 
     def test_k3_half_is_two(self):
-        r, gsub, _ = exact_pi_subdivided_clique(3)
+        gsub = subdivide(complete(3))
+        r = exact_separation_dimension(gsub, limit=6)
         assert r.dimension == 2
         assert verify_pairwise_suitable(r.witness, gsub).ok
 
     def test_k4_half_is_two(self):
-        r, gsub, _ = exact_pi_subdivided_clique(4)
+        gsub = subdivide(complete(4))
+        r = exact_separation_dimension(gsub, limit=6)
         assert r.dimension == 2
         assert verify_pairwise_suitable(r.witness, gsub).ok
 
     def test_guard_above_four(self):
+        # K5^{1/2} has 15 vertices, above SEARCH_VERTEX_MAX = 12
+        assert subdivide(complete(5)).num_vertices == 15
         with pytest.raises(SearchBudgetExceeded):
-            exact_pi_subdivided_clique(10)
+            exact_separation_dimension(subdivide(complete(5)), limit=6)
 
 
 @st.composite

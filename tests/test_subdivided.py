@@ -1,11 +1,20 @@
 """Families for fully subdivided graphs lifted from colour classes."""
 
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sepdim.families import verify_pairwise_suitable
-from sepdim.graphs import Graph, color_classes, degeneracy_order, greedy_coloring, subdivide
+from sepdim.graphs import (
+    Graph,
+    color_classes,
+    degeneracy_order,
+    greedy_coloring,
+    subdivide,
+    subdivision_mids,
+)
 from sepdim.posets import height, interval_order_from
 from sepdim.subdivided import colored_subdivision_family, interval_height, subdivision_family
 
@@ -24,7 +33,8 @@ def greedy_classes(g):
 
 def verified_family(g, classes):
     fam, base = subdivision_family(g, classes)
-    gsub, _ = subdivide(g)
+    gsub = subdivide(g)
+    assert fam.ground_set == gsub.vertices
     assert verify_pairwise_suitable(fam, gsub).ok
     if g.edges:
         assert len(fam) == len(base.family) + 2
@@ -74,6 +84,24 @@ class TestSubdivisionFamily:
             with pytest.raises(ValueError, match="class"):
                 subdivision_family(complete(3), classes)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_ground_set_is_the_subdivided_graph(self, data):
+        # sparse ids, some of them isolated (possibly the largest, which
+        # moves every mid id): the family is over exactly subdivide(g)
+        ids = sorted(data.draw(st.sets(st.integers(0, 10**6), min_size=1, max_size=10)))
+        pairs = list(combinations(ids, 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=15)) if pairs else []
+        g = Graph.build(ids, edges)
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        verified_family(g, random_proper_classes(g, rng))
+        verified_family(g, greedy_classes(g))
+
+    def test_edgeless_and_empty_ground_sets(self):
+        for g in (Graph.build([3, 8, 40], []), Graph.build([], [])):
+            fam = verified_family(g, greedy_classes(g))
+            assert len(fam) == 0
+
     def test_random_colourings(self):
         for seed in range(320):
             rng = random.Random(seed)
@@ -86,9 +114,8 @@ class TestSubdivisionFamily:
     def test_mid_between_neighbors_in_pinned_members(self):
         g = cycle(5)
         res = colored_subdivision_family(g)
-        fam, smap = res.family, res.subdivision
-        after_left, before_right = ({v: i for i, v in enumerate(m)} for m in fam.id_orders()[-2:])
-        for (u, v), mid in smap.mid_of.items():
+        after_left, before_right = ({v: i for i, v in enumerate(m)} for m in res.family.id_orders()[-2:])
+        for (u, v), mid in zip(g.edges, subdivision_mids(g)):
             su, sv = sorted((u, v), key=res.sigma.index)
             assert after_left[su] < after_left[mid]
             assert before_right[mid] < before_right[sv]
@@ -107,7 +134,11 @@ class TestColoredPipeline:
         assert len(res.family) == 5
 
     def test_complete_graph_sizes(self):
-        sizes = {n: len(colored_subdivision_family(complete(n)).family) for n in (4, 7, 12, 40)}
+        sizes = {}
+        for n in (4, 7, 12, 40):
+            res = colored_subdivision_family(complete(n))
+            assert verify_pairwise_suitable(res.family, res.subdivided).ok
+            sizes[n] = len(res.family)
         assert sizes == {4: 5, 7: 7, 12: 8, 40: 8}
 
     def test_edgeless_empty_family(self):
@@ -124,6 +155,7 @@ class TestColoredPipeline:
             }
             g = Graph.build(range(1, n + 1), edges)
             res = colored_subdivision_family(g)
+            assert verify_pairwise_suitable(res.family, res.subdivided).ok
             if g.edges:
                 assert len(res.family) == res.realizer_size + 2
 
