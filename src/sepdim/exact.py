@@ -50,7 +50,8 @@ def exact_separation_dimension(
     """
     if limit < 0:
         raise ValueError("limit must be non-negative")
-    isolated = [v for v in g.vertices if not g.adjacency[v]]
+    incident = {v for e in g.edges for v in e}
+    isolated = [v for v in g.vertices if v not in incident]
     if isolated:
         core = Graph.build(set(g.vertices) - set(isolated), g.edges)
         result = exact_separation_dimension(core, limit, budget)

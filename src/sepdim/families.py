@@ -16,6 +16,13 @@ DENSE_MEMBERS members thin a (block, m) overlap matrix, and the pairs
 left that share no vertex are sifted by the other members one at a
 time.  It holds O(BLOCK_ROWS * m) memory whatever the pair count, and
 stops at the first block with an unseparated pair.
+
+Both pair checks visit the members in bit-reversed index order (0,
+r/2, r/4, 3r/4, ...), so the dense prefix samples the whole family:
+constructions list their members in groups (the star cover forest by
+forest), and one group alone leaves many pairs for the sift.  The pairs
+no member separates are the same in any order, so the verdict and the
+counterexample are too.
 """
 
 from __future__ import annotations
@@ -148,12 +155,21 @@ def disjoint_edge_pairs(g: Graph):
                 yield e, f
 
 
+def _scan_order(r: int) -> np.ndarray:
+    """0..r-1 in bit-reversed order: sorted by their binary digits, padded
+    to the width of r - 1 and read backwards."""
+    width = max(r - 1, 0).bit_length()
+    return np.array(sorted(range(r), key=lambda i: f"{i:0{width}b}"[::-1]), dtype=np.int64)
+
+
 def _edge_intervals(fam: PermutationFamily, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(r, m) arrays of each edge's lower and upper rank in each member, in
-    the narrowest unsigned type that holds n (comparisons run wider per
-    vector step)."""
-    ranks = fam.rank_matrix[:, edges].astype(np.min_scalar_type(len(fam.ground_set)))
-    return ranks.min(axis=2), ranks.max(axis=2)
+    """(r, m) arrays of each edge's lower and upper rank in each member,
+    rows in `_scan_order`, in the narrowest unsigned type that holds n
+    (comparisons run wider per vector step)."""
+    ranks = fam.rank_matrix[_scan_order(len(fam))].astype(np.min_scalar_type(len(fam.ground_set)))
+    first, second = ranks[:, edges[:, 0]], ranks[:, edges[:, 1]]
+    lo = np.minimum(first, second)
+    return lo, np.maximum(first, second, out=first)
 
 
 def _disjoint(edges: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
@@ -288,17 +304,24 @@ def family_to_json(
     fam: PermutationFamily, *, seed: int | None = None, generator: str = "unspecified",
     extra: dict | None = None,
 ) -> str:
-    """Serialize a family (with provenance) to canonical JSON text."""
-    doc = {
-        "n": len(fam.ground_set),
-        "ground_set": list(fam.ground_set),
-        "permutations": fam.id_orders(),
-        "seed": seed,
-        "generator": generator,
+    """Serialize a family (with provenance) to canonical JSON text.
+
+    The text is `json.dumps` of the document with sorted keys and no
+    spaces; `extra` (string keys) adds to or replaces its entries.  The
+    id lists are joined from each id's decimal string, member by member.
+    """
+    ids = np.array(list(map(str, fam.ground_set)), dtype=object)
+    rows = "],[".join(map(",".join, (ids[row].tolist() for row in fam.orders)))
+    fields = {
+        "n": str(len(ids)),
+        "ground_set": "[" + ",".join(ids.tolist()) + "]",
+        "permutations": "[[" + rows + "]]" if len(fam) else "[]",
+        "seed": json.dumps(seed),
+        "generator": json.dumps(generator),
     }
-    if extra:
-        doc.update(extra)
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    for key, value in (extra or {}).items():
+        fields[key] = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return "{" + ",".join(f"{json.dumps(k)}:{v}" for k, v in sorted(fields.items())) + "}\n"
 
 
 def family_from_json(text: str) -> tuple[PermutationFamily, dict]:

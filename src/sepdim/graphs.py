@@ -2,12 +2,21 @@
 
 Vertices are non-negative integer ids.  Edges are stored normalized as
 ``(u, v)`` with ``u < v``, and every container keeps vertices and edges
-sorted so that serialization round-trips bit-exactly.
+sorted so that serialization round-trips bit-exactly.  Graph algorithms
+work on positions in the sorted vertex tuple: `Graph.edge_positions`
+lists each edge's endpoints and `Graph.csr` each vertex's neighbours.
+
+`load_graph` reads the canonical documents (`v <id>` lines, then
+`<u> <v>` lines, single spaces, ids below 2^31) with numpy in a few
+passes over the whole text.  Any other document, and any canonical one
+with a self-loop or a duplicate edge, goes through the line-by-line
+parser, which names the offending line; both give the same graph.
 """
 
 from __future__ import annotations
 
 import heapq
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
@@ -59,16 +68,16 @@ class Graph:
         verts = {v for e in edges for v in e} | set(isolated)
         return Graph.build(verts, edges)
 
-    @cached_property
-    def adjacency(self) -> dict[int, frozenset[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return {v: frozenset(ns) for v, ns in adj.items()}
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+    @staticmethod
+    def _from_arrays(vertices: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> "Graph":
+        """Graph from sorted distinct vertex ids and its sorted, distinct
+        edges (lo < hi, all ids among `vertices`), given as int64 arrays;
+        `edge_positions` is filled in from them."""
+        g = Graph(tuple(vertices.tolist()), tuple(zip(lo.tolist(), hi.tolist())))
+        pairs = np.searchsorted(vertices, np.stack([lo, hi], axis=1))
+        pairs.setflags(write=False)
+        vars(g)["edge_positions"] = pairs  # the cached_property's slot
+        return g
 
     @cached_property
     def edge_positions(self) -> np.ndarray:
@@ -78,6 +87,19 @@ class Graph:
         pairs = np.fromiter(flat, dtype=np.int64, count=2 * self.num_edges).reshape(-1, 2)
         pairs.setflags(write=False)
         return pairs
+
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Adjacency over positions as read-only int64 arrays (indptr,
+        indices): the neighbours of position i are indices[indptr[i]:indptr[i + 1]]."""
+        u, v = self.edge_positions.T
+        source = np.concatenate([u, v])
+        indices = np.concatenate([v, u])[np.argsort(source, kind="stable")]
+        indptr = np.zeros(self.num_vertices + 1, dtype=np.int64)
+        np.cumsum(np.bincount(source, minlength=self.num_vertices), out=indptr[1:])
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        return indptr, indices
 
     @property
     def num_vertices(self) -> int:
@@ -93,8 +115,50 @@ def load_graph(text: str) -> Graph:
 
     One edge per line as ``<u> <v>``; ``v <id>`` declares an isolated
     vertex; lines starting with ``#`` and blank lines are ignored.
-    Self-loops and duplicate edges are rejected.
+    Self-loops and duplicate edges are rejected.  Canonical documents
+    take the array parser, everything else the line parser (see the
+    module docstring); the graph and every error message are the same.
     """
+    g = _load_array(text) if len(text) >= ARRAY_PARSE_MIN_CHARS else None
+    return g if g is not None else _load_lines(text)
+
+
+# Shorter documents take the line parser, whose per-line cost stays
+# below the array parser's fixed cost up to about 150 characters.
+ARRAY_PARSE_MIN_CHARS = 256
+# A canonical document, with "\n" after its last line.
+_CANONICAL = re.compile(rb"(?:v [0-9]{1,10}\n)*(?:[0-9]{1,10} [0-9]{1,10}\n)*")
+_ID_BITS = 31
+
+
+def _load_array(text: str) -> Graph | None:
+    """The graph of a canonical document without self-loops or duplicate
+    edges, read with numpy; None for any other document."""
+    if not text.isascii():
+        return None
+    data = text.encode()
+    if data and not data.endswith(b"\n"):
+        data += b"\n"
+    if _CANONICAL.fullmatch(data) is None:
+        return None
+    last_v = data.rfind(b"v")
+    cut = data.find(b"\n", last_v) + 1 if last_v >= 0 else 0  # end of the `v` lines
+    declared = np.fromstring(data[:cut].replace(b"v", b" "), dtype=np.int64, sep=" ")
+    ends = np.fromstring(data[cut:], dtype=np.int64, sep=" ").reshape(-1, 2)
+    if ends.size and ends.max() >> _ID_BITS:
+        return None
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    key = np.sort(lo << _ID_BITS | hi)
+    if (lo == hi).any() or (key[1:] == key[:-1]).any():
+        return None  # the line parser names the line
+    lo, hi = key >> _ID_BITS, key & ((1 << _ID_BITS) - 1)
+    ids = np.sort(np.concatenate([declared, lo, hi]))
+    # np.unique would import numpy.ma, about 1 MiB of peak memory
+    return Graph._from_arrays(ids[np.diff(ids, prepend=-1) > 0], lo, hi)
+
+
+def _load_lines(text: str) -> Graph:
+    """The line-by-line parser behind `load_graph`."""
     vertices: set[int] = set()
     edges: list[Edge] = []
     seen: set[Edge] = set()
@@ -152,26 +216,31 @@ def degeneracy_order(g: Graph) -> DegeneracyOrder:
     """Peel a minimum-degree vertex repeatedly, ties broken by smallest id.
 
     The returned `k` is the maximum residual degree seen at removal time,
-    which equals the graph degeneracy.
+    which equals the graph degeneracy.  The peel runs over `g.csr` as
+    lists, with a heap of keys degree * n + position (positions follow
+    ids) and stale keys skipped; a peeled vertex's degree is set to -1.
     """
-    degrees = {v: g.degree(v) for v in g.vertices}
-    alive = set(g.vertices)
-    heap: list[tuple[int, int]] = [(d, v) for v, d in degrees.items()]
+    n = g.num_vertices
+    indptr, indices = g.csr
+    degree = np.diff(indptr).tolist()
+    indptr, indices = indptr.tolist(), indices.tolist()
+    heap = [d * n + i for i, d in enumerate(degree)]
     heapq.heapify(heap)
     order: list[int] = []
     k = 0
     while heap:
-        d, v = heapq.heappop(heap)
-        if v not in alive or d != degrees[v]:
+        d, i = divmod(heapq.heappop(heap), n)
+        if d != degree[i]:
             continue
-        alive.remove(v)
-        order.append(v)
+        degree[i] = -1
+        order.append(i)
         k = max(k, d)
-        for w in g.adjacency[v]:
-            if w in alive:
-                degrees[w] -= 1
-                heapq.heappush(heap, (degrees[w], w))
-    return DegeneracyOrder(tuple(order), k)
+        for j in indices[indptr[i]:indptr[i + 1]]:
+            dj = degree[j]
+            if dj >= 0:  # not peeled yet
+                degree[j] = dj - 1
+                heapq.heappush(heap, (dj - 1) * n + j)
+    return DegeneracyOrder(tuple(map(g.vertices.__getitem__, order)), k)
 
 
 def star_forest_decomposition(g: Graph, d: DegeneracyOrder) -> list[np.ndarray]:
@@ -259,13 +328,17 @@ def greedy_coloring(g: Graph, d: DegeneracyOrder) -> dict[int, int]:
     """
     if set(d.order) != set(g.vertices):
         raise ValueError("degeneracy order does not match graph vertices")
+    index = {v: i for i, v in enumerate(g.vertices)}
+    indptr, indices = (a.tolist() for a in g.csr)
+    by_position = [0] * g.num_vertices  # 0: not coloured yet
     color: dict[int, int] = {}
     for v in reversed(d.order):
-        used = {color[w] for w in g.adjacency[v] if w in color}
+        i = index[v]
+        used = {by_position[j] for j in indices[indptr[i]:indptr[i + 1]]}
         c = 1
         while c in used:
             c += 1
-        color[v] = c
+        color[v] = by_position[i] = c
     return color
 
 

@@ -130,10 +130,11 @@ def normalize_lower_bound_family(
     between their endpoints.
 
     Members with direction -1 are reversed, so all of them list
-    `subset.vertices` in the reference order; then each mid vertex of an
-    edge inside the subset is moved next to the endpoint it strayed past.
-    The result is re-verified pairwise suitable; the relocation is safe
-    for suitable families, so a failure here signals an implementation bug.
+    `subset.vertices` in the reference order, which is checked (ValueError
+    otherwise); then each mid vertex of an edge inside the subset is
+    moved next to the endpoint it strayed past.  The result is
+    re-verified pairwise suitable; the relocation is safe for suitable
+    families, so a failure here signals an implementation bug.
     """
     xs = subset.vertices
     mid_of = dict(zip(g.edges, subdivision_mids(g)))
@@ -141,6 +142,11 @@ def normalize_lower_bound_family(
     for order, direction in zip(members, subset.directions, strict=True):
         if direction < 0:
             order.reverse()
+    index = {v: j for j, v in enumerate(fam.ground_set)}
+    # each member's ranks of xs, negated where it was reversed: O(r * |X|)
+    ranks = fam.rank_matrix[:, [index[x] for x in xs]] * np.array(subset.directions)[:, None]
+    if (np.diff(ranks, axis=1) <= 0).any():
+        raise ValueError("a member does not list the subset in the order its direction states")
 
     pairs = [
         (s, t) for s in range(len(xs)) for t in range(s + 1, len(xs))

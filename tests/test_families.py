@@ -1,6 +1,7 @@
 """Separation predicates, suitability verification, embeddings, serialization."""
 
 import itertools
+import json
 import random
 import tracemalloc
 
@@ -13,6 +14,7 @@ from sepdim.families import (
     DENSE_MEMBERS,
     PermutationFamily,
     SeparationWitness,
+    _scan_order,
     disjoint_edge_pairs,
     family_from_json,
     family_to_json,
@@ -448,3 +450,85 @@ def test_disjoint_pairs_generator_matches_definition(p1, p2):
     for e, f in pairs:
         assert not set(e) & set(f)
     assert pairs == sorted(pairs)
+
+
+def test_scan_order_is_bit_reversed():
+    assert _scan_order(8).tolist() == [0, 4, 2, 6, 1, 5, 3, 7]
+    assert _scan_order(6).tolist() == [0, 4, 2, 1, 5, 3]
+    assert _scan_order(1).tolist() == [0] and _scan_order(0).tolist() == []
+    for r in range(1, 70):
+        assert sorted(_scan_order(r).tolist()) == list(range(r))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_with_families(), st.randoms(use_true_random=False), st.integers(1, 60),
+       st.integers(0, 2**32 - 1))
+def test_member_order_does_not_change_witnesses(graph_family, rnd, samples, seed):
+    """The pair checks visit members in their own order; the verdict and the
+    counterexample depend only on the set of members."""
+    g, fam = graph_family
+    rows = list(range(len(fam)))
+    rnd.shuffle(rows)
+    shuffled = PermutationFamily(fam.ground_set, fam.orders[rows])
+    assert verify_pairwise_suitable(shuffled, g) == verify_pairwise_suitable(fam, g)
+    assert verify_pairwise_suitable_sampled(shuffled, g, samples, seed) \
+        == verify_pairwise_suitable_sampled(fam, g, samples, seed)
+
+
+def test_member_order_on_star_cover_families():
+    """Star-cover families (members grouped by forest), reversed and shuffled,
+    some cut short so that counterexamples exist."""
+    from sepdim.starcover import degenerate_family, random_k_degenerate_graph
+
+    rng = random.Random(7)
+    for seed in range(6):
+        g = random_k_degenerate_graph(rng.randint(16, 40), 2 + seed % 2, seed=seed)
+        fam = degenerate_family(g).family
+        for keep in (len(fam), len(fam) // 3):
+            part = PermutationFamily(fam.ground_set, fam.orders[:keep])
+            expected = verify_pairwise_suitable(part, g)
+            assert expected.counterexample == brute_verify(part, g)
+            for rows in (list(range(keep))[::-1], rng.sample(range(keep), keep)):
+                moved = PermutationFamily(fam.ground_set, part.orders[rows])
+                assert verify_pairwise_suitable(moved, g) == expected
+
+
+def json_reference(fam, seed=None, generator="unspecified", extra=None):
+    """The family document through json.dumps, the writer's specification."""
+    doc = {"n": len(fam.ground_set), "ground_set": list(fam.ground_set),
+           "permutations": fam.id_orders(), "seed": seed, "generator": generator}
+    doc.update(extra or {})
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=5)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def random_families(draw):
+    """0-5 members over 0-12 sparse ids, some large."""
+    ids = sorted(draw(st.sets(st.integers(0, 2**40), max_size=12)))
+    members = draw(st.lists(st.permutations(ids), max_size=5))
+    return PermutationFamily.build(ids, members)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_families(), st.none() | st.integers(), st.text(max_size=6),
+       st.none() | st.dictionaries(
+           st.sampled_from(["n", "seed", "ground_set", "permutations", "a", "zz", "é"])
+           | st.text(max_size=4), json_values, max_size=4))
+def test_family_to_json_matches_json_dumps(fam, seed, generator, extra):
+    assert family_to_json(fam, seed=seed, generator=generator, extra=extra) \
+        == json_reference(fam, seed, generator, extra)
+
+
+def test_family_to_json_empty_family():
+    for fam in (PermutationFamily.build([], []), PermutationFamily.build([3, 9], [])):
+        assert family_to_json(fam) == json_reference(fam)
+    assert family_to_json(PermutationFamily.build([], [()])) == \
+        '{"generator":"unspecified","ground_set":[],"n":0,"permutations":[[]],"seed":null}\n'

@@ -1,14 +1,20 @@
 """Graph container, IO, degeneracy, star forests, subdivision."""
 
+import heapq
 import itertools
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sepdim.graphs import (
+    ARRAY_PARSE_MIN_CHARS,
     Graph,
     GraphFormatError,
+    _load_array,
+    _load_lines,
     check_star_forest,
     color_classes,
     degeneracy_order,
@@ -33,6 +39,15 @@ def path(n):
 
 def cycle(n):
     return Graph.from_edges([(i, i % n + 1) for i in range(1, n + 1)])
+
+
+def neighbours(g):
+    """Each vertex id's neighbours as a frozenset, built from g.edges."""
+    adj = {v: set() for v in g.vertices}
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return {v: frozenset(ns) for v, ns in adj.items()}
 
 
 class TestLoadGraph:
@@ -73,6 +88,134 @@ class TestLoadGraph:
             load_graph("-1 2")
 
 
+def parse_outcome(parse, text):
+    """(vertices, edges, edge_positions) of the parsed graph, or the error message."""
+    try:
+        g = parse(text)
+    except GraphFormatError as exc:
+        return str(exc)
+    return g.vertices, g.edges, g.edge_positions.tolist()
+
+
+ODD_TOKENS = ["+5", "1_0", "\u0663", "007", "-1", "x", "1.0", "2147483648", "99999999999"]
+
+
+@st.composite
+def edge_documents(draw):
+    """Edge-list documents with v lines and edge lines over sparse or large
+    ids, each in canonical form or with some of: tabs, runs of spaces,
+    trailing spaces, CRLF, comments, blank lines, v lines after edges,
+    repeated or reversed edges, self-loops, odd tokens, no final newline."""
+    ids = draw(st.lists(st.integers(0, 60) | st.integers(0, 2**31 - 1) | st.integers(2**31, 2**34),
+                        min_size=1, max_size=12))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=25))
+    canonical = draw(st.booleans())
+    if canonical:
+        ids = [v for v in ids if v < 2**31]
+        pairs = list({(min(p), max(p)) for p in pairs if p[0] != p[1] and max(p) < 2**31})
+    declared = sorted(set(draw(st.lists(st.sampled_from(ids), max_size=6)))) if ids else []
+    lines = [f"v {v}" for v in declared] + [f"{u} {v}" for u, v in pairs]
+    if not canonical:
+        for _ in range(draw(st.integers(0, 3))):
+            i = draw(st.integers(0, len(lines)))
+            lines.insert(i, draw(st.sampled_from(
+                ["", "# note", "  ", "v 3", "4 4", "1 2 3", "v", f"{draw(st.sampled_from(ODD_TOKENS))} 8"])))
+        sep = draw(st.sampled_from([" ", "\t", "  ", " \t"]))
+        tail = draw(st.sampled_from(["", " ", "\t"]))
+        lines = [line.replace(" ", sep) + tail for line in lines]
+    newline = "\r\n" if not canonical and draw(st.booleans()) else "\n"
+    text = newline.join(lines)
+    if lines and draw(st.booleans()):
+        text += newline
+    return canonical, text
+
+
+class TestArrayParser:
+    @settings(max_examples=400, deadline=None)
+    @given(edge_documents())
+    def test_array_parser_matches_line_parser(self, doc):
+        canonical, text = doc
+        expected = parse_outcome(_load_lines, text)
+        fast = _load_array(text)
+        if canonical:
+            # canonical documents without self-loops or repeats take the array path
+            assert fast is not None
+        if fast is not None:
+            assert (fast.vertices, fast.edges, fast.edge_positions.tolist()) == expected
+            assert not fast.edge_positions.flags.writeable
+        assert parse_outcome(load_graph, text) == expected
+        long_text = "\n" * ARRAY_PARSE_MIN_CHARS + text  # forces load_graph past the size switch
+        assert parse_outcome(load_graph, long_text) == parse_outcome(_load_lines, long_text)
+
+    def test_fallbacks_keep_messages(self):
+        body = "".join(f"{i} {i + 1}\n" for i in range(100))
+        assert len(body) >= ARRAY_PARSE_MIN_CHARS
+        for text, message in [
+            (body + "7 7\n", "line 101: self-loop at vertex 7"),
+            (body + "51 50\n", "line 101: duplicate edge (50, 51)"),
+            (body + "1 2 3\n", "line 101: malformed line '1 2 3'"),
+            (body + "-1 2\n", "line 101: malformed line '-1 2'"),
+        ]:
+            assert _load_array(text) is None
+            with pytest.raises(GraphFormatError) as exc:
+                load_graph(text)
+            assert str(exc.value) == message
+
+    def test_ids_past_31_bits_and_unicode_digits(self):
+        big = "".join(f"{i} {2**31 + i}\n" for i in range(60))
+        assert _load_array(big) is None
+        assert load_graph(big).edges[0] == (0, 2**31)
+        unicode = "".join(f"{i} {i + 1}\n" for i in range(60)) + "\u0663 70\n"
+        assert _load_array(unicode) is None
+        assert (3, 70) in load_graph(unicode).edges
+        declared = "v 9999999999\n" + "".join(f"{i} {i + 1}\n" for i in range(60))
+        assert _load_array(declared).vertices[-1] == 9999999999
+
+    def test_empty_and_vertex_only_documents(self):
+        assert _load_array("") == Graph((), ())
+        assert _load_array("v 5\nv 2") == Graph((2, 5), ())
+
+
+def peel_oracle(g):
+    """The peel over a dict of neighbour sets: minimum residual degree,
+    then smallest id."""
+    adjacency = neighbours(g)
+    degrees = {v: len(adjacency[v]) for v in g.vertices}
+    alive, heap, order, k = set(g.vertices), [(d, v) for v, d in degrees.items()], [], 0
+    heapq.heapify(heap)
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v not in alive or d != degrees[v]:
+            continue
+        alive.remove(v)
+        order.append(v)
+        k = max(k, d)
+        for w in adjacency[v] & alive:
+            degrees[w] -= 1
+            heapq.heappush(heap, (degrees[w], w))
+    return tuple(order), k
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sets(st.integers(0, 500), min_size=1, max_size=40), st.randoms(use_true_random=False),
+       st.floats(0.0, 0.6))
+def test_csr_peel_matches_oracle_and_core_numbers(ids, rnd, density):
+    ids = sorted(ids)
+    edges = [e for e in itertools.combinations(ids, 2) if rnd.random() < density]
+    g = Graph.build(ids, edges)
+    d = degeneracy_order(g)
+    assert (d.order, d.k) == peel_oracle(g)
+    oracle = nx.Graph()
+    oracle.add_nodes_from(ids)
+    oracle.add_edges_from(edges)
+    assert d.k == max(nx.core_number(oracle).values())
+    indptr, indices = g.csr
+    assert not indptr.flags.writeable and not indices.flags.writeable
+    adjacency = neighbours(g)
+    for i, v in enumerate(g.vertices):
+        assert sorted(g.vertices[j] for j in indices[indptr[i]:indptr[i + 1]]) == sorted(adjacency[v])
+
+
 class TestDegeneracy:
     def test_path_is_one_degenerate(self):
         assert degeneracy_order(path(4)).k == 1
@@ -87,8 +230,9 @@ class TestDegeneracy:
         g = complete(5)
         d = degeneracy_order(g)
         pos = {v: i for i, v in enumerate(d.order)}
+        adjacency = neighbours(g)
         for v in g.vertices:
-            later = sum(1 for w in g.adjacency[v] if pos[w] > pos[v])
+            later = sum(1 for w in adjacency[v] if pos[w] > pos[v])
             assert later <= d.k
 
     def test_deterministic_tie_break(self):
@@ -276,7 +420,7 @@ class TestSubdivide:
         g = complete(3)
         gsub = subdivide(g)
         assert gsub.num_vertices == 6 and gsub.num_edges == 6
-        assert all(len(gsub.adjacency[v]) == 2 for v in gsub.vertices)
+        assert all(len(ns) == 2 for ns in neighbours(gsub).values())
 
     def test_k4_counts(self):
         gsub = subdivide(complete(4))
@@ -291,11 +435,11 @@ class TestSubdivide:
 
     def test_mid_adjacency_and_degree_preservation(self):
         g = complete(4)
-        gsub = subdivide(g)
+        sub_adjacency, adjacency = neighbours(subdivide(g)), neighbours(g)
         for (u, v), mid in zip(g.edges, subdivision_mids(g)):
-            assert gsub.adjacency[mid] == frozenset({u, v})
+            assert sub_adjacency[mid] == frozenset({u, v})
         for v in g.vertices:
-            assert len(gsub.adjacency[v]) == g.degree(v)
+            assert len(sub_adjacency[v]) == len(adjacency[v])
 
     def test_fresh_ids_above_max(self):
         g = Graph.from_edges([(3, 7)])
@@ -305,8 +449,8 @@ class TestSubdivide:
         # the isolated vertex 20 is the largest id, so mids start at 21
         g = Graph.build([2, 5, 9, 20], [(5, 9), (2, 9), (2, 5)])
         assert subdivision_mids(g) == range(21, 24)
-        assert subdivide(g).adjacency[21] == frozenset({2, 5})
-        assert subdivide(g).adjacency[23] == frozenset({5, 9})
+        assert neighbours(subdivide(g))[21] == frozenset({2, 5})
+        assert neighbours(subdivide(g))[23] == frozenset({5, 9})
 
     def test_edgeless_and_empty(self):
         g = Graph.build([4, 6], [])

@@ -4,6 +4,7 @@ import math
 import random
 from itertools import combinations, permutations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from sepdim.exact import exact_separation_dimension
@@ -218,6 +219,17 @@ class TestNormalizeAndExtract:
         fam = PermutationFamily.build(subdivide(g).vertices, [(mid, 2, 1)])
         normalized = normalize_lower_bound_family(fam, g, MonotoneSubsetResult((1, 2), (-1,)))
         assert normalized.id_orders() == [[1, mid, 2]]
+
+    def test_direction_that_disagrees_with_a_member_is_refused(self):
+        # (mid, 2, 1) lists the subset (1, 2) reversed, so +1 is wrong
+        g = Graph.from_edges([(1, 2)])
+        (mid,) = subdivision_mids(g)
+        fam = PermutationFamily.build(subdivide(g).vertices, [(mid, 2, 1)])
+        with pytest.raises(ValueError, match="direction"):
+            normalize_lower_bound_family(fam, g, MonotoneSubsetResult((1, 2), (1,)))
+        two = PermutationFamily.build(subdivide(g).vertices, [(1, mid, 2), (1, 2, mid)])
+        with pytest.raises(ValueError, match="direction"):
+            normalize_lower_bound_family(two, g, MonotoneSubsetResult((1, 2), (1, -1)))
 
     def test_extract_realizer_p2(self):
         g = Graph.from_edges([(1, 2)])

@@ -45,9 +45,13 @@ def random_proper_classes(g, rng):
     """A random proper colouring (not a greedy one), classes and their
     insides in random order."""
     palette = rng.randint(1, 6)
+    adjacency = {v: set() for v in g.vertices}
+    for u, v in g.edges:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
     color = {}
     for v in rng.sample(list(g.vertices), g.num_vertices):
-        used = {color[w] for w in g.adjacency[v] if w in color}
+        used = {color[w] for w in adjacency[v] if w in color}
         free = [c for c in range(palette + len(used)) if c not in used]
         color[v] = rng.choice(free[:palette])
     classes = {}

@@ -148,3 +148,18 @@ def test_builder_size_at_least_exact_minimum_n6():
     exact, _ = exact_min_3_suitable(6)
     assert len(built.family) == exact
     assert verify_k_suitable(built.family, 3)
+
+
+def test_exact_minimum_is_searched_once_per_n(monkeypatch):
+    from sepdim import suitable3
+
+    exact_min_3_suitable.cache_clear()
+    first = exact_min_3_suitable(5)
+
+    def no_search(*args):
+        raise AssertionError("the memoised result should be reused")
+
+    monkeypatch.setattr(suitable3, "_dimension_dfs", no_search)
+    assert exact_min_3_suitable(5) is first
+    assert build_3_suitable_for([3, 9, 12, 40, 41]).family.orders.tolist() == first[1].orders.tolist()
+    assert not first[1].orders.flags.writeable
