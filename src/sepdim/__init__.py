@@ -11,7 +11,6 @@ from .families import (
     family_from_json,
     family_to_json,
     separates,
-    verify_auto,
     verify_k_suitable,
     verify_pairwise_suitable,
     verify_pairwise_suitable_sampled,
@@ -54,6 +53,7 @@ from .posets import (
 )
 from .starcover import (
     DegenerateCoverResult,
+    certify_star_cover,
     construct_sigma,
     degenerate_family,
     random_k_degenerate_graph,
@@ -68,6 +68,7 @@ from .suitable3 import (
     Suitable3Result,
     build_3_suitable,
     build_3_suitable_for,
+    certify_3_suitable,
     exact_min_3_suitable,
 )
 

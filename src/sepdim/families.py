@@ -266,21 +266,6 @@ def verify_pairwise_suitable_sampled(
     return SeparationWitness(False, _to_ids(fam, edges, ii[t], jj[t]), "sampled")
 
 
-def verify_auto(
-    fam: PermutationFamily,
-    g: Graph,
-    seed: int = 0,
-    samples: int = 1_000_000,
-) -> SeparationWitness:
-    """Exhaustive pair check when the graph has at most `samples` edge
-    pairs (m(m-1)/2, shared-vertex pairs included), a uniform sample of
-    `samples` disjoint pairs beyond."""
-    m = g.num_edges
-    if m * (m - 1) // 2 <= samples:
-        return verify_pairwise_suitable(fam, g)
-    return verify_pairwise_suitable_sampled(fam, g, samples, seed)
-
-
 def verify_k_suitable(fam: PermutationFamily, k: int) -> bool:
     """Dushnik k-suitability: every element of every k-set is some member's last.
 

@@ -289,20 +289,29 @@ def star_forest_decomposition(g: Graph, d: DegeneracyOrder) -> list[np.ndarray]:
     return forests
 
 
-def check_star_forest(g: Graph, roots: np.ndarray) -> None:
+def check_star_forest(g: Graph, roots: np.ndarray) -> int:
     """Raise ValueError unless `roots` (per position in `g.vertices`, the
     position of its star's root) is a spanning star forest of g: roots
-    root themselves, and every other vertex is joined to its root by an edge."""
+    root themselves, and every other vertex is joined to its root by an
+    edge.  An (s, n) array holds s star forests, checked in one pass.
+    Returns how many distinct edges the leaf-root pairs cover."""
     n = g.num_vertices
-    if roots.shape != (n,) or ((roots < 0) | (roots >= n)).any():
+    stacked = roots.reshape(1, -1) if roots.ndim == 1 else roots
+    if stacked.ndim != 2 or stacked.shape[1] != n or ((stacked < 0) | (stacked >= n)).any():
         raise ValueError("roots must hold one position in g.vertices per vertex")
-    if (roots[roots] != roots).any():
+    if (np.take_along_axis(stacked, stacked, axis=1) != stacked).any():
         raise ValueError("a star root lies in another star")
-    leaves = np.flatnonzero(roots != np.arange(n))
-    pairs = np.sort(np.stack([leaves, roots[leaves]], axis=1), axis=1)
-    edges = g.edge_positions
-    if not np.isin(pairs[:, 0] * n + pairs[:, 1], edges[:, 0] * n + edges[:, 1]).all():
+    forest, leaf = np.nonzero(stacked != np.arange(n))
+    root = stacked[forest, leaf]
+    # each pair packed into one int, sorted and deduplicated (np.unique
+    # would import numpy.ma); the packed edges are sorted already
+    pairs = np.sort(np.minimum(leaf, root) * n + np.maximum(leaf, root))
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+    edges = g.edge_positions[:, 0] * n + g.edge_positions[:, 1]
+    at = np.searchsorted(edges, pairs)
+    if (at == edges.size).any() or (edges[at.clip(max=edges.size - 1)] != pairs).any():
         raise ValueError("a leaf is not joined to its root by an edge")
+    return pairs.size
 
 
 def subdivision_mids(g: Graph) -> range:

@@ -5,6 +5,12 @@ builds one 3-suitable base family over the vertex-id universe, and then
 emits, per star forest and base member, a block permutation and its
 block-reversed twin.  Any disjoint edge pair is separated inside the
 family of the forest owning one of the edges.
+
+`certify_star_cover` checks a result against the premises of that
+argument, in time linear in the family size, instead of checking every
+disjoint edge pair: the forests cover the edges, the base is 3-suitable
+(`suitable3.certify_3_suitable`), and every member is the block order
+the argument describes.
 """
 
 from __future__ import annotations
@@ -15,31 +21,52 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import PermutationFamily
-from .graphs import Graph, star_forest_decomposition, degeneracy_order
-from .suitable3 import Suitable3Result, build_3_suitable_for
+from .graphs import Graph, check_star_forest, star_forest_decomposition, degeneracy_order
+from .suitable3 import Suitable3Result, build_3_suitable_for, certify_3_suitable
 
 
-def construct_sigma(roots: np.ndarray, base_rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Block permutation and its block-reversed twin for one star forest.
+def _block_keys(roots: np.ndarray, base_ranks: np.ndarray) -> np.ndarray:
+    """(2r, n) sort keys of one star forest's members, one distinct int64
+    per position: row 2i packs (ρ_i(root), is_root, ρ_i(v)) and row
+    2i + 1 (−ρ_i(root), is_root, ρ_i(v)), where ρ_i is row i of the
+    (r, n) base rank matrix `base_ranks` and root is v's star root."""
+    r, n = base_ranks.shape
+    within = (roots == np.arange(n)) * n + base_ranks  # 1..2n
+    block = base_ranks[:, roots] * (2 * n + 1)
+    keys = np.empty((r, 2, n), dtype=np.int64)
+    np.add(block, within, out=keys[:, 0])
+    np.subtract(within, block, out=keys[:, 1])
+    return keys.reshape(2 * r, n)
+
+
+def construct_sigma(roots: np.ndarray, base_ranks: np.ndarray) -> np.ndarray:
+    """The 2r members of one star forest, as rows of positions.
 
     `roots` is one star forest from `star_forest_decomposition` (the
-    position of each vertex's star root) and `base_rank` one base
-    member's rank of each position; both outputs are rows of positions.
-    Stars form blocks ordered by the base rank of their root; the twin
-    reverses the block order.  Within a block the leaves follow their
-    own base rank and the root comes last in both outputs.
+    position of each vertex's star root) and `base_ranks` the (r, n)
+    rank matrix of the base family.  Row 2i is the block permutation of
+    base member i: stars form blocks ordered by the base rank of their
+    root, the leaves of a block follow their own base rank and the root
+    comes last.  Row 2i + 1, its twin, reverses the block order.
     """
-    is_root = roots == np.arange(roots.size)
-    block = base_rank[roots]
-    return np.lexsort((base_rank, is_root, block)), np.lexsort((base_rank, is_root, -block))
+    return np.argsort(_block_keys(roots, base_ranks), axis=1)
 
 
 @dataclass(frozen=True)
 class DegenerateCoverResult:
+    """A star-cover family and what it was built from: the degeneracy k,
+    the 3-suitable base and the (s, n) stacked root arrays of the star
+    forests; member 2(S*r + i) and its twin come from forest S and base
+    member i."""
+
     family: PermutationFamily
     degeneracy: int
-    forest_count: int
     base: Suitable3Result
+    roots: np.ndarray
+
+    @property
+    def forest_count(self) -> int:
+        return self.roots.shape[0]
 
     @property
     def base_size(self) -> int:
@@ -56,16 +83,68 @@ def degenerate_family(g: Graph) -> DegenerateCoverResult:
     if not g.vertices:
         raise ValueError("graph must have at least one vertex")
     d = degeneracy_order(g)
-    forests = star_forest_decomposition(g, d)
+    n = g.num_vertices
+    roots = np.array(star_forest_decomposition(g, d), dtype=np.int64).reshape(-1, n)
+    roots.flags.writeable = False
     base = build_3_suitable_for(g.vertices)
     # the base family shares g's ground set, so its positions are g's
-    rows = []
-    for roots in forests:
-        for base_rank in base.family.rank_matrix:
-            rows.extend(construct_sigma(roots, base_rank))
-    n = g.num_vertices
-    family = PermutationFamily(g.vertices, np.array(rows, dtype=np.int64).reshape(len(rows), n))
-    return DegenerateCoverResult(family, d.k, len(forests), base)
+    ranks = base.family.rank_matrix
+    per_forest = 2 * len(ranks)
+    orders = np.empty((per_forest * len(roots), n), dtype=np.int64)
+    for s, forest in enumerate(roots):
+        orders[s * per_forest:(s + 1) * per_forest] = construct_sigma(forest, ranks)
+    return DegenerateCoverResult(PermutationFamily(g.vertices, orders), d.k, base, roots)
+
+
+def certify_star_cover(g: Graph, result: DegenerateCoverResult) -> None:
+    """Raise AssertionError, naming the failed premise, unless `result`
+    is a star-cover family of g whose pairwise suitability follows from
+    the construction's proof.  O(s*r*n + m), one vectorised pass per
+    star forest.
+
+    Premises: base, the base is 3-suitable over g's positions
+    (`certify_3_suitable`); cover, there are s <= 2k star forests, each
+    a spanning star forest of g, whose leaf-root pairs cover E(g), and
+    2*s*r members; members, member 2(S*r + i) lists the positions in
+    strictly increasing (ρ_i(root), is_root, ρ_i(v)) and its twin in
+    strictly increasing (−ρ_i(root), is_root, ρ_i(v)), roots of forest S.
+
+    Why they imply pairwise suitability.  Take disjoint edges e, f.  By
+    cover, e = ρℓ is a leaf-root pair of some forest S: ℓ a leaf of the
+    star A rooted at ρ.  The members of S list each star as one block,
+    its leaves in base order and its root last; the block order is the
+    base order of the roots, reversed in the twin.
+      f = xy outside A, in stars rooted at β_x and β_y (perhaps equal):
+        3-suitability gives a base member with β_x and β_y (or β_x and
+        any third position) before ρ, and its block permutation lists
+        both blocks before A.
+      x a leaf of A, y in another star rooted at β: a base member puts x
+        before ℓ; in its block permutation or in the twin, whichever
+        lists y's block first, x and y come before ℓ and the last of A,
+        ρ.
+      x and y both leaves of A: a base member puts x and y before ℓ, and
+        ρ ends the block.
+    In each case e and f are separated.  f cannot contain ρ or ℓ.
+    """
+    fam, base, roots = result.family, result.base, result.roots
+    if fam.ground_set != g.vertices or base.family.ground_set != g.vertices:
+        raise AssertionError("cover: the family or the base is not over the graph's vertices")
+    certify_3_suitable(base)
+    s, r = len(roots), len(base.family)
+    if s > 2 * result.degeneracy or len(fam) != 2 * s * r:
+        raise AssertionError(f"cover: {len(fam)} members from {s} star forests and {r} base "
+                             f"members, not 2*s*r with s <= 2k = {2 * result.degeneracy}")
+    try:
+        covered = check_star_forest(g, roots)
+    except ValueError as exc:
+        raise AssertionError(f"cover: {exc}") from None
+    if covered != g.num_edges:
+        raise AssertionError("cover: an edge is a leaf-root pair of no star forest")
+    ranks = base.family.rank_matrix
+    for S, forest in enumerate(roots):
+        keys = np.take_along_axis(_block_keys(forest, ranks), fam.orders[2 * S * r:2 * (S + 1) * r], axis=1)
+        if not (np.diff(keys, axis=1) > 0).all():
+            raise AssertionError(f"members: a member of star forest {S} is not its block order")
 
 
 def random_k_degenerate_graph(n: int, k: int, seed: int = 0) -> Graph:

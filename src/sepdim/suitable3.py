@@ -1,10 +1,14 @@
-"""Builders for 3-suitable permutation families.
+"""Builders for 3-suitable permutation families, and their certificate.
 
 A family is 3-suitable when for every 3-set and every designated element
 some member places the other two entirely before it.  Ground sets of at
 most six elements get an exact minimum family; larger ones get Spencer's
 lexicographic family (Spencer 1971, "Minimal scrambling sets of simple
-orders"), whose size grows as log log n.
+orders"), whose size grows as log log n.  Spencer's family is a lex-xor
+base: member i sorts the positions j by j ^ flip_i, and the t x L matrix
+of flip bits is kept with the family, because 3-suitability follows from
+two properties of that matrix alone (`certify_3_suitable`).  Every base
+`build_3_suitable_for` returns has passed that certificate, at every n.
 
 The exact minimum comes from the one exact engine,
 `posets._dimension_dfs`, on the empty order over 0..n-1.  Each 3-set
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -25,9 +29,6 @@ import numpy as np
 from .families import PermutationFamily, verify_k_suitable
 from .posets import _dimension_dfs, _topo_indices
 
-# Up to this many elements every result is re-checked by verify_k_suitable,
-# which walks all C(n, 3) triples.
-VERIFY_LIMIT = 75
 # Largest ground set exact_min_3_suitable solves.
 EXACT_LIMIT = 6
 # Node cap of its search; n = 6 takes under 200 nodes.
@@ -36,37 +37,87 @@ EXACT_BUDGET = 100_000
 
 @dataclass(frozen=True)
 class Suitable3Result:
+    """A 3-suitable family and how it was made.
+
+    `flips` is the (t, L) boolean flip-bit matrix of a lex-xor base
+    (column p is bit L - 1 - p of a position), None for any other base.
+    """
+
     family: PermutationFamily
     generator: str
+    flips: np.ndarray | None = field(default=None, compare=False)
 
 
-def _spencer_orders(n: int) -> np.ndarray:
-    """Spencer's t-member 3-suitable family over positions 0..n-1.
+def lex_xor_orders(flips: np.ndarray, n: int) -> np.ndarray:
+    """Rows of positions 0..n-1, member i sorted by j ^ flip_i, where
+    flip_i is row i of the (t, L) bit matrix `flips` read as an integer,
+    column 0 most significant (L <= 62)."""
+    return np.argsort(np.arange(n) ^ _masks(flips)[:, None], axis=1)
 
-    t is the smallest value with 2^C(t-2, h) >= n, h = (t-2) // 2.  Bit p
-    of a position (p = 0 most significant) gets the set S_p = {0} | B_p,
-    where B_p runs over the h-subsets of {1..t-2}.  Member i sorts the
-    positions j by j ^ flip_i, where bit p of flip_i is set iff i is not
-    in S_p: of two positions first differing at bit p, the one with a 1
-    there comes later iff i is in S_p.
 
-    For distinct a, x, y let p and q be the first bits where a differs
-    from x and from y.  Member i puts a above x iff i lies in S_p or in
-    its complement (which one depends on a's bit p), and likewise for y
-    at q.  The two sets always meet: every S_p contains 0, no S_p
-    contains t-1, and distinct S_p, S_q are incomparable (Sperner), so
-    S_p - S_q and S_q - S_p are non-empty.
+def _masks(flips: np.ndarray) -> np.ndarray:
+    """Each row of a flip matrix as an integer, column 0 most significant."""
+    return flips.astype(np.int64) @ (1 << np.arange(flips.shape[1] - 1, -1, -1, dtype=np.int64))
+
+
+def _spencer_flips(n: int) -> np.ndarray:
+    """Spencer's t x L flip matrix for positions 0..n-1.
+
+    t is the smallest value with 2^L >= n, L = C(t-2, h), h = (t-2) // 2.
+    Column p gets the set S_p = {0} | B_p, where B_p runs over the
+    h-subsets of {1..t-2}, and member i's bit p is set iff i is not in
+    S_p.  Any two columns p != q show all four bit patterns: (0, 0) at
+    member 0, which every S_p contains; (1, 1) at member t-1, which no
+    S_p contains; (0, 1) and (1, 0) because distinct h-sets are
+    incomparable (Sperner), so S_p - S_q and S_q - S_p are non-empty.
+    Members 0 and t-1 also give every column both values.
     """
     t = 2
     while 2 ** math.comb(t - 2, (t - 2) // 2) < n:
         t += 1
     layer = list(combinations(range(1, t - 1), (t - 2) // 2))
-    width = len(layer)
-    flips = [
-        sum(1 << (width - 1 - p) for p, subset in enumerate(layer) if i != 0 and i not in subset)
-        for i in range(t)
-    ]
-    return np.argsort(np.arange(n)[None, :] ^ np.array(flips)[:, None], axis=1)
+    return np.array([[i != 0 and i not in subset for subset in layer] for i in range(t)],
+                    dtype=bool).reshape(t, len(layer))
+
+
+def certify_3_suitable(base: Suitable3Result) -> None:
+    """Raise AssertionError, naming the failed premise, unless
+    `base.family` is 3-suitable.
+
+    A lex-xor base is checked in O(t*L^2 + t*n) against these premises:
+    every flip column takes both values; every two columns show all four
+    patterns (a binary covering array of strength 2); 2^L >= n; and row
+    i lists the positions in strictly increasing j ^ flip_i.  They imply
+    3-suitability: for distinct positions a, x, y let p and q be the
+    first bits where a differs from x and from y.  Member i puts a after
+    x iff bit p of a ^ flip_i is 1, that is iff flip_i has the opposite
+    of a's bit at p, and likewise for y at q.  If p != q, strength 2
+    gives a member with the wanted bits at both p and q; if p = q, one
+    bit is wanted, and the column takes both values.  Any other base
+    must have at most EXACT_LIMIT elements (at most 20 triples) and goes
+    through `verify_k_suitable`.
+    """
+    fam, flips = base.family, base.flips
+    n = len(fam.ground_set)
+    if flips is None:
+        if n > EXACT_LIMIT:
+            raise AssertionError(f"base: {n} elements and no flip matrix to certify them by")
+        if not verify_k_suitable(fam, 3):
+            raise AssertionError("base: the exact base is not 3-suitable")
+        return
+    t, width = flips.shape
+    if t != len(fam) or flips.dtype != bool or 2 ** width < n or width > 62:
+        raise AssertionError("base: the flip matrix is not t x L bits with 2^L >= n and L <= 62")
+    if not (flips.any(axis=0) & ~flips.all(axis=0)).all():
+        raise AssertionError("base: a flip column takes only one value")
+    ones = flips.astype(np.int64)
+    for x, y in ((ones, ones), (ones, 1 - ones), (1 - ones, 1 - ones)):
+        seen = x.T @ y  # members with the pattern at columns (p, q); (0, 1) is (1, 0) transposed
+        np.fill_diagonal(seen, 1)
+        if not seen.all():
+            raise AssertionError("base: two flip columns miss one of the four bit patterns")
+    if not (np.diff(fam.orders ^ _masks(flips)[:, None], axis=1) > 0).all():
+        raise AssertionError("base: a member does not list the positions by increasing j ^ flip")
 
 
 def build_3_suitable(n: int) -> Suitable3Result:
@@ -75,7 +126,7 @@ def build_3_suitable(n: int) -> Suitable3Result:
 
 
 def build_3_suitable_for(ids) -> Suitable3Result:
-    """3-suitable family over an arbitrary id universe.
+    """Certified 3-suitable family over an arbitrary id universe.
 
     Members order the ids by position in the sorted universe; the result
     depends only on how many ids there are.
@@ -84,15 +135,12 @@ def build_3_suitable_for(ids) -> Suitable3Result:
     n = len(ids)
     if n <= EXACT_LIMIT:
         # the witness is over 1..n, so its rows are already positions
-        orders = exact_min_3_suitable(n)[1].orders
-        generator = "exact"
+        result = Suitable3Result(PermutationFamily(ids, exact_min_3_suitable(n)[1].orders), "exact")
     else:
-        orders = _spencer_orders(n)
-        generator = "spencer"
-    fam = PermutationFamily(ids, orders)
-    if n <= VERIFY_LIMIT and not verify_k_suitable(fam, 3):
-        raise AssertionError("3-suitable construction failed verification")
-    return Suitable3Result(fam, generator)
+        flips = _spencer_flips(n)
+        result = Suitable3Result(PermutationFamily(ids, lex_xor_orders(flips, n)), "spencer", flips)
+    certify_3_suitable(result)
+    return result
 
 
 @functools.cache

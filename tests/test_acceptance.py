@@ -9,7 +9,6 @@ import time
 from sepdim.exact import exact_separation_dimension
 from sepdim.families import (
     PermutationFamily,
-    verify_auto,
     verify_k_suitable,
     verify_pairwise_suitable,
 )
@@ -25,7 +24,7 @@ from sepdim.posets import (
     is_linear_extension,
     is_realizer,
 )
-from sepdim.starcover import degenerate_family, random_k_degenerate_graph
+from sepdim.starcover import certify_star_cover, degenerate_family, random_k_degenerate_graph
 from sepdim.subdivided import colored_subdivision_family
 from sepdim.suitable3 import build_3_suitable, exact_min_3_suitable
 
@@ -65,7 +64,11 @@ def test_criterion_1_degenerate_pipeline():
                 if size != expected or size > bound:
                     failures.append((k, n, trial, "size", size, expected, bound))
                     continue
-                witness = verify_auto(result.family, g, seed=seed)
+                try:
+                    certify_star_cover(g, result)
+                except AssertionError as exc:
+                    failures.append((k, n, trial, "certificate", str(exc)))
+                witness = verify_pairwise_suitable(result.family, g)
                 if not witness.ok:
                     failures.append((k, n, trial, "verify", witness.counterexample))
                 if time.time() - per_graph > 60:

@@ -54,16 +54,35 @@ class TestBoundDegenerate:
         assert "input error" in capsys.readouterr().err
 
     def test_reports_byte_identical(self, p4_file, capsys):
-        assert main(["bound-degenerate", p4_file, "--seed", "5", "--format", "structured"]) == 0
+        assert main(["bound-degenerate", p4_file, "--format", "structured"]) == 0
         first = capsys.readouterr().out
-        assert main(["bound-degenerate", p4_file, "--seed", "5", "--format", "structured"]) == 0
+        assert main(["bound-degenerate", p4_file, "--format", "structured"]) == 0
         second = capsys.readouterr().out
         assert first == second
         doc = json.loads(first)
         assert doc["verdict"] == "ok"
         assert doc["family_size"] == 2 * doc["star_forests"] * doc["base_family_size"]
         assert doc["base_generator"] == "exact"
-        assert doc["verification"] == "exhaustive"
+        assert doc["verification"] == "certificate"
+        assert "seed" not in doc
+
+    def test_failed_certificate_is_an_internal_error(self, p4_file, monkeypatch, capsys):
+        # a family one member short fails the certificate's cover premise:
+        # exit 4, one stderr line, no report and no traceback
+        real = cli.degenerate_family
+
+        def short(g):
+            result = real(g)
+            family = PermutationFamily(result.family.ground_set, result.family.orders[:-1])
+            return dataclasses.replace(result, family=family)
+
+        monkeypatch.setattr(cli, "degenerate_family", short)
+        assert main(["bound-degenerate", p4_file]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: cover:")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("big", [99999999999, 2**70])
     def test_sparse_huge_ids(self, big, tmp_path, capsys):
@@ -118,7 +137,6 @@ class TestBoundSubdivision:
 
         monkeypatch.setattr(subdivided, "subdivision_family", short)
         monkeypatch.setattr(cli, "verify_pairwise_suitable", counted)
-        monkeypatch.setattr(cli, "verify_auto", counted)
         assert main(["bound-subdivision", c4_file, "--format", "structured"]) == 1
         captured = capsys.readouterr()
         doc = json.loads(captured.out)
@@ -210,6 +228,7 @@ class TestOptions:
         ["verify", "g.txt", "fam.json", "--seed", "1"],
         ["verify", "g.txt", "fam.json", "--budget", "5"],
         ["bound-degenerate", "g.txt", "--budget", "5"],
+        ["bound-degenerate", "g.txt", "--seed", "1"],
         ["bound-subdivision", "g.txt", "--budget", "5"],
         ["canonical-dim", "3", "--seed", "1"],
         ["exact", "g.txt", "--seed", "1"],
@@ -296,12 +315,12 @@ def _clique(n: int) -> str:
 # a command writes shows here.
 GOLDEN = {
     ("bound-degenerate", "deg30"): {
-        "report": "c853e1e284eef81dbb2fdbedd4134e87bc420adced75d71ecb0e8278dcf0a43a",
-        "fam.json": "d58aa6825b2844be22e4c10eee0ef95ab3f0ec27f26ab3cbaeac8b89704b3f57",
+        "report": "a21d1a01d3f157434af01871355dad5662bc0e9c22bb9476b12bec57b7c7ef64",
+        "fam.json": "a947ba6ec042afe035f05b3614c0c7f3aba74e76f77a51745e49e438cbb8ece7",
     },
     ("bound-degenerate", "deg120"): {
-        "report": "7cbb4731c205fc3d2342a6ba172e05f494e2b966b2b18a3455aa49e31b9190e6",
-        "fam.json": "09a67237fdba2549af0b4edcb47f38aede33751ba2509ac5a3fd2b5d9a412bf0",
+        "report": "3d0530063ec067f9ee80219c78026611aab343dfddfabc5165cc547e38a6b0f7",
+        "fam.json": "74df5f4a21c97a76926b50bc21fe3680d26d7027db0fa99b52ef65d1a9a0e9a8",
     },
     ("bound-subdivision", "k4"): {
         "report": "41e859c016f7c2d248aa3f91e2e51333e4299d66d1dc20fbf71a3bac40450fc8",

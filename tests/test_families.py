@@ -19,7 +19,6 @@ from sepdim.families import (
     family_from_json,
     family_to_json,
     separates,
-    verify_auto,
     verify_k_suitable,
     verify_pairwise_suitable,
     verify_pairwise_suitable_sampled,
@@ -247,30 +246,6 @@ class TestVerifyPairwiseSuitable:
         fam = degenerate_family(g).family
         assert verify_pairwise_suitable(fam, g).ok
         assert verify_pairwise_suitable_sampled(fam, g, 20_000, seed=5).ok
-
-    def test_auto_switches_on_pair_count(self):
-        # m edges materialise m(m-1)/2 pairs: exhaustive up to that many samples
-        rng = random.Random(3)
-        ids = sorted(rng.sample(range(10**12), 24))
-        edges = {tuple(sorted(rng.sample(ids, 2))) for _ in range(40)}
-        g = Graph.build(ids, edges)
-        m = g.num_edges
-        from sepdim.starcover import degenerate_family
-
-        fam = degenerate_family(g).family
-        whole = verify_auto(fam, g, samples=m * (m - 1) // 2)
-        assert whole.ok and whole.verification == "exhaustive"
-        sampled = verify_auto(fam, g, samples=m * (m - 1) // 2 - 1)
-        assert sampled.ok and sampled.verification == "sampled"
-
-        one = PermutationFamily.build(ids, [ids])
-        expected = verify_pairwise_suitable(one, g)
-        assert not expected.ok and expected.counterexample == brute_verify(one, g)
-        assert verify_auto(one, g, samples=10**6) == expected
-        bad = verify_auto(one, g, samples=200, seed=1)
-        assert not bad.ok and bad.verification == "sampled"
-        e, f = bad.counterexample
-        assert not any(separates(p, e, f) for p in one.id_orders())
 
 
 class TestKSuitable:

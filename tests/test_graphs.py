@@ -402,6 +402,24 @@ class TestStarForests:
             for forest in forests:
                 check_star_forest(g, forest)
 
+    def test_stacked_forests_count_covered_edges(self):
+        for seed in range(40):
+            g = random_k_degenerate_graph(2 + seed, 1 + seed % 4, seed=seed)
+            forests = star_forest_decomposition(g, degeneracy_order(g))
+            stacked = np.array(forests).reshape(-1, g.num_vertices)
+            assert check_star_forest(g, stacked) == g.num_edges
+            assert check_star_forest(g, stacked[1:]) == g.num_edges - (stacked[0] != np.arange(g.num_vertices)).sum()
+            assert check_star_forest(g, np.concatenate([stacked, stacked])) == g.num_edges
+        g = path(4)  # positions 0-1-2-3
+        assert check_star_forest(g, np.array([[1, 1, 3, 3], [0, 2, 2, 3]])) == 3
+        assert check_star_forest(g, np.array([1, 1, 1, 3])) == 2
+        with pytest.raises(ValueError, match="root"):
+            check_star_forest(g, np.array([[1, 1, 3, 3], [1, 2, 2, 3]]))
+        with pytest.raises(ValueError, match="edge"):
+            check_star_forest(g, np.array([[1, 1, 3, 3], [0, 1, 0, 3]]))
+        with pytest.raises(ValueError, match="one position"):
+            check_star_forest(g, np.array([[[1, 1, 3, 3]]]))
+
     def test_check_rejects_non_star_forests(self):
         g = path(4)  # positions 0-1-2-3
         check_star_forest(g, np.array([1, 1, 1, 3]))

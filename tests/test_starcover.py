@@ -1,21 +1,26 @@
-"""Block permutations and the k-degenerate family pipeline."""
+"""Block permutations, the k-degenerate family pipeline and its certificate."""
 
+import dataclasses
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sepdim.families import (
+    PermutationFamily,
     separates,
     verify_k_suitable,
     verify_pairwise_suitable,
 )
 from sepdim.graphs import Graph, degeneracy_order, star_forest_decomposition
 from sepdim.starcover import (
+    certify_star_cover,
     construct_sigma,
     degenerate_family,
     random_k_degenerate_graph,
 )
+from sepdim.suitable3 import Suitable3Result, lex_xor_orders
 
 
 def sigma_orders(root_of, base):
@@ -24,7 +29,7 @@ def sigma_orders(root_of, base):
     verts = sorted(base)
     positions = {v: j for j, v in enumerate(verts)}
     roots = np.array([positions[root_of.get(v, v)] for v in verts])
-    base_rank = np.array([base.index(v) + 1 for v in verts])
+    base_rank = np.array([[base.index(v) + 1 for v in verts]])
     forward, backward = construct_sigma(roots, base_rank)
     return tuple(verts[j] for j in forward), tuple(verts[j] for j in backward)
 
@@ -71,6 +76,22 @@ class TestConstructSigma:
         forward, backward = sigma_orders({}, base)
         assert forward == (2, 1)
         assert backward == (1, 2)
+
+
+class TestConstructSigmaBatch:
+    def test_rows_equal_the_per_member_lexsorts(self):
+        # the composite key orders positions as the three-key lexsort does
+        for seed in range(6):
+            g = random_k_degenerate_graph(40 + 20 * seed, 1 + seed % 3, seed=seed)
+            result = degenerate_family(g)
+            ranks = result.base.family.rank_matrix
+            for forest in result.roots:
+                rows = construct_sigma(forest, ranks)
+                is_root = forest == np.arange(forest.size)
+                for i, rank in enumerate(ranks):
+                    block = rank[forest]
+                    assert rows[2 * i].tolist() == np.lexsort((rank, is_root, block)).tolist()
+                    assert rows[2 * i + 1].tolist() == np.lexsort((rank, is_root, -block)).tolist()
 
 
 class TestDegenerateFamily:
@@ -162,3 +183,137 @@ class TestRandomKDegenerate:
 
     def test_seeded_reproducible(self):
         assert random_k_degenerate_graph(40, 2, seed=3) == random_k_degenerate_graph(40, 2, seed=3)
+
+
+def certified(g, result) -> bool:
+    try:
+        certify_star_cover(g, result)
+    except AssertionError:
+        return False
+    return True
+
+
+def rebuilt(g, result, base=None, roots=None):
+    """`result` with its members rebuilt by `construct_sigma` from a
+    (mutated) base or root stack, so that only the base or the cover
+    premise can object to it."""
+    base = result.base if base is None else base
+    roots = result.roots if roots is None else roots
+    rows = [construct_sigma(forest, base.family.rank_matrix) for forest in roots]
+    orders = np.concatenate(rows) if rows else np.empty((0, g.num_vertices), dtype=np.int64)
+    return dataclasses.replace(result, family=PermutationFamily(g.vertices, orders), base=base, roots=roots)
+
+
+def mutant(g, result, kind, rng):
+    """One mutant of a star-cover result, or None where `kind` does not apply."""
+    fam, n = result.family, g.num_vertices
+    if kind == "swap":  # two positions of one member trade places
+        if not len(fam) or n < 2:
+            return None
+        orders = fam.orders.copy()
+        i, (a, b) = rng.randrange(len(fam)), rng.sample(range(n), 2)
+        orders[i, [a, b]] = orders[i, [b, a]]
+        return dataclasses.replace(result, family=PermutationFamily(fam.ground_set, orders))
+    if kind == "drop":  # one member left out
+        if not len(fam):
+            return None
+        orders = np.delete(fam.orders, rng.randrange(len(fam)), axis=0)
+        return dataclasses.replace(result, family=PermutationFamily(fam.ground_set, orders))
+    if kind == "flip":  # one flip bit of a lex-xor base, base rows and members rebuilt
+        if result.base.flips is None:
+            return None
+        flips = result.base.flips.copy()
+        i, p = rng.randrange(flips.shape[0]), rng.randrange(flips.shape[1])
+        flips[i, p] = not flips[i, p]
+        base = Suitable3Result(PermutationFamily(g.vertices, lex_xor_orders(flips, n)), "spencer", flips)
+        return rebuilt(g, result, base=base)
+    # "reroot": one leaf of one forest points at another vertex, members rebuilt
+    roots = result.roots.copy()
+    if not len(roots):
+        return None
+    s = rng.randrange(len(roots))
+    v = rng.choice(np.flatnonzero(roots[s] != np.arange(n)).tolist())
+    roots[s, v] = rng.choice([u for u in range(n) if u != roots[s, v]])
+    return rebuilt(g, result, roots=roots)
+
+
+MUTANTS = ("swap", "drop", "flip", "reroot")
+
+
+@st.composite
+def degenerate_graphs(draw, max_n=60):
+    """k-degenerate graphs, n <= max_n and k <= 4, some on sparse ids."""
+    n, k, seed = draw(st.integers(1, max_n)), draw(st.integers(1, 4)), draw(st.integers(0, 10**6))
+    g = random_k_degenerate_graph(n, k, seed=seed)
+    if draw(st.booleans()):
+        ids = sorted(random.Random(seed).sample(range(10 * n), n))
+        g = Graph.build(ids, [(ids[u], ids[v]) for u, v in g.edges])
+    return g
+
+
+class TestCertificate:
+    @settings(max_examples=80, deadline=None)
+    @given(degenerate_graphs())
+    def test_constructed_families_are_certified_and_suitable(self, g):
+        result = degenerate_family(g)
+        certify_star_cover(g, result)
+        assert verify_pairwise_suitable(result.family, g).ok
+
+    @settings(max_examples=120, deadline=None)
+    @given(degenerate_graphs(), st.sampled_from(MUTANTS), st.randoms(use_true_random=False))
+    def test_certified_mutants_are_suitable(self, g, kind, rng):
+        bad = mutant(g, degenerate_family(g), kind, rng)
+        if bad is not None and certified(g, bad):
+            assert verify_pairwise_suitable(bad.family, g).ok
+
+    @pytest.mark.parametrize("kind", ["drop", "flip", "reroot"])
+    def test_mutants_the_exhaustive_check_refuses_are_refused(self, kind):
+        # one mutation rarely breaks a family of 2sr members, so mutations
+        # pile up until the exhaustive check refuses; every step is a mutant
+        refused = 0
+        for seed in range(20):
+            rng = random.Random(seed)
+            g = random_k_degenerate_graph(rng.randint(12, 40), 1 + seed % 4, seed=seed)
+            bad = degenerate_family(g)
+            for _ in range(150):
+                bad = mutant(g, bad, kind, rng)
+                if bad is None:
+                    break
+                if not verify_pairwise_suitable(bad.family, g).ok:
+                    refused += 1
+                    assert not certified(g, bad), (seed, kind)
+                    break
+        assert refused >= 10
+
+    def test_swaps_and_drops_are_always_refused(self):
+        # the block keys are distinct, so a swap breaks their strict order
+        # whatever the exhaustive verdict; a drop breaks 2*s*r
+        for seed in range(30):
+            rng = random.Random(seed)
+            g = random_k_degenerate_graph(rng.randint(4, 40), 1 + seed % 4, seed=seed)
+            result = degenerate_family(g)
+            for kind in ("swap", "drop"):
+                assert not certified(g, mutant(g, result, kind, rng)), (seed, kind)
+
+    def test_each_premise_is_named(self):
+        g = random_k_degenerate_graph(30, 2, seed=4)
+        result = degenerate_family(g)
+        flips = result.base.flips.copy()
+        flips[:, 1] = flips[:, 0]  # two equal columns miss (0, 1) and (1, 0)
+        base = Suitable3Result(PermutationFamily(g.vertices, lex_xor_orders(flips, 30)), "spencer", flips)
+        with pytest.raises(AssertionError, match="^base: two flip columns"):
+            certify_star_cover(g, rebuilt(g, result, base=base))
+        fewer = dataclasses.replace(result, roots=result.roots[1:])
+        with pytest.raises(AssertionError, match="^cover: "):
+            certify_star_cover(g, rebuilt(g, fewer))
+        orders = result.family.orders.copy()
+        orders[[0, 1]] = orders[[1, 0]]  # a member and its twin trade places
+        swapped = dataclasses.replace(result, family=PermutationFamily(g.vertices, orders))
+        with pytest.raises(AssertionError, match="^members: .* star forest 0 "):
+            certify_star_cover(g, swapped)
+
+    def test_family_over_other_vertices_is_refused(self):
+        g = random_k_degenerate_graph(12, 2, seed=2)
+        other = Graph.build([v + 1 for v in g.vertices], [(u + 1, v + 1) for u, v in g.edges])
+        with pytest.raises(AssertionError, match="^cover: "):
+            certify_star_cover(other, degenerate_family(g))

@@ -2,13 +2,18 @@
 
 from itertools import combinations, combinations_with_replacement, permutations
 
+import numpy as np
 import pytest
 
-from sepdim.families import verify_k_suitable
+from sepdim.families import PermutationFamily, verify_k_suitable
 from sepdim.suitable3 import (
+    EXACT_LIMIT,
+    Suitable3Result,
     build_3_suitable,
     build_3_suitable_for,
+    certify_3_suitable,
     exact_min_3_suitable,
+    lex_xor_orders,
 )
 
 
@@ -163,3 +168,66 @@ def test_exact_minimum_is_searched_once_per_n(monkeypatch):
     assert exact_min_3_suitable(5) is first
     assert build_3_suitable_for([3, 9, 12, 40, 41]).family.orders.tolist() == first[1].orders.tolist()
     assert not first[1].orders.flags.writeable
+
+
+def lex_xor_base(flips, n):
+    flips = np.array(flips, dtype=bool)
+    return Suitable3Result(PermutationFamily(tuple(range(n)), lex_xor_orders(flips, n)), "spencer", flips)
+
+
+def certified(base) -> bool:
+    try:
+        certify_3_suitable(base)
+    except AssertionError:
+        return False
+    return True
+
+
+class TestBaseCertificate:
+    @pytest.mark.parametrize("n", list(range(3, 80)) + [100, 150, 200, 300])
+    def test_agrees_with_the_triple_walk(self, n):
+        base = build_3_suitable(n)
+        assert (base.flips is None) == (n <= EXACT_LIMIT)
+        certify_3_suitable(base)
+        assert verify_k_suitable(base.family, 3)
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 16, 17, 33, 64, 65])
+    def test_certified_flip_mutants_are_three_suitable(self, n):
+        flips = build_3_suitable(n).flips
+        refused = 0
+        for i, p in np.ndindex(flips.shape):
+            bad = flips.copy()
+            bad[i, p] = not bad[i, p]
+            base = lex_xor_base(bad, n)
+            if certified(base):
+                assert verify_k_suitable(base.family, 3), (i, p)
+            else:
+                refused += 1
+        assert refused
+
+    def test_missing_pattern_is_refused(self):
+        # columns 0 and 1 never show (1, 1): position 0 is never after both 1 and 2
+        base = lex_xor_base([[0, 0], [0, 1], [1, 0], [0, 0]], 4)
+        with pytest.raises(AssertionError, match="^base: two flip columns miss"):
+            certify_3_suitable(base)
+        assert not verify_k_suitable(base.family, 3)
+        flips = build_3_suitable(100).flips.copy()
+        flips[:, 3] = flips[:, 2]
+        with pytest.raises(AssertionError, match="^base: two flip columns miss"):
+            certify_3_suitable(lex_xor_base(flips, 100))
+
+    def test_other_premises_are_named(self):
+        with pytest.raises(AssertionError, match="^base: a flip column takes only one value"):
+            certify_3_suitable(lex_xor_base([[0, 0], [0, 1], [0, 0], [0, 1]], 4))
+        with pytest.raises(AssertionError, match="^base: the flip matrix"):
+            certify_3_suitable(lex_xor_base([[0, 0], [0, 1], [1, 0], [1, 1]], 5))
+        base = build_3_suitable(20)
+        orders = base.family.orders.copy()
+        orders[0, [0, 1]] = orders[0, [1, 0]]
+        moved = Suitable3Result(PermutationFamily(base.family.ground_set, orders), "spencer", base.flips)
+        with pytest.raises(AssertionError, match="^base: a member does not list"):
+            certify_3_suitable(moved)
+        with pytest.raises(AssertionError, match="^base: 20 elements and no flip matrix"):
+            certify_3_suitable(Suitable3Result(base.family, "spencer"))
+        with pytest.raises(AssertionError, match="^base: the exact base is not 3-suitable"):
+            certify_3_suitable(Suitable3Result(PermutationFamily.build([1, 2, 3], [(1, 2, 3)]), "exact"))
