@@ -23,6 +23,11 @@ constructions list their members in groups (the star cover forest by
 forest), and one group alone leaves many pairs for the sift.  The pairs
 no member separates are the same in any order, so the verdict and the
 counterexample are too.
+
+These checks serve families that come with no proof: `verify` on a
+user's family, `bound-subdivision` and the tests.  A star-cover family
+is certified from its construction's premises instead
+(`starcover.certify_star_cover`), in time linear in its size.
 """
 
 from __future__ import annotations
@@ -232,7 +237,8 @@ def verify_pairwise_suitable(fam: PermutationFamily, g: Graph) -> SeparationWitn
 def verify_pairwise_suitable_sampled(
     fam: PermutationFamily, g: Graph, samples: int, seed: int
 ) -> SeparationWitness:
-    """Check a uniform sample of disjoint edge pairs (for large graphs)."""
+    """Check a uniform sample of disjoint edge pairs: evidence, not a
+    proof.  No command runs it; `bound-degenerate` certifies its family."""
     _check_ground_set(fam, g)
     if samples < 1:
         raise ValueError("a sampled check needs at least one sample")

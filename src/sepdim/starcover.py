@@ -16,7 +16,7 @@ the argument describes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,7 +62,7 @@ class DegenerateCoverResult:
     family: PermutationFamily
     degeneracy: int
     base: Suitable3Result
-    roots: np.ndarray
+    roots: np.ndarray = field(compare=False)
 
     @property
     def forest_count(self) -> int:

@@ -13,7 +13,7 @@ from sepdim.families import (
     verify_k_suitable,
     verify_pairwise_suitable,
 )
-from sepdim.graphs import Graph, degeneracy_order, star_forest_decomposition
+from sepdim.graphs import Graph, degeneracy_order, star_forest_decomposition, subdivide
 from sepdim.starcover import (
     certify_star_cover,
     construct_sigma,
@@ -117,7 +117,8 @@ class TestDegenerateFamily:
         g = random_k_degenerate_graph(30, 2, seed=5)
         a = degenerate_family(g)
         b = degenerate_family(g)
-        assert a.family == b.family
+        assert a.family == b.family and a == b
+        assert np.array_equal(a.roots, b.roots) and not a.roots.flags.writeable
 
     def test_base_family_is_three_suitable(self):
         g = random_k_degenerate_graph(20, 2, seed=1)
@@ -255,6 +256,13 @@ class TestCertificate:
     @settings(max_examples=80, deadline=None)
     @given(degenerate_graphs())
     def test_constructed_families_are_certified_and_suitable(self, g):
+        result = degenerate_family(g)
+        certify_star_cover(g, result)
+        assert verify_pairwise_suitable(result.family, g).ok
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_subdivided_cliques_are_certified_and_suitable(self, n):
+        g = subdivide(Graph.from_edges([(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]))
         result = degenerate_family(g)
         certify_star_cover(g, result)
         assert verify_pairwise_suitable(result.family, g).ok
