@@ -177,10 +177,11 @@ def _edge_intervals(fam: PermutationFamily, edges: np.ndarray) -> tuple[np.ndarr
     return lo, np.maximum(first, second, out=first)
 
 
-def _disjoint(edges: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-    """Mask of the edge index pairs (ii, jj) that share no vertex."""
-    a, b = edges[ii].T
-    c, d = edges[jj].T
+def _disjoint(ends: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+    """Mask of the edge index pairs (ii, jj) that share no vertex; `ends`
+    is the (2, m) edge array with contiguous rows, `edges.T.copy()`."""
+    u, v = ends
+    a, b, c, d = u[ii], v[ii], u[jj], v[jj]
     return (a != c) & (a != d) & (b != c) & (b != d)
 
 
@@ -210,11 +211,12 @@ def _check_ground_set(fam: PermutationFamily, g: Graph) -> None:
 def verify_pairwise_suitable(fam: PermutationFamily, g: Graph) -> SeparationWitness:
     """Exhaustive check; returns the lexicographically smallest counterexample.
 
-    Blocks and `np.nonzero` both run in (i, j) order, and sifting keeps
-    that order, so the first survivor found is the smallest pair.
+    Blocks and `np.flatnonzero` both run in (i, j) order, and sifting
+    keeps that order, so the first survivor found is the smallest pair.
     """
     _check_ground_set(fam, g)
     edges = g.edge_positions
+    ends = edges.T.copy()
     lo, hi = _edge_intervals(fam, edges)
     dense = min(DENSE_MEMBERS, len(fam))
     m = edges.shape[0]
@@ -225,9 +227,10 @@ def verify_pairwise_suitable(fam: PermutationFamily, g: Graph) -> SeparationWitn
         for k in range(dense):
             alive &= hi[k, start:stop, None] >= lo[k, start:]
             alive &= hi[k, start:] >= lo[k, start:stop, None]
-        ii, jj = np.nonzero(alive)
-        ii, jj = ii + start, jj + start
-        keep = _disjoint(edges, ii, jj)
+        ii, jj = np.divmod(np.flatnonzero(alive), m - start)
+        ii += start
+        jj += start
+        keep = _disjoint(ends, ii, jj)
         ii, jj = _overlapping(lo[dense:], hi[dense:], ii[keep], jj[keep])
         if ii.size:
             return SeparationWitness(False, _to_ids(fam, edges, ii[0], jj[0]))
@@ -247,6 +250,7 @@ def verify_pairwise_suitable_sampled(
         return SeparationWitness(True)
     rng = np.random.default_rng(seed)
     edges = g.edge_positions
+    ends = edges.T.copy()
     ii = jj = np.empty(0, dtype=np.int64)
     rounds = 0
     while ii.size < samples:
@@ -260,7 +264,7 @@ def verify_pairwise_suitable_sampled(
         b = rng.integers(0, m, size=2 * want + 16)
         keep = a < b
         a, b = a[keep], b[keep]
-        keep = _disjoint(edges, a, b)
+        keep = _disjoint(ends, a, b)
         ii = np.concatenate([ii, a[keep][:want]])
         jj = np.concatenate([jj, b[keep][:want]])
     lo, hi = _edge_intervals(fam, edges)

@@ -1,10 +1,12 @@
 """Pairwise-suitable families for k-degenerate graphs via star forests.
 
 The pipeline decomposes the graph into at most 2k spanning star forests,
-builds one 3-suitable base family over the vertex-id universe, and then
-emits, per star forest and base member, a block permutation and its
-block-reversed twin.  Any disjoint edge pair is separated inside the
-family of the forest owning one of the edges.
+builds one 3-suitable base family over the vertex-id universe (r
+members: the exact minimum for n <= 6, else the Kleitman-Spencer lex-xor
+base, 6 members at n = 17-1024 and 7 at 1025-32768), and then emits, per
+star forest and base member, a block permutation and its block-reversed
+twin.  Any disjoint edge pair is separated inside the family of the
+forest owning one of the edges.
 
 `certify_star_cover` checks a result against the premises of that
 argument, in time linear in the family size, instead of checking every

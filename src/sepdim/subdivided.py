@@ -1,13 +1,13 @@
 """Pairwise-suitable families for fully subdivided graphs.
 
 A proper colouring of G lists its classes consecutively as the vertex
-order σ.  A 3-suitable family F of class orders (Spencer's scrambling
-permutations, so |F| grows as log log χ) is lifted to G^{1/2}: each
-class order gives one member that lists the classes in that order,
-keeps σ order inside each class and puts every mid vertex right after
-its later endpoint.  Two pinned members, which place each mid right
-after its σ-left or right before its σ-right endpoint, complete a
-family of |F| + 2 members.
+order σ.  A 3-suitable family F of class orders (the scrambling
+permutations of `suitable3`, so |F| grows as log log χ) is lifted to
+G^{1/2}: each class order gives one member that lists the classes in
+that order, keeps σ order inside each class and puts every mid vertex
+right after its later endpoint.  Two pinned members, which place each
+mid right after its σ-left or right before its σ-right endpoint,
+complete a family of |F| + 2 members.
 """
 
 from __future__ import annotations

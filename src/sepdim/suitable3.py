@@ -2,12 +2,15 @@
 
 A family is 3-suitable when for every 3-set and every designated element
 some member places the other two entirely before it.  Ground sets of at
-most six elements get an exact minimum family; larger ones get Spencer's
-lexicographic family (Spencer 1971, "Minimal scrambling sets of simple
-orders"), whose size grows as log log n.  Spencer's family is a lex-xor
-base: member i sorts the positions j by j ^ flip_i, and the t x L matrix
-of flip bits is kept with the family, because 3-suitability follows from
-two properties of that matrix alone (`certify_3_suitable`).  Every base
+most six elements get an exact minimum family; larger ones get a
+lexicographic family whose size grows as log log n (Spencer 1971,
+"Minimal scrambling sets of simple orders").  It is a lex-xor base:
+member i sorts the positions j by j ^ flip_i, and the t x L matrix of
+flip bits is kept with the family, because 3-suitability follows from
+two properties of that matrix alone (`certify_3_suitable`).  Its
+columns are Kleitman and Spencer's, the most that t rows allow with
+every two columns showing all four bit patterns, so no flip matrix the
+certificate accepts for n positions has fewer rows.  Every base
 `build_3_suitable_for` returns has passed that certificate, at every n.
 
 The exact minimum comes from the one exact engine,
@@ -60,23 +63,24 @@ def _masks(flips: np.ndarray) -> np.ndarray:
     return flips.astype(np.int64) @ (1 << np.arange(flips.shape[1] - 1, -1, -1, dtype=np.int64))
 
 
-def _spencer_flips(n: int) -> np.ndarray:
-    """Spencer's t x L flip matrix for positions 0..n-1.
+def _kleitman_spencer_flips(n: int) -> np.ndarray:
+    """Kleitman and Spencer's t x L flip matrix for positions 0..n-1
+    (Kleitman & Spencer 1973, "Families of k-independent sets").
 
-    t is the smallest value with 2^L >= n, L = C(t-2, h), h = (t-2) // 2.
-    Column p gets the set S_p = {0} | B_p, where B_p runs over the
-    h-subsets of {1..t-2}, and member i's bit p is set iff i is not in
-    S_p.  Any two columns p != q show all four bit patterns: (0, 0) at
-    member 0, which every S_p contains; (1, 1) at member t-1, which no
-    S_p contains; (0, 1) and (1, 0) because distinct h-sets are
-    incomparable (Sperner), so S_p - S_q and S_q - S_p are non-empty.
-    Members 0 and t-1 also give every column both values.
+    t is the smallest value with 2^L >= n, L = C(t-1, h), h = ceil(t/2).
+    Column p gets the set S_p, where S_p runs over the h-subsets of
+    {0..t-2}, and member i's bit p is set iff i is not in S_p.  Any two
+    columns p != q show all four bit patterns: (0, 0) at a member of
+    S_p & S_q, which is not empty because 2h > t - 1; (1, 1) at member
+    t-1, which no S_p contains; (0, 1) and (1, 0) because distinct sets
+    of equal size are incomparable, so S_p - S_q and S_q - S_p are
+    non-empty.  Every column takes both values: 0 on S_p and 1 at t-1.
     """
     t = 2
-    while 2 ** math.comb(t - 2, (t - 2) // 2) < n:
+    while 2 ** math.comb(t - 1, (t + 1) // 2) < n:
         t += 1
-    layer = list(combinations(range(1, t - 1), (t - 2) // 2))
-    return np.array([[i != 0 and i not in subset for subset in layer] for i in range(t)],
+    layer = list(combinations(range(t - 1), (t + 1) // 2))
+    return np.array([[i not in subset for subset in layer] for i in range(t)],
                     dtype=bool).reshape(t, len(layer))
 
 
@@ -137,8 +141,8 @@ def build_3_suitable_for(ids) -> Suitable3Result:
         # the witness is over 1..n, so its rows are already positions
         result = Suitable3Result(PermutationFamily(ids, exact_min_3_suitable(n)[1].orders), "exact")
     else:
-        flips = _spencer_flips(n)
-        result = Suitable3Result(PermutationFamily(ids, lex_xor_orders(flips, n)), "spencer", flips)
+        flips = _kleitman_spencer_flips(n)
+        result = Suitable3Result(PermutationFamily(ids, lex_xor_orders(flips, n)), "kleitman-spencer", flips)
     certify_3_suitable(result)
     return result
 

@@ -315,12 +315,12 @@ def _clique(n: int) -> str:
 # a command writes shows here.
 GOLDEN = {
     ("bound-degenerate", "deg30"): {
-        "report": "a21d1a01d3f157434af01871355dad5662bc0e9c22bb9476b12bec57b7c7ef64",
-        "fam.json": "a947ba6ec042afe035f05b3614c0c7f3aba74e76f77a51745e49e438cbb8ece7",
+        "report": "1eb5af019c9e18865fddd68ba44ac947da9135e043d03c927037359bf6b070fb",
+        "fam.json": "c00ad32d5c7730f02b604a808dea4b1160023482961e6d92d016a3397ca4c4c5",
     },
     ("bound-degenerate", "deg120"): {
-        "report": "3d0530063ec067f9ee80219c78026611aab343dfddfabc5165cc547e38a6b0f7",
-        "fam.json": "74df5f4a21c97a76926b50bc21fe3680d26d7027db0fa99b52ef65d1a9a0e9a8",
+        "report": "b26db42af426171390bcd1266b829581edfb2f921706c4c1b097f4c22b72af4b",
+        "fam.json": "2834421eb22bea17fb1999266de3078e17827e03f7c91b260bd619b21cfba198",
     },
     ("bound-subdivision", "k4"): {
         "report": "41e859c016f7c2d248aa3f91e2e51333e4299d66d1dc20fbf71a3bac40450fc8",
@@ -388,7 +388,7 @@ LOWER_HARNESS_GOLDEN = {
     3: ("6f2165ff16e275ec07bbc32dec5338769e5fe37f2c94a270212a057bcb139edb", 0),
     4: ("3f85a63eb0ec362197d10bbb570a9ad565c5bfe571bcd894c983bc68200e0b26", 0),
     5: ("fd3fb577c9ff9b603a9ef6b3ce607dfc74ff31739957c5558f8fc3c6a39870a9", 3),
-    8: ("72dd4d23a5da6affedf58d6d3346be2fbad1c51a866a3d3bdf9f2532ca368271", 3),
+    8: ("9529f69c26d4076b0a3c6b46245d6eae03fff0a63519e4cc99f01980b88f263b", 3),
 }
 
 

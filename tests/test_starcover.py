@@ -226,13 +226,14 @@ def mutant(g, result, kind, rng):
         flips = result.base.flips.copy()
         i, p = rng.randrange(flips.shape[0]), rng.randrange(flips.shape[1])
         flips[i, p] = not flips[i, p]
-        base = Suitable3Result(PermutationFamily(g.vertices, lex_xor_orders(flips, n)), "spencer", flips)
+        base = Suitable3Result(PermutationFamily(g.vertices, lex_xor_orders(flips, n)), "kleitman-spencer", flips)
         return rebuilt(g, result, base=base)
-    # "reroot": one leaf of one forest points at another vertex, members rebuilt
+    # "reroot": one leaf of a forest that has one points at another vertex, members rebuilt
     roots = result.roots.copy()
-    if not len(roots):
+    leafy = np.flatnonzero((roots != np.arange(n)).any(axis=1)).tolist()
+    if not leafy:
         return None
-    s = rng.randrange(len(roots))
+    s = rng.choice(leafy)
     v = rng.choice(np.flatnonzero(roots[s] != np.arange(n)).tolist())
     roots[s, v] = rng.choice([u for u in range(n) if u != roots[s, v]])
     return rebuilt(g, result, roots=roots)
@@ -308,7 +309,7 @@ class TestCertificate:
         result = degenerate_family(g)
         flips = result.base.flips.copy()
         flips[:, 1] = flips[:, 0]  # two equal columns miss (0, 1) and (1, 0)
-        base = Suitable3Result(PermutationFamily(g.vertices, lex_xor_orders(flips, 30)), "spencer", flips)
+        base = Suitable3Result(PermutationFamily(g.vertices, lex_xor_orders(flips, 30)), "kleitman-spencer", flips)
         with pytest.raises(AssertionError, match="^base: two flip columns"):
             certify_star_cover(g, rebuilt(g, result, base=base))
         fewer = dataclasses.replace(result, roots=result.roots[1:])

@@ -143,7 +143,7 @@ class TestColoredPipeline:
             res = colored_subdivision_family(complete(n))
             assert verify_pairwise_suitable(res.family, res.subdivided).ok
             sizes[n] = len(res.family)
-        assert sizes == {4: 5, 7: 7, 12: 8, 40: 8}
+        assert sizes == {4: 5, 7: 6, 12: 7, 40: 8}
 
     def test_edgeless_empty_family(self):
         res = colored_subdivision_family(Graph.build([1, 2, 3], []))

@@ -1,5 +1,6 @@
 """3-suitable family builders and the exact minimum search."""
 
+import math
 from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
@@ -9,6 +10,7 @@ from sepdim.families import PermutationFamily, verify_k_suitable
 from sepdim.suitable3 import (
     EXACT_LIMIT,
     Suitable3Result,
+    _kleitman_spencer_flips,
     build_3_suitable,
     build_3_suitable_for,
     certify_3_suitable,
@@ -55,7 +57,7 @@ class TestBuilders:
 
     def test_large_uses_spencer(self):
         res = build_3_suitable_for(range(200))
-        assert res.generator == "spencer"
+        assert res.generator == "kleitman-spencer"
         # spot-check suitability on a sampled sub-universe via restriction
         import random
 
@@ -140,12 +142,39 @@ class TestExactMinimum:
 
 
 @pytest.mark.parametrize(
-    "n, size", [(7, 5), (8, 5), (9, 6), (64, 6), (65, 7), (1024, 7), (1025, 8)]
+    "n, size",
+    [(7, 4), (8, 4), (9, 5), (16, 5), (17, 6), (64, 6), (65, 6), (1024, 6),
+     (1025, 7), (20000, 7), (32768, 7), (32769, 8)],
 )
-def test_spencer_base_size(n, size):
+def test_kleitman_spencer_base_size(n, size):
     res = build_3_suitable(n)
-    assert res.generator == "spencer"
+    assert res.generator == "kleitman-spencer"
     assert len(res.family) == size
+
+
+def _least_t(n, columns):
+    """Per n (at most 2^20), the least t >= 2 with 2^columns(t) >= n."""
+    capacity = [min(2 ** columns(t), 2**21) for t in range(2, 12)]
+    return 2 + np.searchsorted(capacity, n)
+
+
+def test_kleitman_spencer_rows_against_spencer():
+    # Spencer's columns are {0} | B over the (t-2)//2-subsets B of 1..t-2;
+    # both formulas serve only n > EXACT_LIMIT
+    n = np.arange(EXACT_LIMIT + 1, 2**20 + 1)
+    ours = _least_t(n, lambda t: math.comb(t - 1, (t + 1) // 2))
+    spencer = _least_t(n, lambda t: math.comb(t - 2, (t - 2) // 2))
+    assert (ours <= spencer).all()
+    # one row fewer at t = 4, 5 (n = 7-16) and t = 6, 7 (n = 65-32768)
+    assert n[ours < spencer].tolist() == [*range(7, 17), *range(65, 32769)]
+    # the builder's matrix on both sides of every step, and at the end
+    step = np.flatnonzero(np.diff(ours))
+    for at in sorted({*n[step].tolist(), *n[step + 1].tolist(), 2**20}):
+        flips = _kleitman_spencer_flips(at)
+        t = flips.shape[0]
+        assert t == ours[at - n[0]]
+        layer = list(combinations(range(t - 1), (t + 1) // 2))
+        assert [tuple(np.flatnonzero(~column).tolist()) for column in flips.T] == layer
 
 
 def test_builder_size_at_least_exact_minimum_n6():
@@ -172,7 +201,7 @@ def test_exact_minimum_is_searched_once_per_n(monkeypatch):
 
 def lex_xor_base(flips, n):
     flips = np.array(flips, dtype=bool)
-    return Suitable3Result(PermutationFamily(tuple(range(n)), lex_xor_orders(flips, n)), "spencer", flips)
+    return Suitable3Result(PermutationFamily(tuple(range(n)), lex_xor_orders(flips, n)), "kleitman-spencer", flips)
 
 
 def certified(base) -> bool:
