@@ -228,13 +228,14 @@ def mutant(g, result, kind, rng):
         flips[i, p] = not flips[i, p]
         base = Suitable3Result(PermutationFamily(g.vertices, lex_xor_orders(flips, n)), "kleitman-spencer", flips)
         return rebuilt(g, result, base=base)
-    # "reroot": one leaf of a forest that has one points at another vertex, members rebuilt
+    # "reroot": in a forest with a leaf, one leaf points at another vertex, members rebuilt
     roots = result.roots.copy()
-    leafy = np.flatnonzero((roots != np.arange(n)).any(axis=1)).tolist()
-    if not leafy:
+    leaves = roots != np.arange(n)
+    forests = np.flatnonzero(leaves.any(axis=1)).tolist()
+    if not forests:
         return None
-    s = rng.choice(leafy)
-    v = rng.choice(np.flatnonzero(roots[s] != np.arange(n)).tolist())
+    s = rng.choice(forests)
+    v = rng.choice(np.flatnonzero(leaves[s]).tolist())
     roots[s, v] = rng.choice([u for u in range(n) if u != roots[s, v]])
     return rebuilt(g, result, roots=roots)
 
