@@ -13,7 +13,7 @@ there is no filter over witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .families import PermutationFamily, disjoint_edge_pairs
 from .graphs import Graph
@@ -29,7 +29,6 @@ class ExactSearchResult:
 
     dimension: int | None
     witness: PermutationFamily | None
-    exceeded: bool
     nodes: int
 
     @property
@@ -45,36 +44,30 @@ def exact_separation_dimension(
     """Smallest pairwise-suitable family size up to `limit`, with witness.
 
     Raises SearchBudgetExceeded when the instance is too large or the
-    node budget runs out; returns an `exceeded` result when the search
-    completes without finding a family within the limit.
+    node budget runs out; returns a result with `dimension` None when the
+    search completes without finding a family within the limit.
     """
     if limit < 0:
         raise ValueError("limit must be non-negative")
-    incident = {v for e in g.edges for v in e}
-    isolated = [v for v in g.vertices if v not in incident]
-    if isolated:
-        core = Graph.build(set(g.vertices) - set(isolated), g.edges)
-        result = exact_separation_dimension(core, limit, budget)
-        if result.witness is None:
-            return result
-        members = [order + isolated for order in result.witness.id_orders()]
-        return replace(result, witness=PermutationFamily.build(g.vertices, members))
     pairs = list(disjoint_edge_pairs(g))
     if not pairs:
-        return ExactSearchResult(0, PermutationFamily.build(g.vertices, ()), False, 0)
+        return ExactSearchResult(0, PermutationFamily.build(g.vertices, ()), 0)
     if limit == 0:
-        return ExactSearchResult(None, None, True, 0)
-    n = g.num_vertices
+        return ExactSearchResult(None, None, 0)
+    incident = {v for e in g.edges for v in e}
+    core = [v for v in g.vertices if v in incident]
+    isolated = [v for v in g.vertices if v not in incident]
+    n = len(core)
     if n > SEARCH_VERTEX_MAX:
         raise SearchBudgetExceeded(f"exact search is limited to {SEARCH_VERTEX_MAX} non-isolated vertices")
-    index = {v: i for i, v in enumerate(g.vertices)}
+    index = {v: i for i, v in enumerate(core)}
     requirements = []
     for e, f in pairs:
         e, f = (index[e[0]], index[e[1]]), (index[f[0]], index[f[1]])
         requirements.append(((e, f), (f, e)))
     t, relations, nodes = _dimension_dfs([0] * n, requirements, 1, limit, budget)
     if t is None:
-        return ExactSearchResult(None, None, True, nodes)
-    members = [[g.vertices[i] for i in _topo_indices(up, n)] for up in relations]
-    return ExactSearchResult(t, PermutationFamily.build(g.vertices, members), False, nodes)
+        return ExactSearchResult(None, None, nodes)
+    members = [[core[i] for i in _topo_indices(up, n)] + isolated for up in relations]
+    return ExactSearchResult(t, PermutationFamily.build(g.vertices, members), nodes)
 

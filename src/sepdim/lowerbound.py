@@ -18,7 +18,7 @@ from itertools import combinations, permutations as iter_permutations
 
 import numpy as np
 
-from .exact import DEFAULT_BUDGET, exact_separation_dimension
+from .exact import DEFAULT_BUDGET, SEARCH_VERTEX_MAX, exact_separation_dimension
 from .families import PermutationFamily, verify_pairwise_suitable
 from .graphs import Graph, make_edge, subdivide, subdivision_mids
 from .posets import (
@@ -242,17 +242,17 @@ class HarnessReport:
 def lower_bound_harness(n: int, budget: int = DEFAULT_BUDGET) -> HarnessReport:
     """Run the full extraction pipeline on K_n^{1/2}.
 
-    For n <= 4 the family is an exact-optimal one.  For larger n the
-    exact stage is out of reach (K_5^{1/2} has 15 vertices, above
-    `SEARCH_VERTEX_MAX`), and the coloring construction, verified here,
-    is used instead (construction-only mode).  Every family meets the floor:
+    The family is an exact-optimal one while K_n^{1/2}, with n + C(n, 2)
+    vertices, is within `SEARCH_VERTEX_MAX` (10 vertices at n = 4, 15 at
+    n = 5).  Above that the coloring construction, verified here, is
+    used instead (construction-only mode).  Every family meets the floor:
     `extraction_floor` is what the extraction is guaranteed to keep.
     """
     if n < 1:
         raise ValueError("n must be positive")
 
     kn = Graph.from_edges(combinations(range(1, n + 1), 2), isolated=range(1, n + 1))
-    if n <= 4:
+    if n + math.comb(n, 2) <= SEARCH_VERTEX_MAX:
         result = exact_separation_dimension(subdivide(kn), limit=6, budget=budget)
         family, pi, exact = result.witness, result.dimension, True
     else:

@@ -16,9 +16,10 @@ the empty order with one requirement per 3-set and designated element.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, permutations
 from math import inf
 from operator import add
 
@@ -31,10 +32,11 @@ class PosetError(ValueError):
 
 @dataclass(frozen=True)
 class Poset:
-    """Finite strict partial order, stored transitively closed."""
+    """Finite strict partial order over its sorted elements: `up[i]` is
+    the bitset of the indices above element i, transitively closed."""
 
     elements: tuple
-    relation: frozenset
+    up: tuple
 
     @staticmethod
     def build(elements, pairs) -> "Poset":
@@ -56,55 +58,54 @@ class Poset:
                 for i in range(m):
                     if up[i] & bit:
                         up[i] |= above
-        closed = set()
         for i in range(m):
             if up[i] >> i & 1:
                 raise PosetError(f"cycle through element {elements[i]}")
-            scan = up[i]
-            while scan:
-                j = (scan & -scan).bit_length() - 1
-                scan &= scan - 1
-                closed.add((elements[i], elements[j]))
-        return Poset(elements, frozenset(closed))
+        return Poset(elements, tuple(up))
+
+    @cached_property
+    def index(self) -> dict:
+        return {x: i for i, x in enumerate(self.elements)}
 
     def less(self, x, y) -> bool:
-        return (x, y) in self.relation
+        return bool(self.up[self.index[x]] >> self.index[y] & 1)
 
     def incomparable_pairs(self) -> list[tuple]:
-        out = []
-        for x, y in combinations(self.elements, 2):
-            if (x, y) not in self.relation and (y, x) not in self.relation:
-                out.append((x, y))
-        return out
+        up, elements = self.up, self.elements
+        return [
+            (elements[i], elements[j])
+            for i, j in combinations(range(len(elements)), 2)
+            if not (up[i] >> j & 1 or up[j] >> i & 1)
+        ]
 
     @property
     def is_chain(self) -> bool:
         m = len(self.elements)
-        return len(self.relation) == m * (m - 1) // 2
+        return sum(row.bit_count() for row in self.up) == m * (m - 1) // 2
 
 
 def height(p: Poset) -> int:
     """Size of a largest chain (element count); 0 for the empty poset."""
-    if not p.elements:
-        return 0
-    index = {x: i for i, x in enumerate(p.elements)}
-    preds: dict[int, list[int]] = {i: [] for i in range(len(p.elements))}
-    for x, y in p.relation:
-        preds[index[y]].append(index[x])
-    # the relation is transitively closed, so an element has more
-    # predecessors than any of them: their count is a topological key
-    longest = [1] * len(p.elements)
-    for i in sorted(preds, key=lambda i: len(preds[i])):
-        for j in preds[i]:
-            longest[i] = max(longest[i], longest[j] + 1)
-    return max(longest)
+    # each round peels the maximal elements left; a removed element's
+    # row meets no remaining one, so peeling it again changes nothing
+    remaining = (1 << len(p.up)) - 1
+    rounds = 0
+    while remaining:
+        remaining &= ~sum(1 << i for i, row in enumerate(p.up) if not row & remaining)
+        rounds += 1
+    return rounds
 
 
 def is_linear_extension(order, p: Poset) -> bool:
     if sorted(order) != sorted(p.elements):
         return False
-    pos = {x: i for i, x in enumerate(order)}
-    return all(pos[x] < pos[y] for x, y in p.relation)
+    placed = 0
+    for x in order:
+        i = p.index[x]
+        if p.up[i] & placed:
+            return False
+        placed |= 1 << i
+    return True
 
 
 def is_realizer(extensions, p: Poset) -> bool:
@@ -144,13 +145,12 @@ class IntervalOrder:
 
     @cached_property
     def poset(self) -> Poset:
-        pairs = [
-            (x, y)
-            for x in self.intervals
-            for y in self.intervals
-            if x != y and x[1] <= y[0]
-        ]
-        return Poset.build(self.intervals, pairs)
+        # x < y iff x ends at or before y starts, which is irreflexive and
+        # transitive; sorted by start, the intervals above x are a suffix
+        starts = [a for a, _ in self.intervals]
+        full = (1 << len(starts)) - 1
+        firsts = (bisect_left(starts, b) for _, b in self.intervals)
+        return Poset(self.intervals, tuple(full >> k << k for k in firsts))
 
     def __len__(self) -> int:
         return len(self.intervals)
@@ -195,7 +195,6 @@ class SearchBudgetExceeded(RuntimeError):
 class PosetDimensionResult:
     dimension: int | None
     realizer: tuple[tuple, ...] | None
-    exceeded: bool
     nodes: int
 
 
@@ -210,27 +209,24 @@ def exact_poset_dimension(
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
-    elements = p.elements
+    elements, base_up = p.elements, list(p.up)
     m = len(elements)
-    index = {x: i for i, x in enumerate(elements)}
-    base_up = [0] * m
-    for x, y in p.relation:
-        base_up[index[x]] |= 1 << index[y]
     if m <= 1 or p.is_chain:
         ext = tuple(elements[i] for i in _topo_indices(base_up, m))
-        return PosetDimensionResult(1, (ext,), False, 0)
+        return PosetDimensionResult(1, (ext,), 0)
 
-    directions = []
-    for x, y in p.incomparable_pairs():
-        directions += [(index[x], index[y]), (index[y], index[x])]
-    requirements = [(((a,), (b,)),) for a, b in sorted(directions)]
+    requirements = [
+        (((a,), (b,)),)
+        for a, b in permutations(range(m), 2)
+        if not (base_up[a] >> b & 1 or base_up[b] >> a & 1)
+    ]
     t, relations, nodes = _dimension_dfs(base_up, requirements, 2, limit, budget)
     if t is None:
-        return PosetDimensionResult(None, None, True, nodes)
+        return PosetDimensionResult(None, None, nodes)
     realizer = tuple(tuple(elements[i] for i in _topo_indices(up, m)) for up in relations)
     if not is_realizer(realizer, p):
         raise AssertionError("dimension search produced an invalid realizer")
-    return PosetDimensionResult(t, realizer, False, nodes)
+    return PosetDimensionResult(t, realizer, nodes)
 
 
 def _dimension_dfs(base_up: list[int], requirements, first_t: int, limit: int, budget: int):
@@ -455,7 +451,7 @@ def realizer_heuristic(c: IntervalOrder) -> tuple[tuple, ...]:
         return ((),)
     if len(c) == 1:
         return (tuple(c.intervals),)
-    if not p.relation:
+    if not any(p.up):
         base = tuple(sorted(c.intervals))
         return base, base[::-1]
 
@@ -511,17 +507,14 @@ def _missing_reversals(extensions, p: Poset) -> list[tuple]:
 
 def _patch_extension(missing: list[tuple], p: Poset) -> tuple:
     """Linear extension honoring as many requested (u before v) pairs as possible."""
-    index = {x: i for i, x in enumerate(p.elements)}
     m = len(p.elements)
-    up = [0] * m
-    for x, y in p.relation:
-        up[index[x]] |= 1 << index[y]
+    up = list(p.up)
 
     def reaches(a: int, b: int) -> bool:
         return up[a] >> b & 1
 
     for u, v in missing:
-        a, b = index[u], index[v]
+        a, b = p.index[u], p.index[v]
         if reaches(b, a) or reaches(a, b):
             continue
         above = up[b] | (1 << b)

@@ -260,6 +260,13 @@ class TestCanonicalDim:
     def test_guard(self):
         assert main(["canonical-dim", "20"]) == 3
 
+    @pytest.mark.parametrize("n", ["1", "-3"])
+    def test_below_two_is_an_input_error(self, n, capsys):
+        assert main(["canonical-dim", n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: canonical interval order needs n >= 2\n"
+
 
 class TestLowerHarness:
     def test_n3(self, capsys):

@@ -95,18 +95,18 @@ class TestGroundTruth:
 
     def test_k35_needs_three_on_eight_vertices(self):
         g = Graph.from_edges([(u, v) for u in (1, 2, 3) for v in range(4, 9)])
-        assert exact_separation_dimension(g, limit=2).exceeded
+        assert exact_separation_dimension(g, limit=2).dimension is None
         r = exact_separation_dimension(g, limit=4)
         assert r.dimension == 3
         assert verify_pairwise_suitable(r.witness, g).ok
 
     def test_limit_zero_exceeded(self):
         r = exact_separation_dimension(complete(4), limit=0)
-        assert r.exceeded and r.dimension is None
+        assert r.dimension is None
 
     def test_limit_below_answer_exceeded(self):
         r = exact_separation_dimension(complete(4), limit=2)
-        assert r.exceeded
+        assert r.dimension is None
 
     def test_budget_error_is_distinct(self):
         with pytest.raises(SearchBudgetExceeded):
@@ -229,7 +229,7 @@ def test_cost_does_not_depend_on_labels():
 ], ids=["k44", "petersen"])
 def test_three_members_on_eight_and_ten_vertices(edges):
     g = Graph.from_edges(edges)
-    assert exact_separation_dimension(g, limit=2).exceeded
+    assert exact_separation_dimension(g, limit=2).dimension is None
     r = exact_separation_dimension(g, limit=3)
     assert r.dimension == 3
     assert verify_pairwise_suitable(r.witness, g).ok

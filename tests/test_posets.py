@@ -3,6 +3,7 @@
 import sys
 from itertools import combinations, permutations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -82,7 +83,9 @@ class TestIntervalOrder:
         g = Graph.from_edges([(1, 2), (1, 3), (2, 3)])
         order = interval_order_from(g, (1, 2, 3))
         assert order.intervals == ((1, 2), (1, 3), (2, 3))
-        assert order.poset.relation == frozenset({((1, 2), (2, 3))})
+        p = order.poset
+        assert p.less((1, 2), (2, 3)) and not p.less((2, 3), (1, 2))
+        assert p.incomparable_pairs() == [((1, 2), (1, 3)), ((1, 3), (2, 3))]
 
     def test_edgeless(self):
         g = Graph.build([1, 2], [])
@@ -175,7 +178,7 @@ class TestExactDimension:
     def test_exceeded_below_limit(self):
         p = Poset.build([1, 2], [])
         res = exact_poset_dimension(p, limit=1)
-        assert res.exceeded and res.dimension is None
+        assert res.dimension is None
 
     def test_antichain_needs_no_recursion(self):
         # 20 pairwise overlapping intervals: one search level per
@@ -216,6 +219,39 @@ def test_dimension_matches_brute_force(p):
     res = exact_poset_dimension(p, limit=3)
     assert res.dimension == brute_dimension(p, 3)
     assert is_realizer(res.realizer, p)
+
+
+@st.composite
+def pair_lists(draw):
+    # ordered pairs of distinct elements in any direction, so cycles occur
+    elements = draw(st.lists(st.integers(0, 20), unique=True, max_size=7))
+    pairs = [(x, y) for x in elements for y in elements if x != y]
+    return elements, draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair_lists())
+def test_build_matches_networkx(drawn):
+    elements, pairs = drawn
+    dag = nx.DiGraph(pairs)
+    dag.add_nodes_from(elements)
+    if not nx.is_directed_acyclic_graph(dag):
+        with pytest.raises(PosetError, match="cycle"):
+            Poset.build(elements, pairs)
+        return
+    p = Poset.build(elements, pairs)
+    closure = nx.transitive_closure_dag(dag)
+    for x, y in permutations(elements, 2):
+        assert p.less(x, y) == closure.has_edge(x, y)
+    assert height(p) == (nx.dag_longest_path_length(dag) + 1 if elements else 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(1, 8)), unique=True, max_size=12))
+def test_interval_order_rows_match_build(starts_and_lengths):
+    order = IntervalOrder.build([(a, a + d) for a, d in starts_and_lengths])
+    pairs = [(x, y) for x in order.intervals for y in order.intervals if x != y and x[1] <= y[0]]
+    assert order.poset == Poset.build(order.intervals, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +412,7 @@ def requirement_lists(draw):
     m = draw(st.integers(2, 7))
     pairs = list(combinations(range(m), 2))
     p = Poset.build(range(m), draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3)))
-    base_up = [0] * m
-    for a, b in p.relation:
-        base_up[a] |= 1 << b
+    base_up = list(p.up)
     requirements = []
     for _ in range(draw(st.integers(4, 12))):
         req = []
