@@ -32,7 +32,6 @@ from .graphs import (
 from .lowerbound import (
     HarnessReport,
     MonotoneSubsetResult,
-    best_monotone_subset,
     common_monotone_subset,
     extract_realizer,
     extraction_floor,

@@ -39,6 +39,7 @@ from .subdivided import colored_subdivision_family
 
 OK, COUNTEREXAMPLE, INPUT_ERROR, BUDGET, INTERNAL_ERROR = 0, 1, 2, 3, 4
 CANONICAL_DIM_GUARD = 8
+LOWER_HARNESS_GUARD = 64
 
 
 class Report:
@@ -218,6 +219,10 @@ def cmd_canonical_dim(args) -> int:
 def cmd_lower_harness(args) -> int:
     started = time.monotonic()
     n = args.n
+    if n > LOWER_HARNESS_GUARD:
+        raise SearchBudgetExceeded(
+            f"lower-harness is desk-scale only (n <= {LOWER_HARNESS_GUARD})"
+        )
     rep = lower_bound_harness(n, budget=args.budget)
     report = Report("lower-harness")
     report.add("input_digest", _digest(str(n).encode()))

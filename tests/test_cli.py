@@ -289,6 +289,16 @@ class TestLowerHarness:
         assert main(["lower-harness", "3", "--budget", "0"]) == 3
         assert "budget exceeded" in capsys.readouterr().err
 
+    def test_guard_above_64_builds_nothing(self, capsys, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("lower-harness built K_65")
+
+        monkeypatch.setattr(cli, "lower_bound_harness", no_build)
+        assert main(["lower-harness", "65"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "budget exceeded: lower-harness is desk-scale only (n <= 64)\n"
+
     def test_large_n_budget_but_construction_runs(self, capsys):
         assert main(["lower-harness", "10", "--format", "structured"]) == 3
         doc = json.loads(capsys.readouterr().out)
@@ -395,7 +405,10 @@ LOWER_HARNESS_GOLDEN = {
     3: ("6f2165ff16e275ec07bbc32dec5338769e5fe37f2c94a270212a057bcb139edb", 0),
     4: ("3f85a63eb0ec362197d10bbb570a9ad565c5bfe571bcd894c983bc68200e0b26", 0),
     5: ("fd3fb577c9ff9b603a9ef6b3ce607dfc74ff31739957c5558f8fc3c6a39870a9", 3),
+    6: ("9a17dd2a32633ae04413cd4b227005c9f21fbb79e9a2639c390905347df16a58", 3),
     8: ("9529f69c26d4076b0a3c6b46245d6eae03fff0a63519e4cc99f01980b88f263b", 3),
+    9: ("e1e13acf39b4afce00558dcef42f9427ddfba9e718c9e5940ad4c3892f90f3b7", 3),
+    12: ("c5572736da4de762ff79a3051c588f3a9ba8f86418d919ca2d996845aeb4bad2", 3),
 }
 
 

@@ -7,12 +7,12 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sepdim import lowerbound
 from sepdim.exact import exact_separation_dimension
-from sepdim.families import PermutationFamily, verify_pairwise_suitable
-from sepdim.graphs import Graph, subdivide, subdivision_mids
+from sepdim.families import PermutationFamily, SeparationWitness, verify_pairwise_suitable
+from sepdim.graphs import Graph, make_edge, subdivide, subdivision_mids
 from sepdim.lowerbound import (
     MonotoneSubsetResult,
-    best_monotone_subset,
     canonical_dimension_lower_bound,
     common_monotone_subset,
     extract_realizer,
@@ -59,6 +59,15 @@ class TestPatience:
         assert longest_increasing_indices([]) == []
 
 
+def lists_monotonely(fam, subset):
+    """Every member lists subset.vertices in order (+1) or reversed (-1)."""
+    for order, direction in zip(fam.id_orders(), subset.directions, strict=True):
+        ranks = [order.index(v) for v in subset.vertices][::direction]
+        if ranks != sorted(ranks):
+            return False
+    return True
+
+
 class TestCommonMonotoneSubset:
     def test_single_member_returns_target(self):
         fam = PermutationFamily.build(range(5), [(3, 1, 4, 0, 2)])
@@ -96,6 +105,16 @@ class TestCommonMonotoneSubset:
                 fam = PermutationFamily.build(range(size), [a, b])
                 res = common_monotone_subset(fam, range(size))
                 assert len(res.vertices) >= m + 1
+
+    @settings(max_examples=150)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.lists(st.permutations(list(range(n))), min_size=1, max_size=8)
+        )
+    )
+    def test_members_follow_their_directions(self, orders):
+        fam = PermutationFamily.build(range(len(orders[0])), orders)
+        assert lists_monotonely(fam, common_monotone_subset(fam, range(len(orders[0]))))
 
 
 class TestExtractionFloor:
@@ -136,36 +155,34 @@ class TestExtractionFloor:
         assert len(res.vertices) >= extraction_floor(len(orders[0]), len(orders))
 
 
-def lists_monotonely(fam, subset):
-    """Every member lists subset.vertices in order (+1) or reversed (-1)."""
-    for order, direction in zip(fam.id_orders(), subset.directions, strict=True):
-        ranks = [order.index(v) for v in subset.vertices][::direction]
-        if ranks != sorted(ranks):
-            return False
-    return True
+def _list_normalize(fam, g, subset):
+    """Test-only oracle: the normalization as list surgery on id orders.
 
-
-class TestBestMonotoneSubset:
-    def test_directions_in_member_order(self):
-        # the best ordering here is not the identity; its directions used
-        # to come back in the reordered members' order, (1, 1, -1)
-        fam = PermutationFamily.build(
-            range(7), [[5, 1, 4, 3, 2, 0, 6], [1, 4, 0, 2, 5, 6, 3], [4, 5, 3, 6, 1, 2, 0]]
-        )
-        res = best_monotone_subset(fam, range(7))
-        assert res.vertices == (3, 2, 0)
-        assert res.directions == (1, -1, 1)
-        assert lists_monotonely(fam, res)
-
-    @settings(max_examples=150)
-    @given(
-        st.integers(1, 12).flatmap(
-            lambda n: st.lists(st.permutations(list(range(n))), min_size=1, max_size=8)
-        )
-    )
-    def test_members_follow_their_directions(self, orders):
-        fam = PermutationFamily.build(range(len(orders[0])), orders)
-        assert lists_monotonely(fam, best_monotone_subset(fam, range(len(orders[0]))))
+    Each member is reversed where its direction is -1; then, pair by pair
+    in lexicographic order, a mid after its right endpoint is moved just
+    before it and a mid before its left endpoint just after it.
+    """
+    xs = subset.vertices
+    mid_of = dict(zip(g.edges, subdivision_mids(g)))
+    members = fam.id_orders()
+    for order, direction in zip(members, subset.directions, strict=True):
+        if direction < 0:
+            order.reverse()
+    pairs = [
+        (s, t) for s in range(len(xs)) for t in range(s + 1, len(xs))
+        if make_edge(xs[s], xs[t]) in mid_of
+    ]
+    for order in members:
+        for s, t in pairs:
+            u = mid_of[make_edge(xs[s], xs[t])]
+            iu = order.index(u)
+            if iu > order.index(xs[t]):
+                order.pop(iu)
+                order.insert(order.index(xs[t]), u)
+            elif iu < order.index(xs[s]):
+                order.pop(iu)
+                order.insert(order.index(xs[s]) + 1, u)
+    return PermutationFamily.build(fam.ground_set, members)
 
 
 class TestNormalizeAndExtract:
@@ -176,7 +193,7 @@ class TestNormalizeAndExtract:
 
     def test_reversal_applied(self):
         fam, gsub, k3 = self._k3_setup()
-        subset = best_monotone_subset(fam, k3.vertices)
+        subset = common_monotone_subset(fam, k3.vertices)
         normalized = normalize_lower_bound_family(fam, k3, subset)
         xs = subset.vertices
         for member in normalized.id_orders():
@@ -186,7 +203,7 @@ class TestNormalizeAndExtract:
     def test_mids_between_endpoints(self):
         fam, gsub, k3 = self._k3_setup()
         mid_of = dict(zip(k3.edges, subdivision_mids(k3)))
-        subset = best_monotone_subset(fam, k3.vertices)
+        subset = common_monotone_subset(fam, k3.vertices)
         normalized = normalize_lower_bound_family(fam, k3, subset)
         xs = subset.vertices
         for member in normalized.id_orders():
@@ -199,7 +216,7 @@ class TestNormalizeAndExtract:
 
     def test_normalization_preserves_suitability(self):
         fam, gsub, k3 = self._k3_setup()
-        subset = best_monotone_subset(fam, k3.vertices)
+        subset = common_monotone_subset(fam, k3.vertices)
         normalized = normalize_lower_bound_family(fam, k3, subset)
         assert verify_pairwise_suitable(normalized, gsub).ok
 
@@ -231,6 +248,35 @@ class TestNormalizeAndExtract:
         with pytest.raises(ValueError, match="direction"):
             normalize_lower_bound_family(two, g, MonotoneSubsetResult((1, 2), (1, -1)))
 
+    def test_direction_list_of_wrong_length_is_refused(self):
+        g = Graph.from_edges([(1, 2)])
+        (mid,) = subdivision_mids(g)
+        fam = PermutationFamily.build(subdivide(g).vertices, [(1, mid, 2), (2, mid, 1)])
+        for directions in ((1,), (1, -1, 1)):
+            with pytest.raises(ValueError, match="one direction per family member"):
+                normalize_lower_bound_family(fam, g, MonotoneSubsetResult((1, 2), directions))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(3, 9).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.permutations(list(range(1, n + 1 + math.comb(n, 2)))),
+                         min_size=1, max_size=3),
+            )
+        )
+    )
+    def test_matches_list_surgery(self, case):
+        # random families are not suitable, so the re-verification is stubbed
+        n, orders = case
+        kn = Graph.from_edges(combinations(range(1, n + 1), 2))
+        fam = PermutationFamily.build(subdivide(kn).vertices, orders)
+        subset = common_monotone_subset(fam, kn.vertices)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lowerbound, "verify_pairwise_suitable", lambda *_: SeparationWitness(True))
+            normalized = normalize_lower_bound_family(fam, kn, subset)
+        assert normalized == _list_normalize(fam, kn, subset)
+
     def test_extract_realizer_p2(self):
         g = Graph.from_edges([(1, 2)])
         (mid,) = subdivision_mids(g)
@@ -240,7 +286,7 @@ class TestNormalizeAndExtract:
 
     def test_extract_realizer_k3(self):
         fam, gsub, k3 = self._k3_setup()
-        subset = best_monotone_subset(fam, k3.vertices)
+        subset = common_monotone_subset(fam, k3.vertices)
         normalized = normalize_lower_bound_family(fam, k3, subset)
         realizer = extract_realizer(normalized, k3, subset.vertices)
         p = len(subset.vertices)
