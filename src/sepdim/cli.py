@@ -3,7 +3,10 @@
 Exit codes: 0 success / verified Ok, 1 verification counterexample,
 2 input error, 3 budget or size-guard exceeded, 4 internal error (a
 self-check of a construction failed; one `internal error:` line on
-stderr).  Reports are byte identical across runs with the same inputs;
+stderr).  Each `cmd_*` fills the report `main` hands it and returns an
+exit code; `main` then writes the report to stdout and one `elapsed:`
+line to stderr.  An exception becomes one error line on stderr and no
+report.  Reports are byte identical across runs with the same inputs;
 wall-clock time goes to stderr only.
 """
 
@@ -28,7 +31,7 @@ from .families import (
     family_to_json,
     verify_pairwise_suitable,
 )
-from .graphs import Graph, GraphFormatError, load_graph, serialize_graph, subdivision_mids
+from .graphs import GraphFormatError, load_graph, serialize_graph, subdivision_mids
 from .lowerbound import canonical_dimension_lower_bound, lower_bound_harness
 from .posets import (
     canonical_interval_order,
@@ -61,15 +64,19 @@ def _digest(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
-def _read_graph(path: str) -> tuple[Graph, str]:
+def _read(path: str, report: Report, key: str) -> str:
+    """The UTF-8 text of `path`; its digest goes into the report under `key`."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    return load_graph(raw.decode("utf-8")), _digest(raw)
+    report.add(key, _digest(raw))
+    return raw.decode("utf-8")
 
 
-def _emit(report: Report, fmt: str, started: float) -> None:
-    sys.stdout.write(report.render(fmt))
-    print(f"elapsed: {time.monotonic() - started:.3f}s", file=sys.stderr)
+def _write(path: str, text: str, report: Report, key: str) -> None:
+    """Write `text` to `path` and name the file in the report under `key`."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    report.add(key, path)
 
 
 def _witness_str(witness) -> str:
@@ -79,13 +86,10 @@ def _witness_str(witness) -> str:
     return f"counterexample {e[0]}-{e[1]} | {f[0]}-{f[1]}"
 
 
-def cmd_bound_degenerate(args) -> int:
-    started = time.monotonic()
-    g, digest = _read_graph(args.graph)
+def cmd_bound_degenerate(args, report: Report) -> int:
+    g = load_graph(_read(args.graph, report, "input_digest"))
     result = degenerate_family(g)
     certify_star_cover(g, result)
-    report = Report("bound-degenerate")
-    report.add("input_digest", digest)
     report.add("vertices", g.num_vertices)
     report.add("edges", g.num_edges)
     report.add("degeneracy", result.degeneracy)
@@ -105,20 +109,14 @@ def cmd_bound_degenerate(args) -> int:
                 "degeneracy": result.degeneracy,
             },
         )
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(doc)
-        report.add("family_file", args.out)
-    _emit(report, args.format, started)
+        _write(args.out, doc, report, "family_file")
     return OK
 
 
-def cmd_bound_subdivision(args) -> int:
-    started = time.monotonic()
-    g, digest = _read_graph(args.graph)
+def cmd_bound_subdivision(args, report: Report) -> int:
+    g = load_graph(_read(args.graph, report, "input_digest"))
     result = colored_subdivision_family(g)
     witness = verify_pairwise_suitable(result.family, result.subdivided)
-    report = Report("bound-subdivision")
-    report.add("input_digest", digest)
     report.add("vertices", g.num_vertices)
     report.add("edges", g.num_edges)
     report.add("subdivided_vertices", result.subdivided.num_vertices)
@@ -139,61 +137,43 @@ def cmd_bound_subdivision(args) -> int:
             result.family, generator="subdivision-lift",
             extra={"realizer_size": result.realizer_size},
         )
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(doc)
-        report.add("family_file", args.out)
-        map_path = args.out + ".subdivision.json"
+        _write(args.out, doc, report, "family_file")
         mapping = {
             "original_vertices": list(g.vertices),
             "mids": [[u, v, m] for (u, v), m in zip(g.edges, subdivision_mids(g))],
         }
-        with open(map_path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(mapping, sort_keys=True, separators=(",", ":")) + "\n")
-        report.add("subdivision_file", map_path)
-        graph_path = args.out + ".subdivided.txt"
-        with open(graph_path, "w", encoding="utf-8") as fh:
-            fh.write(serialize_graph(result.subdivided))
-        report.add("subdivided_graph_file", graph_path)
-    _emit(report, args.format, started)
+        _write(args.out + ".subdivision.json",
+               json.dumps(mapping, sort_keys=True, separators=(",", ":")) + "\n",
+               report, "subdivision_file")
+        _write(args.out + ".subdivided.txt", serialize_graph(result.subdivided),
+               report, "subdivided_graph_file")
     return OK if witness.ok else COUNTEREXAMPLE
 
 
-def cmd_exact(args) -> int:
-    started = time.monotonic()
-    g, digest = _read_graph(args.graph)
+def cmd_exact(args, report: Report) -> int:
+    g = load_graph(_read(args.graph, report, "input_digest"))
     result = exact_separation_dimension(g, limit=args.limit, budget=args.budget)
-    report = Report("exact")
-    report.add("input_digest", digest)
     report.add("limit", args.limit)
-    if result.found:
+    if result.dimension is None:
+        report.add("separation_dimension", "exceeded")
+    else:
         report.add("separation_dimension", result.dimension)
         for i, order in enumerate(result.witness.id_orders()):
             report.add(f"witness_{i}", " ".join(map(str, order)))
-    else:
-        report.add("separation_dimension", "exceeded")
     report.add("nodes", result.nodes)
-    _emit(report, args.format, started)
     return OK
 
 
-def cmd_verify(args) -> int:
-    started = time.monotonic()
-    g, digest = _read_graph(args.graph)
-    with open(args.family, "rb") as fh:
-        raw = fh.read()
-    fam, _doc = family_from_json(raw.decode("utf-8"))
+def cmd_verify(args, report: Report) -> int:
+    g = load_graph(_read(args.graph, report, "input_digest"))
+    fam, _doc = family_from_json(_read(args.family, report, "family_digest"))
     witness = verify_pairwise_suitable(fam, g)
-    report = Report("verify")
-    report.add("input_digest", digest)
-    report.add("family_digest", _digest(raw))
     report.add("family_size", len(fam))
     report.add("verdict", _witness_str(witness))
-    _emit(report, args.format, started)
     return OK if witness.ok else COUNTEREXAMPLE
 
 
-def cmd_canonical_dim(args) -> int:
-    started = time.monotonic()
+def cmd_canonical_dim(args, report: Report) -> int:
     n = args.n
     if n > CANONICAL_DIM_GUARD:
         raise SearchBudgetExceeded(
@@ -201,7 +181,6 @@ def cmd_canonical_dim(args) -> int:
         )
     order = canonical_interval_order(n)
     result = exact_poset_dimension(order.poset, limit=args.limit, budget=args.budget)
-    report = Report("canonical-dim")
     report.add("input_digest", _digest(str(n).encode()))
     report.add("n", n)
     report.add("elements", len(order))
@@ -212,19 +191,16 @@ def cmd_canonical_dim(args) -> int:
         for i, ext in enumerate(result.realizer):
             report.add(f"extension_{i}", " ".join(f"({a},{b})" for a, b in ext))
     report.add("lower_bound_loglog", canonical_dimension_lower_bound(n))
-    _emit(report, args.format, started)
     return OK
 
 
-def cmd_lower_harness(args) -> int:
-    started = time.monotonic()
+def cmd_lower_harness(args, report: Report) -> int:
     n = args.n
     if n > LOWER_HARNESS_GUARD:
         raise SearchBudgetExceeded(
             f"lower-harness is desk-scale only (n <= {LOWER_HARNESS_GUARD})"
         )
     rep = lower_bound_harness(n, budget=args.budget)
-    report = Report("lower-harness")
     report.add("input_digest", _digest(str(n).encode()))
     report.add("n", n)
     report.add("mode", "exact" if rep.exact else "construction-only")
@@ -242,7 +218,6 @@ def cmd_lower_harness(args) -> int:
             report.add("canonical_dimension", rep.canonical_dimension)
         report.add("canonical_lower_bound", rep.canonical_lower_bound)
         report.add("bound_holds", rep.bound_holds)
-    _emit(report, args.format, started)
     if not rep.exact:
         print(f"exact stage skipped: K_{n}^(1/2) has more than {SEARCH_VERTEX_MAX} vertices",
               file=sys.stderr)
@@ -305,8 +280,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    report, started = Report(args.cmd), time.monotonic()
     try:
-        return args.func(args)
+        code = args.func(args, report)
+        sys.stdout.write(report.render(args.format))
+        print(f"elapsed: {time.monotonic() - started:.3f}s", file=sys.stderr)
+        return code
     except (GraphFormatError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR

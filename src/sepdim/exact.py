@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 from .families import PermutationFamily, disjoint_edge_pairs
 from .graphs import Graph
-from .posets import SearchBudgetExceeded, _dimension_dfs, _topo_indices
+from .posets import DEFAULT_BUDGET, SearchBudgetExceeded, _dimension_dfs, _topo_indices
 
-DEFAULT_BUDGET = 20_000_000
 SEARCH_VERTEX_MAX = 12
 
 
@@ -30,10 +29,6 @@ class ExactSearchResult:
     dimension: int | None
     witness: PermutationFamily | None
     nodes: int
-
-    @property
-    def found(self) -> bool:
-        return self.dimension is not None
 
 
 def exact_separation_dimension(

@@ -296,14 +296,14 @@ def verify_k_suitable(fam: PermutationFamily, k: int) -> bool:
 
 
 def family_to_json(
-    fam: PermutationFamily, *, seed: int | None = None, generator: str = "unspecified",
-    extra: dict | None = None,
+    fam: PermutationFamily, *, generator: str = "unspecified", extra: dict | None = None,
 ) -> str:
     """Serialize a family (with provenance) to canonical JSON text.
 
     The text is `json.dumps` of the document with sorted keys and no
-    spaces; `extra` (string keys) adds to or replaces its entries.  The
-    id lists are joined from each id's decimal string, member by member.
+    spaces; `extra` (string keys) adds to or replaces its entries, and
+    `seed` is null unless `extra` sets it.  The id lists are joined from
+    each id's decimal string, member by member.
     """
     ids = np.array(list(map(str, fam.ground_set)), dtype=object)
     rows = "],[".join(map(",".join, (ids[row].tolist() for row in fam.orders)))
@@ -311,7 +311,7 @@ def family_to_json(
         "n": str(len(ids)),
         "ground_set": "[" + ",".join(ids.tolist()) + "]",
         "permutations": "[[" + rows + "]]" if len(fam) else "[]",
-        "seed": json.dumps(seed),
+        "seed": "null",
         "generator": json.dumps(generator),
     }
     for key, value in (extra or {}).items():

@@ -187,6 +187,9 @@ def canonical_interval_order(n: int) -> IntervalOrder:
 # ---------------------------------------------------------------------------
 
 
+DEFAULT_BUDGET = 20_000_000  # node budget of the poset and separation dimension searches
+
+
 class SearchBudgetExceeded(RuntimeError):
     """An exact search ran out of its node budget (or hit a size guard)."""
 
@@ -199,7 +202,7 @@ class PosetDimensionResult:
 
 
 def exact_poset_dimension(
-    p: Poset, limit: int, budget: int = 2_000_000
+    p: Poset, limit: int, budget: int = DEFAULT_BUDGET
 ) -> PosetDimensionResult:
     """Minimum realizer size up to `limit`, with a witness realizer.
 

@@ -77,7 +77,7 @@ def subdivision_family(g: Graph, classes) -> tuple[PermutationFamily, Suitable3R
     # σ-rank and colour of each original, by position in g.vertices
     rank = np.argsort(sigma)
     color = np.repeat(np.arange(len(classes)), list(map(len, classes)))[rank]
-    ends = np.array([(pos[u], pos[v]) for u, v in g.edges], dtype=np.int64).reshape(-1, 2)
+    ends = g.edge_positions
     if (color[ends[:, 0]] == color[ends[:, 1]]).any():
         raise ValueError("a colour class contains an edge")
     if len(classes) == 2:

@@ -3,10 +3,11 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import pytest
 
-from sepdim import cli, subdivided
+from sepdim import cli, lowerbound, posets, subdivided
 from sepdim.cli import main
 from sepdim.families import PermutationFamily, verify_pairwise_suitable
 
@@ -69,14 +70,7 @@ class TestBoundDegenerate:
     def test_failed_certificate_is_an_internal_error(self, p4_file, monkeypatch, capsys):
         # a family one member short fails the certificate's cover premise:
         # exit 4, one stderr line, no report and no traceback
-        real = cli.degenerate_family
-
-        def short(g):
-            result = real(g)
-            family = PermutationFamily(result.family.ground_set, result.family.orders[:-1])
-            return dataclasses.replace(result, family=family)
-
-        monkeypatch.setattr(cli, "degenerate_family", short)
+        _short_cover(monkeypatch)
         assert main(["bound-degenerate", p4_file]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -311,6 +305,88 @@ class TestRoundTripIntegrity:
         out = str(tmp_path / "fam.json")
         assert main(["bound-subdivision", c4_file, "--out", out]) == 0
         assert main(["verify", out + ".subdivided.txt", out]) == 0
+
+
+def _short_cover(monkeypatch):
+    real = cli.degenerate_family
+
+    def short(g):
+        result = real(g)
+        family = PermutationFamily(result.family.ground_set, result.family.orders[:-1])
+        return dataclasses.replace(result, family=family)
+
+    monkeypatch.setattr(cli, "degenerate_family", short)
+
+
+def _short_lift(monkeypatch):
+    real = subdivided.subdivision_family
+
+    def short(g, classes):
+        family, base = real(g, classes)
+        return PermutationFamily(family.ground_set, family.orders[:-1]), base
+
+    monkeypatch.setattr(subdivided, "subdivision_family", short)
+
+
+def _no_realizer(module):
+    return lambda monkeypatch: monkeypatch.setattr(module, "is_realizer", lambda *args: False)
+
+
+ELAPSED = r"elapsed: \d+\.\d{3}s"
+SKIPPED = r"exact stage skipped: K_12\^\(1/2\) has more than 12 vertices"
+
+# (argv, a patch that breaks a self-check or None, exit code, the stderr
+# lines as regexes).  g.txt is P4 and fam.json a suitable family for it.
+# A run whose stderr ends in `elapsed:` wrote its report; no other did.
+CONTRACT = [
+    (["bound-degenerate", "g.txt"], None, 0, [ELAPSED]),
+    (["bound-subdivision", "g.txt"], None, 0, [ELAPSED]),
+    (["exact", "g.txt"], None, 0, [ELAPSED]),
+    (["verify", "g.txt", "fam.json"], None, 0, [ELAPSED]),
+    (["canonical-dim", "3"], None, 0, [ELAPSED]),
+    (["lower-harness", "3"], None, 0, [ELAPSED]),
+    (["lower-harness", "12"], None, 3, [SKIPPED, ELAPSED]),
+    (["bound-degenerate", "missing.txt"], None, 2, ["input error: .*"]),
+    (["bound-subdivision", "missing.txt"], None, 2, ["input error: .*"]),
+    (["exact", "missing.txt"], None, 2, ["input error: .*"]),
+    (["verify", "missing.txt", "fam.json"], None, 2, ["input error: .*"]),
+    (["verify", "g.txt", "missing.json"], None, 2, ["input error: .*"]),
+    (["canonical-dim", "1"], None, 2, ["input error: .*"]),
+    (["canonical-dim", "9"], None, 3, [r"budget exceeded: .*\(n <= 8\)"]),
+    (["lower-harness", "65"], None, 3, [r"budget exceeded: .*\(n <= 64\)"]),
+    (["bound-degenerate", "g.txt"], _short_cover, 4, ["internal error: cover: .*"]),
+    (["bound-subdivision", "g.txt"], _short_lift, 4, ["internal error: .*"]),
+    (["canonical-dim", "3"], _no_realizer(posets), 4, ["internal error: .*"]),
+    (["lower-harness", "4"], _no_realizer(lowerbound), 4, ["internal error: .*"]),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("argv,patch,code,stderr", CONTRACT)
+def test_output_contract(argv, patch, code, stderr, fmt, tmp_path, monkeypatch, capsys):
+    # stdout holds the report and nothing else, written only on success;
+    # stderr holds one `elapsed:` line (after the lower-harness note), or
+    # one error line and no report
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_text(P4)
+    (tmp_path / "fam.json").write_text(
+        '{"generator":"manual","ground_set":[1,2,3,4],"n":4,"permutations":[[1,2,3,4]]}\n')
+    if patch is not None:
+        patch(monkeypatch)
+    assert main(argv + ["--format", fmt]) == code
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.err.endswith("\n") and len(lines) == len(stderr)
+    for line, pattern in zip(lines, stderr):
+        assert re.fullmatch(pattern, line)
+    if stderr[-1] != ELAPSED:
+        assert captured.out == ""
+    elif fmt == "structured":
+        assert json.loads(captured.out)["command"] == argv[0]
+        assert captured.out.count("\n") == 1
+    else:
+        assert captured.out.startswith(f"command: {argv[0]}\n")
+        assert all(re.fullmatch(r"\w+: .*", line) for line in captured.out.splitlines())
 
 
 def _spread_degenerate(n: int, k: int) -> str:
