@@ -11,11 +11,16 @@ by some member.
 Member k separates edges e and f exactly when their rank intervals
 [lo_k, hi_k] are disjoint; edges that share a vertex share a rank, so
 they never look separated.  The exhaustive check walks the edges in
-row blocks of BLOCK_ROWS against every later edge: the first
-DENSE_MEMBERS members thin a (block, m) overlap matrix, and the pairs
-left that share no vertex are sifted by the other members one at a
-time.  It holds O(BLOCK_ROWS * m) memory whatever the pair count, and
-stops at the first block with an unseparated pair.
+row blocks of BLOCK_ROWS against every later edge.  The first
+DENSE_MEMBERS members thin a (block, m) overlap matrix on packed lanes
+(SIMD within a register, `_lane_words`): a lane has b = n.bit_length()
++ 1 bits, a member's two overlap tests take two lanes, and q = 64 // (2b)
+members share one uint64 word, so one subtraction per word tests q
+members on an edge pair.  q is 4 for 64 <= n < 128 (more below), 3
+below 512, 2 below 2^15 and 1 below 2^31, the largest n the check
+handles.  The pairs left that share no vertex are sifted by the other
+members one at a time.  It holds O(BLOCK_ROWS * m) memory whatever the
+pair count, and stops at the first block with an unseparated pair.
 
 Both pair checks visit the members in bit-reversed index order (0,
 r/2, r/4, 3r/4, ...), so the dense prefix samples the whole family:
@@ -35,15 +40,20 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 
 import numpy as np
 
 from .graphs import Edge, Graph
 
-# Row-block height and dense-prefix length of the exhaustive check.
+# Row-block height, dense-prefix length and packed tile width of the
+# exhaustive check; two uint64 tiles of 128 x 512 stay in cache.
 BLOCK_ROWS = 128
 DENSE_MEMBERS = 8
+TILE_COLS = 512
+# _LATER[a, c]: c > a; keeps the pairs j > i where a block meets its own columns
+_LATER = np.arange(BLOCK_ROWS)[:, None] < np.arange(BLOCK_ROWS)
+_LATER.flags.writeable = False
 
 
 def _vertex_ids(values, what: str) -> tuple[int, ...]:
@@ -74,12 +84,22 @@ class PermutationFamily:
         ground = _vertex_ids(self.ground_set, "ground set")
         if any(a >= b for a, b in zip(ground, ground[1:])):
             raise ValueError("ground set must be sorted and free of repeats")
-        orders = np.array(self.orders)
-        if orders.ndim != 2 or orders.shape[1] != len(ground) or orders.dtype.kind not in "iu":
-            raise ValueError(f"orders must be an integer array of shape (members, {len(ground)})")
-        if (np.sort(orders, axis=1) != np.arange(len(ground))).any():
+        n = len(ground)
+        given = np.asarray(self.orders)
+        if given.ndim != 2 or given.shape[1] != n or given.dtype.kind not in "iu":
+            raise ValueError(f"orders must be an integer array of shape (members, {n})")
+        if given.size and (given.min() < 0 or given.max() >= n):
             raise ValueError("family member is not a permutation of the ground set")
-        orders = orders.astype(np.int64, copy=False)
+        orders = np.array(given, dtype=np.int64)
+        # n positions in range fill a row's n cells iff none repeats: shift
+        # row i by i * n in place and scatter all rows into one flat mask
+        offsets = np.arange(len(orders))[:, None] * n
+        orders += offsets
+        seen = np.zeros(orders.size, dtype=bool)
+        seen[orders.ravel()] = True
+        orders -= offsets
+        if not seen.all():
+            raise ValueError("family member is not a permutation of the ground set")
         orders.flags.writeable = False
         object.__setattr__(self, "ground_set", ground)
         object.__setattr__(self, "orders", orders)
@@ -94,8 +114,13 @@ class PermutationFamily:
             order = _vertex_ids(m, "family member")
             if len(order) != len(ground):
                 raise ValueError("family member does not cover the ground set")
-            rows.append([pos.get(v, -1) for v in order])
-        return PermutationFamily(ground, np.array(rows, dtype=np.int64).reshape(len(rows), len(ground)))
+            rows.append(order)
+        try:
+            flat = np.fromiter(map(pos.__getitem__, chain.from_iterable(rows)), np.int64,
+                               len(rows) * len(ground))
+        except KeyError:
+            raise ValueError("family member is not a permutation of the ground set") from None
+        return PermutationFamily(ground, flat.reshape(len(rows), len(ground)))
 
     def __len__(self) -> int:
         return self.orders.shape[0]
@@ -196,6 +221,40 @@ def _overlapping(lo: np.ndarray, hi: np.ndarray, ii: np.ndarray, jj: np.ndarray)
     return ii, jj
 
 
+def _lane_words(lo: np.ndarray, hi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.uint64]:
+    """The first DENSE_MEMBERS rows of lo/hi packed into uint64 lanes:
+    (words, m) arrays `left` and `right`, at least one word, and the mask
+    of the guard bits.
+
+    A lane has b = n.bit_length() + 1 bits, guard bit G = 2^(b-1) and
+    C = G - 1 >= n; each member takes two lanes, q = 64 // (2b) members a
+    word (so n < 2^31).  Edge i's left lanes are (hi_i | G, (C - lo_i) | G),
+    edge j's right lanes (lo_j, C - hi_j), so each lane of left_i - right_j
+    is G + hi_i - lo_j or G + hi_j - lo_i, in [1, 2G - 1]: no borrow
+    crosses a lane, and the guard bit is set iff that side overlaps.  The
+    AND of the words keeps every guard bit iff no packed member separates
+    i and j.  Padding lanes (lo = 0, hi = C) overlap every edge.
+    """
+    b = n.bit_length() + 1
+    q = 64 // (2 * b)
+    dense = min(DENSE_MEMBERS, len(lo))
+    words = max(-(-dense // q), 1)
+    width, guard = np.uint64(b), np.uint64(1 << (b - 1))
+    c = guard - np.uint64(1)
+    lo_k = np.zeros((words * q, lo.shape[1]), np.uint64)
+    hi_k = np.full(lo_k.shape, c)
+    lo_k[:dense], hi_k[:dense] = lo[:dense], hi[:dense]
+    # member k takes lanes 2s and 2s + 1 of word k // q, s = k % q
+    low = np.array([2 * b * (k % q) for k in range(words * q)], np.uint64)[:, None]
+    high = low + width
+    left = (hi_k | guard) << low | ((c - lo_k) | guard) << high
+    right = lo_k << low | (c - hi_k) << high
+    left = np.bitwise_or.reduce(left.reshape(words, q, -1), axis=1)
+    right = np.bitwise_or.reduce(right.reshape(words, q, -1), axis=1)
+    guards = np.uint64(sum((1 << (b - 1) | 1 << (2 * b - 1)) << 2 * b * s for s in range(q)))
+    return left, right, guards
+
+
 def _to_ids(fam: PermutationFamily, edges: np.ndarray, i: int, j: int) -> tuple[Edge, Edge]:
     """An edge index pair back to the vertex-id edge pair."""
     ground = fam.ground_set
@@ -218,16 +277,30 @@ def verify_pairwise_suitable(fam: PermutationFamily, g: Graph) -> SeparationWitn
     edges = g.edge_positions
     ends = edges.T.copy()
     lo, hi = _edge_intervals(fam, edges)
+    left, right, guards = _lane_words(lo, hi, len(fam.ground_set))
     dense = min(DENSE_MEMBERS, len(fam))
     m = edges.shape[0]
+    # one tile of packed differences, at most BLOCK_ROWS x TILE_COLS, reused for every tile
+    tile = np.empty(min(BLOCK_ROWS, m) * min(TILE_COLS, m), np.uint64)
+    part = np.empty_like(tile)
+    alive = np.empty(min(BLOCK_ROWS, m) * m, bool)
     for start in range(0, m - 1, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, m)
-        # alive[a, c]: edges i = start + a and j = start + c, j > i, still overlap
-        alive = np.arange(start, m) > np.arange(start, stop)[:, None]
-        for k in range(dense):
-            alive &= hi[k, start:stop, None] >= lo[k, start:]
-            alive &= hi[k, start:] >= lo[k, start:stop, None]
-        ii, jj = np.divmod(np.flatnonzero(alive), m - start)
+        rows, cols = stop - start, m - start
+        # block[a, c]: j = start + c > i = start + a, and no dense member separates i and j
+        block = alive[:rows * cols].reshape(rows, cols)
+        for c in range(0, cols, TILE_COLS):
+            width = min(TILE_COLS, cols - c)
+            acc, diff = (buf[:rows * width].reshape(rows, width) for buf in (tile, part))
+            j = slice(start + c, start + c + width)
+            np.subtract(left[0, start:stop, None], right[0, j], out=acc)
+            for w in range(1, len(left)):
+                np.subtract(left[w, start:stop, None], right[w, j], out=diff)
+                acc &= diff
+            acc &= guards
+            np.equal(acc, guards, out=block[:, c:c + width])
+        block[:, :rows] &= _LATER[:rows, :rows]
+        ii, jj = np.divmod(np.flatnonzero(block), cols)
         ii += start
         jj += start
         keep = _disjoint(ends, ii, jj)
@@ -321,7 +394,10 @@ def family_to_json(
 
 def family_from_json(text: str) -> tuple[PermutationFamily, dict]:
     """Parse a serialized family; returns the family and the full document."""
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("family document is nested too deeply") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("permutations"), list):
         raise ValueError("family document must be an object with a permutations list")
     fam = PermutationFamily.build(doc.get("ground_set"), doc["permutations"])

@@ -202,6 +202,16 @@ class TestVerify:
         assert main(["verify", c4_file, str(fam)]) == 2
         assert "input error" in capsys.readouterr().err
 
+    def test_deeply_nested_family_is_input_error(self, c4_file, tmp_path, capsys):
+        # json.loads gives up with RecursionError long before this depth
+        fam = tmp_path / "fam.json"
+        fam.write_text('{"n": 4, "ground_set": [1, 2, 3, 4], "permutations": '
+                       + "[" * 100_000 + "]" * 100_000 + "}\n")
+        assert main(["verify", c4_file, str(fam)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
+
     def test_directory_as_family_is_input_error(self, c4_file, tmp_path, capsys):
         assert main(["verify", c4_file, str(tmp_path)]) == 2
         assert "input error" in capsys.readouterr().err

@@ -14,6 +14,7 @@ from sepdim.families import (
     DENSE_MEMBERS,
     PermutationFamily,
     SeparationWitness,
+    _lane_words,
     _scan_order,
     disjoint_edge_pairs,
     family_from_json,
@@ -248,6 +249,82 @@ class TestVerifyPairwiseSuitable:
         assert verify_pairwise_suitable_sampled(fam, g, 20_000, seed=5).ok
 
 
+# n on both sides of each lane-width step: lanes are n.bit_length() + 1
+# bits wide, so q = 64 // (2 * width) members share a word: 8 below n = 8,
+# then 6, 5, 4, 4 up to 127, 3 up to 511, 2 up to 2^15 - 1 and 1 from 2^15
+LANE_BOUNDARIES = [n for k in range(3, 16) for n in (2**k - 1, 2**k)]
+
+
+def members_per_word(n):
+    return 64 // (2 * (n.bit_length() + 1))
+
+
+def test_members_per_word_steps():
+    assert [members_per_word(n) for n in (7, 8, 127, 128, 511, 512, 2**15 - 1, 2**15, 2**31 - 1)] \
+        == [8, 6, 4, 3, 3, 2, 2, 1, 1]
+
+
+class TestPackedLanes:
+    @pytest.mark.parametrize("n", LANE_BOUNDARIES)
+    def test_lane_words_match_comparisons(self, n):
+        # intervals with ends at 1, 2, n - 1 and n, ties included: every
+        # (i, j) keeps all guard bits iff each packed member overlaps them
+        rng = np.random.default_rng(n)
+        values = np.concatenate([[1, 2, n - 1, n], rng.integers(1, n + 1, 12)])
+        ends = rng.choice(values, (2, DENSE_MEMBERS, 40))
+        lo, hi = ends.min(axis=0), ends.max(axis=0)
+        q = members_per_word(n)
+        for size in sorted({0, 1, q - 1, q, min(q + 1, DENSE_MEMBERS), DENSE_MEMBERS}):
+            narrow = np.min_scalar_type(n)
+            left, right, guards = _lane_words(lo[:size].astype(narrow), hi[:size].astype(narrow), n)
+            assert left.shape == right.shape == (max(-(-size // q), 1), 40)
+            words = left[:, :, None] - right[:, None, :]
+            packed = np.bitwise_and.reduce(words & guards, axis=0) == guards
+            expected = ((hi[:size, :, None] >= lo[:size, None, :])
+                        & (hi[:size, None, :] >= lo[:size, :, None])).all(axis=0)
+            assert (packed == expected).all()
+
+    def test_matches_brute_oracle_at_lane_boundaries(self):
+        # Edge vertices 0..c-1 (c = 10, or n when smaller) and n - c
+        # isolated ones.  Each member is one base order of the edge vertices
+        # with a few adjacent swaps (two in the dense prefix, six past it),
+        # split around the isolated block, so edge ranks reach 1 and n and
+        # members agree often enough to leave counterexamples.  The oracle
+        # runs on the members restricted to the edge vertices: separation
+        # depends only on their relative order.
+        seen = {"inside": 0, "past": 0, "sifted": 0}
+        for n in LANE_BOUNDARIES:
+            rng = random.Random(n)
+            c = min(n, 10)
+            edges = {tuple(sorted(rng.sample(range(c), 2))) for _ in range(12)}
+            g, core = Graph.build(range(n), edges), Graph.build(range(c), edges)
+            q = members_per_word(n)
+            for size in sorted({1, q - 1, q, q + 1, DENSE_MEMBERS + 3}):
+                for _ in range(3):
+                    base = rng.sample(range(c), c)
+                    prefix = _scan_order(size)[:DENSE_MEMBERS]
+                    rows, orders = [], []
+                    for k in range(size):
+                        order = base[:]
+                        for _ in range(2 if k in prefix else 6):
+                            t = rng.randrange(c - 1)
+                            order[t], order[t + 1] = order[t + 1], order[t]
+                        cut = rng.randint(0, c)
+                        rows.append(order[:cut] + list(range(c, n)) + order[cut:])
+                        orders.append(order)
+                    fam = PermutationFamily(tuple(range(n)), np.array(rows, dtype=np.int64).reshape(size, n))
+                    restricted = PermutationFamily.build(range(c), orders)
+                    expected = brute_verify(restricted, core)
+                    assert verify_pairwise_suitable(fam, g).counterexample == expected
+                    if expected is not None:
+                        seen["inside" if size <= DENSE_MEMBERS else "past"] += 1
+                    if size > DENSE_MEMBERS:
+                        # the members past the prefix change the outcome
+                        dense = PermutationFamily(restricted.ground_set, restricted.orders[prefix])
+                        seen["sifted"] += brute_verify(dense, core) != expected
+        assert min(seen.values()) >= 5, seen
+
+
 class TestKSuitable:
     def test_cyclic_rotations_three_suitable(self):
         fam = PermutationFamily.build(
@@ -301,6 +378,7 @@ class TestFamilyArray:
         ((1, 2, 3), [[0, 1, 1]]),        # a repeated position
         ((1, 2, 3), [[0, 1, 3]]),        # a position outside range(n)
         ((1, 2, 3), [[0, -1, 2]]),
+        ((1, 2, 3), [[0, 1, 2**63]]),    # past int64: a uint64 array
         ((1, 2, 3), [[0, 1]]),           # a row of the wrong length
         ((1, 2, 3), [0, 1, 2]),          # not two-dimensional
         ((1, 2, 3), [[0.0, 1.0, 2.0]]),  # not integers
