@@ -65,10 +65,8 @@ from .subdivided import (
 )
 from .suitable3 import (
     Suitable3Result,
-    build_3_suitable,
     build_3_suitable_for,
     certify_3_suitable,
-    exact_min_3_suitable,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -44,16 +44,19 @@ def exact_separation_dimension(
     """
     if limit < 0:
         raise ValueError("limit must be non-negative")
-    pairs = list(disjoint_edge_pairs(g))
-    if not pairs:
-        return ExactSearchResult(0, PermutationFamily.build(g.vertices, ()), 0)
-    if limit == 0:
-        return ExactSearchResult(None, None, 0)
     incident = {v for e in g.edges for v in e}
     core = [v for v in g.vertices if v in incident]
     isolated = [v for v in g.vertices if v not in incident]
     n = len(core)
-    if n > SEARCH_VERTEX_MAX:
+    if n <= SEARCH_VERTEX_MAX:
+        pairs = list(disjoint_edge_pairs(g))
+    else:  # past the guard only a star has no disjoint edge pair; None: not listed
+        pairs = [] if set.intersection(*map(set, g.edges)) else None
+    if pairs == []:
+        return ExactSearchResult(0, PermutationFamily.build(g.vertices, ()), 0)
+    if limit == 0:
+        return ExactSearchResult(None, None, 0)
+    if pairs is None:
         raise SearchBudgetExceeded(f"exact search is limited to {SEARCH_VERTEX_MAX} non-isolated vertices")
     index = {v: i for i, v in enumerate(core)}
     requirements = []

@@ -7,11 +7,11 @@ integer tuples with ``a < b`` and the rule ``(a, b) < (c, d)`` iff
 
 `_dimension_dfs` is the one exact engine: it finds the fewest strict
 orders extending a base order that meet a list of "X before Y"
-requirements.  It has three users.  Poset dimension runs it on the
+requirements.  It has two users.  Poset dimension runs it on the
 poset with one requirement per ordered incomparable pair; separation
 dimension (`sepdim.exact`) runs it on the empty order over a graph's
-vertices; the minimum 3-suitable family (`sepdim.suitable3`) runs it on
-the empty order with one requirement per 3-set and designated element.
+vertices.  The constructions run no search: their minimum 3-suitable
+bases come from a table in `sepdim.suitable3`.
 """
 
 from __future__ import annotations
@@ -236,8 +236,8 @@ def _dimension_dfs(base_up: list[int], requirements, first_t: int, limit: int, b
     """Fewest strict orders, from `first_t` up to `limit`, that extend a
     base order and meet every requirement.
 
-    Its users are `exact_poset_dimension`, `exact.exact_separation_dimension`
-    and `suitable3.exact_min_3_suitable`.
+    Its users are `exact_poset_dimension` and
+    `exact.exact_separation_dimension`.
 
     `base_up[a]` is the bitset of elements above a in the base order,
     transitively closed.  A requirement is a tuple of alternatives

@@ -2,7 +2,7 @@
 
 A family is 3-suitable when for every 3-set and every designated element
 some member places the other two entirely before it.  Ground sets of at
-most six elements get an exact minimum family; larger ones get a
+most six elements get a minimum family from a table; larger ones get a
 lexicographic family whose size grows as log log n (Spencer 1971,
 "Minimal scrambling sets of simple orders").  It is a lex-xor base:
 member i sorts the positions j by j ^ flip_i, and the t x L matrix of
@@ -13,16 +13,16 @@ every two columns showing all four bit patterns, so no flip matrix the
 certificate accepts for n positions has fewer rows.  Every base
 `build_3_suitable_for` returns has passed that certificate, at every n.
 
-The exact minimum comes from the one exact engine,
-`posets._dimension_dfs`, on the empty order over 0..n-1.  Each 3-set
-{a, x, y} and designated a is one requirement with the single
-alternative ((x, y), (a,)), "x and y before a".  The search starts at
-`first_t = 3` members and stops at `limit = n`, which always suffices.
+The table holds minimum witnesses over 4 and 6 positions.  Deleting
+positions keeps a family 3-suitable, so their restrictions to the first
+n positions serve n = 3, 4 and n = 5, 6.  They are minimum: each element
+of a 3-set comes last in some member, so n >= 3 needs three, and no
+three members are 3-suitable at n = 5 (an exhaustive check in the
+tests).  Below n = 3 the family is empty.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -30,12 +30,13 @@ from itertools import combinations
 import numpy as np
 
 from .families import PermutationFamily, verify_k_suitable
-from .posets import _dimension_dfs, _topo_indices
 
-# Largest ground set exact_min_3_suitable solves.
-EXACT_LIMIT = 6
-# Node cap of its search; n = 6 takes under 200 nodes.
-EXACT_BUDGET = 100_000
+# Minimum 3-suitable families; n = 3..EXACT_LIMIT takes the narrowest one at least n wide.
+_MINIMUM = (
+    ((0, 1, 2, 3), (0, 3, 2, 1), (1, 3, 2, 0)),
+    ((0, 1, 2, 3, 4, 5), (0, 1, 2, 5, 4, 3), (0, 3, 4, 5, 2, 1), (1, 3, 5, 4, 2, 0)),
+)
+EXACT_LIMIT = len(_MINIMUM[-1][0])
 
 
 @dataclass(frozen=True)
@@ -124,11 +125,6 @@ def certify_3_suitable(base: Suitable3Result) -> None:
         raise AssertionError("base: a member does not list the positions by increasing j ^ flip")
 
 
-def build_3_suitable(n: int) -> Suitable3Result:
-    """3-suitable family over [n] = {1..n}."""
-    return build_3_suitable_for(tuple(range(1, n + 1)))
-
-
 def build_3_suitable_for(ids) -> Suitable3Result:
     """Certified 3-suitable family over an arbitrary id universe.
 
@@ -138,8 +134,7 @@ def build_3_suitable_for(ids) -> Suitable3Result:
     ids = tuple(sorted(set(ids)))
     n = len(ids)
     if n <= EXACT_LIMIT:
-        # the witness is over 1..n, so its rows are already positions
-        result = Suitable3Result(PermutationFamily(ids, exact_min_3_suitable(n)[1].orders), "exact")
+        result = Suitable3Result(PermutationFamily(ids, _minimum_orders(n)), "exact")
     else:
         flips = _kleitman_spencer_flips(n)
         result = Suitable3Result(PermutationFamily(ids, lex_xor_orders(flips, n)), "kleitman-spencer", flips)
@@ -147,32 +142,10 @@ def build_3_suitable_for(ids) -> Suitable3Result:
     return result
 
 
-@functools.cache
-def exact_min_3_suitable(n: int):
-    """Exact N(n,3) with a witness family, for n <= EXACT_LIMIT.
-
-    Memoised by n (the result is immutable): repeated calls in one
-    process, from the library, the tests or a benchmark loop, skip the
-    search; a one-shot command line run still searches once.
-
-    `posets._dimension_dfs` runs on the empty order over 0..n-1 with
-    one single-alternative requirement (((x, y), (a,)),), "x and y
-    before a", per 3-set {a, x, y} and designated a.  A member puts
-    only one element of a 3-set last, so t starts at `first_t = 3`;
-    n members with distinct last elements always suffice, so `limit`
-    is n and the search always ends in a family.  The witness members
-    are the smallest-first extensions of the relations found, sorted.
-    """
-    if n > EXACT_LIMIT:
-        raise ValueError(f"exact 3-suitable search is limited to n <= {EXACT_LIMIT}")
-    ids = tuple(range(1, n + 1))
+def _minimum_orders(n: int) -> np.ndarray:
+    """Rows of the narrowest table family of width >= n, cut to 0..n-1."""
     if n < 3:
-        return 0, PermutationFamily.build(ids, ())
-    requirements = [
-        ((tuple(v for v in triple if v != a), (a,)),)
-        for triple in combinations(range(n), 3)
-        for a in triple
-    ]
-    t, relations, _ = _dimension_dfs([0] * n, requirements, 3, n, EXACT_BUDGET)
-    members = sorted([ids[i] for i in _topo_indices(up, n)] for up in relations)
-    return t, PermutationFamily.build(ids, members)
+        return np.zeros((0, n), dtype=np.int64)
+    rows = np.array(next(table for table in _MINIMUM if len(table[0]) >= n))
+    # every row keeps exactly n positions, in its own order
+    return rows[rows < n].reshape(len(rows), n)

@@ -26,7 +26,7 @@ from sepdim.posets import (
 )
 from sepdim.starcover import certify_star_cover, degenerate_family, random_k_degenerate_graph
 from sepdim.subdivided import colored_subdivision_family
-from sepdim.suitable3 import build_3_suitable, exact_min_3_suitable
+from sepdim.suitable3 import build_3_suitable_for
 
 
 def _report(name: str, failures: list, started: float) -> None:
@@ -265,14 +265,12 @@ def test_criterion_7_structural_decompositions():
                 failures.append((seed, "structure", str(exc)))
                 break
     for n in (2, 3, 4, 5, 8, 16, 32, 48, 64):
-        res = build_3_suitable(n)
+        res = build_3_suitable_for(range(1, n + 1))
         if not verify_k_suitable(res.family, 3):
             failures.append(("3-suitable", n))
-    goldens = {2: 0, 3: 3}
-    for n in (2, 3, 4, 5):
-        exact, _ = exact_min_3_suitable(n)
-        if n in goldens and exact != goldens[n]:
-            failures.append(("N(n,3) golden", n, exact))
-        if len(build_3_suitable(n).family) < exact:
-            failures.append(("built below minimum", n))
+    # N(n,3) for n = 1..6, the sizes of the minimum table
+    for n, size in enumerate((0, 0, 3, 3, 4, 4), start=1):
+        built = len(build_3_suitable_for(range(1, n + 1)).family)
+        if built != size:
+            failures.append(("N(n,3) golden", n, built))
     _report("criterion 7: structural decompositions", failures, started)

@@ -4,10 +4,11 @@ import dataclasses
 import hashlib
 import json
 import re
+import sys
 
 import pytest
 
-from sepdim import cli, lowerbound, posets, subdivided
+from sepdim import cli, exact, lowerbound, posets, subdivided
 from sepdim.cli import main
 from sepdim.families import PermutationFamily, verify_pairwise_suitable
 
@@ -168,6 +169,23 @@ class TestExact:
         path.write_text("".join(f"{i} {j}\n" for i in range(1, 5) for j in range(5, 9)))
         assert main(["exact", str(path), "--budget", "1000"]) == 3
         assert "budget exceeded" in capsys.readouterr().err
+
+    def test_guard_lists_no_pairs(self, tmp_path, monkeypatch, capsys):
+        # past the 12-vertex guard only a star has no disjoint edge pair,
+        # so no pair is listed there
+        def no_pairs(g):
+            raise AssertionError("disjoint edge pairs listed past the guard")
+
+        monkeypatch.setattr(exact, "disjoint_edge_pairs", no_pairs)
+        path, star = tmp_path / "p13.txt", tmp_path / "star20.txt"
+        path.write_text("".join(f"{i} {i + 1}\n" for i in range(1, 13)))
+        star.write_text("".join(f"0 {i}\n" for i in range(1, 21)))
+        assert main(["exact", str(path)]) == 3
+        assert "budget exceeded: exact search is limited to 12 non-isolated vertices" in capsys.readouterr().err
+        assert main(["exact", str(path), "--limit", "0", "--format", "structured"]) == 0
+        assert json.loads(capsys.readouterr().out)["separation_dimension"] == "exceeded"
+        assert main(["exact", str(star), "--format", "structured"]) == 0
+        assert json.loads(capsys.readouterr().out)["separation_dimension"] == 0
 
 
 class TestVerify:
@@ -437,6 +455,32 @@ GOLDEN = {
         "fam.json.subdivided.txt": "8f5525b545fe6096e5a086d8c18af74d236f24286628874af945753c57a5bbc2",
         "fam.json.subdivision.json": "6d24b306b78a1f6592af9abde9f753a53232f8fdfb70b7e6582a2db8397af7b9",
     },
+    ("bound-degenerate", "deg5"): {
+        "report": "08efa6cafea37ec53fe7a51bb787ac2328465e5495d075d1f750722a9be72b89",
+        "fam.json": "8806bdde421a4e612d853f3a9bcb1620d2b78a4b41b3cc0508d4a83fd96e70ff",
+    },
+    ("bound-degenerate", "deg6"): {
+        "report": "79d215345ff5b44c3dddeca4b1c5c4619ca072a135556b133b614be43307fc2c",
+        "fam.json": "108b9add5989c65213c14404c1702a75ab928ae46646ed4dbc62275c44225b0e",
+    },
+    ("bound-subdivision", "k3"): {
+        "report": "cc5c1cbafebf93f82c4d85a32712e19bbb489ea385c1dd55f93ed8462de38f2b",
+        "fam.json": "19c586a985e4976a171b487c553cddaf1ffa10cae5d7aa5a18d29939eb675c2e",
+        "fam.json.subdivided.txt": "2da6b4f6921102d26916a9b988eeacdecfac2445268199475574546018022ec2",
+        "fam.json.subdivision.json": "ceaf452cf02d1b8ea9fd2b89704f3592520cfc10c42abedda45dbc8a736b5150",
+    },
+    ("bound-subdivision", "k5"): {
+        "report": "5f4cfb876cb17a8d883b2eff8bfd4f417b438af9e7bd3766610eab71bb32515e",
+        "fam.json": "ac57b4ae930e1d420b6298949f56f05b38a01b46317a8d872d82c89f79cb7215",
+        "fam.json.subdivided.txt": "bbe43253a461ed43a8bead9b10ca1fd788a1a056d13262ac157cf50db5f8e75f",
+        "fam.json.subdivision.json": "5821b9aacd37064ce61ba36459d5fdb5b14bb34d0a968e9860002c9d2942d080",
+    },
+    ("bound-subdivision", "k6"): {
+        "report": "21197632915c2a80dfb839f62918aad1da629b5c7209bfc8b3c5eff18c1cd82f",
+        "fam.json": "403e119399a4aa76564fbbbb5e382db48573538f3b47aaca103aa4995b8237b0",
+        "fam.json.subdivided.txt": "b2dd01b4e77110d2f58dcb947abfcd93f36003fab892e8b80a9787701d0f1110",
+        "fam.json.subdivision.json": "976b0cfe6f23e548d38e57244041468bbb53e7ef618bad2dda11857637829972",
+    },
     ("exact", "c5"): {
         "report": "80c92cc46c2bcbf6e91513f2686e0d35035cc44a7004cf155e546b40e5bc684e",
     },
@@ -452,14 +496,18 @@ GOLDEN_GRAPHS = {
     "deg120": _spread_degenerate(120, 3),
     "k4": _clique(4),
     "deg20": _spread_degenerate(20, 3),
+    "deg5": _spread_degenerate(5, 2),
+    "deg6": _spread_degenerate(6, 2),
+    "k3": _clique(3),
+    "k5": _clique(5),
+    "k6": _clique(6),
     "c5": "1 2\n2 3\n3 4\n4 5\n1 5\n",
     "c8": "".join(f"{i} {i % 8 + 1}\n" for i in range(1, 9)),
     "spider9": "".join(f"{u} {v}\n" for u, v in [(1, 2), (2, 3), (1, 4), (4, 5), (1, 6), (6, 7), (1, 8), (8, 9)]),
 }
 
 
-@pytest.mark.parametrize("command,graph", sorted(GOLDEN))
-def test_golden_output(command, graph, tmp_path, monkeypatch, capsys):
+def _golden_digests(command, graph, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "g.txt").write_text(GOLDEN_GRAPHS[graph])
     argv = [command, "g.txt"] + (["--out", "fam.json"] if command != "exact" else [])
@@ -467,7 +515,25 @@ def test_golden_output(command, graph, tmp_path, monkeypatch, capsys):
     digests = {"report": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
     for path in sorted(tmp_path.glob("fam.json*")):
         digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digests == GOLDEN[(command, graph)]
+    return digests
+
+
+@pytest.mark.parametrize("command,graph", sorted(GOLDEN))
+def test_golden_output(command, graph, tmp_path, monkeypatch, capsys):
+    assert _golden_digests(command, graph, tmp_path, monkeypatch, capsys) == GOLDEN[(command, graph)]
+
+
+@pytest.mark.parametrize("command,graph", sorted(key for key in GOLDEN if key[0] != "exact"))
+def test_constructions_run_no_search(command, graph, tmp_path, monkeypatch, capsys):
+    # the bases at every table width (3 to 6 ids or colour classes) come
+    # from a table, so the exact engine is never entered
+    def no_search(*args):
+        raise AssertionError("a construction ran the exact engine")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sepdim") and hasattr(module, "_dimension_dfs"):
+            monkeypatch.setattr(module, "_dimension_dfs", no_search)
+    assert _golden_digests(command, graph, tmp_path, monkeypatch, capsys) == GOLDEN[(command, graph)]
 
 
 # sha256 of the `canonical-dim` text report: the dimension and every

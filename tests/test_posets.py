@@ -434,7 +434,7 @@ def test_engine_matches_rescan_on_any_requirements(args):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_engine_matches_rescan_on_3_suitable(n):
-    # the requirements of exact_min_3_suitable: x and y before a
+    # one requirement per 3-set and designated a: x and y before a
     requirements = [
         ((tuple(v for v in triple if v != a), (a,)),)
         for triple in combinations(range(n), 3)

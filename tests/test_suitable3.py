@@ -1,4 +1,4 @@
-"""3-suitable family builders and the exact minimum search."""
+"""3-suitable family builders: the minimum table and the Kleitman-Spencer base."""
 
 import math
 from itertools import combinations, combinations_with_replacement, permutations
@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from sepdim.families import PermutationFamily, verify_k_suitable
+from sepdim.posets import _dimension_dfs, _topo_indices
 from sepdim.suitable3 import (
     EXACT_LIMIT,
     Suitable3Result,
     _kleitman_spencer_flips,
-    build_3_suitable,
     build_3_suitable_for,
     certify_3_suitable,
-    exact_min_3_suitable,
     lex_xor_orders,
 )
 
@@ -32,27 +31,45 @@ def brute_is_3_suitable(orders, n):
     return True
 
 
+def build_over(n):
+    """The base over the ids 1..n."""
+    return build_3_suitable_for(range(1, n + 1))
+
+
+def engine_minimum(n):
+    """The exact engine on the empty order over 0..n-1, one requirement
+    "x and y before a" per 3-set {a, x, y} and designated a: the fewest
+    members from 3 up to n, and their smallest-first extensions, sorted."""
+    requirements = [
+        ((tuple(v for v in triple if v != a), (a,)),)
+        for triple in combinations(range(n), 3)
+        for a in triple
+    ]
+    t, relations, _ = _dimension_dfs([0] * n, requirements, 3, n, 100_000)
+    return t, sorted(_topo_indices(up, n) for up in relations)
+
+
 class TestBuilders:
     def test_n2_empty(self):
-        res = build_3_suitable(2)
+        res = build_over(2)
         assert len(res.family) == 0
 
     def test_n3_size_three(self):
-        res = build_3_suitable(3)
+        res = build_over(3)
         assert len(res.family) == 3
         assert verify_k_suitable(res.family, 3)
 
     @pytest.mark.parametrize("n", [4, 5, 7, 8, 16, 33, 64, 65, 76])
     def test_verified_and_oracle(self, n):
-        res = build_3_suitable(n)
+        res = build_over(n)
         assert verify_k_suitable(res.family, 3)
         if n <= 8:
             orders = res.family.id_orders()
             assert brute_is_3_suitable(orders, n)
 
     def test_deterministic(self):
-        a = build_3_suitable(16)
-        b = build_3_suitable(16)
+        a = build_over(16)
+        b = build_over(16)
         assert a.family == b.family and a.generator == b.generator
 
     def test_large_uses_spencer(self):
@@ -81,15 +98,14 @@ class TestBuilders:
     def test_size_at_most_greedy_bound(self):
         # never larger than 1 + b + C(b, 2), b = bit length of n - 1
         for n in (8, 16, 32):
-            res = build_3_suitable(n)
+            res = build_over(n)
             bits = max(1, (n - 1).bit_length())
             assert len(res.family) <= 1 + bits + bits * (bits - 1) // 2
 
 
 class TestExactMinimum:
     def test_n2_zero(self):
-        value, fam = exact_min_3_suitable(2)
-        assert value == 0 and len(fam) == 0
+        assert len(build_over(2).family) == 0
 
     def test_n3_is_three_with_oracle(self):
         # oracle: no family of size <= 2 is 3-suitable for [3]
@@ -97,8 +113,8 @@ class TestExactMinimum:
         for i in range(len(perms)):
             for j in range(i, len(perms)):
                 assert not brute_is_3_suitable([perms[i], perms[j]], 3)
-        value, fam = exact_min_3_suitable(3)
-        assert value == 3
+        fam = build_over(3).family
+        assert len(fam) == 3
         assert verify_k_suitable(fam, 3)
         # the bound-subdivision goldens hash these bytes
         assert fam.id_orders() == [[1, 2, 3], [1, 3, 2], [2, 3, 1]]
@@ -107,38 +123,43 @@ class TestExactMinimum:
     def test_no_smaller_family_with_oracle(self, n):
         # relabelling [n] maps any family to one whose first member is
         # the identity, so fixing it loses no family
-        value, _ = exact_min_3_suitable(n)
+        value = len(build_over(n).family)
         identity = list(range(1, n + 1))
         perms = [list(p) for p in permutations(identity)]
         for rest in combinations_with_replacement(perms, value - 2):
             assert not brute_is_3_suitable([identity, *rest], n)
 
-    @pytest.mark.parametrize("n, size", [(2, 0), (3, 3), (4, 3), (5, 4), (6, 4)])
+    @pytest.mark.parametrize("n, size", [(1, 0), (2, 0), (3, 3), (4, 3), (5, 4), (6, 4)])
     def test_exact_sizes(self, n, size):
-        value, fam = exact_min_3_suitable(n)
-        assert value == len(fam) == size
-        assert brute_is_3_suitable(fam.id_orders(), n)
+        res = build_over(n)
+        assert res.generator == "exact" and res.flips is None
+        assert len(res.family) == size
+        assert brute_is_3_suitable(res.family.id_orders(), n)
 
     def test_n4_golden(self):
-        value, fam = exact_min_3_suitable(4)
-        assert value == 3
+        fam = build_over(4).family
+        assert len(fam) == 3
         assert verify_k_suitable(fam, 3)
         assert fam.id_orders() == [[1, 2, 3, 4], [1, 4, 3, 2], [2, 4, 3, 1]]
 
     def test_n5_golden(self):
-        value, fam = exact_min_3_suitable(5)
-        assert value == 4
+        fam = build_over(5).family
+        assert len(fam) == 4
         assert verify_k_suitable(fam, 3)
+        assert fam.id_orders() == [[1, 2, 3, 4, 5], [1, 2, 3, 5, 4], [1, 4, 5, 3, 2], [2, 4, 5, 3, 1]]
 
     def test_guard(self):
-        with pytest.raises(ValueError):
-            exact_min_3_suitable(7)
+        # the table ends at six ids; seven get the Kleitman-Spencer base
+        assert EXACT_LIMIT == 6
+        assert build_over(6).generator == "exact"
+        assert build_over(7).generator == "kleitman-spencer"
 
     def test_builder_never_beats_exact_minimum(self):
-        for n in (2, 3, 4, 5):
-            built = build_3_suitable(n)
-            exact, _ = exact_min_3_suitable(n)
-            assert len(built.family) == exact
+        # the engine finds the table's size, and the table's rows as its witness
+        for n in (3, 4, 5):
+            t, members = engine_minimum(n)
+            assert len(build_over(n).family) == t
+            assert build_3_suitable_for(range(n)).family.orders.tolist() == members
 
 
 @pytest.mark.parametrize(
@@ -147,7 +168,7 @@ class TestExactMinimum:
      (1025, 7), (20000, 7), (32768, 7), (32769, 8)],
 )
 def test_kleitman_spencer_base_size(n, size):
-    res = build_3_suitable(n)
+    res = build_over(n)
     assert res.generator == "kleitman-spencer"
     assert len(res.family) == size
 
@@ -178,25 +199,11 @@ def test_kleitman_spencer_rows_against_spencer():
 
 
 def test_builder_size_at_least_exact_minimum_n6():
-    built = build_3_suitable(6)
-    exact, _ = exact_min_3_suitable(6)
-    assert len(built.family) == exact
+    built = build_3_suitable_for([3, 9, 12, 40, 41, 57])
+    t, members = engine_minimum(6)
+    assert len(built.family) == t == 4
+    assert built.family.orders.tolist() == members
     assert verify_k_suitable(built.family, 3)
-
-
-def test_exact_minimum_is_searched_once_per_n(monkeypatch):
-    from sepdim import suitable3
-
-    exact_min_3_suitable.cache_clear()
-    first = exact_min_3_suitable(5)
-
-    def no_search(*args):
-        raise AssertionError("the memoised result should be reused")
-
-    monkeypatch.setattr(suitable3, "_dimension_dfs", no_search)
-    assert exact_min_3_suitable(5) is first
-    assert build_3_suitable_for([3, 9, 12, 40, 41]).family.orders.tolist() == first[1].orders.tolist()
-    assert not first[1].orders.flags.writeable
 
 
 def lex_xor_base(flips, n):
@@ -215,14 +222,14 @@ def certified(base) -> bool:
 class TestBaseCertificate:
     @pytest.mark.parametrize("n", list(range(3, 80)) + [100, 150, 200, 300])
     def test_agrees_with_the_triple_walk(self, n):
-        base = build_3_suitable(n)
+        base = build_over(n)
         assert (base.flips is None) == (n <= EXACT_LIMIT)
         certify_3_suitable(base)
         assert verify_k_suitable(base.family, 3)
 
     @pytest.mark.parametrize("n", [7, 8, 9, 16, 17, 33, 64, 65])
     def test_certified_flip_mutants_are_three_suitable(self, n):
-        flips = build_3_suitable(n).flips
+        flips = build_over(n).flips
         refused = 0
         for i, p in np.ndindex(flips.shape):
             bad = flips.copy()
@@ -240,7 +247,7 @@ class TestBaseCertificate:
         with pytest.raises(AssertionError, match="^base: two flip columns miss"):
             certify_3_suitable(base)
         assert not verify_k_suitable(base.family, 3)
-        flips = build_3_suitable(100).flips.copy()
+        flips = build_over(100).flips.copy()
         flips[:, 3] = flips[:, 2]
         with pytest.raises(AssertionError, match="^base: two flip columns miss"):
             certify_3_suitable(lex_xor_base(flips, 100))
@@ -250,7 +257,7 @@ class TestBaseCertificate:
             certify_3_suitable(lex_xor_base([[0, 0], [0, 1], [0, 0], [0, 1]], 4))
         with pytest.raises(AssertionError, match="^base: the flip matrix"):
             certify_3_suitable(lex_xor_base([[0, 0], [0, 1], [1, 0], [1, 1]], 5))
-        base = build_3_suitable(20)
+        base = build_over(20)
         orders = base.family.orders.copy()
         orders[0, [0, 1]] = orders[0, [1, 0]]
         moved = Suitable3Result(PermutationFamily(base.family.ground_set, orders), "spencer", base.flips)
