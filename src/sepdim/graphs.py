@@ -15,11 +15,11 @@ parser, which names the offending line; both give the same graph.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain
 
 import numpy as np
 
@@ -217,29 +217,49 @@ def degeneracy_order(g: Graph) -> DegeneracyOrder:
 
     The returned `k` is the maximum residual degree seen at removal time,
     which equals the graph degeneracy.  The peel runs over `g.csr` as
-    lists, with a heap of keys degree * n + position (positions follow
-    ids) and stale keys skipped; a peeled vertex's degree is set to -1.
+    lists (positions follow ids), with one min-heap of positions per
+    residual degree and a pointer `low` at the lowest degree that may
+    still hold an unpeeled vertex (Batagelj & Zaversnik's bucket queue,
+    with heaps for buckets).  A vertex is pushed into its degree's heap
+    each time its degree falls; the entries left in the heaps of its
+    higher degrees are stale and skipped when popped.  Degrees only
+    fall, so every unpeeled vertex sits in the heap of its current
+    degree exactly once, and no heap below `low` holds one: `low`
+    drops to a neighbour's new degree when that is lower, and climbs
+    only over empty heaps.  The first live pop is then the smallest
+    position among the vertices of minimum degree, the pop the tie rule
+    asks for.  `low` falls by at most one per edge, so its moves cost
+    O(n + m) in all.
     """
     n = g.num_vertices
     indptr, indices = g.csr
-    degree = np.diff(indptr).tolist()
-    indptr, indices = indptr.tolist(), indices.tolist()
-    heap = [d * n + i for i, d in enumerate(degree)]
-    heapq.heapify(heap)
+    degree = np.diff(indptr)
+    # positions grouped by degree, ascending within each group: sorted
+    # lists are heaps already
+    by_degree = np.argsort(degree, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(degree)).tolist()
+    heaps = [by_degree[a:b] for a, b in zip([0] + ends, ends)]
+    degree, indptr, indices = degree.tolist(), indptr.tolist(), indices.tolist()
     order: list[int] = []
-    k = 0
-    while heap:
-        d, i = divmod(heapq.heappop(heap), n)
-        if d != degree[i]:
-            continue
+    k = low = 0
+    for _ in range(n):
+        while True:
+            while not heaps[low]:
+                low += 1
+            i = heappop(heaps[low])
+            if degree[i] == low:
+                break
         degree[i] = -1
         order.append(i)
-        k = max(k, d)
+        if low > k:
+            k = low
         for j in indices[indptr[i]:indptr[i + 1]]:
-            dj = degree[j]
+            dj = degree[j] - 1
             if dj >= 0:  # not peeled yet
-                degree[j] = dj - 1
-                heapq.heappush(heap, (dj - 1) * n + j)
+                degree[j] = dj
+                heappush(heaps[dj], j)
+                if dj < low:
+                    low = dj
     return DegeneracyOrder(tuple(map(g.vertices.__getitem__, order)), k)
 
 
@@ -255,38 +275,46 @@ def star_forest_decomposition(g: Graph, d: DegeneracyOrder) -> list[np.ndarray]:
     the edges whose parent sits on an even level (the forest's roots are
     on level 0) form one star forest and the odd levels another; each
     parent roots its star, except that a single-edge star is rooted at
-    its smaller id.  Empty star forests are left out.
+    its smaller id.  Empty star forests are left out; the others come
+    in (slot, parity) order, even before odd.
+
+    The levels come from pointer doubling over one array of k·n cells,
+    cell s·n + c standing for position c in slot s.  `anc[x]` starts at
+    x's parent cell (a root points to itself) and `odd[x]` at whether
+    x is not a root.  Each round keeps `odd[x]` the parity of the
+    distance from x to `anc[x]`: the distance to anc[anc[x]] is the sum
+    of the two hops, so `odd ^= odd[anc]` goes with `anc = anc[anc]`.
+    The distance covered doubles each round, so once anc[anc] equals
+    anc every `anc[x]` is x's root and `odd[x]` is x's level parity,
+    after O(log depth) rounds.
     """
-    if set(d.order) != set(g.vertices):
+    n, k = g.num_vertices, d.k
+    ids, order = np.array(g.vertices), np.array(d.order)
+    rank = np.argsort(order)  # ids are sorted and distinct: the peeling step of each position
+    # the same ids give the same dtype, so a dtype mismatch is a mismatch
+    if order.dtype != ids.dtype or order.shape != ids.shape or not np.array_equal(order[rank], ids):
         raise ValueError("degeneracy order does not match graph vertices")
-    n = g.num_vertices
-    index = {v: i for i, v in enumerate(g.vertices)}
-    rank = np.argsort([index[v] for v in d.order])  # peeling step of each position
     u, v = g.edge_positions.T
     child = np.where(rank[u] < rank[v], u, v)
     parent = u + v - child
-    by_child = np.lexsort((parent, child))
+    by_child = np.argsort(child * n + parent)
     child, parent = child[by_child], parent[by_child]
     slot = np.arange(child.size) - np.searchsorted(child, child)
-    # parents are peeled later, so reverse peeling order meets each
-    # parent's level before its children need it
-    cell, up = (slot * n + child).tolist(), (slot * n + parent).tolist()
-    level: dict[int, int] = {}
-    odd = np.zeros(child.size, dtype=bool)
-    for e in np.argsort(-rank[child], kind="stable").tolist():
-        above = level.get(up[e], 0)
-        odd[e] = above % 2
-        level[cell[e]] = above + 1
-    forests = []
-    for s, parity in product(range(d.k), (False, True)):
-        mask = (slot == s) & (odd == parity)
-        if mask.any():
-            c, p = child[mask], parent[mask]
-            flip = (np.bincount(p, minlength=n)[p] == 1) & (c < p)
-            roots = np.arange(n, dtype=np.int64)
-            roots[np.where(flip, p, c)] = np.where(flip, c, p)
-            forests.append(roots)
-    return forests
+    up = slot * n + parent
+    anc = np.arange(k * n)
+    anc[slot * n + child] = up
+    odd = anc != np.arange(k * n)
+    nxt = anc[anc]
+    while not np.array_equal(nxt, anc):
+        odd ^= odd[anc]
+        anc, nxt = nxt, nxt[nxt]
+    # forest rows in (slot, parity) order; star cells count each parent's children
+    row = 2 * slot + odd[up]
+    star = row * n + parent
+    flip = (np.bincount(star, minlength=2 * k * n)[star] == 1) & (child < parent)
+    roots = np.broadcast_to(np.arange(n, dtype=np.int64), (2 * k, n)).copy()
+    roots.reshape(-1)[np.where(flip, star, row * n + child)] = np.where(flip, child, parent)
+    return list(roots[np.bincount(row, minlength=2 * k) > 0])
 
 
 def check_star_forest(g: Graph, roots: np.ndarray) -> int:

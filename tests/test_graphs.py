@@ -7,10 +7,11 @@ import random
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sepdim.graphs import (
     ARRAY_PARSE_MIN_CHARS,
+    DegeneracyOrder,
     Graph,
     GraphFormatError,
     _load_array,
@@ -196,24 +197,95 @@ def peel_oracle(g):
     return tuple(order), k
 
 
+def relabelled(edges, isolated=(), seed=0):
+    """The graph of `edges` (and `isolated` vertices) under a seeded map
+    onto sparse ids; seed 0 keeps the ids."""
+    verts = sorted({x for e in edges for x in e} | set(isolated))
+    ids = dict(zip(verts, random.Random(seed).sample(range(10 * len(verts) + 1), len(verts)) if seed else verts))
+    return Graph.build(ids.values(), [(ids[u], ids[v]) for u, v in edges])
+
+
+def k8_with_pendant_paths():
+    """K8 on 0..7, a path of 3 hanging off each of 0..3 and a 12-cycle
+    apart: the minimum degree climbs 0 -> 7 over empty buckets when the
+    paths and the cycle are gone, then falls 7, 6, ..., 0 in the clique."""
+    edges = list(itertools.combinations(range(8), 2))
+    for a in range(4):
+        tail = [a] + [100 + 10 * a + t for t in range(3)]
+        edges += list(zip(tail, tail[1:]))
+    edges += [(200 + t, 200 + (t + 1) % 12) for t in range(12)]
+    return edges
+
+
+def star_joined_to_path():
+    """K1,40 with centre 0, whose centre ends a 30-vertex path: the leaves
+    peel at degree 1 while the centre's degree falls 41 -> 1."""
+    edges = [(0, leaf) for leaf in range(1, 41)]
+    path_ids = [0] + list(range(100, 130))
+    return edges + list(zip(path_ids, path_ids[1:]))
+
+
+def cliques_in_a_chain():
+    """K6, K4 and K7 joined by single edges: the minimum degree falls
+    3 -> 1 through K4, climbs to 5 for K6 and falls to 0, then climbs
+    over empty buckets to 6 for K7."""
+    blocks = [range(0, 6), range(10, 14), range(20, 27)]
+    edges = [e for b in blocks for e in itertools.combinations(b, 2)]
+    return edges + [(5, 10), (13, 20)]
+
+
+CASCADES = [k8_with_pendant_paths(), star_joined_to_path(), cliques_in_a_chain()]
+
+
+@st.composite
+def peel_graphs(draw):
+    """Random graphs over sparse ids, or a cascade shape under a random relabelling."""
+    if draw(st.booleans()):
+        edges = draw(st.sampled_from(CASCADES))
+        return relabelled(edges, isolated=(1000, 1001), seed=draw(st.integers(0, 2**16)))
+    ids = sorted(draw(st.sets(st.integers(0, 500), min_size=1, max_size=40)))
+    rnd, density = draw(st.randoms(use_true_random=False)), draw(st.floats(0.0, 0.6))
+    return Graph.build(ids, [e for e in itertools.combinations(ids, 2) if rnd.random() < density])
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.sets(st.integers(0, 500), min_size=1, max_size=40), st.randoms(use_true_random=False),
-       st.floats(0.0, 0.6))
-def test_csr_peel_matches_oracle_and_core_numbers(ids, rnd, density):
-    ids = sorted(ids)
-    edges = [e for e in itertools.combinations(ids, 2) if rnd.random() < density]
-    g = Graph.build(ids, edges)
+@given(peel_graphs())
+@example(relabelled(CASCADES[0])).via("cascade")
+@example(relabelled(CASCADES[1])).via("cascade")
+@example(relabelled(CASCADES[2], isolated=(40, 41))).via("cascade")
+def test_csr_peel_matches_oracle_and_core_numbers(g):
     d = degeneracy_order(g)
     assert (d.order, d.k) == peel_oracle(g)
     oracle = nx.Graph()
-    oracle.add_nodes_from(ids)
-    oracle.add_edges_from(edges)
+    oracle.add_nodes_from(g.vertices)
+    oracle.add_edges_from(g.edges)
     assert d.k == max(nx.core_number(oracle).values())
     indptr, indices = g.csr
     assert not indptr.flags.writeable and not indices.flags.writeable
     adjacency = neighbours(g)
     for i, v in enumerate(g.vertices):
         assert sorted(g.vertices[j] for j in indices[indptr[i]:indptr[i + 1]]) == sorted(adjacency[v])
+
+
+def test_cascade_shapes_peel_as_described():
+    d = degeneracy_order(relabelled(k8_with_pendant_paths()))
+    # pendant paths from their free ends, then the cycle, then the clique
+    assert d.k == 7 and d.order[:2] == (102, 101) and d.order[-8:] == tuple(range(8))
+    d = degeneracy_order(relabelled(star_joined_to_path()))
+    assert d.k == 1 and d.order[:41] == tuple(range(1, 41)) + (0,)
+    d = degeneracy_order(relabelled(cliques_in_a_chain()))
+    assert d.k == 6 and d.order == (11, 12, 10, 13, *range(6), *range(20, 27))
+
+
+def test_order_from_another_graph_is_refused():
+    g, other = path(5), Graph.from_edges([(1, 2), (2, 3), (3, 4), (4, 6)])
+    refused = "^degeneracy order does not match graph vertices$"
+    for d in [degeneracy_order(other), degeneracy_order(path(4)), DegeneracyOrder((1, 2, 3, 4, 2**70), 1)]:
+        for use in (star_forest_decomposition, greedy_coloring):
+            with pytest.raises(ValueError, match=refused):
+                use(g, d)
+    with pytest.raises(ValueError, match=refused):  # a repeated vertex
+        star_forest_decomposition(g, DegeneracyOrder((1, 2, 3, 4, 5, 5), 1))
 
 
 class TestDegeneracy:
@@ -431,6 +503,69 @@ class TestStarForests:
             check_star_forest(g, np.array([0, 1, 2]))
         with pytest.raises(ValueError, match="one position"):
             check_star_forest(g, np.array([0, 1, 2, 4]))
+
+
+def star_forests_oracle(g, d):
+    """Star forests by a per-edge level loop, the check on the pointer
+    doubling: levels in a dict, one edge at a time in reverse peeling
+    order of the child."""
+    n = g.num_vertices
+    index = {v: i for i, v in enumerate(g.vertices)}
+    rank = np.argsort([index[v] for v in d.order])
+    u, v = g.edge_positions.T
+    child = np.where(rank[u] < rank[v], u, v)
+    parent = u + v - child
+    by_child = np.lexsort((parent, child))
+    child, parent = child[by_child], parent[by_child]
+    slot = np.arange(child.size) - np.searchsorted(child, child)
+    cell, up = (slot * n + child).tolist(), (slot * n + parent).tolist()
+    level = {}
+    odd = np.zeros(child.size, dtype=bool)
+    for e in np.argsort(-rank[child], kind="stable").tolist():
+        above = level.get(up[e], 0)
+        odd[e] = above % 2
+        level[cell[e]] = above + 1
+    forests = []
+    for s, parity in itertools.product(range(d.k), (False, True)):
+        mask = (slot == s) & (odd == parity)
+        if mask.any():
+            c, p = child[mask], parent[mask]
+            flip = (np.bincount(p, minlength=n)[p] == 1) & (c < p)
+            roots = np.arange(n, dtype=np.int64)
+            roots[np.where(flip, p, c)] = np.where(flip, c, p)
+            forests.append(roots)
+    return forests
+
+
+@st.composite
+def forest_graphs(draw):
+    """Degeneracy at most 5 over sparse ids with isolated vertices; or a
+    path or caterpillar of 200-500 vertices, whose slot forests are
+    hundreds of levels deep."""
+    rnd = draw(st.randoms(use_true_random=False))
+    shape = draw(st.sampled_from(["random", "path", "caterpillar"]))
+    if shape == "random":
+        n, k = draw(st.integers(1, 60)), draw(st.integers(0, 5))
+        edges = [(i, j) for i in range(1, n) for j in rnd.sample(range(i), min(k, i)) if rnd.random() < 0.8]
+        isolated = range(n, n + draw(st.integers(0, 4)))
+        return relabelled(edges, isolated, seed=rnd.randrange(1, 2**16))
+    n = draw(st.integers(200, 500))
+    spine = n if shape == "path" else n // 2
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(rnd.randrange(spine), leaf) for leaf in range(spine, n)]
+    # ids in spine order keep the peel walking the spine from one end
+    return relabelled(edges, seed=draw(st.sampled_from([0, rnd.randrange(1, 2**16)])))
+
+
+@settings(max_examples=120, deadline=None)
+@given(forest_graphs())
+@example(path(400)).via("slot 0 is the path, 399 levels deep")
+def test_star_forests_match_level_loop_oracle(g):
+    d = degeneracy_order(g)
+    forests, expected = star_forest_decomposition(g, d), star_forests_oracle(g, d)
+    assert len(forests) == len(expected)
+    for roots, want in zip(forests, expected):
+        assert roots.dtype == np.int64 and roots.tolist() == want.tolist()
 
 
 class TestSubdivide:
