@@ -166,7 +166,7 @@ def cmd_exact(args, report: Report) -> int:
 
 def cmd_verify(args, report: Report) -> int:
     g = load_graph(_read(args.graph, report, "input_digest"))
-    fam, _doc = family_from_json(_read(args.family, report, "family_digest"))
+    fam, _fields = family_from_json(_read(args.family, report, "family_digest"))
     witness = verify_pairwise_suitable(fam, g)
     report.add("family_size", len(fam))
     report.add("verdict", _witness_str(witness))

@@ -33,13 +33,24 @@ These checks serve families that come with no proof: `verify` on a
 user's family, `bound-subdivision` and the tests.  A star-cover family
 is certified from its construction's premises instead
 (`starcover.certify_star_cover`), in time linear in its size.
+
+`family_from_json` returns a family and the document's other fields.
+A compact document (ASCII, no backslash, both id lists without spaces,
+every id below 10^18 and without a leading zero, as `family_to_json`
+and most writers produce it) is read by `_family_arrays`: numpy checks
+and parses the two id lists straight into one (r, n) array, ids map to
+positions through one table gather, and `json.loads` parses only the
+rest; `json.loads` of a whole document builds one Python int per id
+and one list per member, which costs several times the reader's pass.
+Every other document, and any the reader doubts, takes the JSON path,
+which builds the same family and raises the same errors.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, combinations, islice
 
 import numpy as np
@@ -54,6 +65,10 @@ TILE_COLS = 512
 # _LATER[a, c]: c > a; keeps the pairs j > i where a block meets its own columns
 _LATER = np.arange(BLOCK_ROWS)[:, None] < np.arange(BLOCK_ROWS)
 _LATER.flags.writeable = False
+# An id array whose largest id is below ID_TABLE_SPAN * n maps to
+# positions through a lookup table; a binary search per id costs about
+# 50 times as much at r * n = 32k.
+ID_TABLE_SPAN = 4
 
 
 def _vertex_ids(values, what: str) -> tuple[int, ...]:
@@ -65,6 +80,27 @@ def _vertex_ids(values, what: str) -> tuple[int, ...]:
     if not set(map(type, ids)) <= {int} or (ids and min(ids) < 0):
         raise ValueError(f"{what} must be a list of non-negative integer vertex ids")
     return ids
+
+
+def _positions(ground: tuple[int, ...], ids: np.ndarray) -> np.ndarray:
+    """The position in `ground` (sorted, ids below 2^63) of each entry of
+    the integer array `ids`, or -1 where it is not in `ground`.
+
+    Ids below ID_TABLE_SPAN * n go through a table of that many cells,
+    one gather; larger ones take a binary search per id.
+    """
+    if not ids.size:
+        return ids.astype(np.int64)
+    n = len(ground)
+    sorted_ids = np.array(ground, dtype=np.int64)
+    top = max(int(ids.max()), ground[-1])
+    if ids.min() >= 0 and top < ID_TABLE_SPAN * n:
+        table = np.full(top + 1, -1, np.int64)
+        table[sorted_ids] = np.arange(n)
+        return table[ids]
+    pos = np.minimum(np.searchsorted(sorted_ids, ids), n - 1)
+    pos[sorted_ids[pos] != ids] = -1
+    return pos
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,8 +142,14 @@ class PermutationFamily:
 
     @staticmethod
     def build(ground_set, members) -> "PermutationFamily":
-        """Family from vertex ids: the ground set and each member's id order."""
+        """Family from vertex ids: the ground set and each member's id order,
+        given as sequences or as one (r, n) signed integer array."""
         ground = tuple(sorted(set(_vertex_ids(ground_set, "ground set"))))
+        if isinstance(members, np.ndarray):
+            if members.dtype.kind == "i" and members.ndim == 2 \
+                    and members.shape[1] == len(ground) and not (ground and ground[-1] >> 63):
+                return PermutationFamily(ground, _positions(ground, members))
+            members = members.tolist()
         pos = {v: j for j, v in enumerate(ground)}
         rows = []
         for m in members:
@@ -221,6 +263,33 @@ def _overlapping(lo: np.ndarray, hi: np.ndarray, ii: np.ndarray, jj: np.ndarray)
     return ii, jj
 
 
+@cache
+def _lane_layout(b: int, dense: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.uint64]:
+    """What `_lane_words` needs for lanes of b bits and `dense` members,
+    with q = 64 // (2b): a (words, dense) array whose entry for member
+    k is 2^(2b * (k % q)) in word k // q, the constant parts of the left
+    and right words as (words, 1) columns, and the guard mask."""
+    q = 64 // (2 * b)
+    words = max(-(-dense // q), 1)
+    guard = 1 << (b - 1)
+    c = guard - 1
+    weights = np.zeros((words, dense), np.uint64)
+    left, right = [0] * words, [0] * words
+    for k in range(words * q):
+        word, shift = k // q, 2 * b * (k % q)
+        if k < dense:
+            weights[word, k] = 1 << shift
+            left[word] += (guard + ((c + guard) << b)) << shift
+            right[word] += c << b << shift
+        else:  # padding: lo = 0, hi = C
+            left[word] += (c + guard) * (1 + (1 << b)) << shift
+    guards = sum((guard | guard << b) << 2 * b * s for s in range(q))
+    layout = weights, np.array(left, np.uint64)[:, None], np.array(right, np.uint64)[:, None]
+    for part in layout:
+        part.flags.writeable = False
+    return *layout, np.uint64(guards)
+
+
 def _lane_words(lo: np.ndarray, hi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.uint64]:
     """The first DENSE_MEMBERS rows of lo/hi packed into uint64 lanes:
     (words, m) arrays `left` and `right`, at least one word, and the mask
@@ -234,24 +303,22 @@ def _lane_words(lo: np.ndarray, hi: np.ndarray, n: int) -> tuple[np.ndarray, np.
     crosses a lane, and the guard bit is set iff that side overlaps.  The
     AND of the words keeps every guard bit iff no packed member separates
     i and j.  Padding lanes (lo = 0, hi = C) overlap every edge.
+
+    Member k's two left lanes hold hi_k + G + ((C + G - lo_k) << b),
+    shifted by 2b * (k % q), and its right lanes lo_k + ((C - hi_k) << b).
+    So with HI and LO the members' hi and lo summed at those shifts (one
+    product with `_lane_layout`'s weights), left = HI - (LO << b) plus a
+    constant per word, and right = LO - (HI << b) plus another; uint64
+    arithmetic wraps, and the results are exact.
     """
     b = n.bit_length() + 1
-    q = 64 // (2 * b)
     dense = min(DENSE_MEMBERS, len(lo))
-    words = max(-(-dense // q), 1)
-    width, guard = np.uint64(b), np.uint64(1 << (b - 1))
-    c = guard - np.uint64(1)
-    lo_k = np.zeros((words * q, lo.shape[1]), np.uint64)
-    hi_k = np.full(lo_k.shape, c)
-    lo_k[:dense], hi_k[:dense] = lo[:dense], hi[:dense]
-    # member k takes lanes 2s and 2s + 1 of word k // q, s = k % q
-    low = np.array([2 * b * (k % q) for k in range(words * q)], np.uint64)[:, None]
-    high = low + width
-    left = (hi_k | guard) << low | ((c - lo_k) | guard) << high
-    right = lo_k << low | (c - hi_k) << high
-    left = np.bitwise_or.reduce(left.reshape(words, q, -1), axis=1)
-    right = np.bitwise_or.reduce(right.reshape(words, q, -1), axis=1)
-    guards = np.uint64(sum((1 << (b - 1) | 1 << (2 * b - 1)) << 2 * b * s for s in range(q)))
+    weights, left_const, right_const, guards = _lane_layout(b, dense)
+    hi_sum, lo_sum = weights @ hi[:dense], weights @ lo[:dense]
+    left = hi_sum - (lo_sum << np.uint64(b))
+    left += left_const
+    right = lo_sum - (hi_sum << np.uint64(b))
+    right += right_const
     return left, right, guards
 
 
@@ -393,7 +460,30 @@ def family_to_json(
 
 
 def family_from_json(text: str) -> tuple[PermutationFamily, dict]:
-    """Parse a serialized family; returns the family and the full document."""
+    """Parse a serialized family; returns the family and the document's
+    other fields (all but `ground_set` and `permutations`, which the
+    family holds).
+
+    A compact document goes through `_family_arrays`: ASCII text without
+    a backslash, one object without repeated keys, `"ground_set":`
+    followed by `[id,...]` and `"permutations":` by `[[id,...],...]`, no
+    spaces in either list, each id 0 or up to 18 digits without a
+    leading zero.  numpy checks and parses the two lists straight into
+    one id array, and `json.loads` reads only the rest: on the whole
+    text it would build a Python int per id and a list per member, the
+    larger part of the cost.  Every other document, and any the reader
+    doubts, goes through `_family_from_lists` (`json.loads` of the whole
+    text).  Both give the same family and fields, and the same errors.
+    """
+    arrays = _family_arrays(text)
+    if arrays is None:
+        return _family_from_lists(text)
+    ground, ids, fields = arrays
+    return PermutationFamily.build(ground, ids), fields
+
+
+def _family_from_lists(text: str) -> tuple[PermutationFamily, dict]:
+    """`family_from_json` for any document, through the JSON lists."""
     try:
         doc = json.loads(text)
     except RecursionError:
@@ -403,4 +493,102 @@ def family_from_json(text: str) -> tuple[PermutationFamily, dict]:
     fam = PermutationFamily.build(doc.get("ground_set"), doc["permutations"])
     if doc.get("n") != len(fam.ground_set):
         raise ValueError("family document is inconsistent: n != |ground_set|")
-    return fam, doc
+    return fam, {key: value for key, value in doc.items() if key not in _ID_LISTS}
+
+
+_ID_LISTS = ("ground_set", "permutations")
+# Ids the array reader takes: below 10^18, 18 digits at most
+_ID_LIMIT = 10**18
+
+
+def _family_arrays(text: str) -> tuple[list[int], np.ndarray, dict] | None:
+    """The ground set, the (r, n) id array and the other fields of a
+    compact family document; None for any other document.
+
+    The text must be ASCII without a backslash, so every `"` delimits a
+    string and a key token such as `"ground_set":` cannot sit inside
+    one.  The first `"ground_set":` must be followed by a list of ids
+    and the first `"permutations":` by a list of id lists, both in the
+    grammar of `_id_rows`.  Both lists are replaced by `null` and the
+    rest goes through `json.loads`, which checks the outer document and
+    returns the other fields; the hook admits one object without
+    repeated keys, so the two nulls are its values.  The reader also
+    doubts a ground set that is not strictly increasing, members whose
+    length is not n, and an `n` field other than n: for all of these
+    `_family_from_lists` gives the result or the error.
+    """
+    if not text.isascii() or "\\" in text:
+        return None
+    data = text.encode()
+    spans = []
+    for key, close in zip(_ID_LISTS, (b"]", b"]]")):
+        at = data.find(b'"%s":' % key.encode())
+        stop = data.find(close, at)
+        if at < 0 or stop < 0:
+            return None
+        spans.append((at + len(key) + 3, stop + len(close)))
+    objects = []
+
+    def one_object(pairs):
+        fields = dict(pairs)
+        if objects or len(fields) != len(pairs):
+            raise ValueError("a nested object or a repeated key")
+        objects.append(fields)
+        return fields
+
+    (a, b), (c, d) = sorted(spans)
+    try:
+        fields = json.loads(b"null".join((data[:a], data[b:c], data[d:])), object_pairs_hook=one_object)
+    except (ValueError, RecursionError):
+        return None
+    (g0, g1), (p0, p1) = spans
+    ground, members = b"[%s]" % data[g0:g1], data[p0:p1]
+    del data  # the member list is the one copy of the text kept
+    if not isinstance(fields, dict):
+        return None
+    ground, ids = _id_rows(ground), _id_rows(members)
+    if ground is None or ids is None:
+        return None
+    del fields["ground_set"], fields["permutations"]
+    ground = ground[0]
+    n = ground.size
+    if fields.get("n") != n or ids.shape[1] != n or (ground[1:] <= ground[:-1]).any():
+        return None
+    return ground.tolist(), ids, fields
+
+
+def _id_rows(span: bytes) -> np.ndarray | None:
+    """`span` as an (r, k) int64 array if it is a JSON list of r >= 1
+    lists of k >= 1 ids each, without spaces, every id 0 or 1-18 digits
+    without a leading zero; None for any other text.
+
+    Checked on the bytes: the brackets, as "[[", "],[" between rows and
+    "]]"; every other byte a digit or a comma; an id between every two
+    separators (digit runs = commas + 1, as "],[" holds one comma); no
+    run that starts with 0 and goes on; and as many commas in each row.
+    At most three byte masks are alive at a time, and the commas of each
+    row are counted by binary search over their positions:
+    `np.add.reduceat` over a mask would cast it whole to int64.
+    """
+    raw = np.frombuffer(span, np.uint8)
+    size = raw.size
+    opens, closes = np.flatnonzero(raw == ord("[")), np.flatnonzero(raw == ord("]"))
+    # row i opens at opens[i + 1] and closes at closes[i]
+    if len(opens) != len(closes) or len(opens) < 2 or opens[1] != 1 or closes[-2] != size - 2 \
+            or not np.array_equal(opens[2:], closes[:-2] + 2) or (raw[closes[:-2] + 1] != ord(",")).any():
+        return None
+    commas = np.flatnonzero(raw == ord(","))
+    inside = np.searchsorted(commas, closes[:-1]) - np.searchsorted(commas, opens[1:])  # k - 1 per row
+    digit = (raw - ord("0")) < 10  # uint8: the other bytes wrap above 9
+    first = digit[1:] > digit[:-1]  # first digit of an id, at raw[i + 1]
+    lead = raw[1:-1] == ord("0")  # ... that is a 0 followed by a digit
+    lead &= first[:-1]
+    lead &= digit[2:]
+    if np.count_nonzero(digit) + commas.size + 2 * len(opens) != size \
+            or np.count_nonzero(first) != commas.size + 1 or lead.any() or (inside != inside[0]).any():
+        return None
+    del digit, first, lead
+    ids = np.fromstring(span.translate(None, b"[]"), np.int64, sep=",")
+    if ids.max() >= _ID_LIMIT:  # np.fromstring saturates at 2^63 - 1
+        return None
+    return ids.reshape(len(inside), inside[0] + 1)

@@ -263,6 +263,17 @@ def degeneracy_order(g: Graph) -> DegeneracyOrder:
     return DegeneracyOrder(tuple(map(g.vertices.__getitem__, order)), k)
 
 
+def _peel_steps(g: Graph, d: DegeneracyOrder) -> np.ndarray:
+    """The peeling step of each position in `g.vertices`; refuses an order
+    that is not `g.vertices` rearranged."""
+    ids, order = np.array(g.vertices), np.array(d.order)
+    rank = np.argsort(order)  # ids are sorted and distinct
+    # the same ids give the same dtype, so a dtype mismatch is a mismatch
+    if order.dtype != ids.dtype or order.shape != ids.shape or not np.array_equal(order[rank], ids):
+        raise ValueError("degeneracy order does not match graph vertices")
+    return rank
+
+
 def star_forest_decomposition(g: Graph, d: DegeneracyOrder) -> list[np.ndarray]:
     """Cover E(g) with at most 2k spanning star forests (k = d.k).
 
@@ -289,11 +300,7 @@ def star_forest_decomposition(g: Graph, d: DegeneracyOrder) -> list[np.ndarray]:
     after O(log depth) rounds.
     """
     n, k = g.num_vertices, d.k
-    ids, order = np.array(g.vertices), np.array(d.order)
-    rank = np.argsort(order)  # ids are sorted and distinct: the peeling step of each position
-    # the same ids give the same dtype, so a dtype mismatch is a mismatch
-    if order.dtype != ids.dtype or order.shape != ids.shape or not np.array_equal(order[rank], ids):
-        raise ValueError("degeneracy order does not match graph vertices")
+    rank = _peel_steps(g, d)
     u, v = g.edge_positions.T
     child = np.where(rank[u] < rank[v], u, v)
     parent = u + v - child
@@ -363,8 +370,7 @@ def greedy_coloring(g: Graph, d: DegeneracyOrder) -> dict[int, int]:
     Vertices are colored in reverse peeling order; every vertex then has
     at most k colored neighbors when its turn comes.
     """
-    if set(d.order) != set(g.vertices):
-        raise ValueError("degeneracy order does not match graph vertices")
+    _peel_steps(g, d)
     index = {v: i for i, v in enumerate(g.vertices)}
     indptr, indices = (a.tolist() for a in g.csr)
     by_position = [0] * g.num_vertices  # 0: not coloured yet

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,8 +13,11 @@ from hypothesis import given, settings, strategies as st
 from sepdim.families import (
     BLOCK_ROWS,
     DENSE_MEMBERS,
+    ID_TABLE_SPAN,
     PermutationFamily,
     SeparationWitness,
+    _family_arrays,
+    _family_from_lists,
     _lane_words,
     _scan_order,
     disjoint_edge_pairs,
@@ -585,3 +589,114 @@ def test_family_to_json_empty_family():
         assert family_to_json(fam) == json_reference(fam)
     assert family_to_json(PermutationFamily.build([], [()])) == \
         '{"generator":"unspecified","ground_set":[],"n":0,"permutations":[[]],"seed":null}\n'
+
+
+BENCH_KEYS = ["n", "ground_set", "permutations", "seed", "generator"]
+TRICKY_STRINGS = ['"permutations":[[1]]', '"ground_set":[0]', "true", 'a"b', "[[0,1]]", "null"]
+# at most one per document; None, six times, for a clean one
+DOCUMENT_FAULTS = [None] * 6 + ["indented", "repeated key", "nested", "ragged", "empty list",
+                   "empty row", "leading zero", "space", "unsorted", "repeated id", "negative",
+                   "outside", "19 digits", "2^63", "n + 1", "no n", "n as text"]
+
+
+@st.composite
+def family_documents(draw):
+    """Family documents around the array reader's grammar: compact ones
+    in sorted, bench or shuffled key order with extra fields, and ones
+    with one fault that the reader must leave to the JSON path or that
+    must raise the JSON path's error."""
+    fault = draw(st.sampled_from(DOCUMENT_FAULTS))
+    ids = draw(st.sets(st.integers(0, 30) | st.integers(2**40, 2**40 + 3), min_size=1, max_size=6))
+    if draw(st.booleans()):  # the largest id at the dense-table limit
+        ids.add(ID_TABLE_SPAN * (len(ids) + 1) + draw(st.integers(-1, 1)))
+    ids |= {"19 digits": {10**18}, "2^63": {2**63}}.get(fault, set())
+    ids = sorted(ids)
+    n = len(ids)
+    members = [list(draw(st.permutations(ids))) for _ in range(draw(st.integers(1, 4)))]
+    ground = list(ids)
+    if fault == "unsorted":
+        ground.reverse()
+    elif fault == "repeated id":
+        ground.append(ground[0])
+    elif fault in ("negative", "outside"):
+        members[-1][0] = -1 if fault == "negative" else ID_TABLE_SPAN * n + draw(st.integers(-1, 1))
+    elif fault == "ragged" and len(members) > 1:
+        members[1].insert(0, members[0].pop())  # rows of n - 1 and n + 1 ids
+    doc = {"n": {"n + 1": n + 1, "n as text": str(n)}.get(fault, n), "ground_set": ground,
+           "permutations": members, "seed": draw(st.none() | st.integers()),
+           "generator": draw(st.text("ab :,[]{}", max_size=4) | st.text(max_size=2)
+                             | st.sampled_from(TRICKY_STRINGS))}
+    if fault == "no n":
+        del doc["n"]
+    order = draw(st.sampled_from(["sorted", "bench", "shuffled"]))
+    pairs = sorted(doc.items()) if order == "sorted" else [(k, doc[k]) for k in BENCH_KEYS if k in doc]
+    if order == "shuffled":
+        pairs = draw(st.permutations(pairs))
+    extras = draw(st.lists(st.tuples(st.sampled_from(["x", "zz", "é", ""]),
+                                     st.integers() | st.none() | st.sampled_from(TRICKY_STRINGS)), max_size=2))
+    if fault == "repeated key":
+        extras.append((draw(st.sampled_from(BENCH_KEYS)),
+                       draw(st.sampled_from([None, 7, members[::-1], ids]) | json_values)))
+    elif fault == "nested":  # a compact list of lists in an inner object first
+        pairs.insert(0, ("x", {"permutations": members[::-1]}))
+        if draw(st.booleans()):
+            pairs = [(k, None if k == "permutations" else v) for k, v in pairs]
+    for pair in extras:
+        pairs.insert(draw(st.integers(0, len(pairs))), pair)
+    indent = 1 if fault == "indented" else None
+    texts = [(k, json.dumps(v, indent=indent, separators=None if indent else (",", ":"))) for k, v in pairs]
+    edits = {"leading zero": lambda v: re.sub(r"([\[,])([0-9])", r"\g<1>0\2", v, count=1),
+             "space": lambda v: v.replace(",", ", ", 1), "empty row": lambda v: v[:-1] + ",[]]",
+             "empty list": lambda v: "[]"}
+    if fault in edits:
+        texts = [(k, edits[fault](v) if k == "permutations" else v) for k, v in texts]
+    colon, comma = (": ", ",\n ") if indent else (":", ",")
+    return "{" + comma.join(json.dumps(k) + colon + v for k, v in texts) + "}" + draw(st.sampled_from(["", "\n"]))
+
+
+def read_outcome(read, text):
+    try:
+        fam, fields = read(text)
+    except ValueError as exc:
+        return str(exc)
+    return fam.ground_set, fam.orders.tolist(), fields
+
+
+@settings(max_examples=600, deadline=None)
+@given(family_documents())
+def test_family_reader_matches_json_lists(text):
+    # the JSON-list path is the specification: the same family and
+    # fields, or the same error, whichever path the document takes
+    assert read_outcome(family_from_json, text) == read_outcome(_family_from_lists, text)
+
+
+def test_compact_documents_take_the_array_reader():
+    fam = PermutationFamily.build([0, 3, 7, 10**18 - 1], [(7, 0, 10**18 - 1, 3), (3, 7, 0, 10**18 - 1)])
+    bench = json.dumps({"n": 4, "ground_set": list(fam.ground_set), "permutations": fam.id_orders(),
+                        "seed": 1, "generator": "bench-random"}, separators=(",", ":"))
+    for text in (family_to_json(fam, generator="test", extra={"seed": 5}), bench):
+        ground, ids, fields = _family_arrays(text)
+        assert ground == list(fam.ground_set) and ids.tolist() == fam.id_orders()
+        assert family_from_json(text) == (fam, {"n": 4, "seed": fields["seed"], "generator": fields["generator"]})
+    # indented, or with a nested object: the JSON path
+    for text in (json.dumps(json.loads(bench), indent=1), bench.replace('"seed":1', '"seed":{"a":1}')):
+        assert _family_arrays(text) is None and family_from_json(text)[0] == fam
+    wide = PermutationFamily.build([1, 10**18], [(10**18, 1)])  # an id of 19 digits
+    assert _family_arrays(family_to_json(wide)) is None and family_from_json(family_to_json(wide))[0] == wide
+
+
+def test_compact_reader_memory():
+    # the reader keeps a few byte masks and id arrays alive at a time;
+    # json.loads of the id lists, or np.add.reduceat over a byte mask,
+    # peaks at over 12 times the text
+    rng = np.random.default_rng(0)
+    fam = PermutationFamily(tuple(range(3000)), np.array([rng.permutation(3000) for _ in range(64)]))
+    text = family_to_json(fam)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert family_from_json(text)[0] == fam
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(text)

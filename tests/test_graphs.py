@@ -284,8 +284,11 @@ def test_order_from_another_graph_is_refused():
         for use in (star_forest_decomposition, greedy_coloring):
             with pytest.raises(ValueError, match=refused):
                 use(g, d)
-    with pytest.raises(ValueError, match=refused):  # a repeated vertex
-        star_forest_decomposition(g, DegeneracyOrder((1, 2, 3, 4, 5, 5), 1))
+    # a repeated vertex, and float ids equal to the path's
+    for h, d in [(g, DegeneracyOrder((1, 2, 3, 4, 5, 5), 1)), (path(3), DegeneracyOrder((1.0, 2.0, 3.0), 1))]:
+        for use in (star_forest_decomposition, greedy_coloring):
+            with pytest.raises(ValueError, match=refused):
+                use(h, d)
 
 
 class TestDegeneracy:
