@@ -36,14 +36,15 @@ is certified from its construction's premises instead
 
 `family_from_json` returns a family and the document's other fields.
 A compact document (ASCII, no backslash, both id lists without spaces,
-every id below 10^18 and without a leading zero, as `family_to_json`
-and most writers produce it) is read by `_family_arrays`: numpy checks
-and parses the two id lists straight into one (r, n) array, ids map to
-positions through one table gather, and `json.loads` parses only the
-rest; `json.loads` of a whole document builds one Python int per id
-and one list per member, which costs several times the reader's pass.
-Every other document, and any the reader doubts, takes the JSON path,
-which builds the same family and raises the same errors.
+ids without a leading zero and below ID_TABLE_SPAN * n, such as
+`family_to_json` writes for vertices 0..n-1 or 1..n) is read by
+`_family_arrays`: numpy checks and parses the two id lists straight
+into one (r, n) array, ids map to positions through one table gather,
+and `json.loads` parses only the rest; `json.loads` of a whole
+document builds one Python int per id and one list per member, which
+costs several times the reader's pass.  Every other document, and any
+the reader doubts (sparse ids among them), takes the JSON path, which
+builds the same family and raises the same errors.
 """
 
 from __future__ import annotations
@@ -65,9 +66,8 @@ TILE_COLS = 512
 # _LATER[a, c]: c > a; keeps the pairs j > i where a block meets its own columns
 _LATER = np.arange(BLOCK_ROWS)[:, None] < np.arange(BLOCK_ROWS)
 _LATER.flags.writeable = False
-# An id array whose largest id is below ID_TABLE_SPAN * n maps to
-# positions through a lookup table; a binary search per id costs about
-# 50 times as much at r * n = 32k.
+# The array reader takes ids below ID_TABLE_SPAN * n, which map to
+# positions through a lookup table of that many cells
 ID_TABLE_SPAN = 4
 
 
@@ -80,27 +80,6 @@ def _vertex_ids(values, what: str) -> tuple[int, ...]:
     if not set(map(type, ids)) <= {int} or (ids and min(ids) < 0):
         raise ValueError(f"{what} must be a list of non-negative integer vertex ids")
     return ids
-
-
-def _positions(ground: tuple[int, ...], ids: np.ndarray) -> np.ndarray:
-    """The position in `ground` (sorted, ids below 2^63) of each entry of
-    the integer array `ids`, or -1 where it is not in `ground`.
-
-    Ids below ID_TABLE_SPAN * n go through a table of that many cells,
-    one gather; larger ones take a binary search per id.
-    """
-    if not ids.size:
-        return ids.astype(np.int64)
-    n = len(ground)
-    sorted_ids = np.array(ground, dtype=np.int64)
-    top = max(int(ids.max()), ground[-1])
-    if ids.min() >= 0 and top < ID_TABLE_SPAN * n:
-        table = np.full(top + 1, -1, np.int64)
-        table[sorted_ids] = np.arange(n)
-        return table[ids]
-    pos = np.minimum(np.searchsorted(sorted_ids, ids), n - 1)
-    pos[sorted_ids[pos] != ids] = -1
-    return pos
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,13 +122,15 @@ class PermutationFamily:
     @staticmethod
     def build(ground_set, members) -> "PermutationFamily":
         """Family from vertex ids: the ground set and each member's id order,
-        given as sequences or as one (r, n) signed integer array."""
+        given as sequences, or as one (r, n) array of ids in [0,
+        ID_TABLE_SPAN * n) with the ground set's ids in that range too
+        (as `_family_arrays` reads them)."""
         ground = tuple(sorted(set(_vertex_ids(ground_set, "ground set"))))
         if isinstance(members, np.ndarray):
-            if members.dtype.kind == "i" and members.ndim == 2 \
-                    and members.shape[1] == len(ground) and not (ground and ground[-1] >> 63):
-                return PermutationFamily(ground, _positions(ground, members))
-            members = members.tolist()
+            # table[v]: the position of id v, -1 (refused below) if v is not in ground
+            table = np.full(ID_TABLE_SPAN * len(ground), -1, np.int64)
+            table[list(ground)] = np.arange(len(ground))
+            return PermutationFamily(ground, table[members])
         pos = {v: j for j, v in enumerate(ground)}
         rows = []
         for m in members:
@@ -266,19 +247,18 @@ def _overlapping(lo: np.ndarray, hi: np.ndarray, ii: np.ndarray, jj: np.ndarray)
 @cache
 def _lane_layout(b: int, dense: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.uint64]:
     """What `_lane_words` needs for lanes of b bits and `dense` members,
-    with q = 64 // (2b): a (words, dense) array whose entry for member
-    k is 2^(2b * (k % q)) in word k // q, the constant parts of the left
-    and right words as (words, 1) columns, and the guard mask."""
+    with q = 64 // (2b): the q slot weights 2^(2b * s), the constant
+    parts of the left and right words as (words, 1) columns, and the
+    guard mask."""
     q = 64 // (2 * b)
     words = max(-(-dense // q), 1)
     guard = 1 << (b - 1)
     c = guard - 1
-    weights = np.zeros((words, dense), np.uint64)
+    weights = np.array([1 << 2 * b * s for s in range(q)], np.uint64)
     left, right = [0] * words, [0] * words
     for k in range(words * q):
         word, shift = k // q, 2 * b * (k % q)
         if k < dense:
-            weights[word, k] = 1 << shift
             left[word] += (guard + ((c + guard) << b)) << shift
             right[word] += c << b << shift
         else:  # padding: lo = 0, hi = C
@@ -306,15 +286,19 @@ def _lane_words(lo: np.ndarray, hi: np.ndarray, n: int) -> tuple[np.ndarray, np.
 
     Member k's two left lanes hold hi_k + G + ((C + G - lo_k) << b),
     shifted by 2b * (k % q), and its right lanes lo_k + ((C - hi_k) << b).
-    So with HI and LO the members' hi and lo summed at those shifts (one
-    product with `_lane_layout`'s weights), left = HI - (LO << b) plus a
-    constant per word, and right = LO - (HI << b) plus another; uint64
-    arithmetic wraps, and the results are exact.
+    So with HI and LO the members' hi and lo summed at those shifts (the
+    rows padded with zeros to words * q, and each word's q rows
+    contracted with `_lane_layout`'s slot weights), left = HI - (LO << b)
+    plus a constant per word, and right = LO - (HI << b) plus another;
+    uint64 arithmetic wraps, and the results are exact.
     """
     b = n.bit_length() + 1
     dense = min(DENSE_MEMBERS, len(lo))
     weights, left_const, right_const, guards = _lane_layout(b, dense)
-    hi_sum, lo_sum = weights @ hi[:dense], weights @ lo[:dense]
+    words, q = len(left_const), len(weights)
+    packed = np.zeros((2, words * q, lo.shape[1]), np.uint64)
+    packed[0, :dense], packed[1, :dense] = hi[:dense], lo[:dense]
+    hi_sum, lo_sum = np.einsum("q,swqm->swm", weights, packed.reshape(2, words, q, -1))
     left = hi_sum - (lo_sum << np.uint64(b))
     left += left_const
     right = lo_sum - (hi_sum << np.uint64(b))
@@ -467,11 +451,11 @@ def family_from_json(text: str) -> tuple[PermutationFamily, dict]:
     A compact document goes through `_family_arrays`: ASCII text without
     a backslash, one object without repeated keys, `"ground_set":`
     followed by `[id,...]` and `"permutations":` by `[[id,...],...]`, no
-    spaces in either list, each id 0 or up to 18 digits without a
-    leading zero.  numpy checks and parses the two lists straight into
-    one id array, and `json.loads` reads only the rest: on the whole
-    text it would build a Python int per id and a list per member, the
-    larger part of the cost.  Every other document, and any the reader
+    spaces in either list, each id without a leading zero and below
+    ID_TABLE_SPAN * n.  numpy checks and parses the two lists straight
+    into one id array, and `json.loads` reads only the rest: on the
+    whole text it would build a Python int per id and a list per
+    member, the larger part of the cost.  Every other document, and any the reader
     doubts, goes through `_family_from_lists` (`json.loads` of the whole
     text).  Both give the same family and fields, and the same errors.
     """
@@ -497,8 +481,6 @@ def _family_from_lists(text: str) -> tuple[PermutationFamily, dict]:
 
 
 _ID_LISTS = ("ground_set", "permutations")
-# Ids the array reader takes: below 10^18, 18 digits at most
-_ID_LIMIT = 10**18
 
 
 def _family_arrays(text: str) -> tuple[list[int], np.ndarray, dict] | None:
@@ -514,8 +496,10 @@ def _family_arrays(text: str) -> tuple[list[int], np.ndarray, dict] | None:
     returns the other fields; the hook admits one object without
     repeated keys, so the two nulls are its values.  The reader also
     doubts a ground set that is not strictly increasing, members whose
-    length is not n, and an `n` field other than n: for all of these
-    `_family_from_lists` gives the result or the error.
+    length is not n, an `n` field other than n, and an id at or above
+    ID_TABLE_SPAN * n (`np.fromstring` saturates longer ids at 2^63 - 1,
+    so these are doubted too): for all of these `_family_from_lists`
+    gives the result or the error.
     """
     if not text.isascii() or "\\" in text:
         return None
@@ -552,15 +536,16 @@ def _family_arrays(text: str) -> tuple[list[int], np.ndarray, dict] | None:
     del fields["ground_set"], fields["permutations"]
     ground = ground[0]
     n = ground.size
-    if fields.get("n") != n or ids.shape[1] != n or (ground[1:] <= ground[:-1]).any():
+    if fields.get("n") != n or ids.shape[1] != n or (ground[1:] <= ground[:-1]).any() \
+            or max(ground[-1], ids.max()) >= ID_TABLE_SPAN * n:
         return None
     return ground.tolist(), ids, fields
 
 
 def _id_rows(span: bytes) -> np.ndarray | None:
     """`span` as an (r, k) int64 array if it is a JSON list of r >= 1
-    lists of k >= 1 ids each, without spaces, every id 0 or 1-18 digits
-    without a leading zero; None for any other text.
+    lists of k >= 1 ids each, without spaces, every id a run of digits
+    without a leading zero (or 0 alone); None for any other text.
 
     Checked on the bytes: the brackets, as "[[", "],[" between rows and
     "]]"; every other byte a digit or a comma; an id between every two
@@ -589,6 +574,4 @@ def _id_rows(span: bytes) -> np.ndarray | None:
         return None
     del digit, first, lead
     ids = np.fromstring(span.translate(None, b"[]"), np.int64, sep=",")
-    if ids.max() >= _ID_LIMIT:  # np.fromstring saturates at 2^63 - 1
-        return None
     return ids.reshape(len(inside), inside[0] + 1)

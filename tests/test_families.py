@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sepdim.families import (
     BLOCK_ROWS,
@@ -592,11 +592,13 @@ def test_family_to_json_empty_family():
 
 
 BENCH_KEYS = ["n", "ground_set", "permutations", "seed", "generator"]
-TRICKY_STRINGS = ['"permutations":[[1]]', '"ground_set":[0]', "true", 'a"b', "[[0,1]]", "null"]
-# at most one per document; None, six times, for a clean one
-DOCUMENT_FAULTS = [None] * 6 + ["indented", "repeated key", "nested", "ragged", "empty list",
-                   "empty row", "leading zero", "space", "unsorted", "repeated id", "negative",
-                   "outside", "19 digits", "2^63", "n + 1", "no n", "n as text"]
+PLAIN_STRINGS = ["true", "[[0,1]]", "null", "permutations"]
+# JSON escapes their quotes, or non-ASCII text, with a backslash
+ESCAPED_STRINGS = ['"permutations":[[1]]', '"ground_set":[0]', 'a"b', "é"]
+# at most one per document; None, twelve times, for a clean one
+DOCUMENT_FAULTS = [None] * 12 + ["indented", "escaped", "repeated key", "repeated key", "nested", "ragged",
+                    "empty list", "empty row", "leading zero", "space", "unsorted", "repeated id",
+                    "negative", "outside", "sparse", "19 digits", "2^63", "n + 1", "no n", "n as text"]
 
 
 @st.composite
@@ -606,13 +608,15 @@ def family_documents(draw):
     with one fault that the reader must leave to the JSON path or that
     must raise the JSON path's error."""
     fault = draw(st.sampled_from(DOCUMENT_FAULTS))
-    ids = draw(st.sets(st.integers(0, 30) | st.integers(2**40, 2**40 + 3), min_size=1, max_size=6))
-    if draw(st.booleans()):  # the largest id at the dense-table limit
-        ids.add(ID_TABLE_SPAN * (len(ids) + 1) + draw(st.integers(-1, 1)))
-    ids |= {"19 digits": {10**18}, "2^63": {2**63}}.get(fault, set())
+    least = 2 if fault == "ragged" else 1  # two rows of at least one id to move one between
+    size = draw(st.integers(least, 6))
+    ids = draw(st.sets(st.integers(0, ID_TABLE_SPAN * size - 1), min_size=size, max_size=size))
+    if draw(st.integers(0, 2)) == 2:  # the largest id at the dense-table limit
+        ids.add(ID_TABLE_SPAN * (size + 1) + draw(st.integers(-1, 1)))
+    ids |= {"sparse": {2**40}, "19 digits": {10**18}, "2^63": {2**63}}.get(fault, set())
     ids = sorted(ids)
     n = len(ids)
-    members = [list(draw(st.permutations(ids))) for _ in range(draw(st.integers(1, 4)))]
+    members = [list(draw(st.permutations(ids))) for _ in range(draw(st.integers(least, 4)))]
     ground = list(ids)
     if fault == "unsorted":
         ground.reverse()
@@ -620,23 +624,25 @@ def family_documents(draw):
         ground.append(ground[0])
     elif fault in ("negative", "outside"):
         members[-1][0] = -1 if fault == "negative" else ID_TABLE_SPAN * n + draw(st.integers(-1, 1))
-    elif fault == "ragged" and len(members) > 1:
+    elif fault == "ragged":
         members[1].insert(0, members[0].pop())  # rows of n - 1 and n + 1 ids
+    strings = st.text("ab :,[]{}", max_size=4) | st.sampled_from(PLAIN_STRINGS)
+    if fault == "escaped":
+        strings = st.text(max_size=2) | st.sampled_from(ESCAPED_STRINGS)
     doc = {"n": {"n + 1": n + 1, "n as text": str(n)}.get(fault, n), "ground_set": ground,
-           "permutations": members, "seed": draw(st.none() | st.integers()),
-           "generator": draw(st.text("ab :,[]{}", max_size=4) | st.text(max_size=2)
-                             | st.sampled_from(TRICKY_STRINGS))}
+           "permutations": members, "seed": draw(st.none() | st.integers()), "generator": draw(strings)}
     if fault == "no n":
         del doc["n"]
     order = draw(st.sampled_from(["sorted", "bench", "shuffled"]))
     pairs = sorted(doc.items()) if order == "sorted" else [(k, doc[k]) for k in BENCH_KEYS if k in doc]
     if order == "shuffled":
         pairs = draw(st.permutations(pairs))
-    extras = draw(st.lists(st.tuples(st.sampled_from(["x", "zz", "é", ""]),
-                                     st.integers() | st.none() | st.sampled_from(TRICKY_STRINGS)), max_size=2))
+    keys = ["x", "zz", "", "é"] if fault == "escaped" else ["x", "zz", ""]
+    extras = draw(st.lists(st.tuples(st.sampled_from(keys), st.integers() | st.none() | strings), max_size=2))
     if fault == "repeated key":
-        extras.append((draw(st.sampled_from(BENCH_KEYS)),
-                       draw(st.sampled_from([None, 7, members[::-1], ids]) | json_values)))
+        # the id lists twice as often: a repeat of the other keys reads the same either way
+        extras.append((draw(st.sampled_from(["ground_set", "permutations", *BENCH_KEYS])),
+                       draw(st.sampled_from([None, 7, "x", members[::-1], ids]))))
     elif fault == "nested":  # a compact list of lists in an inner object first
         pairs.insert(0, ("x", {"permutations": members[::-1]}))
         if draw(st.booleans()):
@@ -664,6 +670,10 @@ def read_outcome(read, text):
 
 @settings(max_examples=600, deadline=None)
 @given(family_documents())
+# a repeated id list, the later one read by json.loads; rows of 2 and 4
+# ids with n = 3, which flatten to 2 x 3
+@example('{"generator":"","ground_set":[0,1],"n":2,"permutations":[[0,1]],"permutations":[[1,0]],"seed":null}')
+@example('{"generator":"","ground_set":[0,1,2],"n":3,"permutations":[[0,1],[2,1,0,1]],"seed":null}')
 def test_family_reader_matches_json_lists(text):
     # the JSON-list path is the specification: the same family and
     # fields, or the same error, whichever path the document takes
@@ -671,7 +681,8 @@ def test_family_reader_matches_json_lists(text):
 
 
 def test_compact_documents_take_the_array_reader():
-    fam = PermutationFamily.build([0, 3, 7, 10**18 - 1], [(7, 0, 10**18 - 1, 3), (3, 7, 0, 10**18 - 1)])
+    top = ID_TABLE_SPAN * 4 - 1  # the largest id the reader takes for n = 4
+    fam = PermutationFamily.build([0, 3, 7, top], [(7, 0, top, 3), (3, 7, 0, top)])
     bench = json.dumps({"n": 4, "ground_set": list(fam.ground_set), "permutations": fam.id_orders(),
                         "seed": 1, "generator": "bench-random"}, separators=(",", ":"))
     for text in (family_to_json(fam, generator="test", extra={"seed": 5}), bench):
@@ -681,8 +692,10 @@ def test_compact_documents_take_the_array_reader():
     # indented, or with a nested object: the JSON path
     for text in (json.dumps(json.loads(bench), indent=1), bench.replace('"seed":1', '"seed":{"a":1}')):
         assert _family_arrays(text) is None and family_from_json(text)[0] == fam
-    wide = PermutationFamily.build([1, 10**18], [(10**18, 1)])  # an id of 19 digits
-    assert _family_arrays(family_to_json(wide)) is None and family_from_json(family_to_json(wide))[0] == wide
+    # an id at the table limit, or of 19 digits: the JSON path
+    for ids in ([1, ID_TABLE_SPAN * 2], [1, 10**18]):
+        wide = PermutationFamily.build(ids, [ids[::-1]])
+        assert _family_arrays(family_to_json(wide)) is None and family_from_json(family_to_json(wide))[0] == wide
 
 
 def test_compact_reader_memory():
