@@ -89,7 +89,9 @@ class PermutationFamily:
     `ground_set` is the sorted tuple of vertex ids; row i of the (r, n)
     integer array `orders` lists the positions 0..n-1 of those ids in
     member i's order.  Every family is validated here, however it was
-    built.  `rank_matrix` and `id_orders()` are views derived from `orders`.
+    built; a fresh array (int64, C-contiguous, writeable, owning its
+    data) is kept and made read-only, any other is copied.  `rank_matrix`
+    and `id_orders()` are views derived from `orders`.
     """
 
     ground_set: tuple[int, ...]
@@ -105,7 +107,8 @@ class PermutationFamily:
             raise ValueError(f"orders must be an integer array of shape (members, {n})")
         if given.size and (given.min() < 0 or given.max() >= n):
             raise ValueError("family member is not a permutation of the ground set")
-        orders = np.array(given, dtype=np.int64)
+        fresh = given.flags.c_contiguous and given.flags.writeable and given.flags.owndata
+        orders = given if fresh and given.dtype == np.int64 else np.array(given, dtype=np.int64)
         # n positions in range fill a row's n cells iff none repeats: shift
         # row i by i * n in place and scatter all rows into one flat mask
         offsets = np.arange(len(orders))[:, None] * n
@@ -143,7 +146,8 @@ class PermutationFamily:
                                len(rows) * len(ground))
         except KeyError:
             raise ValueError("family member is not a permutation of the ground set") from None
-        return PermutationFamily(ground, flat.reshape(len(rows), len(ground)))
+        flat.shape = (len(rows), len(ground))  # a view would be copied
+        return PermutationFamily(ground, flat)
 
     def __len__(self) -> int:
         return self.orders.shape[0]

@@ -1,10 +1,10 @@
 """Simple undirected graphs: edge-list IO, degeneracy, star forests, subdivision.
 
-Vertices are non-negative integer ids.  Edges are stored normalized as
-``(u, v)`` with ``u < v``, and every container keeps vertices and edges
-sorted so that serialization round-trips bit-exactly.  Graph algorithms
-work on positions in the sorted vertex tuple: `Graph.edge_positions`
-lists each edge's endpoints and `Graph.csr` each vertex's neighbours.
+Vertices are non-negative integer ids.  A `Graph` stores their sorted
+tuple and one array of each edge's endpoint positions in it, so graph
+algorithms work on positions (`Graph.csr` lists each vertex's
+neighbours) and serialization round-trips bit-exactly.  The id pairs
+``(u, v)``, ``u < v``, are derived from the positions when read.
 
 `load_graph` reads the canonical documents (`v <id>` lines, then
 `<u> <v>` lines, single spaces, ids below 2^31) with numpy in a few
@@ -36,12 +36,17 @@ def make_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable simple graph with sorted vertex and edge tuples."""
+    """Immutable simple graph: sorted distinct vertex ids, and (m, 2) int64
+    sorted rows of each edge's endpoint positions in them, smaller first.
+    `build` validates raw ids and edges; direct construction trusts them."""
 
     vertices: tuple[int, ...]
-    edges: tuple[Edge, ...]
+    edge_positions: np.ndarray
+
+    def __post_init__(self):
+        self.edge_positions.flags.writeable = False
 
     @staticmethod
     def build(vertices, edges) -> "Graph":
@@ -59,7 +64,10 @@ class Graph:
             if e[0] not in vset or e[1] not in vset:
                 raise GraphFormatError(f"edge {e} references undeclared vertex")
             eset.add(e)
-        return Graph(tuple(sorted(vset)), tuple(sorted(eset)))
+        ids = tuple(sorted(vset))
+        index = {v: i for i, v in enumerate(ids)}
+        flat = map(index.__getitem__, chain.from_iterable(sorted(eset)))
+        return Graph(ids, np.fromiter(flat, np.int64, 2 * len(eset)).reshape(-1, 2))
 
     @staticmethod
     def from_edges(edges, isolated=()) -> "Graph":
@@ -68,25 +76,15 @@ class Graph:
         verts = {v for e in edges for v in e} | set(isolated)
         return Graph.build(verts, edges)
 
-    @staticmethod
-    def _from_arrays(vertices: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> "Graph":
-        """Graph from sorted distinct vertex ids and its sorted, distinct
-        edges (lo < hi, all ids among `vertices`), given as int64 arrays;
-        `edge_positions` is filled in from them."""
-        g = Graph(tuple(vertices.tolist()), tuple(zip(lo.tolist(), hi.tolist())))
-        pairs = np.searchsorted(vertices, np.stack([lo, hi], axis=1))
-        pairs.setflags(write=False)
-        vars(g)["edge_positions"] = pairs  # the cached_property's slot
-        return g
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Graph) and self.vertices == other.vertices \
+            and np.array_equal(self.edge_positions, other.edge_positions)
 
     @cached_property
-    def edge_positions(self) -> np.ndarray:
-        """Read-only (m, 2) int64 array: each edge's endpoints as positions in `vertices`."""
-        index = {v: i for i, v in enumerate(self.vertices)}
-        flat = map(index.__getitem__, chain.from_iterable(self.edges))
-        pairs = np.fromiter(flat, dtype=np.int64, count=2 * self.num_edges).reshape(-1, 2)
-        pairs.setflags(write=False)
-        return pairs
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as sorted id pairs (u, v) with u < v."""
+        ids = [self.vertices[i] for i in self.edge_positions.ravel().tolist()]
+        return tuple(zip(ids[0::2], ids[1::2]))
 
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -107,7 +105,7 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.edge_positions)
 
 
 def load_graph(text: str) -> Graph:
@@ -154,7 +152,8 @@ def _load_array(text: str) -> Graph | None:
     lo, hi = key >> _ID_BITS, key & ((1 << _ID_BITS) - 1)
     ids = np.sort(np.concatenate([declared, lo, hi]))
     # np.unique would import numpy.ma, about 1 MiB of peak memory
-    return Graph._from_arrays(ids[np.diff(ids, prepend=-1) > 0], lo, hi)
+    ids = ids[np.diff(ids, prepend=-1) > 0]
+    return Graph(tuple(ids.tolist()), np.searchsorted(ids, np.stack([lo, hi], axis=1)))
 
 
 def _load_lines(text: str) -> Graph:
@@ -359,9 +358,10 @@ def subdivision_mids(g: Graph) -> range:
 def subdivide(g: Graph) -> Graph:
     """g^{1/2}: each edge {u, v} becomes a path u - m_uv - v, with the mid
     ids of `subdivision_mids`."""
-    mids = subdivision_mids(g)
-    edges = [(x, m) for e, m in zip(g.edges, mids) for x in e]
-    return Graph.build(chain(g.vertices, mids), edges)
+    n = g.num_vertices
+    # edge i's two endpoints each join its mid, at position n + i
+    ends = np.stack([g.edge_positions.ravel(), np.repeat(np.arange(n, n + g.num_edges), 2)], axis=1)
+    return Graph(g.vertices + tuple(subdivision_mids(g)), ends[np.lexsort((ends[:, 1], ends[:, 0]))])
 
 
 def greedy_coloring(g: Graph, d: DegeneracyOrder) -> dict[int, int]:
@@ -370,18 +370,16 @@ def greedy_coloring(g: Graph, d: DegeneracyOrder) -> dict[int, int]:
     Vertices are colored in reverse peeling order; every vertex then has
     at most k colored neighbors when its turn comes.
     """
-    _peel_steps(g, d)
-    index = {v: i for i, v in enumerate(g.vertices)}
+    steps = _peel_steps(g, d)
     indptr, indices = (a.tolist() for a in g.csr)
     by_position = [0] * g.num_vertices  # 0: not coloured yet
     color: dict[int, int] = {}
-    for v in reversed(d.order):
-        i = index[v]
+    for i in np.argsort(steps)[::-1].tolist():
         used = {by_position[j] for j in indices[indptr[i]:indptr[i + 1]]}
         c = 1
         while c in used:
             c += 1
-        color[v] = by_position[i] = c
+        color[g.vertices[i]] = by_position[i] = c
     return color
 
 

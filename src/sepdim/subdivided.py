@@ -86,7 +86,7 @@ def subdivision_family(g: Graph, classes) -> tuple[PermutationFamily, Suitable3R
         base = build_3_suitable_for(range(len(classes)))
     # G^{1/2} lists the originals, then the mid of g.edges[i] at position n + i
     ground = g.vertices + tuple(subdivision_mids(g))
-    if not g.edges:
+    if not g.num_edges:
         return PermutationFamily.build(ground, ()), base
 
     left, right = np.take_along_axis(ends, np.argsort(rank[ends], axis=1), axis=1).T
@@ -150,7 +150,7 @@ def colored_subdivision_family(g: Graph) -> SubdividedBoundResult:
     sigma = tuple(v for cls in classes for v in cls)
     family, base = subdivision_family(g, classes)
     h = interval_height(g, sigma)
-    if g.edges:
+    if g.num_edges:
         if h > len(classes) - 1:
             raise AssertionError("interval order height exceeds the coloring bound")
         if len(family) != len(base.family) + 2:

@@ -11,6 +11,7 @@ import pytest
 from sepdim import cli, exact, lowerbound, posets, subdivided
 from sepdim.cli import main
 from sepdim.families import PermutationFamily, verify_pairwise_suitable
+from sepdim.graphs import Graph, serialize_graph, subdivision_mids
 
 P4 = "1 2\n2 3\n3 4\n"
 C4 = "1 2\n2 3\n3 4\n1 4\n"
@@ -93,6 +94,13 @@ class TestBoundDegenerate:
         doc = json.loads(capsys.readouterr().out)
         assert doc["separation_dimension"] == 1
         assert sorted(map(int, doc["witness_0"].split())) == [1, 2, 3, big]
+        # the mids lie above big, past int64 for 2^70: only positions enter numpy
+        assert main(["bound-subdivision", str(graph), "--out", out]) == 0
+        assert "verdict: ok" in capsys.readouterr().out
+        g = Graph.build([1, 2, 3, big], [(1, 2), (2, 3), (3, big)])
+        mids = subdivision_mids(g)
+        oracle = Graph.build([1, 2, 3, big, *mids], [(x, m) for e, m in zip(g.edges, mids) for x in e])
+        assert open(out + ".subdivided.txt").read() == serialize_graph(oracle)
 
 
 class TestBoundSubdivision:

@@ -401,6 +401,41 @@ class TestFamilyArray:
         with pytest.raises(ValueError):
             PermutationFamily.build([1, 2, 3], members)
 
+    def test_fresh_arrays_are_kept(self):
+        orders = np.array([[2, 0, 1], [0, 1, 2]], dtype=np.int64)
+        fam = PermutationFamily((3, 7, 9), orders)
+        assert np.shares_memory(fam.orders, orders) and not orders.flags.writeable
+        # a list, a read-only array, a view and another dtype are copied
+        listed = [[2, 0, 1], [0, 1, 2]]
+        assert PermutationFamily((3, 7, 9), listed).orders.tolist() == listed
+        frozen = np.array(listed, dtype=np.int64)
+        frozen.flags.writeable = False
+        view = np.array(listed * 2, dtype=np.int64)[:2]
+        for given in (frozen, view, np.array(listed, dtype=np.int32)):
+            copied = PermutationFamily((3, 7, 9), given)
+            assert not np.shares_memory(copied.orders, given) and copied == fam
+        assert view.flags.writeable
+
+    def test_refused_fresh_array_is_left_as_given(self):
+        orders = np.array([[0, 1, 1]], dtype=np.int64)
+        with pytest.raises(ValueError):
+            PermutationFamily((1, 2, 3), orders)
+        assert orders.tolist() == [[0, 1, 1]] and orders.flags.writeable
+
+    def test_build_from_id_array_memory(self):
+        # the table gather is the one (r, n) array made: no copy of it
+        rng = np.random.default_rng(0)
+        ids = np.array([rng.permutation(20000) for _ in range(84)])
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            fam = PermutationFamily.build(range(20000), ids)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert fam.orders.tolist() == ids.tolist()
+        assert peak < 1.5 * fam.orders.nbytes
+
 
 def embedding_from_family(fam: PermutationFamily) -> dict[int, tuple[int, ...]]:
     """Map each vertex to its rank vector across the members."""

@@ -27,7 +27,8 @@ from sepdim.graphs import (
     subdivide,
     subdivision_mids,
 )
-from sepdim.starcover import random_k_degenerate_graph
+from sepdim.families import verify_pairwise_suitable
+from sepdim.starcover import certify_star_cover, degenerate_family, random_k_degenerate_graph
 
 
 def complete(n):
@@ -173,8 +174,8 @@ class TestArrayParser:
         assert _load_array(declared).vertices[-1] == 9999999999
 
     def test_empty_and_vertex_only_documents(self):
-        assert _load_array("") == Graph((), ())
-        assert _load_array("v 5\nv 2") == Graph((2, 5), ())
+        assert _load_array("") == Graph.build((), ())
+        assert _load_array("v 5\nv 2") == Graph.build((2, 5), ())
 
 
 def peel_oracle(g):
@@ -613,6 +614,45 @@ class TestSubdivide:
         assert subdivision_mids(g) == range(7, 7) and subdivide(g) == g
         empty = Graph.build([], [])
         assert subdivision_mids(empty) == range(0, 0) and subdivide(empty) == empty
+
+
+@st.composite
+def sparse_graphs(draw):
+    """Vertex ids and edges (either orientation) over sparse ids, some at
+    or above 2^63, where only positions fit numpy's integers."""
+    ids = draw(st.lists(st.integers(0, 40) | st.integers(2**63 - 2, 2**70), min_size=1, max_size=10, unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=20))
+    edges = list({(min(p), max(p)): p for p in pairs if p[0] != p[1]}.values())
+    return ids, edges
+
+
+class TestStoredForm:
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_graphs())
+    def test_positions_match_id_pairs(self, graph):
+        ids, edges = graph
+        g = Graph.build(ids, edges)
+        assert g.edges == tuple(sorted((min(e), max(e)) for e in edges))
+        assert g.edge_positions.dtype == np.int64 and g.edge_positions.shape == (len(edges), 2)
+        assert not g.edge_positions.flags.writeable
+        # the parent's construction, through the ids, is the oracle
+        mids = subdivision_mids(g)
+        path_edges = [(x, m) for e, m in zip(g.edges, mids) for x in e]
+        assert subdivide(g) == Graph.build(itertools.chain(g.vertices, mids), path_edges)
+
+    def test_equality_compares_vertices_and_positions(self):
+        g = Graph.build([1, 2, 3], [(1, 2)])
+        assert g == Graph.build([3, 2, 1], [(2, 1)])
+        assert g != Graph.build([1, 2, 3], [(2, 3)]) and g != Graph.build([1, 2, 4], [(1, 2)])
+        assert g != (g.vertices, g.edge_positions)
+
+    def test_star_cover_never_builds_id_pairs(self):
+        # the star cover and the pair check read positions only
+        g = load_graph(serialize_graph(random_k_degenerate_graph(300, 2, seed=1)))
+        result = degenerate_family(g)
+        certify_star_cover(g, result)
+        assert verify_pairwise_suitable(result.family, g).ok
+        assert "edges" not in vars(g)
 
 
 class TestGreedyColoring:

@@ -313,6 +313,19 @@ class TestHarness:
         assert rep.realizer is not None
         assert rep.bound_holds
 
+    def test_construction_mode_verifies_once(self, monkeypatch):
+        # only the normalized family is checked exhaustively
+        calls = []
+
+        def counted(fam, g):
+            calls.append(len(fam))
+            return verify_pairwise_suitable(fam, g)
+
+        monkeypatch.setattr(lowerbound, "verify_pairwise_suitable", counted)
+        rep = lower_bound_harness(12)
+        assert not rep.exact and rep.bound_holds and rep.floor_met
+        assert calls == [len(rep.normalized)]
+
 
 def test_canonical_lower_bound_values():
     assert canonical_dimension_lower_bound(2) == 1
