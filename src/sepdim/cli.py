@@ -31,7 +31,7 @@ from .families import (
     family_to_json,
     verify_pairwise_suitable,
 )
-from .graphs import GraphFormatError, load_graph, serialize_graph, subdivision_mids
+from .graphs import load_graph, serialize_graph, subdivision_mids
 from .lowerbound import canonical_dimension_lower_bound, lower_bound_harness
 from .posets import (
     canonical_interval_order,
@@ -286,7 +286,7 @@ def main(argv=None) -> int:
         sys.stdout.write(report.render(args.format))
         print(f"elapsed: {time.monotonic() - started:.3f}s", file=sys.stderr)
         return code
-    except (GraphFormatError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except SearchBudgetExceeded as exc:

@@ -35,16 +35,17 @@ is certified from its construction's premises instead
 (`starcover.certify_star_cover`), in time linear in its size.
 
 `family_from_json` returns a family and the document's other fields.
-A compact document (ASCII, no backslash, both id lists without spaces,
-ids without a leading zero and below ID_TABLE_SPAN * n, such as
+A compact document (ASCII, no backslash, a `permutations` list without
+spaces, ids without a leading zero and below ID_TABLE_SPAN * n, such as
 `family_to_json` writes for vertices 0..n-1 or 1..n) is read by
-`_family_arrays`: numpy checks and parses the two id lists straight
-into one (r, n) array, ids map to positions through one table gather,
-and `json.loads` parses only the rest; `json.loads` of a whole
-document builds one Python int per id and one list per member, which
-costs several times the reader's pass.  Every other document, and any
-the reader doubts (sparse ids among them), takes the JSON path, which
-builds the same family and raises the same errors.
+`_family_arrays`: numpy checks and parses the members' r * n ids
+straight into one (r, n) array, which maps to positions through one
+table gather, and `json.loads` parses the rest, the n ids of the ground
+set among it; `json.loads` of the member lists builds one Python int per
+id and one list per member, which costs several times the reader's
+pass.  Every other document, and any the reader doubts (sparse ids
+among them), takes the JSON path, which builds the same family and
+raises the same errors.
 """
 
 from __future__ import annotations
@@ -124,16 +125,9 @@ class PermutationFamily:
 
     @staticmethod
     def build(ground_set, members) -> "PermutationFamily":
-        """Family from vertex ids: the ground set and each member's id order,
-        given as sequences, or as one (r, n) array of ids in [0,
-        ID_TABLE_SPAN * n) with the ground set's ids in that range too
-        (as `_family_arrays` reads them)."""
+        """Family from vertex ids: the ground set and each member's id
+        order, given as sequences."""
         ground = tuple(sorted(set(_vertex_ids(ground_set, "ground set"))))
-        if isinstance(members, np.ndarray):
-            # table[v]: the position of id v, -1 (refused below) if v is not in ground
-            table = np.full(ID_TABLE_SPAN * len(ground), -1, np.int64)
-            table[list(ground)] = np.arange(len(ground))
-            return PermutationFamily(ground, table[members])
         pos = {v: j for j, v in enumerate(ground)}
         rows = []
         for m in members:
@@ -453,21 +447,17 @@ def family_from_json(text: str) -> tuple[PermutationFamily, dict]:
     family holds).
 
     A compact document goes through `_family_arrays`: ASCII text without
-    a backslash, one object without repeated keys, `"ground_set":`
-    followed by `[id,...]` and `"permutations":` by `[[id,...],...]`, no
-    spaces in either list, each id without a leading zero and below
-    ID_TABLE_SPAN * n.  numpy checks and parses the two lists straight
-    into one id array, and `json.loads` reads only the rest: on the
-    whole text it would build a Python int per id and a list per
-    member, the larger part of the cost.  Every other document, and any the reader
-    doubts, goes through `_family_from_lists` (`json.loads` of the whole
-    text).  Both give the same family and fields, and the same errors.
+    a backslash, one object without repeated keys, `"permutations":`
+    followed by `[[id,...],...]` without spaces, each id without a
+    leading zero and below ID_TABLE_SPAN * n.  numpy checks and parses
+    that list straight into one id array, and `json.loads` reads only
+    the rest: on the whole text it would build a Python int per id and
+    a list per member, the larger part of the cost.  Every other
+    document, and any the reader doubts, goes through
+    `_family_from_lists` (`json.loads` of the whole text).  Both give
+    the same family and fields, and the same errors.
     """
-    arrays = _family_arrays(text)
-    if arrays is None:
-        return _family_from_lists(text)
-    ground, ids, fields = arrays
-    return PermutationFamily.build(ground, ids), fields
+    return _family_arrays(text) or _family_from_lists(text)
 
 
 def _family_from_lists(text: str) -> tuple[PermutationFamily, dict]:
@@ -481,40 +471,39 @@ def _family_from_lists(text: str) -> tuple[PermutationFamily, dict]:
     fam = PermutationFamily.build(doc.get("ground_set"), doc["permutations"])
     if doc.get("n") != len(fam.ground_set):
         raise ValueError("family document is inconsistent: n != |ground_set|")
-    return fam, {key: value for key, value in doc.items() if key not in _ID_LISTS}
+    return fam, {key: value for key, value in doc.items() if key not in ("ground_set", "permutations")}
 
 
-_ID_LISTS = ("ground_set", "permutations")
-
-
-def _family_arrays(text: str) -> tuple[list[int], np.ndarray, dict] | None:
-    """The ground set, the (r, n) id array and the other fields of a
-    compact family document; None for any other document.
+def _family_arrays(text: str) -> tuple[PermutationFamily, dict] | None:
+    """The family and the other fields of a compact family document;
+    None for any other document.
 
     The text must be ASCII without a backslash, so every `"` delimits a
-    string and a key token such as `"ground_set":` cannot sit inside
-    one.  The first `"ground_set":` must be followed by a list of ids
-    and the first `"permutations":` by a list of id lists, both in the
-    grammar of `_id_rows`.  Both lists are replaced by `null` and the
-    rest goes through `json.loads`, which checks the outer document and
-    returns the other fields; the hook admits one object without
-    repeated keys, so the two nulls are its values.  The reader also
-    doubts a ground set that is not strictly increasing, members whose
-    length is not n, an `n` field other than n, and an id at or above
-    ID_TABLE_SPAN * n (`np.fromstring` saturates longer ids at 2^63 - 1,
-    so these are doubted too): for all of these `_family_from_lists`
-    gives the result or the error.
+    string and the key token `"permutations":` cannot sit inside one.
+    The first `"permutations":` must be followed by a list of id lists
+    in the grammar of `_id_rows`, up to the first `]]`.  That list is
+    replaced by `null` and the rest goes through `json.loads`, which
+    checks the outer document and returns the ground set and the other
+    fields; the hook admits one object without repeated keys, so the
+    null is the value of its `permutations`.  The reader also doubts a
+    ground set that is not a strictly increasing list of n >= 1
+    non-negative ints (bools excluded), members whose length is not n,
+    an `n` field other than n, and an id at or above ID_TABLE_SPAN * n
+    (`np.fromstring` saturates longer ids at 2^63 - 1, so these are
+    doubted too): for all of these `_family_from_lists` gives the result
+    or the error.  Ids map to positions through one table of
+    ID_TABLE_SPAN * n cells, -1 (refused by the constructor) where an id
+    is not in the ground set.
     """
     if not text.isascii() or "\\" in text:
         return None
     data = text.encode()
-    spans = []
-    for key, close in zip(_ID_LISTS, (b"]", b"]]")):
-        at = data.find(b'"%s":' % key.encode())
-        stop = data.find(close, at)
-        if at < 0 or stop < 0:
-            return None
-        spans.append((at + len(key) + 3, stop + len(close)))
+    key = b'"permutations":'
+    at = data.find(key)
+    stop = data.find(b"]]", at)
+    if at < 0 or stop < 0:
+        return None
+    start, stop = at + len(key), stop + 2
     objects = []
 
     def one_object(pairs):
@@ -524,26 +513,27 @@ def _family_arrays(text: str) -> tuple[list[int], np.ndarray, dict] | None:
         objects.append(fields)
         return fields
 
-    (a, b), (c, d) = sorted(spans)
     try:
-        fields = json.loads(b"null".join((data[:a], data[b:c], data[d:])), object_pairs_hook=one_object)
+        fields = json.loads(b"null".join((data[:start], data[stop:])), object_pairs_hook=one_object)
     except (ValueError, RecursionError):
         return None
-    (g0, g1), (p0, p1) = spans
-    ground, members = b"[%s]" % data[g0:g1], data[p0:p1]
+    members = data[start:stop]
     del data  # the member list is the one copy of the text kept
     if not isinstance(fields, dict):
         return None
-    ground, ids = _id_rows(ground), _id_rows(members)
-    if ground is None or ids is None:
+    ids = _id_rows(members)
+    ground = fields.pop("ground_set", None)
+    del fields["permutations"]
+    if ids is None or not isinstance(ground, list):
         return None
-    del fields["ground_set"], fields["permutations"]
-    ground = ground[0]
-    n = ground.size
-    if fields.get("n") != n or ids.shape[1] != n or (ground[1:] <= ground[:-1]).any() \
+    n = len(ground)
+    if fields.get("n") != n or ids.shape[1] != n or not all(type(v) is int for v in ground) \
+            or ground[0] < 0 or any(a >= b for a, b in zip(ground, ground[1:])) \
             or max(ground[-1], ids.max()) >= ID_TABLE_SPAN * n:
         return None
-    return ground.tolist(), ids, fields
+    table = np.full(ID_TABLE_SPAN * n, -1, np.int64)
+    table[ground] = np.arange(n)
+    return PermutationFamily(tuple(ground), table[ids]), fields
 
 
 def _id_rows(span: bytes) -> np.ndarray | None:

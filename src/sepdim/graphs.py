@@ -53,7 +53,7 @@ class Graph:
         """Validate and normalize raw vertex/edge collections."""
         vset: set[int] = set()
         for v in vertices:
-            if not isinstance(v, int) or v < 0:
+            if type(v) is not int or v < 0:
                 raise GraphFormatError(f"vertex ids must be non-negative integers, got {v!r}")
             vset.add(v)
         eset: set[Edge] = set()

@@ -422,19 +422,27 @@ class TestFamilyArray:
             PermutationFamily((1, 2, 3), orders)
         assert orders.tolist() == [[0, 1, 1]] and orders.flags.writeable
 
-    def test_build_from_id_array_memory(self):
-        # the table gather is the one (r, n) array made: no copy of it
+    def test_build_rejects_id_arrays(self):
+        # build takes sequences of ids; an id array is refused, whatever its ids
+        for ids in ([[-1, 2, 1, 0]], [[0, 1, 2, 15]], [[0, 1, 2, 16]]):
+            with pytest.raises(ValueError, match="family member must be a list"):
+                PermutationFamily.build((0, 1, 2, 15), np.array(ids))
+
+    def test_read_from_compact_document_memory(self):
+        # the reader's table gather is the one (r, n) order array made:
+        # a copy of it would add 1.0 x its bytes
         rng = np.random.default_rng(0)
-        ids = np.array([rng.permutation(20000) for _ in range(84)])
+        fam = PermutationFamily(tuple(range(20000)), np.array([rng.permutation(20000) for _ in range(84)]))
+        text = family_to_json(fam)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            fam = PermutationFamily.build(range(20000), ids)
+            read = family_from_json(text)[0]
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert fam.orders.tolist() == ids.tolist()
-        assert peak < 1.5 * fam.orders.nbytes
+        assert read == fam
+        assert peak < 4.25 * fam.orders.nbytes
 
 
 def embedding_from_family(fam: PermutationFamily) -> dict[int, tuple[int, ...]]:
@@ -721,8 +729,8 @@ def test_compact_documents_take_the_array_reader():
     bench = json.dumps({"n": 4, "ground_set": list(fam.ground_set), "permutations": fam.id_orders(),
                         "seed": 1, "generator": "bench-random"}, separators=(",", ":"))
     for text in (family_to_json(fam, generator="test", extra={"seed": 5}), bench):
-        ground, ids, fields = _family_arrays(text)
-        assert ground == list(fam.ground_set) and ids.tolist() == fam.id_orders()
+        read, fields = _family_arrays(text)
+        assert read == fam
         assert family_from_json(text) == (fam, {"n": 4, "seed": fields["seed"], "generator": fields["generator"]})
     # indented, or with a nested object: the JSON path
     for text in (json.dumps(json.loads(bench), indent=1), bench.replace('"seed":1', '"seed":{"a":1}')):
@@ -731,6 +739,17 @@ def test_compact_documents_take_the_array_reader():
     for ids in ([1, ID_TABLE_SPAN * 2], [1, 10**18]):
         wide = PermutationFamily.build(ids, [ids[::-1]])
         assert _family_arrays(family_to_json(wide)) is None and family_from_json(family_to_json(wide))[0] == wide
+
+
+def test_spaced_ground_set_takes_the_array_reader():
+    # only the permutations list must be compact; json.loads reads the ground set
+    fam = PermutationFamily.build([0, 2, 5], [(5, 0, 2), (2, 5, 0)])
+    compact = family_to_json(fam)
+    for ground in ('"ground_set": [0, 2, 5]', '"ground_set":\n  [0,\n   2, 5]\n'):
+        text = compact.replace('"ground_set":[0,2,5]', ground)
+        assert text != compact
+        assert _family_arrays(text) == _family_from_lists(text) == (fam, {"n": 3, "seed": None,
+                                                                          "generator": "unspecified"})
 
 
 def test_compact_reader_memory():

@@ -646,6 +646,18 @@ class TestStoredForm:
         assert g != Graph.build([1, 2, 3], [(2, 3)]) and g != Graph.build([1, 2, 4], [(1, 2)])
         assert g != (g.vertices, g.edge_positions)
 
+    @pytest.mark.parametrize("vertices,edges", [
+        ([True, 2, 3, 4], [(True, 2), (3, 4)]),
+        ([False, 2, 3], [(False, 2)]),
+        ([1, 2, 3.0], [(1, 2)]),
+    ])
+    def test_build_rejects_bools_and_floats(self, vertices, edges):
+        # True == 1 passes isinstance(v, int); every family over it would fail
+        with pytest.raises(GraphFormatError, match="vertex ids must be non-negative integers"):
+            Graph.build(vertices, edges)
+        with pytest.raises(GraphFormatError, match="vertex ids must be non-negative integers"):
+            Graph.from_edges(edges, isolated=vertices)
+
     def test_star_cover_never_builds_id_pairs(self):
         # the star cover and the pair check read positions only
         g = load_graph(serialize_graph(random_k_degenerate_graph(300, 2, seed=1)))
