@@ -469,7 +469,7 @@ def _family_from_lists(text: str) -> tuple[PermutationFamily, dict]:
     if not isinstance(doc, dict) or not isinstance(doc.get("permutations"), list):
         raise ValueError("family document must be an object with a permutations list")
     fam = PermutationFamily.build(doc.get("ground_set"), doc["permutations"])
-    if doc.get("n") != len(fam.ground_set):
+    if type(doc.get("n")) is not int or doc["n"] != len(fam.ground_set):
         raise ValueError("family document is inconsistent: n != |ground_set|")
     return fam, {key: value for key, value in doc.items() if key not in ("ground_set", "permutations")}
 
@@ -488,7 +488,7 @@ def _family_arrays(text: str) -> tuple[PermutationFamily, dict] | None:
     null is the value of its `permutations`.  The reader also doubts a
     ground set that is not a strictly increasing list of n >= 1
     non-negative ints (bools excluded), members whose length is not n,
-    an `n` field other than n, and an id at or above ID_TABLE_SPAN * n
+    an `n` field other than the int n, and an id at or above ID_TABLE_SPAN * n
     (`np.fromstring` saturates longer ids at 2^63 - 1, so these are
     doubted too): for all of these `_family_from_lists` gives the result
     or the error.  Ids map to positions through one table of
@@ -527,8 +527,9 @@ def _family_arrays(text: str) -> tuple[PermutationFamily, dict] | None:
     if ids is None or not isinstance(ground, list):
         return None
     n = len(ground)
-    if fields.get("n") != n or ids.shape[1] != n or not all(type(v) is int for v in ground) \
-            or ground[0] < 0 or any(a >= b for a, b in zip(ground, ground[1:])) \
+    if type(fields.get("n")) is not int or fields["n"] != n or ids.shape[1] != n \
+            or not all(type(v) is int for v in ground) or ground[0] < 0 \
+            or any(a >= b for a, b in zip(ground, ground[1:])) \
             or max(ground[-1], ids.max()) >= ID_TABLE_SPAN * n:
         return None
     table = np.full(ID_TABLE_SPAN * n, -1, np.int64)

@@ -51,14 +51,15 @@ class Graph:
     @staticmethod
     def build(vertices, edges) -> "Graph":
         """Validate and normalize raw vertex/edge collections."""
-        vset: set[int] = set()
-        for v in vertices:
+        def checked(v):
             if type(v) is not int or v < 0:
                 raise GraphFormatError(f"vertex ids must be non-negative integers, got {v!r}")
-            vset.add(v)
+            return v
+
+        vset = set(map(checked, vertices))
         eset: set[Edge] = set()
         for u, v in edges:
-            e = make_edge(u, v)
+            e = make_edge(checked(u), checked(v))
             if e in eset:
                 raise GraphFormatError(f"duplicate edge {e}")
             if e[0] not in vset or e[1] not in vset:

@@ -3,7 +3,9 @@ dimension search.
 
 Elements may be any sortable hashables; interval orders use ``(a, b)``
 integer tuples with ``a < b`` and the rule ``(a, b) < (c, d)`` iff
-``b <= c``.
+``b <= c``.  A poset is its closed bitset rows: the order checks
+(`is_linear_extension`, `is_realizer`) and the completion of a relation
+to one linear order (`_topo_indices`) read those rows and nothing else.
 
 `_dimension_dfs` is the one exact engine: it finds the fewest strict
 orders extending a base order that meet a list of "X before Y"
@@ -78,11 +80,6 @@ class Poset:
             if not (up[i] >> j & 1 or up[j] >> i & 1)
         ]
 
-    @property
-    def is_chain(self) -> bool:
-        m = len(self.elements)
-        return sum(row.bit_count() for row in self.up) == m * (m - 1) // 2
-
 
 def height(p: Poset) -> int:
     """Size of a largest chain (element count); 0 for the empty poset."""
@@ -97,33 +94,34 @@ def height(p: Poset) -> int:
 
 
 def is_linear_extension(order, p: Poset) -> bool:
-    if sorted(order) != sorted(p.elements):
-        return False
+    """True iff `order` lists every element of `p` once, each before
+    all of its row: one pass that keeps the bitset of elements placed."""
     placed = 0
     for x in order:
-        i = p.index[x]
-        if p.up[i] & placed:
+        i = p.index.get(x)
+        if i is None or placed >> i & 1 or p.up[i] & placed:
             return False
         placed |= 1 << i
-    return True
+    return placed == (1 << len(p.up)) - 1
 
 
 def is_realizer(extensions, p: Poset) -> bool:
     """A realizer: linear extensions whose intersection is `p`.  True iff
-    every extension is valid and every incomparable pair is reversed in
-    some extension."""
-    if not extensions:
-        return not p.elements
+    every extension is valid and, for each element, the elements after
+    it in every extension are exactly its row.  The masks start all
+    ones, which no row is, so an empty tuple realizes only the empty
+    poset."""
+    m = len(p.up)
+    common = [(1 << m) - 1] * m
     for ext in extensions:
         if not is_linear_extension(ext, p):
             return False
-    positions = [{x: i for i, x in enumerate(ext)} for ext in extensions]
-    for x, y in p.incomparable_pairs():
-        if all(pos[x] < pos[y] for pos in positions):
-            return False
-        if all(pos[y] < pos[x] for pos in positions):
-            return False
-    return True
+        after = 0
+        for x in reversed(ext):
+            i = p.index[x]
+            common[i] &= after
+            after |= 1 << i
+    return common == list(p.up)
 
 
 @dataclass(frozen=True)
@@ -206,7 +204,8 @@ def exact_poset_dimension(
 ) -> PosetDimensionResult:
     """Minimum realizer size up to `limit`, with a witness realizer.
 
-    Chains (and the empty or singleton poset) have dimension 1.  Above
+    Chains (every pair comparable, so the rows hold m(m - 1)/2 bits;
+    the empty and singleton posets too) have dimension 1.  Above
     that, `_dimension_dfs` runs on the order itself with one
     requirement "a before b" per ordered incomparable pair (a, b).
     """
@@ -214,7 +213,7 @@ def exact_poset_dimension(
         raise ValueError("limit must be at least 1")
     elements, base_up = p.elements, list(p.up)
     m = len(elements)
-    if m <= 1 or p.is_chain:
+    if sum(row.bit_count() for row in base_up) == m * (m - 1) // 2:
         ext = tuple(elements[i] for i in _topo_indices(base_up, m))
         return PosetDimensionResult(1, (ext,), 0)
 
@@ -419,21 +418,19 @@ def _fitting(up: list[int], alts) -> list | None:
 
 
 def _topo_indices(up: list[int], m: int) -> list[int]:
-    """Deterministic completion: smallest available element first."""
-    remaining = set(range(m))
-    below_count = {i: sum(1 for j in remaining if up[j] >> i & 1) for i in remaining}
+    """Deterministic completion: smallest available element first, i.e.
+    the lowest element left that is above no element left."""
+    left = (1 << m) - 1
     out = []
-    while remaining:
-        ready = sorted(i for i in remaining if below_count[i] == 0)
-        v = ready[0]
-        remaining.remove(v)
+    while left:
+        above = 0
+        for i in range(m):
+            if left >> i & 1:
+                above |= up[i]
+        free = left & ~above
+        v = (free & -free).bit_length() - 1
         out.append(v)
-        scan = up[v]
-        while scan:
-            j = (scan & -scan).bit_length() - 1
-            scan &= scan - 1
-            if j in remaining:
-                below_count[j] -= 1
+        left ^= 1 << v
     return out
 
 

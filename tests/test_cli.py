@@ -550,6 +550,7 @@ CANONICAL_DIM_GOLDEN = {
     5: "41fecceb6115c5e6f4a76ebabccee302e9e8cd9b221460ed10beecf8dd81be84",
     6: "a8a234163ceb184a92362342f26c9159e8d64b27e32525d99961d146157f1f90",
     7: "c3ece284ec1135009ff48a50a49ec1564ffac9dd387df93c9f6d691ee2e0e167",
+    8: "6b90e4a45e6d4c877918ec41dbe6214e1e964b70051b5c20592ac54cb7bb7fa0",
 }
 
 

@@ -752,6 +752,18 @@ def test_spaced_ground_set_takes_the_array_reader():
                                                                           "generator": "unspecified"})
 
 
+@pytest.mark.parametrize("ground,member,n", [([0, 2], (2, 0), "2.0"), ([4], (4,), "true")])
+def test_readers_refuse_a_non_int_n(ground, member, n):
+    # 2.0 == 2 and True == 1, but n is a count: compact or indented, the
+    # document is inconsistent
+    compact = family_to_json(PermutationFamily.build(ground, [member]))
+    text = compact.replace(f'"n":{len(ground)},', f'"n":{n},')
+    assert text != compact and _family_arrays(text) is None
+    for doc in (text, json.dumps(json.loads(text), indent=1)):
+        with pytest.raises(ValueError, match="inconsistent"):
+            family_from_json(doc)
+
+
 def test_compact_reader_memory():
     # the reader keeps a few byte masks and id arrays alive at a time;
     # json.loads of the id lists, or np.add.reduceat over a byte mask,

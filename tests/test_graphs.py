@@ -650,6 +650,10 @@ class TestStoredForm:
         ([True, 2, 3, 4], [(True, 2), (3, 4)]),
         ([False, 2, 3], [(False, 2)]),
         ([1, 2, 3.0], [(1, 2)]),
+        # as edge endpoints, True and 1.0 pass a lookup in the vertex set
+        ([0, 1, 2], [(True, 2)]),
+        ([0, 1, 2], [(1.0, 2)]),
+        ([0, 1, 2], [(2, False)]),
     ])
     def test_build_rejects_bools_and_floats(self, vertices, edges):
         # True == 1 passes isinstance(v, int); every family over it would fail

@@ -254,6 +254,66 @@ def test_interval_order_rows_match_build(starts_and_lengths):
     assert order.poset == Poset.build(order.intervals, pairs)
 
 
+@st.composite
+def relations_and_orders(draw):
+    """A relation on up to 12 sparse ids, acyclic as it is drawn along
+    the element order, and candidate orders: linear extensions
+    (networkx's smallest-key-first sort under drawn keys), some with a
+    repeat, a missing, a foreign element or a violated pair, and
+    arbitrary orders of the elements."""
+    elements = draw(st.lists(st.integers(0, 40), unique=True, max_size=12))
+    pairs = [(x, y) for i, x in enumerate(elements) for y in elements[i + 1:]]
+    relation = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=30)) if pairs else []
+    dag = nx.DiGraph(relation)
+    dag.add_nodes_from(elements)
+    orders = []
+    for _ in range(draw(st.integers(0, 4))):
+        rank = {x: i for i, x in enumerate(draw(st.permutations(elements)))}
+        order = list(nx.lexicographical_topological_sort(dag, key=rank.__getitem__))
+        fault = draw(st.sampled_from(["none", "none", "repeat", "missing", "foreign", "violated", "any"]))
+        at = draw(st.integers(0, len(order)))
+        if fault == "repeat" and order:
+            order.insert(at, order[at - 1])
+        elif fault == "missing" and order:
+            del order[at - 1]
+        elif fault == "foreign":
+            order.insert(at, 41)
+        elif fault == "violated" and relation:
+            x, y = draw(st.sampled_from(relation))
+            i, j = order.index(x), order.index(y)
+            order[i], order[j] = y, x
+        elif fault == "any":
+            order = draw(st.permutations(elements))
+        orders.append(order)
+    return elements, relation, orders
+
+
+@settings(max_examples=300, deadline=None)
+@given(relations_and_orders())
+def test_order_checks_match_networkx(drawn):
+    # the completion is networkx's smallest-first sort; a linear extension
+    # lists each element once and holds the closure's pairs; a realizer's
+    # extensions are linear and their pair sets intersect to the closure
+    elements, relation, orders = drawn
+    p = Poset.build(elements, relation)
+    dag = nx.DiGraph(relation)
+    dag.add_nodes_from(elements)
+    closure = set(nx.transitive_closure_dag(dag).edges)
+    completion = posets._topo_indices(list(p.up), len(elements))
+    assert [p.elements[i] for i in completion] == list(nx.lexicographical_topological_sort(dag))
+
+    def pair_set(order):
+        return {(x, y) for i, x in enumerate(order) for y in order[i + 1:]}
+
+    linear = [len(order) == len(elements) and set(order) == set(elements) and closure <= pair_set(order)
+              for order in orders]
+    assert [is_linear_extension(order, p) for order in orders] == linear
+    assert is_realizer((), p) == (not elements)
+    for k in range(1, len(orders) + 1):
+        realizes = all(linear[:k]) and set.intersection(*map(pair_set, orders[:k])) == closure
+        assert is_realizer(tuple(orders[:k]), p) == realizes
+
+
 # ---------------------------------------------------------------------------
 # The engine against a full rescan: same search order, so the same result
 # ---------------------------------------------------------------------------
