@@ -28,7 +28,7 @@ from .exact import (
 )
 from .families import (
     family_from_json,
-    family_to_json,
+    family_json_parts,
     verify_pairwise_suitable,
 )
 from .graphs import load_graph, serialize_graph, subdivision_mids
@@ -72,10 +72,11 @@ def _read(path: str, report: Report, key: str) -> str:
     return raw.decode("utf-8")
 
 
-def _write(path: str, text: str, report: Report, key: str) -> None:
-    """Write `text` to `path` and name the file in the report under `key`."""
+def _write(path: str, parts, report: Report, key: str) -> None:
+    """Write the text `parts` to `path`, one by one, and name the file in
+    the report under `key`."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines(parts)
     report.add(key, path)
 
 
@@ -101,7 +102,7 @@ def cmd_bound_degenerate(args, report: Report) -> int:
     report.add("verification", "certificate")
     report.add("verdict", "ok")
     if args.out:
-        doc = family_to_json(
+        parts = family_json_parts(
             result.family, generator="star-cover",
             extra={
                 "star_forests": result.forest_count,
@@ -109,7 +110,7 @@ def cmd_bound_degenerate(args, report: Report) -> int:
                 "degeneracy": result.degeneracy,
             },
         )
-        _write(args.out, doc, report, "family_file")
+        _write(args.out, parts, report, "family_file")
     return OK
 
 
@@ -133,19 +134,19 @@ def cmd_bound_subdivision(args, report: Report) -> int:
     report.add("verification", witness.verification)
     report.add("verdict", _witness_str(witness))
     if args.out:
-        doc = family_to_json(
+        parts = family_json_parts(
             result.family, generator="subdivision-lift",
             extra={"realizer_size": result.realizer_size},
         )
-        _write(args.out, doc, report, "family_file")
+        _write(args.out, parts, report, "family_file")
         mapping = {
             "original_vertices": list(g.vertices),
             "mids": [[u, v, m] for (u, v), m in zip(g.edges, subdivision_mids(g))],
         }
         _write(args.out + ".subdivision.json",
-               json.dumps(mapping, sort_keys=True, separators=(",", ":")) + "\n",
+               [json.dumps(mapping, sort_keys=True, separators=(",", ":")) + "\n"],
                report, "subdivision_file")
-        _write(args.out + ".subdivided.txt", serialize_graph(result.subdivided),
+        _write(args.out + ".subdivided.txt", [serialize_graph(result.subdivided)],
                report, "subdivided_graph_file")
     return OK if witness.ok else COUNTEREXAMPLE
 
@@ -225,6 +226,18 @@ def cmd_lower_harness(args, report: Report) -> int:
     return OK
 
 
+def _budget(text: str) -> int:
+    """A `--budget` value.  argparse refuses anything but an integer
+    >= 0 with exit 2, before any file is read or any search runs."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -235,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def options(p, budget=False):
         if budget:
-            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+            p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
                            help="node-expansion cap for exact searches")
         p.add_argument("--format", choices=("text", "structured"), default="text")
 

@@ -44,6 +44,8 @@ def exact_separation_dimension(
     """
     if limit < 0:
         raise ValueError("limit must be non-negative")
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
     incident = {v for e in g.edges for v in e}
     core = [v for v in g.vertices if v in incident]
     isolated = [v for v in g.vertices if v not in incident]

@@ -51,6 +51,7 @@ raises the same errors.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain, combinations, islice
@@ -70,6 +71,9 @@ _LATER.flags.writeable = False
 # The array reader takes ids below ID_TABLE_SPAN * n, which map to
 # positions through a lookup table of that many cells
 ID_TABLE_SPAN = 4
+# The family writer hands the id lists out in parts of about this many
+# characters (16 MiB); every document below that is one part
+JSON_PART_CHARS = 1 << 24
 
 
 def _vertex_ids(values, what: str) -> tuple[int, ...]:
@@ -420,25 +424,56 @@ def verify_k_suitable(fam: PermutationFamily, k: int) -> bool:
 def family_to_json(
     fam: PermutationFamily, *, generator: str = "unspecified", extra: dict | None = None,
 ) -> str:
-    """Serialize a family (with provenance) to canonical JSON text.
+    """Serialize a family (with provenance) to canonical JSON text: the
+    parts of `family_json_parts`, joined."""
+    return "".join(family_json_parts(fam, generator=generator, extra=extra))
+
+
+def family_json_parts(
+    fam: PermutationFamily, *, generator: str = "unspecified", extra: dict | None = None,
+) -> Iterator[str]:
+    """The canonical JSON text of a family, in parts to write one by one.
 
     The text is `json.dumps` of the document with sorted keys and no
     spaces; `extra` (string keys) adds to or replaces its entries, and
     `seed` is null unless `extra` sets it.  The id lists are joined from
-    each id's decimal string, member by member.
+    each id's decimal string, member by member.  The permutations come
+    in parts of about JSON_PART_CHARS characters, so a writer holds one
+    part at a time and not the whole text; a smaller document is one
+    part.
     """
     ids = np.array(list(map(str, fam.ground_set)), dtype=object)
-    rows = "],[".join(map(",".join, (ids[row].tolist() for row in fam.orders)))
     fields = {
         "n": str(len(ids)),
         "ground_set": "[" + ",".join(ids.tolist()) + "]",
-        "permutations": "[[" + rows + "]]" if len(fam) else "[]",
+        "permutations": _rows_json(ids, fam.orders) if len(fam) else "[]",
         "seed": "null",
         "generator": json.dumps(generator),
     }
     for key, value in (extra or {}).items():
         fields[key] = json.dumps(value, sort_keys=True, separators=(",", ":"))
-    return "{" + ",".join(f"{json.dumps(k)}:{v}" for k, v in sorted(fields.items())) + "}\n"
+    lead = "{"
+    for key, value in sorted(fields.items()):
+        yield f"{lead}{json.dumps(key)}:"
+        lead = ","
+        if isinstance(value, str):
+            yield value
+        else:
+            yield from value
+    yield "}\n"
+
+
+def _rows_json(ids: np.ndarray, orders: np.ndarray) -> Iterator[str]:
+    """`[[id,...],...]` for the members, one part per JSON_PART_CHARS
+    characters or so of ids."""
+    lead, part, size = "[[", [], 0
+    for row in orders:
+        if size >= JSON_PART_CHARS:
+            yield lead + "],[".join(part)
+            lead, part, size = "],[", [], 0
+        part.append(",".join(ids[row].tolist()))
+        size += len(part[-1])
+    yield lead + "],[".join(part) + "]]"
 
 
 def family_from_json(text: str) -> tuple[PermutationFamily, dict]:

@@ -224,6 +224,8 @@ def lower_bound_harness(n: int, budget: int = DEFAULT_BUDGET) -> HarnessReport:
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
 
     kn = Graph.from_edges(combinations(range(1, n + 1), 2), isolated=range(1, n + 1))
     if n + math.comb(n, 2) <= SEARCH_VERTEX_MAX:
@@ -244,7 +246,7 @@ def lower_bound_harness(n: int, budget: int = DEFAULT_BUDGET) -> HarnessReport:
     realizer = extract_realizer(normalized, kn, subset.vertices)
     p = len(subset.vertices)
     dim_cp = None
-    if p <= 7:  # C_7 takes 146 search nodes
+    if p <= 7:  # C_7 takes 117 search nodes
         dim_cp = exact_poset_dimension(canonical_interval_order(p).poset, limit=4).dimension
     lower = canonical_dimension_lower_bound(p)
     bound_holds = len(family) >= (lower if dim_cp is None else dim_cp)

@@ -10,10 +10,11 @@ to one linear order (`_topo_indices`) read those rows and nothing else.
 `_dimension_dfs` is the one exact engine: it finds the fewest strict
 orders extending a base order that meet a list of "X before Y"
 requirements.  It has two users.  Poset dimension runs it on the
-poset with one requirement per ordered incomparable pair; separation
-dimension (`sepdim.exact`) runs it on the empty order over a graph's
-vertices.  The constructions run no search: their minimum 3-suitable
-bases come from a table in `sepdim.suitable3`.
+poset with one requirement per critical pair, that pair reversed (a
+realizer is exactly a set of linear extensions that reverses every
+critical pair); separation dimension (`sepdim.exact`) runs it on the
+empty order over a graph's vertices.  The constructions run no search:
+their minimum 3-suitable bases come from a table in `sepdim.suitable3`.
 """
 
 from __future__ import annotations
@@ -207,20 +208,41 @@ def exact_poset_dimension(
     Chains (every pair comparable, so the rows hold m(m - 1)/2 bits;
     the empty and singleton posets too) have dimension 1.  Above
     that, `_dimension_dfs` runs on the order itself with one
-    requirement "a before b" per ordered incomparable pair (a, b).
+    requirement per critical pair (a, b), "b before a".  The pair is
+    critical when a and b are incomparable, D(a) is inside D(b) and
+    U(b) is inside U(a), D being the elements below and U the elements
+    above; U is a row, and the down rows are the rows transposed.
+
+    These requirements suffice.  Take incomparable x and y.  Pick
+    a <= x minimal with a incomparable to y, then b >= y maximal with b
+    incomparable to a.  The pair (a, b) is critical:
+    - an element below a is comparable to y, by the choice of a, and
+      not above y (that would put y below x), so it is below y <= b;
+    - an element above b is comparable to a, by the choice of b, and
+      not below a (that would put y below x), so it is above a.
+    An extension that puts b before a puts y before x.  So linear
+    extensions that reverse every critical pair realize the poset, and
+    every realizer reverses every critical pair: the minimum t is that
+    of one requirement per incomparable pair, and a search that fails
+    at t - 1 still refutes t - 1.
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
     elements, base_up = p.elements, list(p.up)
     m = len(elements)
     if sum(row.bit_count() for row in base_up) == m * (m - 1) // 2:
         ext = tuple(elements[i] for i in _topo_indices(base_up, m))
         return PosetDimensionResult(1, (ext,), 0)
 
+    down = [sum(1 << i for i, row in enumerate(base_up) if row >> j & 1) for j in range(m)]
+    # "x before y" reverses (y, x); kept when (y, x) is critical
     requirements = [
-        (((a,), (b,)),)
-        for a, b in permutations(range(m), 2)
-        if not (base_up[a] >> b & 1 or base_up[b] >> a & 1)
+        (((x,), (y,)),)
+        for x, y in permutations(range(m), 2)
+        if not (base_up[x] >> y & 1 or base_up[y] >> x & 1)
+        and not down[y] & ~down[x] and not base_up[x] & ~base_up[y]
     ]
     t, relations, nodes = _dimension_dfs(base_up, requirements, 2, limit, budget)
     if t is None:

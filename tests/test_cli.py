@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from sepdim import cli, exact, lowerbound, posets, subdivided
+from sepdim import cli, exact, families, lowerbound, posets, subdivided
 from sepdim.cli import main
 from sepdim.families import PermutationFamily, verify_pairwise_suitable
 from sepdim.graphs import Graph, serialize_graph, subdivision_mids
@@ -101,6 +101,18 @@ class TestBoundDegenerate:
         mids = subdivision_mids(g)
         oracle = Graph.build([1, 2, 3, big, *mids], [(x, m) for e, m in zip(g.edges, mids) for x in e])
         assert open(out + ".subdivided.txt").read() == serialize_graph(oracle)
+
+    @pytest.mark.parametrize("command", ["bound-degenerate", "bound-subdivision"])
+    def test_out_is_written_in_parts(self, command, tmp_path, monkeypatch):
+        # one part per member: the file holds the same bytes as the
+        # document in one piece
+        graph = tmp_path / "g.txt"
+        graph.write_text(_spread_degenerate(40, 2))
+        whole, parted = str(tmp_path / "whole.json"), str(tmp_path / "parted.json")
+        assert main([command, str(graph), "--out", whole]) == 0
+        monkeypatch.setattr(families, "JSON_PART_CHARS", 1)
+        assert main([command, str(graph), "--out", parted]) == 0
+        assert open(parted, "rb").read() == open(whole, "rb").read()
 
 
 class TestBoundSubdivision:
@@ -271,6 +283,40 @@ class TestOptions:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["canonical-dim", "5", "--budget", "-1"],
+        ["exact", "p4.txt", "--budget", "-7"],
+        ["exact", "star.txt", "--budget", "-1"],
+        ["lower-harness", "3", "--budget", "-1"],
+        ["lower-harness", "12", "--budget", "-1"],
+        ["exact", "p4.txt", "--budget", "1.5"],
+    ])
+    def test_budget_below_zero_is_refused(self, argv, tmp_path, monkeypatch, capsys):
+        # argparse exits 2 before any file is read or any search runs,
+        # also where no search would run (a star, n past the exact stage)
+        def no_read(*args):
+            raise AssertionError("a file was read")
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p4.txt").write_text(P4)
+        (tmp_path / "star.txt").write_text("0 1\n0 2\n0 3\n")
+        monkeypatch.setattr(cli, "_read", no_read)
+        monkeypatch.setattr(cli, "canonical_interval_order", no_read)
+        monkeypatch.setattr(cli, "lower_bound_harness", no_read)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --budget: not a non-negative integer" in captured.err
+
+    def test_budget_zero_is_valid(self, tmp_path, capsys):
+        star = tmp_path / "star.txt"
+        star.write_text("0 1\n0 2\n0 3\n")
+        assert main(["exact", str(star), "--budget", "0", "--format", "structured"]) == 0
+        assert json.loads(capsys.readouterr().out)["separation_dimension"] == 0
+        assert main(["canonical-dim", "2", "--budget", "0"]) == 0
 
     def test_parser_built_once(self):
         # main parses every call with the same parser
@@ -547,10 +593,10 @@ def test_constructions_run_no_search(command, graph, tmp_path, monkeypatch, caps
 # sha256 of the `canonical-dim` text report: the dimension and every
 # realizer extension of C_n
 CANONICAL_DIM_GOLDEN = {
-    5: "41fecceb6115c5e6f4a76ebabccee302e9e8cd9b221460ed10beecf8dd81be84",
-    6: "a8a234163ceb184a92362342f26c9159e8d64b27e32525d99961d146157f1f90",
-    7: "c3ece284ec1135009ff48a50a49ec1564ffac9dd387df93c9f6d691ee2e0e167",
-    8: "6b90e4a45e6d4c877918ec41dbe6214e1e964b70051b5c20592ac54cb7bb7fa0",
+    5: "372ec0ab6323e7d9742d4745978fd395472195a9dad4f137c953681c96c336c8",
+    6: "6b81351152ecb6b14b41abf8641a24082f69c1d6f3c42670bb947dbcf3f98d72",
+    7: "c5786e423bde1bbb016a031849966b6e155d5005e155fcc67a2c4d7dc56c9ce3",
+    8: "f30aa29ebac16a8e52f6d1052ecb378464783a10c6a6ab1e0d4ce51b66260a29",
 }
 
 

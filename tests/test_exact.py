@@ -19,6 +19,8 @@ from sepdim.families import (
     verify_pairwise_suitable,
 )
 from sepdim.graphs import Graph, subdivide
+from sepdim.lowerbound import lower_bound_harness
+from sepdim.posets import Poset, canonical_interval_order, exact_poset_dimension
 
 
 def complete(n):
@@ -111,6 +113,20 @@ class TestGroundTruth:
     def test_budget_error_is_distinct(self):
         with pytest.raises(SearchBudgetExceeded):
             exact_separation_dimension(complete(6), limit=4, budget=10)
+
+    @pytest.mark.parametrize("run", [
+        lambda budget: exact_separation_dimension(complete(4), limit=3, budget=budget),
+        # no search runs on a star, a chain or K_12^{1/2}, and the value is still refused
+        lambda budget: exact_separation_dimension(Graph.from_edges([(0, 1), (0, 2), (0, 3)]), 2, budget),
+        lambda budget: exact_poset_dimension(canonical_interval_order(5).poset, limit=4, budget=budget),
+        lambda budget: exact_poset_dimension(Poset.build([1, 2, 3], [(1, 2), (2, 3)]), 2, budget),
+        lambda budget: lower_bound_harness(3, budget=budget),
+        lambda budget: lower_bound_harness(12, budget=budget),
+    ])
+    def test_negative_budget_is_a_value_error(self, run):
+        with pytest.raises(ValueError, match="budget must be non-negative"):
+            run(-1)
+        run(10**6)
 
     def test_too_many_vertices_guarded(self):
         g = Graph.from_edges([(i, i + 1) for i in range(20)])

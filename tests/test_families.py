@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from sepdim import families
 from sepdim.families import (
     BLOCK_ROWS,
     DENSE_MEMBERS,
@@ -632,6 +633,30 @@ def test_family_to_json_empty_family():
         assert family_to_json(fam) == json_reference(fam)
     assert family_to_json(PermutationFamily.build([], [()])) == \
         '{"generator":"unspecified","ground_set":[],"n":0,"permutations":[[]],"seed":null}\n'
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_families(), st.integers(1, 40))
+def test_family_parts_join_to_the_document(fam, part_chars):
+    # however small the parts, they join to the one canonical text
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(families, "JSON_PART_CHARS", part_chars)
+        parts = list(families.family_json_parts(fam, generator="g", extra={"seed": 1}))
+    assert "".join(parts) == json_reference(fam, "g", {"seed": 1})
+
+
+def test_family_rows_parts():
+    # a bench-size family is one rows part; a 10^6-id one is written a
+    # few members at a time
+    rng = np.random.default_rng(0)
+    small = PermutationFamily(tuple(range(320)), np.array([rng.permutation(320) for _ in range(60)]))
+    ids = np.array(list(map(str, small.ground_set)), dtype=object)
+    assert len(list(families._rows_json(ids, small.orders))) == 1
+    big = PermutationFamily(tuple(range(10**6)), np.tile(np.arange(10**6), (4, 1)))
+    ids = np.array(list(map(str, big.ground_set)), dtype=object)
+    parts = list(families._rows_json(ids, big.orders))
+    assert len(parts) == 2
+    assert max(map(len, parts)) < 2 * families.JSON_PART_CHARS
 
 
 BENCH_KEYS = ["n", "ground_set", "permutations", "seed", "generator"]

@@ -158,7 +158,7 @@ class TestExactDimension:
         assert exact_poset_dimension(p, limit=2).dimension == 1
 
     @pytest.mark.parametrize(
-        "n,expected", [(2, 1), (3, 2), (4, 2), (5, 3), (6, 3), (7, 3)]
+        "n,expected", [(2, 1), (3, 2), (4, 2), (5, 3), (6, 3), (7, 3), (8, 3)]
     )
     def test_canonical_goldens(self, n, expected):
         p = canonical_interval_order(n).poset
@@ -166,7 +166,7 @@ class TestExactDimension:
         assert res.dimension == expected
         assert is_realizer(res.realizer, p)
 
-    @pytest.mark.parametrize("n,nodes", [(4, 12), (5, 49)])
+    @pytest.mark.parametrize("n,nodes", [(4, 10), (5, 44)])
     def test_budget_equal_to_node_count_suffices(self, n, nodes):
         # C_5 fails at t = 2 first, so its budget spans two searches
         p = canonical_interval_order(n).poset
@@ -219,6 +219,75 @@ def test_dimension_matches_brute_force(p):
     res = exact_poset_dimension(p, limit=3)
     assert res.dimension == brute_dimension(p, 3)
     assert is_realizer(res.realizer, p)
+
+
+def full_list_dimension(p: Poset, limit: int) -> int | None:
+    """Test-only oracle: the engine on one requirement "a before b" per
+    ordered incomparable pair (a, b), not only the critical ones."""
+    up, m = list(p.up), len(p.up)
+    if sum(row.bit_count() for row in up) == m * (m - 1) // 2:
+        return 1
+    requirements = [
+        (((a,), (b,)),)
+        for a, b in permutations(range(m), 2)
+        if not (up[a] >> b & 1 or up[b] >> a & 1)
+    ]
+    return posets._dimension_dfs(up, requirements, 2, limit, posets.DEFAULT_BUDGET)[0]
+
+
+def _requirement_count(p: Poset, monkeypatch) -> int:
+    """How many requirements `exact_poset_dimension` hands the engine."""
+    seen = []
+    real = posets._dimension_dfs
+
+    def counting(base_up, requirements, *args):
+        seen.append(len(requirements))
+        return real(base_up, requirements, *args)
+
+    monkeypatch.setattr(posets, "_dimension_dfs", counting)
+    exact_poset_dimension(p, limit=4)
+    monkeypatch.undo()
+    return seen[0]
+
+
+@st.composite
+def chains_and_antichains(draw):
+    elements = draw(st.lists(st.integers(0, 20), unique=True, max_size=7))
+    if draw(st.booleans()):
+        return Poset.build(elements, [])
+    return Poset.build(elements, zip(elements, elements[1:]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_posets(max_elements=7) | chains_and_antichains())
+def test_critical_pairs_keep_the_dimension(p):
+    # at most 7 elements: dimension at most 3 (Hiraguchi), so limit 4 decides
+    res = exact_poset_dimension(p, limit=4)
+    assert res.dimension == full_list_dimension(p, 4)
+    assert is_realizer(res.realizer, p)
+
+
+def standard_example(n: int) -> Poset:
+    """S_n: a_i below b_j exactly when i != j."""
+    pairs = [(f"a{i}", f"b{j}") for i in range(n) for j in range(n) if i != j]
+    return Poset.build([f"a{i}" for i in range(n)] + [f"b{i}" for i in range(n)], pairs)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_standard_example_has_n_critical_pairs(n, monkeypatch):
+    # the critical pairs of S_n are (a_i, b_i), one reversal each
+    p = standard_example(n)
+    assert _requirement_count(p, monkeypatch) == n
+    res = exact_poset_dimension(p, limit=n + 1)
+    assert res.dimension == n
+    assert is_realizer(res.realizer, p)
+
+
+@pytest.mark.parametrize("n,count", [(5, 25), (6, 55), (7, 105), (8, 182)])
+def test_canonical_requirement_counts(n, count, monkeypatch):
+    # one per critical pair of C_n (60, 140, 280 and 504 ordered
+    # incomparable pairs)
+    assert _requirement_count(canonical_interval_order(n).poset, monkeypatch) == count
 
 
 @st.composite
@@ -517,7 +586,7 @@ _NODE_COUNT_GRAPHS = {
 }
 
 
-@pytest.mark.parametrize("n,nodes", [(5, 49), (6, 86), (7, 146)])
+@pytest.mark.parametrize("n,nodes", [(5, 44), (6, 72), (7, 117)])
 def test_canonical_dimension_node_counts(n, nodes):
     assert exact_poset_dimension(canonical_interval_order(n).poset, limit=4).nodes == nodes
 
