@@ -39,12 +39,12 @@ from .lowerbound import (
     normalize_lower_bound_family,
 )
 from .posets import (
-    IntervalOrder,
     Poset,
     PosetDimensionResult,
     canonical_interval_order,
     exact_poset_dimension,
     height,
+    interval_order,
     interval_order_from,
     is_linear_extension,
     is_realizer,

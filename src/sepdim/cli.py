@@ -181,7 +181,7 @@ def cmd_canonical_dim(args, report: Report) -> int:
             f"canonical-dim is desk-scale only (n <= {CANONICAL_DIM_GUARD})"
         )
     order = canonical_interval_order(n)
-    result = exact_poset_dimension(order.poset, limit=args.limit, budget=args.budget)
+    result = exact_poset_dimension(order, limit=args.limit, budget=args.budget)
     report.add("input_digest", _digest(str(n).encode()))
     report.add("n", n)
     report.add("elements", len(order))

@@ -73,7 +73,7 @@ class Graph:
     @staticmethod
     def from_edges(edges, isolated=()) -> "Graph":
         """Build a graph whose vertex set is implied by its edges."""
-        edges = [make_edge(u, v) for u, v in edges]
+        edges = list(edges)
         verts = {v for e in edges for v in e} | set(isolated)
         return Graph.build(verts, edges)
 
@@ -274,14 +274,15 @@ def _peel_steps(g: Graph, d: DegeneracyOrder) -> np.ndarray:
     return rank
 
 
-def star_forest_decomposition(g: Graph, d: DegeneracyOrder) -> list[np.ndarray]:
-    """Cover E(g) with at most 2k spanning star forests (k = d.k).
+def star_forest_decomposition(g: Graph, d: DegeneracyOrder) -> np.ndarray:
+    """Cover E(g) with at most 2k spanning star forests (k = d.k), the
+    rows of an (s, n) int64 array.
 
-    A star forest is an int64 array giving, for each position in
-    `g.vertices`, the position of its star's root.  Every edge runs from
-    its child, the endpoint peeled earlier in `d`, to its parent, and a
-    child's edges (at most k) go to slots 0, 1, ... in order of their
-    parents' ids; each vertex then has at most one parent per slot, and
+    A star forest is a row giving, for each position in `g.vertices`,
+    the position of its star's root.  Every edge runs from its child,
+    the endpoint peeled earlier in `d`, to its parent, and a child's
+    edges (at most k) go to slots 0, 1, ... in order of their parents'
+    ids; each vertex then has at most one parent per slot, and
     parents are peeled later, so each slot is a forest.  Within a slot,
     the edges whose parent sits on an even level (the forest's roots are
     on level 0) form one star forest and the odd levels another; each
@@ -321,7 +322,7 @@ def star_forest_decomposition(g: Graph, d: DegeneracyOrder) -> list[np.ndarray]:
     flip = (np.bincount(star, minlength=2 * k * n)[star] == 1) & (child < parent)
     roots = np.broadcast_to(np.arange(n, dtype=np.int64), (2 * k, n)).copy()
     roots.reshape(-1)[np.where(flip, star, row * n + child)] = np.where(flip, child, parent)
-    return list(roots[np.bincount(row, minlength=2 * k) > 0])
+    return roots[np.bincount(row, minlength=2 * k) > 0]
 
 
 def check_star_forest(g: Graph, roots: np.ndarray) -> int:

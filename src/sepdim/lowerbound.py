@@ -160,12 +160,12 @@ def extract_realizer(
 
     pos = {v: j for j, v in enumerate(fam.ground_set)}
     mid_of = dict(zip(g.edges, subdivision_mids(g)))
-    mids = [pos[mid_of[make_edge(xs[a - 1], xs[b - 1])]] for a, b in cn.intervals]
+    mids = [pos[mid_of[make_edge(xs[a - 1], xs[b - 1])]] for a, b in cn.elements]
     realizer = tuple(
-        tuple(cn.intervals[i] for i in row)
+        tuple(cn.elements[i] for i in row)
         for row in np.argsort(fam.rank_matrix[:, mids], axis=1).tolist()
     )
-    if not is_realizer(realizer, cn.poset):
+    if not is_realizer(realizer, cn):
         raise AssertionError("extracted extensions do not realize the canonical order")
     return realizer
 
@@ -203,14 +203,14 @@ class HarnessReport:
     pi: int | None
     exact: bool
     family: PermutationFamily | None
-    subset: MonotoneSubsetResult | None
-    floor: int | None
-    floor_met: bool | None
-    normalized: PermutationFamily | None
-    realizer: tuple[tuple, ...] | None
-    canonical_dimension: int | None
-    canonical_lower_bound: int | None
-    bound_holds: bool | None
+    subset: MonotoneSubsetResult | None = None
+    floor: int | None = None
+    floor_met: bool | None = None
+    normalized: PermutationFamily | None = None
+    realizer: tuple[tuple, ...] | None = None
+    canonical_dimension: int | None = None
+    canonical_lower_bound: int | None = None
+    bound_holds: bool | None = None
 
 
 def lower_bound_harness(n: int, budget: int = DEFAULT_BUDGET) -> HarnessReport:
@@ -235,9 +235,7 @@ def lower_bound_harness(n: int, budget: int = DEFAULT_BUDGET) -> HarnessReport:
         family, pi, exact = colored_subdivision_family(kn).family, None, False
 
     if not family:
-        return HarnessReport(
-            n, pi, exact, family, None, None, None, None, None, None, None, None
-        )
+        return HarnessReport(n, pi, exact, family)
 
     subset = common_monotone_subset(family, kn.vertices)
     floor = extraction_floor(n, len(family))
@@ -247,7 +245,7 @@ def lower_bound_harness(n: int, budget: int = DEFAULT_BUDGET) -> HarnessReport:
     p = len(subset.vertices)
     dim_cp = None
     if p <= 7:  # C_7 takes 117 search nodes
-        dim_cp = exact_poset_dimension(canonical_interval_order(p).poset, limit=4).dimension
+        dim_cp = exact_poset_dimension(canonical_interval_order(p), limit=4).dimension
     lower = canonical_dimension_lower_bound(p)
     bound_holds = len(family) >= (lower if dim_cp is None else dim_cp)
     return HarnessReport(

@@ -1,11 +1,12 @@
 """Strict partial orders, interval orders, realizers, and the exact
 dimension search.
 
-Elements may be any sortable hashables; interval orders use ``(a, b)``
-integer tuples with ``a < b`` and the rule ``(a, b) < (c, d)`` iff
-``b <= c``.  A poset is its closed bitset rows: the order checks
-(`is_linear_extension`, `is_realizer`) and the completion of a relation
-to one linear order (`_topo_indices`) read those rows and nothing else.
+Elements may be any sortable hashables.  A poset is its closed bitset
+rows: the order checks (`is_linear_extension`, `is_realizer`) and the
+completion of a relation to one linear order (`_topo_indices`) read
+those rows and nothing else.  An interval order is a `Poset` too:
+`interval_order` takes ``(a, b)`` integer pairs with ``a < b`` and
+builds the rows of ``(a, b) < (c, d)`` iff ``b <= c`` from the endpoints.
 
 `_dimension_dfs` is the one exact engine: it finds the fewest strict
 orders extending a base order that meet a list of "X before Y"
@@ -70,6 +71,9 @@ class Poset:
     def index(self) -> dict:
         return {x: i for i, x in enumerate(self.elements)}
 
+    def __len__(self) -> int:
+        return len(self.elements)
+
     def less(self, x, y) -> bool:
         return bool(self.up[self.index[x]] >> self.index[y] & 1)
 
@@ -125,37 +129,28 @@ def is_realizer(extensions, p: Poset) -> bool:
     return common == list(p.up)
 
 
-@dataclass(frozen=True)
-class IntervalOrder:
-    """Open intervals with integer endpoints, ordered by (a,b) < (c,d) iff b <= c."""
-
-    intervals: tuple[tuple[int, int], ...]
-
-    @staticmethod
-    def build(intervals) -> "IntervalOrder":
-        norm = []
-        for a, b in intervals:
-            if a >= b:
-                raise PosetError(f"open interval ({a}, {b}) is empty")
-            norm.append((int(a), int(b)))
-        if len(set(norm)) != len(norm):
-            raise PosetError("duplicate intervals")
-        return IntervalOrder(tuple(sorted(norm)))
-
-    @cached_property
-    def poset(self) -> Poset:
-        # x < y iff x ends at or before y starts, which is irreflexive and
-        # transitive; sorted by start, the intervals above x are a suffix
-        starts = [a for a, _ in self.intervals]
-        full = (1 << len(starts)) - 1
-        firsts = (bisect_left(starts, b) for _, b in self.intervals)
-        return Poset(self.intervals, tuple(full >> k << k for k in firsts))
-
-    def __len__(self) -> int:
-        return len(self.intervals)
+def interval_order(intervals) -> Poset:
+    """The interval order of open intervals with integer endpoints,
+    (a, b) < (c, d) iff b <= c, over the sorted intervals."""
+    elements = []
+    for a, b in intervals:
+        if type(a) is not int or type(b) is not int:
+            raise PosetError(f"interval endpoints must be integers, got ({a!r}, {b!r})")
+        if a >= b:
+            raise PosetError(f"open interval ({a}, {b}) is empty")
+        elements.append((a, b))
+    if len(set(elements)) != len(elements):
+        raise PosetError("duplicate intervals")
+    elements.sort()
+    # x < y iff x ends at or before y starts, which is irreflexive and
+    # transitive; sorted by start, the intervals above x are a suffix
+    starts = [a for a, _ in elements]
+    full = (1 << len(starts)) - 1
+    firsts = (bisect_left(starts, b) for _, b in elements)
+    return Poset(tuple(elements), tuple(full >> k << k for k in firsts))
 
 
-def interval_order_from(g: Graph, sigma) -> IntervalOrder:
+def interval_order_from(g: Graph, sigma) -> Poset:
     """The interval order of a graph under a vertex ordering `sigma`, a
     sequence of vertex ids.
 
@@ -171,14 +166,14 @@ def interval_order_from(g: Graph, sigma) -> IntervalOrder:
     for u, v in g.edges:
         ru, rv = rank[u], rank[v]
         intervals.append((min(ru, rv), max(ru, rv)))
-    return IntervalOrder.build(intervals)
+    return interval_order(intervals)
 
 
-def canonical_interval_order(n: int) -> IntervalOrder:
+def canonical_interval_order(n: int) -> Poset:
     """All C(n,2) open intervals with endpoints in [n]."""
     if n < 2:
         raise ValueError("canonical interval order needs n >= 2")
-    return IntervalOrder.build([(a, b) for a in range(1, n) for b in range(a + 1, n + 1)])
+    return interval_order([(a, b) for a in range(1, n) for b in range(a + 1, n + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -461,21 +456,19 @@ def _topo_indices(up: list[int], m: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def realizer_heuristic(c: IntervalOrder) -> tuple[tuple, ...]:
+def realizer_heuristic(p: Poset) -> tuple[tuple, ...]:
     """Small (not necessarily optimal) realizer of an interval order.
 
     Sweeps a fixed rotation of endpoint sort keys, then patches any
     still-unreversed incomparable pairs with extra extensions; the patch
     loop makes progress every round, so termination is guaranteed.
     """
-    p = c.poset
-    if len(c) == 0:
+    if len(p) == 0:
         return ((),)
-    if len(c) == 1:
-        return (tuple(c.intervals),)
+    if len(p) == 1:
+        return (p.elements,)
     if not any(p.up):
-        base = tuple(sorted(c.intervals))
-        return base, base[::-1]
+        return p.elements, p.elements[::-1]
 
     keys = [
         lambda iv: (iv[1], -iv[0]),
@@ -485,7 +478,7 @@ def realizer_heuristic(c: IntervalOrder) -> tuple[tuple, ...]:
     ]
     extensions: list[tuple] = []
     for key in keys:
-        ext = tuple(sorted(c.intervals, key=key))
+        ext = tuple(sorted(p.elements, key=key))
         if ext not in extensions:
             extensions.append(ext)
         if is_realizer(extensions, p):

@@ -86,7 +86,7 @@ def degenerate_family(g: Graph) -> DegenerateCoverResult:
         raise ValueError("graph must have at least one vertex")
     d = degeneracy_order(g)
     n = g.num_vertices
-    roots = np.array(star_forest_decomposition(g, d), dtype=np.int64).reshape(-1, n)
+    roots = star_forest_decomposition(g, d)
     roots.flags.writeable = False
     base = build_3_suitable_for(g.vertices)
     # the base family shares g's ground set, so its positions are g's

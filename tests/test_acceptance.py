@@ -128,7 +128,7 @@ def test_criterion_3_canonical_interval_order():
 
     expected_dims = {2: 1, 3: 2, 4: 2, 5: 3, 6: 3, 7: 3}
     for n in range(2, 8):
-        p = canonical_interval_order(n).poset
+        p = canonical_interval_order(n)
         res = exact_poset_dimension(p, limit=4)
         if res.dimension != expected_dims[n]:
             failures.append(("dim", n, res.dimension))
@@ -143,7 +143,7 @@ def test_criterion_3_canonical_interval_order():
     from itertools import combinations_with_replacement, permutations as iperm
 
     for n, expected in ((2, 1), (3, 2)):
-        p = canonical_interval_order(n).poset
+        p = canonical_interval_order(n)
         exts = [o for o in iperm(p.elements) if is_linear_extension(o, p)]
         brute = None
         for t in range(1, 4):
@@ -206,9 +206,9 @@ def test_criterion_5_lower_bound_harness():
             failures.append((n, "extraction missing"))
             continue
         p = len(rep.subset.vertices)
-        if not is_realizer(rep.realizer, canonical_interval_order(p).poset):
+        if not is_realizer(rep.realizer, canonical_interval_order(p)):
             failures.append((n, "realizer invalid"))
-        dim = exact_poset_dimension(canonical_interval_order(p).poset, limit=4).dimension
+        dim = exact_poset_dimension(canonical_interval_order(p), limit=4).dimension
         if rep.pi < dim:
             failures.append((n, "bound", rep.pi, dim))
         if rep.canonical_dimension != dim or not rep.bound_holds:

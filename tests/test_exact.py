@@ -118,7 +118,7 @@ class TestGroundTruth:
         lambda budget: exact_separation_dimension(complete(4), limit=3, budget=budget),
         # no search runs on a star, a chain or K_12^{1/2}, and the value is still refused
         lambda budget: exact_separation_dimension(Graph.from_edges([(0, 1), (0, 2), (0, 3)]), 2, budget),
-        lambda budget: exact_poset_dimension(canonical_interval_order(5).poset, limit=4, budget=budget),
+        lambda budget: exact_poset_dimension(canonical_interval_order(5), limit=4, budget=budget),
         lambda budget: exact_poset_dimension(Poset.build([1, 2, 3], [(1, 2), (2, 3)]), 2, budget),
         lambda budget: lower_bound_harness(3, budget=budget),
         lambda budget: lower_bound_harness(12, budget=budget),

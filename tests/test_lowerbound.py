@@ -290,8 +290,8 @@ class TestNormalizeAndExtract:
         normalized = normalize_lower_bound_family(fam, k3, subset)
         realizer = extract_realizer(normalized, k3, subset.vertices)
         p = len(subset.vertices)
-        assert is_realizer(realizer, canonical_interval_order(p).poset)
-        dim = exact_poset_dimension(canonical_interval_order(p).poset, limit=4).dimension
+        assert is_realizer(realizer, canonical_interval_order(p))
+        dim = exact_poset_dimension(canonical_interval_order(p), limit=4).dimension
         assert len(fam) >= dim
 
 

@@ -11,13 +11,13 @@ from sepdim import exact, posets
 from sepdim.exact import exact_separation_dimension
 from sepdim.graphs import Graph
 from sepdim.posets import (
-    IntervalOrder,
     Poset,
     PosetError,
     SearchBudgetExceeded,
     canonical_interval_order,
     exact_poset_dimension,
     height,
+    interval_order,
     interval_order_from,
     is_linear_extension,
     is_realizer,
@@ -66,7 +66,7 @@ class TestHeight:
 
     def test_canonical_chain(self):
         for n in (3, 4, 6):
-            assert height(canonical_interval_order(n).poset) == n - 1
+            assert height(canonical_interval_order(n)) == n - 1
 
     def test_empty(self):
         assert height(Poset.build([], [])) == 0
@@ -76,21 +76,20 @@ class TestIntervalOrder:
     def test_from_path_identity(self):
         g = Graph.from_edges([(1, 2), (2, 3)])
         order = interval_order_from(g, (1, 2, 3))
-        assert order.intervals == ((1, 2), (2, 3))
-        assert order.poset.less((1, 2), (2, 3))
+        assert order.elements == ((1, 2), (2, 3))
+        assert order.less((1, 2), (2, 3))
 
     def test_from_triangle(self):
         g = Graph.from_edges([(1, 2), (1, 3), (2, 3)])
-        order = interval_order_from(g, (1, 2, 3))
-        assert order.intervals == ((1, 2), (1, 3), (2, 3))
-        p = order.poset
+        p = interval_order_from(g, (1, 2, 3))
+        assert p.elements == ((1, 2), (1, 3), (2, 3))
         assert p.less((1, 2), (2, 3)) and not p.less((2, 3), (1, 2))
         assert p.incomparable_pairs() == [((1, 2), (1, 3)), ((1, 3), (2, 3))]
 
     def test_edgeless(self):
         g = Graph.build([1, 2], [])
         order = interval_order_from(g, (1, 2))
-        assert order.intervals == ()
+        assert order.elements == ()
 
     @pytest.mark.parametrize("sigma,match", [
         ((1, 2, 2, 3), "repeated"),
@@ -113,7 +112,17 @@ class TestIntervalOrder:
 
     def test_degenerate_interval_rejected(self):
         with pytest.raises(PosetError):
-            IntervalOrder.build([(2, 2)])
+            interval_order([(2, 2)])
+
+    @pytest.mark.parametrize("intervals", [
+        [(1.2, 1.7)],  # truncating would give (1, 1), an element above itself
+        [(1.2, 2.5), (1.0, 2.0)],  # truncating would give a duplicate
+        [(True, 2)],
+        [(1, 2.0)],
+    ])
+    def test_non_integer_endpoints_rejected(self, intervals):
+        with pytest.raises(PosetError, match="integers"):
+            interval_order(intervals)
 
 
 class TestIsRealizer:
@@ -146,14 +155,14 @@ class TestExactDimension:
         assert exact_poset_dimension(Poset.build([], []), limit=2).dimension == 1
 
     def test_c3_with_oracle(self):
-        p = canonical_interval_order(3).poset
+        p = canonical_interval_order(3)
         assert brute_dimension(p, 3) == 2  # oracle first
         res = exact_poset_dimension(p, limit=3)
         assert res.dimension == 2
         assert is_realizer(res.realizer, p)
 
     def test_c2_with_oracle(self):
-        p = canonical_interval_order(2).poset
+        p = canonical_interval_order(2)
         assert brute_dimension(p, 2) == 1
         assert exact_poset_dimension(p, limit=2).dimension == 1
 
@@ -161,7 +170,7 @@ class TestExactDimension:
         "n,expected", [(2, 1), (3, 2), (4, 2), (5, 3), (6, 3), (7, 3), (8, 3)]
     )
     def test_canonical_goldens(self, n, expected):
-        p = canonical_interval_order(n).poset
+        p = canonical_interval_order(n)
         res = exact_poset_dimension(p, limit=4)
         assert res.dimension == expected
         assert is_realizer(res.realizer, p)
@@ -169,7 +178,7 @@ class TestExactDimension:
     @pytest.mark.parametrize("n,nodes", [(4, 10), (5, 44)])
     def test_budget_equal_to_node_count_suffices(self, n, nodes):
         # C_5 fails at t = 2 first, so its budget spans two searches
-        p = canonical_interval_order(n).poset
+        p = canonical_interval_order(n)
         assert exact_poset_dimension(p, limit=4).nodes == nodes
         assert exact_poset_dimension(p, limit=4, budget=nodes).nodes == nodes
         with pytest.raises(SearchBudgetExceeded):
@@ -183,7 +192,7 @@ class TestExactDimension:
     def test_antichain_needs_no_recursion(self):
         # 20 pairwise overlapping intervals: one search level per
         # requirement met, deeper than a lowered recursion limit allows
-        p = IntervalOrder.build([(i, 100 + i) for i in range(20)]).poset
+        p = interval_order([(i, 100 + i) for i in range(20)])
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(250)
         try:
@@ -287,7 +296,7 @@ def test_standard_example_has_n_critical_pairs(n, monkeypatch):
 def test_canonical_requirement_counts(n, count, monkeypatch):
     # one per critical pair of C_n (60, 140, 280 and 504 ordered
     # incomparable pairs)
-    assert _requirement_count(canonical_interval_order(n).poset, monkeypatch) == count
+    assert _requirement_count(canonical_interval_order(n), monkeypatch) == count
 
 
 @st.composite
@@ -318,9 +327,9 @@ def test_build_matches_networkx(drawn):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 12), st.integers(1, 8)), unique=True, max_size=12))
 def test_interval_order_rows_match_build(starts_and_lengths):
-    order = IntervalOrder.build([(a, a + d) for a, d in starts_and_lengths])
-    pairs = [(x, y) for x in order.intervals for y in order.intervals if x != y and x[1] <= y[0]]
-    assert order.poset == Poset.build(order.intervals, pairs)
+    order = interval_order([(a, a + d) for a, d in starts_and_lengths])
+    pairs = [(x, y) for x in order.elements for y in order.elements if x != y and x[1] <= y[0]]
+    assert order == Poset.build(order.elements, pairs)
 
 
 @st.composite
@@ -588,7 +597,7 @@ _NODE_COUNT_GRAPHS = {
 
 @pytest.mark.parametrize("n,nodes", [(5, 44), (6, 72), (7, 117)])
 def test_canonical_dimension_node_counts(n, nodes):
-    assert exact_poset_dimension(canonical_interval_order(n).poset, limit=4).nodes == nodes
+    assert exact_poset_dimension(canonical_interval_order(n), limit=4).nodes == nodes
 
 
 @pytest.mark.parametrize("name", _NODE_COUNT_GRAPHS)
@@ -599,7 +608,7 @@ def test_separation_dimension_node_counts(name):
 
 class TestHeuristic:
     def test_chain(self):
-        order = IntervalOrder.build([(1, 2), (2, 3), (3, 4)])
+        order = interval_order([(1, 2), (2, 3), (3, 4)])
         assert len(realizer_heuristic(order)) == 1
 
     def test_c3_matches_exact(self):
@@ -607,27 +616,27 @@ class TestHeuristic:
         assert len(realizer_heuristic(order)) == 2
 
     def test_overlapping_antichain(self):
-        order = IntervalOrder.build([(1, 10), (2, 11), (3, 12)])
+        order = interval_order([(1, 10), (2, 11), (3, 12)])
         r = realizer_heuristic(order)
         assert len(r) == 2
-        assert is_realizer(r, order.poset)
+        assert is_realizer(r, order)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_valid_on_canonical(self, n):
         order = canonical_interval_order(n)
         r = realizer_heuristic(order)
-        assert is_realizer(r, order.poset)
-        exact = exact_poset_dimension(order.poset, limit=4).dimension
+        assert is_realizer(r, order)
+        exact = exact_poset_dimension(order, limit=4).dimension
         assert len(r) >= exact
 
     def test_empty_and_single(self):
-        assert len(realizer_heuristic(IntervalOrder.build([]))) == 1
-        assert len(realizer_heuristic(IntervalOrder.build([(1, 2)]))) == 1
+        assert len(realizer_heuristic(interval_order([]))) == 1
+        assert len(realizer_heuristic(interval_order([(1, 2)]))) == 1
 
 
 def test_dimension_monotone_in_n():
     dims = [
-        exact_poset_dimension(canonical_interval_order(n).poset, limit=4).dimension
+        exact_poset_dimension(canonical_interval_order(n), limit=4).dimension
         for n in range(2, 8)
     ]
     assert all(b >= a for a, b in zip(dims, dims[1:]))

@@ -204,4 +204,4 @@ def test_interval_height_matches_poset_height():
         g = Graph.build(range(n), edges)
         sigma = list(g.vertices)
         rng.shuffle(sigma)
-        assert interval_height(g, sigma) == height(interval_order_from(g, sigma).poset)
+        assert interval_height(g, sigma) == height(interval_order_from(g, sigma))
