@@ -102,7 +102,8 @@ def normalize_lower_bound_family(
     fam: PermutationFamily, g: Graph, subset: MonotoneSubsetResult
 ) -> PermutationFamily:
     """Reverse and relocate members of a family of g^{1/2} so mids sit
-    between their endpoints.
+    between their endpoints.  A family over another ground set, or a
+    subset vertex outside g, is refused with ValueError.
 
     Members with direction -1 are reversed, so all of them list
     `subset.vertices` in the reference order, which is checked (ValueError
@@ -119,6 +120,7 @@ def normalize_lower_bound_family(
     directions = np.array(subset.directions)
     if directions.shape != (len(fam),):
         raise ValueError("subset needs exactly one direction per family member")
+    mid_of = _mid_of(fam, g, subset.vertices)
     index = {v: j for j, v in enumerate(fam.ground_set)}
     xs = [index[x] for x in subset.vertices]
     # ranks negated in reversed members, so every member lists xs increasingly
@@ -126,7 +128,6 @@ def normalize_lower_bound_family(
     if (np.diff(ranks[:, xs], axis=1) <= 0).any():
         raise ValueError("a member does not list the subset in the order its direction states")
 
-    mid_of = dict(zip(g.edges, subdivision_mids(g)))
     pairs = [
         (a, b, index[mid_of[e]]) for (a, x), (b, y) in combinations(zip(xs, subset.vertices), 2)
         if (e := make_edge(x, y)) in mid_of
@@ -150,16 +151,15 @@ def extract_realizer(
     fam: PermutationFamily, g: Graph, xs: tuple[int, ...]
 ) -> tuple[tuple, ...]:
     """One linear extension of C_|xs| per member of a family of g^{1/2},
-    ordered by mid ranks.
+    ordered by mid ranks.  A family over another ground set, or a vertex
+    of xs outside g, is refused with ValueError.
 
     For a normalized suitable family the extensions must reverse every
     incomparable pair, so the result is checked to be a realizer.
     """
-    p = len(xs)
-    cn = canonical_interval_order(p)
-
+    mid_of = _mid_of(fam, g, xs)
+    cn = canonical_interval_order(len(xs))
     pos = {v: j for j, v in enumerate(fam.ground_set)}
-    mid_of = dict(zip(g.edges, subdivision_mids(g)))
     mids = [pos[mid_of[make_edge(xs[a - 1], xs[b - 1])]] for a, b in cn.elements]
     realizer = tuple(
         tuple(cn.elements[i] for i in row)
@@ -168,6 +168,17 @@ def extract_realizer(
     if not is_realizer(realizer, cn):
         raise AssertionError("extracted extensions do not realize the canonical order")
     return realizer
+
+
+def _mid_of(fam: PermutationFamily, g: Graph, vertices) -> dict:
+    """{edge: its mid} of g, once `fam` is checked to be over g^{1/2}
+    (g's vertices, then its mids) and `vertices` to be vertices of g."""
+    mids = subdivision_mids(g)
+    if fam.ground_set != g.vertices + tuple(mids):
+        raise ValueError("family ground set is not the vertex set of g^(1/2)")
+    if not set(vertices) <= set(g.vertices):
+        raise ValueError("subset has a vertex outside the graph")
+    return dict(zip(g.edges, mids))
 
 
 def extraction_floor(target_size: int, r: int) -> int:
@@ -220,7 +231,10 @@ def lower_bound_harness(n: int, budget: int = DEFAULT_BUDGET) -> HarnessReport:
     vertices, is within `SEARCH_VERTEX_MAX` (10 vertices at n = 4, 15 at
     n = 5).  Above that the coloring construction is used, and checked
     only as the normalized family (construction-only mode).  Every family
-    meets the floor: `extraction_floor` is what the extraction keeps.
+    meets the floor, as `extraction_floor` is what the extraction keeps,
+    and has at least dim(C_p) members (the log-log bound when p > 7).
+    Both are asserted: a miss raises AssertionError naming the check, so
+    a returned report has floor_met and bound_holds True.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -238,17 +252,21 @@ def lower_bound_harness(n: int, budget: int = DEFAULT_BUDGET) -> HarnessReport:
         return HarnessReport(n, pi, exact, family)
 
     subset = common_monotone_subset(family, kn.vertices)
+    p = len(subset.vertices)
     floor = extraction_floor(n, len(family))
-    floor_met = len(subset.vertices) >= floor
+    if p < floor:
+        raise AssertionError(f"extraction floor: kept {p} vertices, below the floor {floor}")
     normalized = normalize_lower_bound_family(family, kn, subset)
     realizer = extract_realizer(normalized, kn, subset.vertices)
-    p = len(subset.vertices)
     dim_cp = None
     if p <= 7:  # C_7 takes 117 search nodes
         dim_cp = exact_poset_dimension(canonical_interval_order(p), limit=4).dimension
     lower = canonical_dimension_lower_bound(p)
-    bound_holds = len(family) >= (lower if dim_cp is None else dim_cp)
+    bound = lower if dim_cp is None else dim_cp
+    if len(family) < bound:
+        raise AssertionError(
+            f"dimension bound: {len(family)} members, below the bound {bound} on dim(C_{p})"
+        )
     return HarnessReport(
-        n, pi, exact, family, subset, floor, floor_met,
-        normalized, realizer, dim_cp, lower, bound_holds,
+        n, pi, exact, family, subset, floor, True, normalized, realizer, dim_cp, lower, True,
     )

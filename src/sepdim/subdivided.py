@@ -25,6 +25,7 @@ from .graphs import (
     subdivide,
     subdivision_mids,
 )
+from .posets import edge_intervals
 from .suitable3 import Suitable3Result, build_3_suitable_for
 
 
@@ -125,14 +126,12 @@ class SubdividedBoundResult:
 
 
 def interval_height(g: Graph, sigma) -> int:
-    """Height of g's interval order under σ, a sequence of g's vertex ids
-    (edge uv is the open interval between the σ-ranks of u and v), by the
-    greedy interval schedule: take intervals by right end, keeping each
-    that starts at or after the last kept end."""
-    rank = {v: i for i, v in enumerate(sigma)}
-    ends = sorted(sorted((rank[u], rank[v]), reverse=True) for u, v in g.edges)
+    """Height of g's interval order under σ, a sequence that lists each
+    vertex of g once (the order of its `edge_intervals`), by the greedy
+    interval schedule: take intervals by right end, keeping each that
+    starts at or after the last kept end."""
     chain, last = 0, 0
-    for right, left in ends:
+    for right, left in sorted((b, a) for a, b in edge_intervals(g, sigma)):
         if left >= last:
             chain, last = chain + 1, right
     return chain

@@ -414,6 +414,16 @@ def _no_realizer(module):
     return lambda monkeypatch: monkeypatch.setattr(module, "is_realizer", lambda *args: False)
 
 
+def _unreachable_floor(monkeypatch):
+    monkeypatch.setattr(lowerbound, "extraction_floor", lambda target_size, r: target_size + 1)
+
+
+def _dimension_above_family(monkeypatch):
+    real = lowerbound.exact_poset_dimension
+    monkeypatch.setattr(lowerbound, "exact_poset_dimension",
+                        lambda *args, **kw: dataclasses.replace(real(*args, **kw), dimension=99))
+
+
 ELAPSED = r"elapsed: \d+\.\d{3}s"
 SKIPPED = r"exact stage skipped: K_12\^\(1/2\) has more than 12 vertices"
 
@@ -440,6 +450,9 @@ CONTRACT = [
     (["bound-subdivision", "g.txt"], _short_lift, 4, ["internal error: .*"]),
     (["canonical-dim", "3"], _no_realizer(posets), 4, ["internal error: .*"]),
     (["lower-harness", "4"], _no_realizer(lowerbound), 4, ["internal error: .*"]),
+    (["lower-harness", "3"], _unreachable_floor, 4, ["internal error: extraction floor: .*"]),
+    (["lower-harness", "12"], _unreachable_floor, 4, ["internal error: extraction floor: .*"]),
+    (["lower-harness", "3"], _dimension_above_family, 4, ["internal error: dimension bound: .*"]),
 ]
 
 

@@ -256,6 +256,26 @@ class TestNormalizeAndExtract:
             with pytest.raises(ValueError, match="one direction per family member"):
                 normalize_lower_bound_family(fam, g, MonotoneSubsetResult((1, 2), directions))
 
+    def test_subset_vertex_outside_the_graph_is_refused(self):
+        g = Graph.from_edges([(1, 2)])
+        (mid,) = subdivision_mids(g)
+        fam = PermutationFamily.build(subdivide(g).vertices, [(1, mid, 2)])
+        with pytest.raises(ValueError, match="subset has a vertex outside the graph"):
+            normalize_lower_bound_family(fam, g, MonotoneSubsetResult((1, 7), (1,)))
+        with pytest.raises(ValueError, match="subset has a vertex outside the graph"):
+            extract_realizer(fam, g, (1, 7))
+
+    def test_family_over_another_ground_set_is_refused(self):
+        # a family of P2^(1/2) read against the path 1-2-3, whose mids differ
+        p2 = Graph.from_edges([(1, 2)])
+        (mid,) = subdivision_mids(p2)
+        fam = PermutationFamily.build(subdivide(p2).vertices, [(1, mid, 2)])
+        p3 = Graph.from_edges([(1, 2), (2, 3)])
+        with pytest.raises(ValueError, match="family ground set is not the vertex set"):
+            normalize_lower_bound_family(fam, p3, MonotoneSubsetResult((1, 2), (1,)))
+        with pytest.raises(ValueError, match="family ground set is not the vertex set"):
+            extract_realizer(fam, p3, (1, 2))
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(3, 9).flatmap(

@@ -54,10 +54,6 @@ class TestPoset:
         with pytest.raises(PosetError):
             Poset.build([1], [(1, 1)])
 
-    def test_incomparable_pairs(self):
-        p = Poset.build([1, 2, 3], [(1, 3)])
-        assert p.incomparable_pairs() == [(1, 2), (2, 3)]
-
 
 class TestHeight:
     def test_antichain(self):
@@ -84,7 +80,9 @@ class TestIntervalOrder:
         p = interval_order_from(g, (1, 2, 3))
         assert p.elements == ((1, 2), (1, 3), (2, 3))
         assert p.less((1, 2), (2, 3)) and not p.less((2, 3), (1, 2))
-        assert p.incomparable_pairs() == [((1, 2), (1, 3)), ((1, 3), (2, 3))]
+        incomparable = [(x, y) for x, y in combinations(p.elements, 2)
+                        if not p.less(x, y) and not p.less(y, x)]
+        assert incomparable == [((1, 2), (1, 3)), ((1, 3), (2, 3))]
 
     def test_edgeless(self):
         g = Graph.build([1, 2], [])
@@ -627,11 +625,20 @@ class TestHeuristic:
         r = realizer_heuristic(order)
         assert is_realizer(r, order)
         exact = exact_poset_dimension(order, limit=4).dimension
-        assert len(r) >= exact
+        assert len(r) == exact
 
     def test_empty_and_single(self):
         assert len(realizer_heuristic(interval_order([]))) == 1
         assert len(realizer_heuristic(interval_order([(1, 2)]))) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(1, 8)), unique=True, max_size=8))
+def test_heuristic_is_a_minimum_realizer(starts_and_lengths):
+    order = interval_order([(a, a + d) for a, d in starts_and_lengths])
+    r = realizer_heuristic(order)
+    assert is_realizer(r, order)
+    assert len(r) == exact_poset_dimension(order, limit=max(1, len(order))).dimension
 
 
 def test_dimension_monotone_in_n():

@@ -191,6 +191,21 @@ class TestColoredPipeline:
         assert colored_subdivision_family(g).family == colored_subdivision_family(g).family
 
 
+@pytest.mark.parametrize("sigma,match", [
+    ((4, 3, 2, 1, 1), "repeated"),
+    ((1, 2, 3, 4, 9), "cover"),
+    ((1, 2, 3), "cover"),
+])
+def test_interval_height_refuses_what_the_poset_refuses(sigma, match):
+    # σ must list each vertex of the path 1-2-3-4 once, for both readers
+    g = Graph.from_edges([(1, 2), (2, 3), (3, 4)])
+    with pytest.raises(ValueError, match=match) as from_height:
+        interval_height(g, sigma)
+    with pytest.raises(ValueError, match=match) as from_poset:
+        height(interval_order_from(g, sigma))
+    assert str(from_height.value) == str(from_poset.value)
+
+
 def test_interval_height_matches_poset_height():
     # the greedy chain over right endpoints against the height of the
     # materialised interval order, on seeded graphs and random orders
