@@ -22,16 +22,16 @@ handles.  The pairs left that share no vertex are sifted by the other
 members one at a time.  It holds O(BLOCK_ROWS * m) memory whatever the
 pair count, and stops at the first block with an unseparated pair.
 
-Both pair checks visit the members in bit-reversed index order (0,
-r/2, r/4, 3r/4, ...), so the dense prefix samples the whole family:
+The check visits the members in bit-reversed index order (0, r/2,
+r/4, 3r/4, ...), so the dense prefix samples the whole family:
 constructions list their members in groups (the star cover forest by
 forest), and one group alone leaves many pairs for the sift.  The pairs
 no member separates are the same in any order, so the verdict and the
 counterexample are too.
 
-These checks serve families that come with no proof: `verify` on a
-user's family, `bound-subdivision` and the tests.  A star-cover family
-is certified from its construction's premises instead
+It is the one pair check.  It serves families that come with no proof:
+`verify` on a user's family, `bound-subdivision` and the tests.  A
+star-cover family is certified from its construction's premises instead
 (`starcover.certify_star_cover`), in time linear in its size.
 
 `family_from_json` returns a family and the document's other fields.
@@ -172,15 +172,12 @@ class PermutationFamily:
 
 @dataclass(frozen=True)
 class SeparationWitness:
-    """Verification verdict: Ok, or the offending disjoint edge pair.
-
-    `verification` says how the verdict was reached: "exhaustive" (every
-    disjoint edge pair) or "sampled" (a uniform sample of them).
-    """
+    """Verdict of the exhaustive pair check, which visits every disjoint
+    edge pair: Ok, or the lexicographically smallest pair no member
+    separates."""
 
     ok: bool
     counterexample: tuple[Edge, Edge] | None = None
-    verification: str = "exhaustive"
 
     def __bool__(self) -> bool:
         return self.ok
@@ -315,18 +312,14 @@ def _to_ids(fam: PermutationFamily, edges: np.ndarray, i: int, j: int) -> tuple[
     return (ground[a], ground[b]), (ground[c], ground[d])
 
 
-def _check_ground_set(fam: PermutationFamily, g: Graph) -> None:
-    if fam.ground_set != g.vertices:
-        raise ValueError("family ground set does not match graph vertices")
-
-
 def verify_pairwise_suitable(fam: PermutationFamily, g: Graph) -> SeparationWitness:
     """Exhaustive check; returns the lexicographically smallest counterexample.
 
     Blocks and `np.flatnonzero` both run in (i, j) order, and sifting
     keeps that order, so the first survivor found is the smallest pair.
     """
-    _check_ground_set(fam, g)
+    if fam.ground_set != g.vertices:
+        raise ValueError("family ground set does not match graph vertices")
     edges = g.edge_positions
     ends = edges.T.copy()
     lo, hi = _edge_intervals(fam, edges)
@@ -366,40 +359,12 @@ def verify_pairwise_suitable(fam: PermutationFamily, g: Graph) -> SeparationWitn
 def verify_pairwise_suitable_sampled(
     fam: PermutationFamily, g: Graph, samples: int, seed: int
 ) -> SeparationWitness:
-    """Check a uniform sample of disjoint edge pairs: evidence, not a
-    proof.  No command runs it; `bound-degenerate` certifies its family."""
-    _check_ground_set(fam, g)
-    if samples < 1:
-        raise ValueError("a sampled check needs at least one sample")
-    m = g.num_edges
-    if m < 2:
-        return SeparationWitness(True)
-    rng = np.random.default_rng(seed)
-    edges = g.edge_positions
-    ends = edges.T.copy()
-    ii = jj = np.empty(0, dtype=np.int64)
-    rounds = 0
-    while ii.size < samples:
-        rounds += 1
-        if rounds > 64:
-            # Almost all candidate pairs share a vertex; the exhaustive
-            # check is cheap in that regime.
-            return verify_pairwise_suitable(fam, g)
-        want = samples - ii.size
-        a = rng.integers(0, m, size=2 * want + 16)
-        b = rng.integers(0, m, size=2 * want + 16)
-        keep = a < b
-        a, b = a[keep], b[keep]
-        keep = _disjoint(ends, a, b)
-        ii = np.concatenate([ii, a[keep][:want]])
-        jj = np.concatenate([jj, b[keep][:want]])
-    lo, hi = _edge_intervals(fam, edges)
-    ii, jj = _overlapping(lo, hi, ii, jj)
-    if not ii.size:
-        return SeparationWitness(True, verification="sampled")
-    # Edges are sorted, so the smallest index pair is the smallest edge pair.
-    t = np.lexsort((jj, ii))[0]
-    return SeparationWitness(False, _to_ids(fam, edges, ii[t], jj[t]), "sampled")
+    """`verify_pairwise_suitable(fam, g)`; `samples` and `seed` are ignored.
+
+    No command runs this.  The name stays only for the benchmark's table
+    of traced functions, until ROADMAP item 5 deletes it.
+    """
+    return verify_pairwise_suitable(fam, g)
 
 
 def verify_k_suitable(fam: PermutationFamily, k: int) -> bool:

@@ -216,12 +216,10 @@ class HarnessReport:
     family: PermutationFamily | None
     subset: MonotoneSubsetResult | None = None
     floor: int | None = None
-    floor_met: bool | None = None
     normalized: PermutationFamily | None = None
     realizer: tuple[tuple, ...] | None = None
     canonical_dimension: int | None = None
     canonical_lower_bound: int | None = None
-    bound_holds: bool | None = None
 
 
 def lower_bound_harness(n: int, budget: int = DEFAULT_BUDGET) -> HarnessReport:
@@ -234,7 +232,7 @@ def lower_bound_harness(n: int, budget: int = DEFAULT_BUDGET) -> HarnessReport:
     meets the floor, as `extraction_floor` is what the extraction keeps,
     and has at least dim(C_p) members (the log-log bound when p > 7).
     Both are asserted: a miss raises AssertionError naming the check, so
-    a returned report has floor_met and bound_holds True.
+    every returned report meets both.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -267,6 +265,4 @@ def lower_bound_harness(n: int, budget: int = DEFAULT_BUDGET) -> HarnessReport:
         raise AssertionError(
             f"dimension bound: {len(family)} members, below the bound {bound} on dim(C_{p})"
         )
-    return HarnessReport(
-        n, pi, exact, family, subset, floor, True, normalized, realizer, dim_cp, lower, True,
-    )
+    return HarnessReport(n, pi, exact, family, subset, floor, normalized, realizer, dim_cp, lower)

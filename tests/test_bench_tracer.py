@@ -50,3 +50,25 @@ def test_install_wraps_every_target_and_uninstall_restores_it(monkeypatch):
         assert now.keys() == old.keys(), space
         changed = [name for name in old if now[name] is not old[name]]
         assert not changed, (space, changed)
+
+
+def test_sampled_check_counts_every_disjoint_pair(monkeypatch):
+    # the sampled name runs the exhaustive check, so a traced call counts
+    # every disjoint edge pair as both total and checked
+    monkeypatch.syspath_prepend(str(BENCH))
+    layers = importlib.import_module("layers")
+    fams = sys.modules["sepdim.families"]
+    g = Graph.from_edges([(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (1, 4)])
+    disjoint = sum(not set(e) & set(f) for i, e in enumerate(g.edges) for f in g.edges[i + 1:])
+    fam = fams.PermutationFamily.build(g.vertices, [(1, 2, 3, 4, 5, 6)])
+    tracer = layers.Tracer()
+    try:
+        tracer.install()
+        tracer.begin_op("probe")
+        fams.verify_pairwise_suitable_sampled(fam, g, 3, 0)
+        tracer.end_op(0.0)
+    finally:
+        tracer.uninstall()
+    counts = tracer.ops[0]["counts"]
+    assert disjoint > 3
+    assert counts["families.pairs_total"] == counts["families.pairs_checked"] == disjoint

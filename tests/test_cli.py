@@ -424,6 +424,17 @@ def _dimension_above_family(monkeypatch):
                         lambda *args, **kw: dataclasses.replace(real(*args, **kw), dimension=99))
 
 
+def _raising(exc_type, *args):
+    """A patch under which the star cover raises exc_type(*args)."""
+    def patch(monkeypatch):
+        def fail(g):
+            raise exc_type(*args)
+
+        monkeypatch.setattr(cli, "degenerate_family", fail)
+
+    return patch
+
+
 ELAPSED = r"elapsed: \d+\.\d{3}s"
 SKIPPED = r"exact stage skipped: K_12\^\(1/2\) has more than 12 vertices"
 
@@ -453,6 +464,10 @@ CONTRACT = [
     (["lower-harness", "3"], _unreachable_floor, 4, ["internal error: extraction floor: .*"]),
     (["lower-harness", "12"], _unreachable_floor, 4, ["internal error: extraction floor: .*"]),
     (["lower-harness", "3"], _dimension_above_family, 4, ["internal error: dimension bound: .*"]),
+    # an unexpected exception never exits 1, the counterexample code
+    (["bound-degenerate", "g.txt"], _raising(MemoryError), 3, ["budget exceeded: out of memory"]),
+    (["bound-degenerate", "g.txt"], _raising(TypeError, "boom"), 4,
+     ["internal error: TypeError: boom"]),
 ]
 
 

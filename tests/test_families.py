@@ -153,10 +153,17 @@ class TestVerifyPairwiseSuitable:
         assert verify_pairwise_suitable(fam, g) == SeparationWitness(True)
         assert verify_pairwise_suitable_sampled(fam, g, 10, seed=0).ok
 
-    def test_sampled_needs_a_sample(self):
-        fam = PermutationFamily.build([1, 2, 3, 4], [(1, 2, 3, 4)])
-        with pytest.raises(ValueError, match="sample"):
-            verify_pairwise_suitable_sampled(fam, C4, 0, seed=0)
+    @pytest.mark.parametrize("samples", [0, 1, 10**6])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_sampled_is_the_exhaustive_check(self, samples, seed):
+        # the sampled name ignores its sample count and seed
+        suitable = PermutationFamily.build([1, 2, 3, 4], [(1, 2, 3, 4), (2, 3, 4, 1)])
+        failing = PermutationFamily.build([1, 2, 3, 4], [(1, 3, 2, 4)])
+        for fam in (suitable, failing):
+            expected = verify_pairwise_suitable(fam, C4)
+            assert verify_pairwise_suitable_sampled(fam, C4, samples, seed) == expected
+        assert verify_pairwise_suitable(suitable, C4).ok
+        assert not verify_pairwise_suitable(failing, C4).ok
 
     def test_empty_family_many_blocks(self):
         # no member: the first disjoint pair, with shared-vertex pairs skipped
@@ -204,9 +211,8 @@ class TestVerifyPairwiseSuitable:
         else:
             assert (i, j) == (BLOCK_ROWS - 1, BLOCK_ROWS)
         assert verify_pairwise_suitable(fam, g).counterexample == (e, f)
-        # 200,000 draws over about 44,000 disjoint pairs hit the planted one
         sampled = verify_pairwise_suitable_sampled(fam, g, 200_000, seed=1)
-        assert sampled == SeparationWitness(False, (e, f), "sampled")
+        assert sampled == SeparationWitness(False, (e, f))
 
     def test_memory_bounded_by_block(self):
         # 4.5 million edge pairs: materialised as int64 rows they alone
@@ -534,13 +540,7 @@ def test_verifiers_against_brute_oracle(graph_family, samples, seed):
     witness = verify_pairwise_suitable(fam, g)
     assert witness.ok == (expected is None)
     assert witness.counterexample == expected
-    sampled = verify_pairwise_suitable_sampled(fam, g, samples, seed)
-    if expected is None:
-        assert sampled.ok
-    if not sampled.ok:
-        e, f = sampled.counterexample
-        assert e in g.edges and f in g.edges and not set(e) & set(f)
-        assert not any(separates(m, e, f) for m in fam.id_orders())
+    assert verify_pairwise_suitable_sampled(fam, g, samples, seed) == witness
 
 
 @settings(max_examples=60)
