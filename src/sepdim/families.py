@@ -35,17 +35,17 @@ star-cover family is certified from its construction's premises instead
 (`starcover.certify_star_cover`), in time linear in its size.
 
 `family_from_json` returns a family and the document's other fields.
-A compact document (ASCII, no backslash, a `permutations` list without
-spaces, ids without a leading zero and below ID_TABLE_SPAN * n, such as
-`family_to_json` writes for vertices 0..n-1 or 1..n) is read by
-`_family_arrays`: numpy checks and parses the members' r * n ids
-straight into one (r, n) array, which maps to positions through one
-table gather, and `json.loads` parses the rest, the n ids of the ground
-set among it; `json.loads` of the member lists builds one Python int per
-id and one list per member, which costs several times the reader's
-pass.  Every other document, and any the reader doubts (sparse ids
-among them), takes the JSON path, which builds the same family and
-raises the same errors.
+A compact document (ASCII, no backslash, the `"permutations":` key once,
+its list without spaces, ids without a leading zero and below
+ID_TABLE_SPAN * n, such as `family_to_json` writes for vertices 0..n-1
+or 1..n) is read by `_family_arrays`: numpy checks and parses the
+members' r * n ids straight into one (r, n) array, which maps to
+positions through one table gather, and `json.loads` parses the rest,
+the n ids of the ground set among it; `json.loads` of the member lists
+builds one Python int per id and one list per member, which costs
+several times the reader's pass.  Every other document, and any the
+reader doubts (sparse ids among them), takes the JSON path, which builds
+the same family and raises the same errors.
 """
 
 from __future__ import annotations
@@ -400,32 +400,29 @@ def family_json_parts(
     """The canonical JSON text of a family, in parts to write one by one.
 
     The text is `json.dumps` of the document with sorted keys and no
-    spaces; `extra` (string keys) adds to or replaces its entries, and
-    `seed` is null unless `extra` sets it.  The id lists are joined from
-    each id's decimal string, member by member.  The permutations come
-    in parts of about JSON_PART_CHARS characters, so a writer holds one
-    part at a time and not the whole text; a smaller document is one
-    part.
+    spaces: the fields that sort before `permutations`, the id lists,
+    then the fields after them.  `extra` (string keys) adds fields and
+    may set `seed`, which is null otherwise; it may not set `n`,
+    `ground_set` or `permutations` (ValueError), which the family
+    holds.  The id lists are joined from each id's decimal string,
+    member by member, in parts of about JSON_PART_CHARS characters, so a
+    writer holds one part at a time and not the whole text; a smaller
+    document is one part.
     """
-    ids = np.array(list(map(str, fam.ground_set)), dtype=object)
-    fields = {
-        "n": str(len(ids)),
-        "ground_set": "[" + ",".join(ids.tolist()) + "]",
-        "permutations": _rows_json(ids, fam.orders) if len(fam) else "[]",
-        "seed": "null",
-        "generator": json.dumps(generator),
-    }
-    for key, value in (extra or {}).items():
-        fields[key] = json.dumps(value, sort_keys=True, separators=(",", ":"))
-    lead = "{"
-    for key, value in sorted(fields.items()):
-        yield f"{lead}{json.dumps(key)}:"
-        lead = ","
-        if isinstance(value, str):
-            yield value
-        else:
-            yield from value
-    yield "}\n"
+    extra = extra or {}
+    for key in ("n", "ground_set", "permutations"):
+        if key in extra:
+            raise ValueError(f"extra may not set the family's own {key!r}")
+    doc = {"n": len(fam.ground_set), "ground_set": fam.ground_set, "seed": None, "generator": generator,
+           **extra}
+    head = {key: value for key, value in doc.items() if key < "permutations"}
+    tail = {key: value for key, value in doc.items() if key > "permutations"}
+    yield json.dumps(head, sort_keys=True, separators=(",", ":"))[:-1] + ',"permutations":'
+    if len(fam):
+        yield from _rows_json(np.array(list(map(str, fam.ground_set)), dtype=object), fam.orders)
+    else:
+        yield "[]"
+    yield "," + json.dumps(tail, sort_keys=True, separators=(",", ":"))[1:] + "\n"
 
 
 def _rows_json(ids: np.ndarray, orders: np.ndarray) -> Iterator[str]:
@@ -447,15 +444,15 @@ def family_from_json(text: str) -> tuple[PermutationFamily, dict]:
     family holds).
 
     A compact document goes through `_family_arrays`: ASCII text without
-    a backslash, one object without repeated keys, `"permutations":`
-    followed by `[[id,...],...]` without spaces, each id without a
-    leading zero and below ID_TABLE_SPAN * n.  numpy checks and parses
-    that list straight into one id array, and `json.loads` reads only
-    the rest: on the whole text it would build a Python int per id and
-    a list per member, the larger part of the cost.  Every other
-    document, and any the reader doubts, goes through
-    `_family_from_lists` (`json.loads` of the whole text).  Both give
-    the same family and fields, and the same errors.
+    a backslash, the `"permutations":` key once, followed by
+    `[[id,...],...]` without spaces, each id without a leading zero and
+    below ID_TABLE_SPAN * n.  numpy checks and parses that list straight
+    into one id array, and `json.loads` reads only the rest: on the
+    whole text it would build a Python int per id and a list per member,
+    the larger part of the cost.  Every other document, and any the
+    reader doubts, goes through `_family_from_lists` (`json.loads` of
+    the whole text).  Both give the same family and fields, and the same
+    errors.
     """
     return _family_arrays(text) or _family_from_lists(text)
 
@@ -479,13 +476,16 @@ def _family_arrays(text: str) -> tuple[PermutationFamily, dict] | None:
     None for any other document.
 
     The text must be ASCII without a backslash, so every `"` delimits a
-    string and the key token `"permutations":` cannot sit inside one.
-    The first `"permutations":` must be followed by a list of id lists
-    in the grammar of `_id_rows`, up to the first `]]`.  That list is
-    replaced by `null` and the rest goes through `json.loads`, which
-    checks the outer document and returns the ground set and the other
-    fields; the hook admits one object without repeated keys, so the
-    null is the value of its `permutations`.  The reader also doubts a
+    string, and must hold the string `"permutations"` once: as the key
+    token `"permutations":`, followed by a list of id lists in the
+    grammar of `_id_rows`, up to the first `]]`.  That list is replaced
+    by `null` and the rest goes through `json.loads`, which checks the
+    outer document and returns the ground set and the other fields.  Its
+    top level must hold the null as `permutations`; no other
+    `permutations` key exists (one spelled `"permutations" :` among
+    them), so the id lists are the document's, and `json.loads` takes
+    the last of any other repeated key, as the JSON path does.  Nested
+    objects are plain field values.  The reader also doubts a
     ground set that is not a strictly increasing list of n >= 1
     non-negative ints (bools excluded), members whose length is not n,
     an `n` field other than the int n, and an id at or above ID_TABLE_SPAN * n
@@ -501,29 +501,19 @@ def _family_arrays(text: str) -> tuple[PermutationFamily, dict] | None:
     key = b'"permutations":'
     at = data.find(key)
     stop = data.find(b"]]", at)
-    if at < 0 or stop < 0:
+    if at < 0 or stop < 0 or data.count(b'"permutations"') != 1:
         return None
     start, stop = at + len(key), stop + 2
-    objects = []
-
-    def one_object(pairs):
-        fields = dict(pairs)
-        if objects or len(fields) != len(pairs):
-            raise ValueError("a nested object or a repeated key")
-        objects.append(fields)
-        return fields
-
     try:
-        fields = json.loads(b"null".join((data[:start], data[stop:])), object_pairs_hook=one_object)
+        fields = json.loads(b"null".join((data[:start], data[stop:])))
     except (ValueError, RecursionError):
         return None
     members = data[start:stop]
     del data  # the member list is the one copy of the text kept
-    if not isinstance(fields, dict):
+    if not isinstance(fields, dict) or fields.pop("permutations", 0) is not None:
         return None
     ids = _id_rows(members)
     ground = fields.pop("ground_set", None)
-    del fields["permutations"]
     if ids is None or not isinstance(ground, list):
         return None
     n = len(ground)

@@ -10,8 +10,10 @@ flip bits is kept with the family, because 3-suitability follows from
 two properties of that matrix alone (`certify_3_suitable`).  Its
 columns are Kleitman and Spencer's, the most that t rows allow with
 every two columns showing all four bit patterns, so no flip matrix the
-certificate accepts for n positions has fewer rows.  Every base
-`build_3_suitable_for` returns has passed that certificate, at every n.
+certificate accepts for n positions has fewer rows.  The builder does
+not run the certificate itself: the check of the family built on a base
+does (`starcover.certify_star_cover`, or the exhaustive pair check of
+the subdivision and lower-bound families).
 
 The table holds minimum witnesses over 4 and 6 positions.  Deleting
 positions keeps a family 3-suitable, so their restrictions to the first
@@ -126,7 +128,7 @@ def certify_3_suitable(base: Suitable3Result) -> None:
 
 
 def build_3_suitable_for(ids) -> Suitable3Result:
-    """Certified 3-suitable family over an arbitrary id universe.
+    """3-suitable family over an arbitrary id universe.
 
     Members order the ids by position in the sorted universe; the result
     depends only on how many ids there are.
@@ -134,12 +136,9 @@ def build_3_suitable_for(ids) -> Suitable3Result:
     ids = tuple(sorted(set(ids)))
     n = len(ids)
     if n <= EXACT_LIMIT:
-        result = Suitable3Result(PermutationFamily(ids, _minimum_orders(n)), "exact")
-    else:
-        flips = _kleitman_spencer_flips(n)
-        result = Suitable3Result(PermutationFamily(ids, lex_xor_orders(flips, n)), "kleitman-spencer", flips)
-    certify_3_suitable(result)
-    return result
+        return Suitable3Result(PermutationFamily(ids, _minimum_orders(n)), "exact")
+    flips = _kleitman_spencer_flips(n)
+    return Suitable3Result(PermutationFamily(ids, lex_xor_orders(flips, n)), "kleitman-spencer", flips)
 
 
 def _minimum_orders(n: int) -> np.ndarray:

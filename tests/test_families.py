@@ -618,14 +618,25 @@ def random_families(draw):
     return PermutationFamily.build(ids, members)
 
 
+FAMILY_KEYS = ["n", "ground_set", "permutations"]
+
+
 @settings(max_examples=200, deadline=None)
 @given(random_families(), st.text(max_size=6),
        st.none() | st.dictionaries(
-           st.sampled_from(["n", "seed", "ground_set", "permutations", "a", "zz", "é"])
-           | st.text(max_size=4), json_values, max_size=4))
+           st.sampled_from(["seed", "a", "zz", "é"])
+           | st.text(max_size=4).filter(lambda key: key not in FAMILY_KEYS), json_values, max_size=4))
 def test_family_to_json_matches_json_dumps(fam, generator, extra):
     assert family_to_json(fam, generator=generator, extra=extra) \
         == json_reference(fam, generator, extra)
+
+
+@pytest.mark.parametrize("key", FAMILY_KEYS)
+def test_extra_may_not_set_the_familys_own_fields(key):
+    # the written file would not hold its family
+    fam = PermutationFamily.build([0, 1], [(1, 0)])
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        family_to_json(fam, extra={key: 1})
 
 
 def test_family_to_json_empty_family():
@@ -742,6 +753,15 @@ def read_outcome(read, text):
 # ids with n = 3, which flatten to 2 x 3
 @example('{"generator":"","ground_set":[0,1],"n":2,"permutations":[[0,1]],"permutations":[[1,0]],"seed":null}')
 @example('{"generator":"","ground_set":[0,1,2],"n":3,"permutations":[[0,1],[2,1,0,1]],"seed":null}')
+# a nested object beside a compact top-level list, and a repeated seed:
+# the array reader, json.loads taking the last seed
+@example('{"generator":"","ground_set":[0,1],"n":2,"permutations":[[1,0]],"x":{"a":[[0,1]]},"seed":null}')
+@example('{"generator":"","ground_set":[0,1],"n":2,"permutations":[[1,0]],"seed":1,"seed":2}')
+# the only "permutations": sits in a nested object: the JSON path's error
+@example('{"generator":"","ground_set":[0,1],"n":2,"x":{"permutations":[[1,0]]},"seed":null}')
+# a second top-level key spelled with a space, after the compact list:
+# the later null is the document's permutations, and the JSON path's error
+@example('{"generator":"","ground_set":[0,1],"n":2,"permutations":[[1,0]],"permutations" :null,"seed":null}')
 def test_family_reader_matches_json_lists(text):
     # the JSON-list path is the specification: the same family and
     # fields, or the same error, whichever path the document takes
@@ -757,9 +777,12 @@ def test_compact_documents_take_the_array_reader():
         read, fields = _family_arrays(text)
         assert read == fam
         assert family_from_json(text) == (fam, {"n": 4, "seed": fields["seed"], "generator": fields["generator"]})
-    # indented, or with a nested object: the JSON path
-    for text in (json.dumps(json.loads(bench), indent=1), bench.replace('"seed":1', '"seed":{"a":1}')):
-        assert _family_arrays(text) is None and family_from_json(text)[0] == fam
+    # indented: the JSON path; a nested object is a plain field value
+    text = json.dumps(json.loads(bench), indent=1)
+    assert _family_arrays(text) is None and family_from_json(text)[0] == fam
+    text = bench.replace('"seed":1', '"seed":{"a":1}')
+    assert _family_arrays(text) == _family_from_lists(text) \
+        == (fam, {"n": 4, "seed": {"a": 1}, "generator": "bench-random"})
     # an id at the table limit, or of 19 digits: the JSON path
     for ids in ([1, ID_TABLE_SPAN * 2], [1, 10**18]):
         wide = PermutationFamily.build(ids, [ids[::-1]])
