@@ -9,11 +9,26 @@ before e", and t = 1, 2, ... members are tried up to the limit.  Each
 witness member is the smallest-first linear extension of its relation.
 The result is the first minimum family in the engine's search order;
 there is no filter over witnesses.
+
+Member 0 lists each twin class in increasing id order: the engine takes
+those chains as its first order's own base.  Twins are vertices u != v
+with N(u) - {v} = N(v) - {u}: open twins (equal neighbourhoods, not
+adjacent) or closed twins (equal closed neighbourhoods, adjacent).  On
+the non-isolated vertices this is an equivalence: a vertex v with a
+closed twin u and an open twin w would have u in N(v) - {w} = N(w), so
+w in N(u) - {v} = N(v), yet open twins are not adjacent.  Any
+permutation of one class is an automorphism that fixes every other
+vertex, so the classes can be sorted all at once, and an automorphism
+maps disjoint edge pairs onto disjoint edge pairs.  So applying it to
+every member of a minimum family gives one of the same size that is
+still pairwise suitable and whose member 0 lists every class in
+increasing id order.  A graph without twins searches as before.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .families import PermutationFamily, disjoint_edge_pairs
 from .graphs import Graph
@@ -65,9 +80,30 @@ def exact_separation_dimension(
     for e, f in pairs:
         e, f = (index[e[0]], index[e[1]]), (index[f[0]], index[f[1]])
         requirements.append(((e, f), (f, e)))
-    t, relations, nodes = _dimension_dfs([0] * n, requirements, 1, limit, budget)
+    t, relations, nodes = _dimension_dfs(
+        [0] * n, requirements, 1, limit, budget, _twin_chains(g, index)
+    )
     if t is None:
         return ExactSearchResult(None, None, nodes)
     members = [[core[i] for i in _topo_indices(up, n)] + isolated for up in relations]
     return ExactSearchResult(t, PermutationFamily.build(g.vertices, members), nodes)
 
+
+def _twin_chains(g: Graph, index: dict) -> list[int] | None:
+    """Each twin class of the indexed vertices as a chain in index order,
+    as closed bitset rows; None when no class has two members.  Open
+    twins have equal neighbourhoods, closed twins equal closed ones."""
+    nbrs = [0] * len(index)
+    for u, v in g.edges:
+        nbrs[index[u]] |= 1 << index[v]
+        nbrs[index[v]] |= 1 << index[u]
+    open_twins, closed_twins = {}, {}
+    for i, row in enumerate(nbrs):
+        open_twins.setdefault(row, []).append(i)
+        closed_twins.setdefault(row | 1 << i, []).append(i)
+    # a vertex is in at most one class of two or more, so the rows are closed
+    up = [0] * len(index)
+    for members in chain(open_twins.values(), closed_twins.values()):
+        for a, i in enumerate(members):
+            up[i] |= sum(1 << k for k in members[a + 1:])
+    return up if any(up) else None

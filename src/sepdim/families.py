@@ -404,25 +404,38 @@ def family_json_parts(
     then the fields after them.  `extra` (string keys) adds fields and
     may set `seed`, which is null otherwise; it may not set `n`,
     `ground_set` or `permutations` (ValueError), which the family
-    holds.  The id lists are joined from each id's decimal string,
-    member by member, in parts of about JSON_PART_CHARS characters, so a
-    writer holds one part at a time and not the whole text; a smaller
-    document is one part.
+    holds.  The ground set and the id lists are joined from one decimal
+    string per id, made once; the id lists member by member, in parts
+    of about JSON_PART_CHARS characters, so a writer holds one part at
+    a time and not the whole text; a smaller document is one part.
     """
     extra = extra or {}
     for key in ("n", "ground_set", "permutations"):
         if key in extra:
             raise ValueError(f"extra may not set the family's own {key!r}")
-    doc = {"n": len(fam.ground_set), "ground_set": fam.ground_set, "seed": None, "generator": generator,
-           **extra}
-    head = {key: value for key, value in doc.items() if key < "permutations"}
-    tail = {key: value for key, value in doc.items() if key > "permutations"}
-    yield json.dumps(head, sort_keys=True, separators=(",", ":"))[:-1] + ',"permutations":'
+    doc = {"n": len(fam.ground_set), "seed": None, "generator": generator, **extra}
+    ids = list(map(str, fam.ground_set))  # for the ground set and the id lists
+    head = (
+        _fields_json({key: value for key, value in doc.items() if key < "ground_set"}),
+        '"ground_set":[' + ",".join(ids) + "]",
+        _fields_json({key: value for key, value in doc.items() if "ground_set" < key < "permutations"}),
+    )
+    yield "{" + ",".join(filter(None, head)) + ',"permutations":'
     if len(fam):
-        yield from _rows_json(np.array(list(map(str, fam.ground_set)), dtype=object), fam.orders)
+        yield from _rows_json(np.array(ids, dtype=object), fam.orders)
     else:
         yield "[]"
-    yield "," + json.dumps(tail, sort_keys=True, separators=(",", ":"))[1:] + "\n"
+    # `seed` always sorts here, so the tail is never empty
+    yield "," + _fields_json({key: value for key, value in doc.items() if key > "permutations"}) + "}\n"
+
+
+_FIELDS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _fields_json(fields: dict) -> str:
+    """The members of `json.dumps(fields)` with sorted keys and no
+    spaces, without the braces; empty for no fields."""
+    return _FIELDS_ENCODER.encode(fields)[1:-1]
 
 
 def _rows_json(ids: np.ndarray, orders: np.ndarray) -> Iterator[str]:

@@ -14,7 +14,8 @@ requirements.  It has two users.  Poset dimension runs it on the
 poset with one requirement per critical pair, that pair reversed (a
 realizer is exactly a set of linear extensions that reverses every
 critical pair); separation dimension (`sepdim.exact`) runs it on the
-empty order over a graph's vertices.  The constructions run no search:
+empty order over a graph's vertices, with its twin classes as chains
+in the first order's own base.  The constructions run no search:
 their minimum 3-suitable bases come from a table in `sepdim.suitable3`.
 """
 
@@ -240,7 +241,9 @@ def exact_poset_dimension(
     return PosetDimensionResult(t, realizer, nodes)
 
 
-def _dimension_dfs(base_up: list[int], requirements, first_t: int, limit: int, budget: int):
+def _dimension_dfs(
+    base_up: list[int], requirements, first_t: int, limit: int, budget: int, first_up=None
+):
     """Fewest strict orders, from `first_t` up to `limit`, that extend a
     base order and meet every requirement.
 
@@ -267,6 +270,17 @@ def _dimension_dfs(base_up: list[int], requirements, first_t: int, limit: int, b
     meets every requirement it met through the mirrored alternatives,
     so some solution takes (X, Y) on that member.
 
+    `first_up`, when given, is order 0's own base: it extends the base
+    and is transitively closed.  Order 0 starts from it and counts as
+    touched from the start, and requirements it meets are dropped; the
+    other orders keep the base.  The caller vouches that some solution,
+    if any exists, has an order 0 that extends `first_up` (`sepdim.exact`
+    fixes twin classes there).  The rules above stay sound, because
+    they act on orders 1..t-1 alone: permuting those orders, or
+    reversing one of them while the base is empty, maps such a solution
+    to one whose order 0 is the same.  So the first untouched order
+    stands for all of them, and the mirror skip applies to it.
+
     Requirement state is kept across commit and rollback instead of
     being rescanned at every node.  Since a commit only ever goes to a
     touched order or to the first untouched one, the touched orders are
@@ -279,7 +293,8 @@ def _dimension_dfs(base_up: list[int], requirements, first_t: int, limit: int, b
     once it is met: its fitting alternatives on orders 0..j-1, plus its
     untouched-order ones (mirror skip applied) on order j while j < t.
     The base statuses are computed once; requirements the base meets
-    are dropped, and the rest seed an order when it is first touched.
+    are dropped, and the rest seed an order when it is first touched
+    (order 0 is seeded from `first_up`, when given, at the start).
     A commit on order k recomputes, on k only, the unmet requirements
     it can change: those with an alternative that puts, opposite some
     element a, an element that a's row gained.  The old statuses and
@@ -305,15 +320,23 @@ def _dimension_dfs(base_up: list[int], requirements, first_t: int, limit: int, b
     )
     # base statuses of the requirements the base leaves unmet, on a
     # touched order (`seed`) and on the first untouched one (`fresh`)
-    seed = []
+    # (`first`: on order 0's own base; a requirement it meets is dropped)
+    seed, first = [], []
     for req in requirements:
         status = _fitting(base_up, [
             (xs, sum(1 << x for x in xs), ys, sum(1 << y for y in ys),
              symmetric and (ys, xs) in req[:i])
             for i, (xs, ys) in enumerate(req)
         ])
-        if status is not None:
-            seed.append(status)
+        if status is None:
+            continue
+        if first_up is not None:
+            # an alternative that does not fit the base fits no extension
+            first_status = _fitting(first_up, status)
+            if first_status is None:
+                continue
+            first.append(first_status)
+        seed.append(status)
     fresh = [[alt for alt in status if not alt[4]] for status in seed]
     # mentions[a][r]: the elements requirement r's alternatives put
     # opposite a; r's status can change only when row a gains one of them
@@ -334,6 +357,11 @@ def _dimension_dfs(base_up: list[int], requirements, first_t: int, limit: int, b
         statuses = [None] * t
         j = 0
         counts = [len(f) for f in fresh]
+        if first_up is not None:
+            ups[0] = list(first_up)
+            statuses[0] = list(first)
+            j = 1
+            counts = [len(s) + (len(f) if t > 1 else 0) for s, f in zip(first, fresh)]
         # one frame per expanded node on the current path: its untried
         # candidates, and the undo record of the child explored
         stack = []

@@ -185,8 +185,11 @@ class TestExact:
         assert main(["exact", str(path), "--budget", "5"]) == 3
 
     def test_budget_bounds_three_members(self, tmp_path, capsys):
-        path = tmp_path / "k44.txt"
-        path.write_text("".join(f"{i} {j}\n" for i in range(1, 5) for j in range(5, 9)))
+        # the Petersen graph has no twins, and three members take 8,521 nodes
+        path = tmp_path / "petersen.txt"
+        path.write_text("".join(
+            f"{i + 1} {(i + 1) % 5 + 1}\n{i + 6} {(i + 2) % 5 + 6}\n{i + 1} {i + 6}\n" for i in range(5)
+        ))
         assert main(["exact", str(path), "--budget", "1000"]) == 3
         assert "budget exceeded" in capsys.readouterr().err
 

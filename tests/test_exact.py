@@ -2,13 +2,14 @@
 
 import random
 from functools import reduce
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 from operator import or_
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from sepdim import exact
 from sepdim.exact import (
     SearchBudgetExceeded,
     exact_separation_dimension,
@@ -252,13 +253,15 @@ def test_three_members_on_eight_and_ten_vertices(edges):
 
 
 def test_complete_graph_dimension_nondecreasing():
+    # K_n is one twin class, so member 0 is the identity: K7 takes 1,374
+    # nodes (3,783,296 without the fixing) and K8 1,877
     values = []
-    for n in (3, 4, 5, 6):
-        r = exact_separation_dimension(complete(n), limit=5)
+    for n in (3, 4, 5, 6, 7, 8):
+        r = exact_separation_dimension(complete(n), limit=5, budget=10_000)
         if r.witness is not None and len(r.witness):
             assert verify_pairwise_suitable(r.witness, complete(n)).ok
         values.append(r.dimension)
-    assert values == sorted(values)
+    assert values == sorted(values) == [0, 3, 3, 4, 5, 5]
 
 
 @settings(max_examples=60, deadline=None)
@@ -266,3 +269,53 @@ def test_complete_graph_dimension_nondecreasing():
 def test_dimension_matches_brute_force(g):
     # sparse ids, and every vertex an edge list misses is isolated
     _cross_check(g)
+
+
+@st.composite
+def twin_blowups(draw):
+    # each vertex of a random base graph becomes a class of 1-3 twins,
+    # open (no edge inside) or closed (a clique); up to 2 more edges may
+    # split classes.  At most 10 vertices, on sparse ids in random order
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    starts = [s for s in accumulate(sizes, initial=0) if s <= 10]
+    classes = [range(a, b) for a, b in zip(starts, starts[1:])]
+    n = starts[-1]
+    edges = set()
+    for members in classes:
+        if draw(st.booleans()):
+            edges |= set(combinations(members, 2))
+    if len(classes) > 1:
+        base = draw(st.lists(st.sampled_from(list(combinations(classes, 2))), unique=True))
+        edges |= {(u, v) for a, b in base for u in a for v in b}
+    if n > 1:
+        edges |= set(draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), max_size=2)))
+    ids = draw(st.permutations(sorted(draw(st.sets(st.integers(0, 40), min_size=n, max_size=n)))))
+    return Graph.build(ids, [(ids[u], ids[v]) for u, v in edges])
+
+
+@settings(max_examples=60, deadline=None)
+@given(twin_blowups())
+def test_fixing_twin_classes_keeps_the_dimension(g):
+    # the oracle is the engine without an order-0 base; a graph that
+    # runs either search out of budget is rejected
+    try:
+        fixed = exact_separation_dimension(g, limit=6, budget=10_000)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact, "_twin_chains", lambda g, index: None)
+            free = exact_separation_dimension(g, limit=6, budget=10_000)
+    except SearchBudgetExceeded:
+        assume(False)
+    assert fixed.dimension == free.dimension
+    if fixed.witness is not None:
+        assert verify_pairwise_suitable(fixed.witness, g).ok
+    if fixed.dimension:
+        # member 0 lists every twin pair u < v (N(u) - {v} = N(v) - {u},
+        # both in an edge) in id order
+        nbrs = {v: set() for v in g.vertices}
+        for u, v in g.edges:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        rank = {v: i for i, v in enumerate(fixed.witness.id_orders()[0])}
+        for u, v in combinations(g.vertices, 2):
+            if nbrs[u] and nbrs[v] and nbrs[u] - {v} == nbrs[v] - {u}:
+                assert rank[u] < rank[v]

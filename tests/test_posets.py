@@ -395,7 +395,7 @@ def test_order_checks_match_networkx(drawn):
 # ---------------------------------------------------------------------------
 
 
-def _rescan_dfs(base_up, requirements, first_t, limit, budget):
+def _rescan_dfs(base_up, requirements, first_t, limit, budget, first_up=None):
     """Reference for `posets._dimension_dfs`: the same search, but every
     node rescans every requirement on every order instead of keeping
     requirement state across commit and rollback."""
@@ -413,6 +413,8 @@ def _rescan_dfs(base_up, requirements, first_t, limit, budget):
     for t in range(first_t, limit + 1):
         ups = [list(base_up) for _ in range(t)]
         touched = [False] * t
+        if first_up is not None:
+            ups[0], touched[0] = list(first_up), True
         # one frame per expanded node on the current path: its untried
         # candidates, and the undo record of the child explored
         stack = []
@@ -543,12 +545,17 @@ def test_engine_matches_rescan_on_posets(p):
 
 @st.composite
 def requirement_lists(draw):
-    # a sparse base order, and alternatives with disjoint sides, mirrored
-    # or not: shapes beyond the two that the callers build
+    # a sparse base order, maybe an order-0 base that extends it, and
+    # alternatives with disjoint sides, mirrored or not: shapes beyond
+    # the ones that the callers build
     m = draw(st.integers(2, 7))
     pairs = list(combinations(range(m), 2))
-    p = Poset.build(range(m), draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3)))
-    base_up = list(p.up)
+    base_pairs = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3))
+    base_up = list(Poset.build(range(m), base_pairs).up)
+    first_up = None
+    if draw(st.booleans()):
+        more = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=4))
+        first_up = list(Poset.build(range(m), base_pairs + more).up)
     requirements = []
     for _ in range(draw(st.integers(4, 12))):
         req = []
@@ -559,7 +566,7 @@ def requirement_lists(draw):
             req += [(xs, ys), (ys, xs)] if draw(st.booleans()) else [(xs, ys)]
         requirements.append(tuple(req))
     first_t = draw(st.integers(1, 2))
-    return base_up, requirements, first_t, draw(st.integers(first_t, 3)), 2_000
+    return base_up, requirements, first_t, draw(st.integers(first_t, 3)), 2_000, first_up
 
 
 @settings(max_examples=80, deadline=None)
@@ -585,10 +592,10 @@ def test_engine_matches_rescan_on_3_suitable(n):
 _PETERSEN = [(i + 1, (i + 1) % 5 + 1) for i in range(5)] \
     + [(i + 6, (i + 2) % 5 + 6) for i in range(5)] + [(i + 1, i + 6) for i in range(5)]
 _NODE_COUNT_GRAPHS = {
-    "k44": ([(u, v) for u in range(1, 5) for v in range(5, 9)], 8_374),
+    "k44": ([(u, v) for u in range(1, 5) for v in range(5, 9)], 298),
     "petersen": (_PETERSEN, 8_521),
-    "k6": (list(combinations(range(1, 7), 2)), 103),
-    "k34": ([(u, v) for u in range(1, 4) for v in range(4, 8)], 65),
+    "k6": (list(combinations(range(1, 7), 2)), 28),
+    "k34": ([(u, v) for u in range(1, 4) for v in range(4, 8)], 22),
     "c10": ([(i, i % 10 + 1) for i in range(1, 11)], 39),
 }
 
