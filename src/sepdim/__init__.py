@@ -59,6 +59,7 @@ from .starcover import (
 )
 from .subdivided import (
     SubdividedBoundResult,
+    certify_subdivision_family,
     colored_subdivision_family,
     interval_height,
     subdivision_family,

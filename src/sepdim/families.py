@@ -30,9 +30,10 @@ no member separates are the same in any order, so the verdict and the
 counterexample are too.
 
 It is the one pair check.  It serves families that come with no proof:
-`verify` on a user's family, `bound-subdivision` and the tests.  A
-star-cover family is certified from its construction's premises instead
-(`starcover.certify_star_cover`), in time linear in its size.
+`verify` on a user's family and the tests.  The star-cover and the
+subdivision families are certified from their construction's premises
+instead (`starcover.certify_star_cover`,
+`subdivided.certify_subdivision_family`), in time linear in their size.
 
 `family_from_json` returns a family and the document's other fields.
 A compact document (ASCII, no backslash, the `"permutations":` key once,

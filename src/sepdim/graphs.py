@@ -197,10 +197,15 @@ def _parse_id(token: str) -> int:
 
 
 def serialize_graph(g: Graph) -> str:
-    """Canonical edge-list text: isolated vertices first, then sorted edges."""
-    incident = {v for e in g.edges for v in e}
-    lines = [f"v {v}" for v in g.vertices if v not in incident]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
+    """Canonical edge-list text: isolated vertices first, then sorted
+    edges.  Each id is formatted once and looked up by position."""
+    names = list(map(str, g.vertices))
+    ends = g.edge_positions.ravel()
+    incident = np.zeros(g.num_vertices, dtype=bool)
+    incident[ends] = True
+    lines = [f"v {names[i]}" for i in np.flatnonzero(~incident).tolist()]
+    ends = iter(map(names.__getitem__, ends.tolist()))
+    lines.extend(map(" ".join, zip(ends, ends)))
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from sepdim import cli, exact, families, lowerbound, posets, subdivided
 from sepdim.cli import main
-from sepdim.families import PermutationFamily, verify_pairwise_suitable
+from sepdim.families import PermutationFamily
 from sepdim.graphs import Graph, serialize_graph, subdivision_mids
 
 P4 = "1 2\n2 3\n3 4\n"
@@ -132,34 +132,30 @@ class TestBoundSubdivision:
         path.write_text("")
         assert main(["bound-subdivision", str(path)]) == 0
 
-    def test_unsuitable_family_is_a_counterexample(self, c4_file, monkeypatch, capsys):
-        # A family one member short must reach the report as a counterexample
-        # (exit 1), found by the command's single exhaustive check.
+    def test_unsuitable_family_is_an_internal_error(self, c4_file, monkeypatch, capsys):
+        # A family one member short, with F cut to match, fails the
+        # certificate's base premise: exit 4, one stderr line, no report
+        # and no traceback.  No pair is checked on the way.
         real = subdivided.subdivision_family
 
         def short(g, classes):
             family, base = real(g, classes)
-            # keep |family| == |F| + 2 so only the pair check can object
+            # keep |family| == |F| + 2 so only the base premise can object
             fewer = dataclasses.replace(base, family=PermutationFamily(
                 base.family.ground_set, base.family.orders[:-1]))
             return PermutationFamily(family.ground_set, family.orders[:-1]), fewer
 
-        calls = []
-
-        def counted(fam, g):
-            calls.append(len(fam))
-            return verify_pairwise_suitable(fam, g)
+        def no_pairs(fam, g):
+            raise AssertionError("bound-subdivision checked the pairs")
 
         monkeypatch.setattr(subdivided, "subdivision_family", short)
-        monkeypatch.setattr(cli, "verify_pairwise_suitable", counted)
-        assert main(["bound-subdivision", c4_file, "--format", "structured"]) == 1
+        monkeypatch.setattr(cli, "verify_pairwise_suitable", no_pairs)
+        assert main(["bound-subdivision", c4_file, "--format", "structured"]) == 4
         captured = capsys.readouterr()
-        doc = json.loads(captured.out)
-        assert doc["verdict"] == "counterexample 1-5 | 3-7"
-        assert doc["verification"] == "exhaustive"
-        assert doc["family_size"] == doc["realizer_size"] + 2
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: base:")
+        assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
-        assert calls == [doc["family_size"]]
 
 
 class TestExact:
@@ -413,6 +409,18 @@ def _short_lift(monkeypatch):
     monkeypatch.setattr(subdivided, "subdivision_family", short)
 
 
+def _swapped_lift(monkeypatch):
+    real = subdivided.subdivision_family
+
+    def swapped(g, classes):
+        family, base = real(g, classes)
+        orders = family.orders.copy()
+        orders[0, [0, -1]] = orders[0, [-1, 0]]
+        return PermutationFamily(family.ground_set, orders), base
+
+    monkeypatch.setattr(subdivided, "subdivision_family", swapped)
+
+
 def _no_realizer(module):
     return lambda monkeypatch: monkeypatch.setattr(module, "is_realizer", lambda *args: False)
 
@@ -471,6 +479,8 @@ CONTRACT = [
     (["bound-degenerate", "g.txt"], _raising(MemoryError), 3, ["budget exceeded: out of memory"]),
     (["bound-degenerate", "g.txt"], _raising(TypeError, "boom"), 4,
      ["internal error: TypeError: boom"]),
+    # a member out of its key order fails the subdivision certificate
+    (["bound-subdivision", "g.txt"], _swapped_lift, 4, ["internal error: members: .*"]),
 ]
 
 
@@ -529,13 +539,13 @@ GOLDEN = {
         "fam.json": "2834421eb22bea17fb1999266de3078e17827e03f7c91b260bd619b21cfba198",
     },
     ("bound-subdivision", "k4"): {
-        "report": "41e859c016f7c2d248aa3f91e2e51333e4299d66d1dc20fbf71a3bac40450fc8",
+        "report": "f2ba9e34128ccb92ab6746a6b603c42da1d7485d95aa8e444276b7105e0e8d8c",
         "fam.json": "85c3bb99834ce4bf3cc75a4f19bfe9319ef500c8aebde7a7879e0986f4644d33",
         "fam.json.subdivided.txt": "a579d10f211c13b2dbef89b999cc8377f0930643cdef6e9792b5e56ad6e51c37",
         "fam.json.subdivision.json": "ed8bb2dc036a9ad096c497aefc2adc26c9d308fcb3900bae326a430b03af9658",
     },
     ("bound-subdivision", "deg20"): {
-        "report": "aec181d83e0260372ad444f78f0475bdfbfda5f159fdeadfc2f75f41b81fe8ab",
+        "report": "6334c2d7d05f6645d0e14aeaed5cb2a8c9dc98d2321c989355aa13bb0c778d1c",
         "fam.json": "ba2f750d8d6c13f1598d737172233ba90ce04bda39bcf6680d6a9e633ce42df6",
         "fam.json.subdivided.txt": "8f5525b545fe6096e5a086d8c18af74d236f24286628874af945753c57a5bbc2",
         "fam.json.subdivision.json": "6d24b306b78a1f6592af9abde9f753a53232f8fdfb70b7e6582a2db8397af7b9",
@@ -549,19 +559,19 @@ GOLDEN = {
         "fam.json": "108b9add5989c65213c14404c1702a75ab928ae46646ed4dbc62275c44225b0e",
     },
     ("bound-subdivision", "k3"): {
-        "report": "cc5c1cbafebf93f82c4d85a32712e19bbb489ea385c1dd55f93ed8462de38f2b",
+        "report": "a5a31c0631dcd42461955bf59d62f7fd0834a63c3e8131314b7725c498c90037",
         "fam.json": "19c586a985e4976a171b487c553cddaf1ffa10cae5d7aa5a18d29939eb675c2e",
         "fam.json.subdivided.txt": "2da6b4f6921102d26916a9b988eeacdecfac2445268199475574546018022ec2",
         "fam.json.subdivision.json": "ceaf452cf02d1b8ea9fd2b89704f3592520cfc10c42abedda45dbc8a736b5150",
     },
     ("bound-subdivision", "k5"): {
-        "report": "5f4cfb876cb17a8d883b2eff8bfd4f417b438af9e7bd3766610eab71bb32515e",
+        "report": "2c0f97259fd0a7104e6cf6a81e26a6e69036650ef67a595524f8e63d468f2a94",
         "fam.json": "ac57b4ae930e1d420b6298949f56f05b38a01b46317a8d872d82c89f79cb7215",
         "fam.json.subdivided.txt": "bbe43253a461ed43a8bead9b10ca1fd788a1a056d13262ac157cf50db5f8e75f",
         "fam.json.subdivision.json": "5821b9aacd37064ce61ba36459d5fdb5b14bb34d0a968e9860002c9d2942d080",
     },
     ("bound-subdivision", "k6"): {
-        "report": "21197632915c2a80dfb839f62918aad1da629b5c7209bfc8b3c5eff18c1cd82f",
+        "report": "79d247814deb785fbdb5e9351eeea27dfa2b914dbb8bc8a8bec7e65ae41b4818",
         "fam.json": "403e119399a4aa76564fbbbb5e382db48573538f3b47aaca103aa4995b8237b0",
         "fam.json.subdivided.txt": "b2dd01b4e77110d2f58dcb947abfcd93f36003fab892e8b80a9787701d0f1110",
         "fam.json.subdivision.json": "976b0cfe6f23e548d38e57244041468bbb53e7ef618bad2dda11857637829972",

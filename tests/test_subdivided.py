@@ -1,12 +1,14 @@
 """Families for fully subdivided graphs lifted from colour classes."""
 
+import dataclasses
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sepdim.families import verify_pairwise_suitable
+from sepdim.families import PermutationFamily, verify_pairwise_suitable
 from sepdim.graphs import (
     Graph,
     color_classes,
@@ -16,7 +18,14 @@ from sepdim.graphs import (
     subdivision_mids,
 )
 from sepdim.posets import height, interval_order_from
-from sepdim.subdivided import colored_subdivision_family, interval_height, subdivision_family
+from sepdim.starcover import random_k_degenerate_graph
+from sepdim.subdivided import (
+    _class_family,
+    certify_subdivision_family,
+    colored_subdivision_family,
+    interval_height,
+    subdivision_family,
+)
 
 
 def complete(n):
@@ -33,6 +42,7 @@ def greedy_classes(g):
 
 def verified_family(g, classes):
     fam, base = subdivision_family(g, classes)
+    certify_subdivision_family(g, classes, fam, base)
     gsub = subdivide(g)
     assert fam.ground_set == gsub.vertices
     assert verify_pairwise_suitable(fam, gsub).ok
@@ -220,3 +230,196 @@ def test_interval_height_matches_poset_height():
         sigma = list(g.vertices)
         rng.shuffle(sigma)
         assert interval_height(g, sigma) == height(interval_order_from(g, sigma))
+
+
+def reference_family(g, classes, base):
+    """The lift of `base` over `classes` by one three-key `np.lexsort` per
+    member (anchor key, side, tie), with no check of the classes: the
+    reference for the packed keys of `subdivision_family`."""
+    n = g.num_vertices
+    pos = {v: j for j, v in enumerate(g.vertices)}
+    rank = np.argsort([pos[v] for cls in classes for v in cls])
+    color = np.repeat(np.arange(len(classes)), list(map(len, classes)))[rank]
+    ground = g.vertices + tuple(subdivision_mids(g))
+    if not g.num_edges:
+        return PermutationFamily.build(ground, ())
+    ends = g.edge_positions
+    left, right = np.take_along_axis(ends, np.argsort(rank[ends], axis=1), axis=1).T
+    zeros = np.zeros(n, dtype=np.int64)
+
+    def member(key, anchor, side, tie):
+        return np.lexsort((np.concatenate([zeros, tie]),
+                           np.concatenate([zeros, np.full(len(tie), side)]),
+                           np.concatenate([key, key[anchor]])))
+
+    rows = []
+    for place in base.family.rank_matrix:
+        left_later = place[color[left]] > place[color[right]]
+        later, other = np.where(left_later, left, right), np.where(left_later, right, left)
+        rows.append(member(place[color] * n + rank, later, 1, rank[other]))
+    rows.append(member(rank, left, 1, -rank[right]))
+    rows.append(member(rank, right, -1, rank[left]))
+    return PermutationFamily(ground, np.array(rows))
+
+
+def sparse_degenerate(data, max_n=60):
+    """A k-degenerate graph (k <= 4, n <= max_n) whose ids are spread over
+    0..10^12 out of index order, and a seeded random generator."""
+    n = data.draw(st.integers(1, max_n))
+    k = data.draw(st.integers(1, 4))
+    seed = data.draw(st.integers(0, 2**32))
+    dense = random_k_degenerate_graph(n, k, seed=seed)
+    rng = random.Random(seed)
+    ids = rng.sample(range(10**12), n)
+    edges = [(ids[u], ids[v]) for u, v in dense.edges]
+    return Graph.build(ids, edges), rng
+
+
+def refused(g, classes, family, base) -> bool:
+    try:
+        certify_subdivision_family(g, classes, family, base)
+    except AssertionError:
+        return True
+    return False
+
+
+class TestCertificate:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_certified_families_are_suitable(self, data):
+        # random proper colourings, two classes among them, and the greedy
+        # one: the certificate passes, and so does the exhaustive check
+        g, rng = sparse_degenerate(data)
+        for classes in (random_proper_classes(g, rng), greedy_classes(g)):
+            fam, base = subdivision_family(g, classes)
+            certify_subdivision_family(g, classes, fam, base)
+            assert verify_pairwise_suitable(fam, subdivide(g)).ok
+
+    def test_two_classes_take_the_swap(self):
+        for seed in range(20):
+            g = random_k_degenerate_graph(30, 1, seed=seed)
+            classes = greedy_classes(g)
+            assert len(classes) == 2
+            fam, base = subdivision_family(g, classes)
+            assert base.generator == "swap"
+            certify_subdivision_family(g, classes, fam, base)
+            assert verify_pairwise_suitable(fam, subdivide(g)).ok
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_keys_give_the_reference_family(self, data):
+        g, rng = sparse_degenerate(data)
+        for classes in (random_proper_classes(g, rng), greedy_classes(g)):
+            fam, base = subdivision_family(g, classes)
+            assert fam == reference_family(g, classes, base)
+
+    @pytest.mark.parametrize("n", [10, 34, 1000])
+    def test_keys_give_the_reference_family_on_seeded_graphs(self, n):
+        for k in (1, 2, 3, 5):
+            g = random_k_degenerate_graph(n, k, seed=1)
+            classes = greedy_classes(g)
+            singletons = [(v,) for v in reversed(g.vertices)]
+            for cls in (classes, classes[::-1], singletons if n <= 34 else classes):
+                fam, base = subdivision_family(g, cls)
+                assert fam == reference_family(g, cls, base)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_swapped_positions_are_refused(self, data):
+        g, rng = sparse_degenerate(data)
+        classes = random_proper_classes(g, rng)
+        fam, base = subdivision_family(g, classes)
+        if not len(fam):
+            return
+        orders = fam.orders.copy()
+        i = rng.randrange(len(orders))
+        a, b = rng.sample(range(orders.shape[1]), 2)
+        orders[i, [a, b]] = orders[i, [b, a]]
+        mutant = PermutationFamily(fam.ground_set, orders)
+        assert refused(g, classes, mutant, base)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_moved_mid_is_refused_when_unsuitable(self, data):
+        # one mid moves from its anchor to just after its other endpoint
+        g, rng = sparse_degenerate(data)
+        classes = random_proper_classes(g, rng)
+        fam, base = subdivision_family(g, classes)
+        if not g.num_edges:
+            return
+        i, e = rng.randrange(len(fam)), rng.randrange(g.num_edges)
+        row = fam.orders[i].tolist()
+        a, b = g.edge_positions[e].tolist()
+        mid = g.num_vertices + e
+        at = row.index(mid)
+        other = b if abs(at - row.index(a)) < abs(at - row.index(b)) else a
+        row.remove(mid)
+        row.insert(row.index(other) + 1, mid)
+        orders = fam.orders.copy()
+        orders[i] = row
+        mutant = PermutationFamily(fam.ground_set, orders)
+        assert refused(g, classes, mutant, base) or verify_pairwise_suitable(mutant, subdivide(g)).ok
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_dropped_member_is_refused_when_unsuitable(self, data):
+        # a lift leaves the family and its class order leaves F (with its
+        # flip row), so |family| = |F| + 2 still holds
+        g, rng = sparse_degenerate(data)
+        classes = random_proper_classes(g, rng)
+        fam, base = subdivision_family(g, classes)
+        if not len(base.family) or not g.num_edges:
+            return
+        j = rng.randrange(len(base.family))
+        fewer = dataclasses.replace(
+            base, family=PermutationFamily(base.family.ground_set, np.delete(base.family.orders, j, axis=0)),
+            flips=None if base.flips is None else np.delete(base.flips, j, axis=0))
+        mutant = PermutationFamily(fam.ground_set, np.delete(fam.orders, j, axis=0))
+        assert refused(g, classes, mutant, fewer) or verify_pairwise_suitable(mutant, subdivide(g)).ok
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_improper_colouring_is_refused(self, data):
+        # a vertex joins a neighbour's class; the family is lifted from
+        # those classes all the same, by the unchecked reference
+        g, rng = sparse_degenerate(data)
+        if not g.num_edges:
+            return
+        classes = [list(cls) for cls in random_proper_classes(g, rng)]
+        u, v = g.edges[rng.randrange(g.num_edges)]
+        for cls in classes:
+            if u in cls:
+                cls.remove(u)
+            if v in cls:
+                cls.append(u)
+        classes = [cls for cls in classes if cls]
+        base = _class_family(len(classes))
+        mutant = reference_family(g, classes, base)
+        assert refused(g, classes, mutant, base)
+        with pytest.raises(ValueError, match="class"):
+            subdivision_family(g, classes)
+
+    def test_premises_are_named(self):
+        g = cycle(5)
+        classes = greedy_classes(g)
+        fam, base = subdivision_family(g, classes)
+        edgeless = PermutationFamily.build(fam.ground_set, ())
+        cases = [
+            (classes[:-1], fam, base, "base"),
+            (classes[:-1] + [classes[-1][:-1]], fam, base, "classes"),
+            (classes, edgeless, base, "family"),
+            (classes, PermutationFamily(fam.ground_set, fam.orders[:-1]), base, "family"),
+            (classes, PermutationFamily(fam.ground_set, fam.orders[::-1]), base, "members"),
+        ]
+        for cls, family, f, premise in cases:
+            with pytest.raises(AssertionError, match=f"^{premise}: "):
+                certify_subdivision_family(g, cls, family, f)
+        # two classes: F must be the swap
+        c4 = cycle(4)
+        two = greedy_classes(c4)
+        fam, base = subdivision_family(c4, two)
+        identity = dataclasses.replace(base, family=PermutationFamily((0, 1), np.array([[0, 1]])))
+        with pytest.raises(AssertionError, match="^base: F is not the swap"):
+            certify_subdivision_family(c4, two, fam, identity)
+        with pytest.raises(AssertionError, match="^classes: "):
+            certify_subdivision_family(c4, [two[0] + two[1][:1], two[1][1:]], fam, base)
