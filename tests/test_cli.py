@@ -625,9 +625,14 @@ def test_constructions_run_no_search(command, graph, tmp_path, monkeypatch, caps
     def no_search(*args):
         raise AssertionError("a construction ran the exact engine")
 
+    engine, patched = exact.fewest_orders, set()
     for name, module in list(sys.modules.items()):
-        if name.startswith("sepdim") and hasattr(module, "_dimension_dfs"):
-            monkeypatch.setattr(module, "_dimension_dfs", no_search)
+        if name.startswith("sepdim"):
+            for attr, value in list(vars(module).items()):
+                if value is engine:
+                    monkeypatch.setattr(module, attr, no_search)
+                    patched.add(name)
+    assert {"sepdim.exact", "sepdim.posets"} <= patched
     assert _golden_digests(command, graph, tmp_path, monkeypatch, capsys) == GOLDEN[(command, graph)]
 
 

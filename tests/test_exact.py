@@ -1,9 +1,11 @@
 """Exact separation-dimension search engine."""
 
+import ast
 import random
 from functools import reduce
 from itertools import accumulate, combinations, permutations
 from operator import or_
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,3 +321,26 @@ def test_fixing_twin_classes_keeps_the_dimension(g):
         for u, v in combinations(g.vertices, 2):
             if nbrs[u] and nbrs[v] and nbrs[u] - {v} == nbrs[v] - {u}:
                 assert rank[u] < rank[v]
+
+
+def _sepdim_imports():
+    """(module file, imported module, name) for every `from ... import`
+    of a `sepdim` module inside src/sepdim."""
+    for path in sorted(Path(exact.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "sepdim"
+            ):
+                for alias in node.names:
+                    yield path.name, node.module, alias.name
+
+
+def test_no_module_imports_a_private_name():
+    private = [imp for imp in _sepdim_imports() if imp[2].startswith("_")]
+    assert not private
+
+
+def test_the_engine_lives_in_exact():
+    # posets -> exact -> families -> graphs: exact calls on no poset code
+    assert not [imp for imp in _sepdim_imports() if imp[0] == "exact.py" and "posets" in imp[1:]]
+    assert exact.fewest_orders.__module__ == "sepdim.exact"

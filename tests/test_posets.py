@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sepdim import exact, posets
-from sepdim.exact import exact_separation_dimension
+from sepdim.exact import SearchBudgetExceeded, exact_separation_dimension
 from sepdim.graphs import Graph
 from sepdim.posets import (
     Poset,
     PosetError,
-    SearchBudgetExceeded,
     canonical_interval_order,
     exact_poset_dimension,
     height,
@@ -239,19 +238,19 @@ def full_list_dimension(p: Poset, limit: int) -> int | None:
         for a, b in permutations(range(m), 2)
         if not (up[a] >> b & 1 or up[b] >> a & 1)
     ]
-    return posets._dimension_dfs(up, requirements, 2, limit, posets.DEFAULT_BUDGET)[0]
+    return exact.fewest_orders(up, requirements, 2, limit, exact.DEFAULT_BUDGET)[0]
 
 
 def _requirement_count(p: Poset, monkeypatch) -> int:
     """How many requirements `exact_poset_dimension` hands the engine."""
     seen = []
-    real = posets._dimension_dfs
+    real = exact.fewest_orders
 
     def counting(base_up, requirements, *args):
         seen.append(len(requirements))
         return real(base_up, requirements, *args)
 
-    monkeypatch.setattr(posets, "_dimension_dfs", counting)
+    monkeypatch.setattr(posets, "fewest_orders", counting)
     exact_poset_dimension(p, limit=4)
     monkeypatch.undo()
     return seen[0]
@@ -375,7 +374,7 @@ def test_order_checks_match_networkx(drawn):
     dag = nx.DiGraph(relation)
     dag.add_nodes_from(elements)
     closure = set(nx.transitive_closure_dag(dag).edges)
-    completion = posets._topo_indices(list(p.up), len(elements))
+    completion = exact.linear_completion(list(p.up))
     assert [p.elements[i] for i in completion] == list(nx.lexicographical_topological_sort(dag))
 
     def pair_set(order):
@@ -396,7 +395,7 @@ def test_order_checks_match_networkx(drawn):
 
 
 def _rescan_dfs(base_up, requirements, first_t, limit, budget, first_up=None):
-    """Reference for `posets._dimension_dfs`: the same search, but every
+    """Reference for `exact.fewest_orders`: the same search, but every
     node rescans every requirement on every order instead of keeping
     requirement state across commit and rollback."""
     m = len(base_up)
@@ -489,8 +488,9 @@ def _rescan_dfs(base_up, requirements, first_t, limit, budget, first_up=None):
 
 
 def _engine_calls(run):
-    """The arguments of every `_dimension_dfs` call that `run()` makes."""
-    engine = posets._dimension_dfs
+    """The arguments of every `fewest_orders` call that `run()` makes,
+    under whatever name a `sepdim` module binds the engine."""
+    engine = exact.fewest_orders
     calls = []
 
     def spy(*args):
@@ -498,8 +498,11 @@ def _engine_calls(run):
         return engine(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(posets, "_dimension_dfs", spy)
-        mp.setattr(exact, "_dimension_dfs", spy)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("sepdim"):
+                for attr, value in list(vars(module).items()):
+                    if value is engine:
+                        mp.setattr(module, attr, spy)
         try:
             run()
         except SearchBudgetExceeded:
@@ -516,7 +519,14 @@ def _outcome(search, args):
 
 def _assert_engine_matches_rescan(run):
     for args in _engine_calls(run):
-        assert _outcome(posets._dimension_dfs, args) == _outcome(_rescan_dfs, args)
+        assert _outcome(exact.fewest_orders, args) == _outcome(_rescan_dfs, args)
+
+
+def test_engine_spy_sees_both_clients():
+    # the rescan comparisons below pass vacuously on zero recorded calls
+    c5 = Graph.from_edges([(i, i % 5 + 1) for i in range(1, 6)])
+    assert _engine_calls(lambda: exact_poset_dimension(canonical_interval_order(5), limit=4))
+    assert _engine_calls(lambda: exact_separation_dimension(c5, limit=3))
 
 
 @st.composite
@@ -572,7 +582,7 @@ def requirement_lists(draw):
 @settings(max_examples=80, deadline=None)
 @given(requirement_lists())
 def test_engine_matches_rescan_on_any_requirements(args):
-    assert _outcome(posets._dimension_dfs, args) == _outcome(_rescan_dfs, args)
+    assert _outcome(exact.fewest_orders, args) == _outcome(_rescan_dfs, args)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -584,7 +594,7 @@ def test_engine_matches_rescan_on_3_suitable(n):
         for a in triple
     ]
     args = ([0] * n, requirements, 3, n, 100_000)
-    assert _outcome(posets._dimension_dfs, args) == _outcome(_rescan_dfs, args)
+    assert _outcome(exact.fewest_orders, args) == _outcome(_rescan_dfs, args)
 
 
 # node counts of the full-rescan engine: keeping requirement state

@@ -6,8 +6,8 @@ from itertools import combinations, combinations_with_replacement, permutations
 import numpy as np
 import pytest
 
+from sepdim.exact import fewest_orders, linear_completion
 from sepdim.families import PermutationFamily, verify_k_suitable
-from sepdim.posets import _dimension_dfs, _topo_indices
 from sepdim.suitable3 import (
     EXACT_LIMIT,
     Suitable3Result,
@@ -45,8 +45,8 @@ def engine_minimum(n):
         for triple in combinations(range(n), 3)
         for a in triple
     ]
-    t, relations, _ = _dimension_dfs([0] * n, requirements, 3, n, 100_000)
-    return t, sorted(_topo_indices(up, n) for up in relations)
+    t, relations, _ = fewest_orders([0] * n, requirements, 3, n, 100_000)
+    return t, sorted(linear_completion(up) for up in relations)
 
 
 class TestBuilders:
