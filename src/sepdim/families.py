@@ -11,16 +11,22 @@ by some member.
 Member k separates edges e and f exactly when their rank intervals
 [lo_k, hi_k] are disjoint; edges that share a vertex share a rank, so
 they never look separated.  The exhaustive check walks the edges in
-row blocks of BLOCK_ROWS against every later edge.  The first
-DENSE_MEMBERS members thin a (block, m) overlap matrix on packed lanes
-(SIMD within a register, `_lane_words`): a lane has b = n.bit_length()
-+ 1 bits, a member's two overlap tests take two lanes, and q = 64 // (2b)
-members share one uint64 word, so one subtraction per word tests q
-members on an edge pair.  q is 4 for 64 <= n < 128 (more below), 3
-below 512, 2 below 2^15 and 1 below 2^31, the largest n the check
-handles.  The pairs left that share no vertex are sifted by the other
-members one at a time.  It holds O(BLOCK_ROWS * m) memory whatever the
-pair count, and stops at the first block with an unseparated pair.
+sorted order, in row blocks of BLOCK_ROWS, against every later edge.
+In a block, pairs are bits: each later edge j holds the set of block
+rows i < j it may still be unseparated from, in ceil(rows / 64) uint64
+words, without the rows that share a vertex with j.  Each of the first
+DENSE_MEMBERS members gets two tables over the places of the vertices
+that lie on an edge (at most 2m of them, whatever n is): P[p], the
+block rows with lo <= p, and ~B[p], those with hi >= p.  Column j keeps
+P[hi_j] & ~B[lo_j], which is exactly the set of rows whose interval
+meets j's (the proof is in `verify_pairwise_suitable`): two row
+gathers per member and no comparison per pair.  The pairs left are
+sorted by (i, j) and sifted by the other members one at a time.  The
+walk stops at the first block with an unseparated pair: every pair of
+a block precedes every pair of a later block, so that block's smallest
+survivor is the smallest pair of all.  Memory is O(m) words for the
+columns, GROUP_WORDS for the tables, and at most BLOCK_ROWS * m
+survivor pairs, whatever the pair count.
 
 The check visits the members in bit-reversed index order (0, r/2,
 r/4, 3r/4, ...), so the dense prefix samples the whole family:
@@ -61,14 +67,12 @@ import numpy as np
 
 from .graphs import Edge, Graph
 
-# Row-block height, dense-prefix length and packed tile width of the
-# exhaustive check; two uint64 tiles of 128 x 512 stay in cache.
-BLOCK_ROWS = 128
-DENSE_MEMBERS = 8
-TILE_COLS = 512
-# _LATER[a, c]: c > a; keeps the pairs j > i where a block meets its own columns
-_LATER = np.arange(BLOCK_ROWS)[:, None] < np.arange(BLOCK_ROWS)
-_LATER.flags.writeable = False
+# Row-block height and dense-prefix length of the exhaustive check, and
+# the cap, in uint64 words, on one member group's rank tables and on
+# their gathers (8 MiB each)
+BLOCK_ROWS = 256
+DENSE_MEMBERS = 16
+GROUP_WORDS = 1 << 20
 # The array reader takes ids below ID_TABLE_SPAN * n, which map to
 # positions through a lookup table of that many cells
 ID_TABLE_SPAN = 4
@@ -208,29 +212,24 @@ def disjoint_edge_pairs(g: Graph):
                 yield e, f
 
 
+@cache
 def _scan_order(r: int) -> np.ndarray:
     """0..r-1 in bit-reversed order: sorted by their binary digits, padded
-    to the width of r - 1 and read backwards."""
+    to the width of r - 1 and read backwards (read-only)."""
     width = max(r - 1, 0).bit_length()
-    return np.array(sorted(range(r), key=lambda i: f"{i:0{width}b}"[::-1]), dtype=np.int64)
+    order = np.array(sorted(range(r), key=lambda i: f"{i:0{width}b}"[::-1]), dtype=np.int64)
+    order.flags.writeable = False
+    return order
 
 
-def _edge_intervals(fam: PermutationFamily, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(r, m) arrays of each edge's lower and upper rank in each member,
-    rows in `_scan_order`, in the narrowest unsigned type that holds n
+def _edge_intervals(fam: PermutationFamily, edges: np.ndarray, members: np.ndarray):
+    """(len(members), m) arrays of each edge's lower and upper rank in
+    each listed member, in the narrowest unsigned type that holds n
     (comparisons run wider per vector step)."""
-    ranks = fam.rank_matrix[_scan_order(len(fam))].astype(np.min_scalar_type(len(fam.ground_set)))
-    first, second = ranks[:, edges[:, 0]], ranks[:, edges[:, 1]]
+    ranks = np.take(fam.rank_matrix, members, axis=0).astype(np.min_scalar_type(len(fam.ground_set)))
+    first, second = np.take(ranks, edges[:, 0], axis=1), np.take(ranks, edges[:, 1], axis=1)
     lo = np.minimum(first, second)
     return lo, np.maximum(first, second, out=first)
-
-
-def _disjoint(ends: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-    """Mask of the edge index pairs (ii, jj) that share no vertex; `ends`
-    is the (2, m) edge array with contiguous rows, `edges.T.copy()`."""
-    u, v = ends
-    a, b, c, d = u[ii], v[ii], u[jj], v[jj]
-    return (a != c) & (a != d) & (b != c) & (b != d)
 
 
 def _overlapping(lo: np.ndarray, hi: np.ndarray, ii: np.ndarray, jj: np.ndarray):
@@ -244,66 +243,74 @@ def _overlapping(lo: np.ndarray, hi: np.ndarray, ii: np.ndarray, jj: np.ndarray)
     return ii, jj
 
 
-@cache
-def _lane_layout(b: int, dense: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.uint64]:
-    """What `_lane_words` needs for lanes of b bits and `dense` members,
-    with q = 64 // (2b): the q slot weights 2^(2b * s), the constant
-    parts of the left and right words as (words, 1) columns, and the
-    guard mask."""
-    q = 64 // (2 * b)
-    words = max(-(-dense // q), 1)
-    guard = 1 << (b - 1)
-    c = guard - 1
-    weights = np.array([1 << 2 * b * s for s in range(q)], np.uint64)
-    left, right = [0] * words, [0] * words
-    for k in range(words * q):
-        word, shift = k // q, 2 * b * (k % q)
-        if k < dense:
-            left[word] += (guard + ((c + guard) << b)) << shift
-            right[word] += c << b << shift
-        else:  # padding: lo = 0, hi = C
-            left[word] += (c + guard) * (1 + (1 << b)) << shift
-    guards = sum((guard | guard << b) << 2 * b * s for s in range(q))
-    layout = weights, np.array(left, np.uint64)[:, None], np.array(right, np.uint64)[:, None]
-    for part in layout:
-        part.flags.writeable = False
-    return *layout, np.uint64(guards)
+def _endpoint_places(fam: PermutationFamily, edges: np.ndarray, on_edge: np.ndarray,
+                     members: np.ndarray, group: int):
+    """(ends, listed, keys) over the N vertices that lie on an edge
+    (`on_edge`), numbered 0..N-1 in position order.
 
-
-def _lane_words(lo: np.ndarray, hi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.uint64]:
-    """The first DENSE_MEMBERS rows of lo/hi packed into uint64 lanes:
-    (words, m) arrays `left` and `right`, at least one word, and the mask
-    of the guard bits.
-
-    A lane has b = n.bit_length() + 1 bits, guard bit G = 2^(b-1) and
-    C = G - 1 >= n; each member takes two lanes, q = 64 // (2b) members a
-    word (so n < 2^31).  Edge i's left lanes are (hi_i | G, (C - lo_i) | G),
-    edge j's right lanes (lo_j, C - hi_j), so each lane of left_i - right_j
-    is G + hi_i - lo_j or G + hi_j - lo_i, in [1, 2G - 1]: no borrow
-    crosses a lane, and the guard bit is set iff that side overlaps.  The
-    AND of the words keeps every guard bit iff no packed member separates
-    i and j.  Padding lanes (lo = 0, hi = C) overlap every edge.
-
-    Member k's two left lanes hold hi_k + G + ((C + G - lo_k) << b),
-    shifted by 2b * (k % q), and its right lanes lo_k + ((C - hi_k) << b).
-    So with HI and LO the members' hi and lo summed at those shifts (the
-    rows padded with zeros to words * q, and each word's q rows
-    contracted with `_lane_layout`'s slot weights), left = HI - (LO << b)
-    plus a constant per word, and right = LO - (HI << b) plus another;
-    uint64 arithmetic wraps, and the results are exact.
+    `ends` is the (m, 2) edge array in those numbers; `listed[k]` lists
+    them in the order of the k-th listed member, so that place p of that
+    order holds vertex listed[k, p].  Places compare as ranks do and
+    take N <= 2m values, whatever n is.  The members go in groups of
+    `group`, whose tables stack 2 * group slabs of N places: member g of
+    a group reads its prefix table in slab 2g and its suffix table in
+    slab 2g + 1.  keys[2k] holds each edge's upper place in member k and
+    keys[2k + 1] its lower place, each plus its slab's offset; int32,
+    (2 * len(members), m).
     """
-    b = n.bit_length() + 1
-    dense = min(DENSE_MEMBERS, len(lo))
-    weights, left_const, right_const, guards = _lane_layout(b, dense)
-    words, q = len(left_const), len(weights)
-    packed = np.zeros((2, words * q, lo.shape[1]), np.uint64)
-    packed[0, :dense], packed[1, :dense] = hi[:dense], lo[:dense]
-    hi_sum, lo_sum = np.einsum("q,swqm->swm", weights, packed.reshape(2, words, q, -1))
-    left = hi_sum - (lo_sum << np.uint64(b))
-    left += left_const
-    right = lo_sum - (hi_sum << np.uint64(b))
-    right += right_const
-    return left, right, guards
+    points = np.count_nonzero(on_edge)
+    listed = np.take(fam.orders, members, axis=0)
+    ranks = np.take(fam.rank_matrix, members, axis=0)
+    ends = edges
+    if points < len(on_edge):
+        # the rank of a vertex on an edge becomes 1 + its place
+        ranks = np.take_along_axis(np.cumsum(on_edge[listed], axis=1), ranks - 1, axis=1)
+        number = np.cumsum(on_edge) - 1
+        listed = number[listed[on_edge[listed]]].reshape(len(members), points)
+        ends = number[edges]
+    ranks += (np.arange(len(members)) % group * 2 * points - 1)[:, None]  # ranks count from 1
+    first, second = np.take(ranks, edges[:, 0], axis=1), np.take(ranks, edges[:, 1], axis=1)
+    keys = np.empty((len(members), 2, len(edges)), np.int32)
+    np.maximum(first, second, out=keys[:, 0])
+    np.minimum(first, second, out=keys[:, 1])
+    keys[:, 1] += points
+    return ends, listed, keys.reshape(2 * len(members), len(edges))
+
+
+@cache
+def _below(words: int) -> np.ndarray:
+    """(BLOCK_ROWS + 1, words) uint64, read-only: row c holds the bits of
+    rows 0..c-1, bit a of a row set being bit a % 64 of word a // 64."""
+    rows = np.arange(BLOCK_ROWS + 1)[:, None] > np.arange(64 * words)
+    table = np.packbits(rows, axis=1, bitorder="little").view("<u8").astype(np.uint64)
+    table.flags.writeable = False
+    return table
+
+
+def _rank_tables(rows_of: np.ndarray, listed: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`out`, (g, 2, N, words), filled with the tables of the g members
+    whose places `listed` (g, N) lists: out[k, 0, p] is the OR of
+    rows_of[listed[k, :p + 1]], the rows with lo <= p in member k, and
+    out[k, 1, p] the OR of rows_of[listed[k, p:]], those with hi >= p."""
+    prefix, suffix = out[:, 0], out[:, 1, ::-1]
+    np.take(rows_of, listed, axis=0, out=prefix)
+    out[:, 1] = prefix
+    np.bitwise_or.accumulate(prefix, axis=1, out=prefix)
+    np.bitwise_or.accumulate(suffix, axis=1, out=suffix)
+    return out
+
+
+def _bit_pairs(alive: np.ndarray, start: int, cols: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The set bits of the (columns, words) row sets `alive` as edge
+    index pairs (start + row, cols[column]), sorted by (i, j)."""
+    words = alive.shape[1]
+    at = np.flatnonzero(alive)
+    bits = np.flatnonzero(np.unpackbits(alive.reshape(-1)[at].astype("<u8", copy=False).view(np.uint8),
+                                        bitorder="little"))
+    at = at[bits >> 6]
+    pairs = (start + at % words * 64 + (bits & 63)) * m + cols[at // words]
+    pairs.sort()
+    return np.divmod(pairs, m)
 
 
 def _to_ids(fam: PermutationFamily, edges: np.ndarray, i: int, j: int) -> tuple[Edge, Edge]:
@@ -316,42 +323,78 @@ def _to_ids(fam: PermutationFamily, edges: np.ndarray, i: int, j: int) -> tuple[
 def verify_pairwise_suitable(fam: PermutationFamily, g: Graph) -> SeparationWitness:
     """Exhaustive check; returns the lexicographically smallest counterexample.
 
-    Blocks and `np.flatnonzero` both run in (i, j) order, and sifting
-    keeps that order, so the first survivor found is the smallest pair.
+    Edges are rows in their sorted order, and the walk takes them in
+    blocks of BLOCK_ROWS.  For a block, each later edge j is a column:
+    the set of block rows i < j that j may still be unseparated from, as
+    `words` uint64 words.  A column starts without the rows that share a
+    vertex with j (`rows_of`, the block rows on each vertex).  Then each
+    of the first DENSE_MEMBERS members in `_scan_order` keeps, in column
+    j, P[hi_j] & ~B[lo_j], where lo and hi are the edges' lower and upper
+    places in the member, P[p] is the set of rows with lo <= p and B[p]
+    the set with hi < p.  That is exactly the set of rows whose interval
+    overlaps j's: row i is in P[hi_j] iff lo_i <= hi_j and in ~B[lo_j]
+    iff hi_i >= lo_j, and two intervals meet iff each starts no later
+    than the other ends.  P is the prefix OR of `rows_of` along the
+    member's places (lo_i <= p iff an endpoint of i lies at a place <= p)
+    and ~B the suffix OR (hi_i >= p iff an endpoint lies at a place >= p),
+    so each table is one gather and one in-place accumulate, and a
+    column reads one word row of each, with no comparison per pair.  The
+    members go in groups of at most GROUP_WORDS words of tables (and as
+    many of gathers); after each group, the columns with no row left
+    drop out.  The bits left are the block's pairs that no dense member
+    separates; they are sorted by (i, j) and sifted by the other members
+    (`_overlapping`), which keeps their order.
+
+    Every pair of a block has a smaller i than every pair of a later
+    block, so the first block with a survivor holds the smallest
+    unseparated pair, and it is that block's first survivor.  Memory:
+    the columns take m * words words, the tables and their gathers at
+    most GROUP_WORDS each (or one member's, if that is more), and the
+    survivors at most BLOCK_ROWS * m pairs, whatever the pair count.
     """
     if fam.ground_set != g.vertices:
         raise ValueError("family ground set does not match graph vertices")
     edges = g.edge_positions
-    ends = edges.T.copy()
-    lo, hi = _edge_intervals(fam, edges)
-    left, right, guards = _lane_words(lo, hi, len(fam.ground_set))
-    dense = min(DENSE_MEMBERS, len(fam))
     m = edges.shape[0]
-    # one tile of packed differences, at most BLOCK_ROWS x TILE_COLS, reused for every tile
-    tile = np.empty(min(BLOCK_ROWS, m) * min(TILE_COLS, m), np.uint64)
-    part = np.empty_like(tile)
-    alive = np.empty(min(BLOCK_ROWS, m) * m, bool)
+    scan = _scan_order(len(fam))
+    dense, rest = scan[:DENSE_MEMBERS], scan[DENSE_MEMBERS:]
+    lo, hi = _edge_intervals(fam, edges, rest)
+    words = -(-min(BLOCK_ROWS, max(m, 1)) // 64)
+    on_edge = np.zeros(len(fam.ground_set), bool)
+    on_edge[edges.ravel()] = True
+    points = np.count_nonzero(on_edge)
+    group = max(1, min(len(dense), GROUP_WORDS // (2 * words * max(points, m, 1))))
+    ends, listed, keys = _endpoint_places(fam, edges, on_edge, dense, group)
+    below = _below(words)
+    row = np.arange(BLOCK_ROWS)[:, None]
+    row_word, row_bit = row // 64, np.uint64(1) << (row % 64).astype(np.uint64)
+    rows_of = np.zeros((points, words), np.uint64)
+    tables = np.empty(2 * group * points * words, np.uint64)
     for start in range(0, m - 1, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, m)
-        rows, cols = stop - start, m - start
-        # block[a, c]: j = start + c > i = start + a, and no dense member separates i and j
-        block = alive[:rows * cols].reshape(rows, cols)
-        for c in range(0, cols, TILE_COLS):
-            width = min(TILE_COLS, cols - c)
-            acc, diff = (buf[:rows * width].reshape(rows, width) for buf in (tile, part))
-            j = slice(start + c, start + c + width)
-            np.subtract(left[0, start:stop, None], right[0, j], out=acc)
-            for w in range(1, len(left)):
-                np.subtract(left[w, start:stop, None], right[w, j], out=diff)
-                acc &= diff
-            acc &= guards
-            np.equal(acc, guards, out=block[:, c:c + width])
-        block[:, :rows] &= _LATER[:rows, :rows]
-        ii, jj = np.divmod(np.flatnonzero(block), cols)
-        ii += start
-        jj += start
-        keep = _disjoint(ends, ii, jj)
-        ii, jj = _overlapping(lo[dense:], hi[dense:], ii[keep], jj[keep])
+        rows = stop - start
+        block = ends[start:stop]
+        np.bitwise_or.at(rows_of.reshape(-1), block * words + row_word[:rows], row_bit[:rows])
+        # alive[c]: the rows i < j = cols[c] that share no vertex with j
+        cols = np.arange(start + 1, m)
+        alive = np.take(rows_of, ends[start + 1:, 0], axis=0)
+        alive |= np.take(rows_of, ends[start + 1:, 1], axis=0)
+        np.invert(alive, out=alive)
+        alive[:rows - 1] &= below[1:rows]
+        alive[rows - 1:] &= below[rows]
+        for k0 in range(0, len(dense), group):
+            key = keys[2 * k0:2 * (k0 + group)]
+            size = len(key) // 2
+            table = _rank_tables(rows_of, listed[k0:k0 + size],
+                                 tables[:2 * size * points * words].reshape(size, 2, points, words))
+            # until a column drops out, the columns are the edges start + 1..m - 1
+            key = key[:, start + 1:] if len(cols) == m - start - 1 else np.take(key, cols, axis=1)
+            alive &= np.bitwise_and.reduce(np.take(table.reshape(-1, words), key, axis=0), axis=0)
+            live = alive.any(axis=1)
+            if not live.all():
+                alive, cols = alive[live], cols[live]
+        rows_of[block] = 0
+        ii, jj = _overlapping(lo, hi, *_bit_pairs(alive, start, cols, m))
         if ii.size:
             return SeparationWitness(False, _to_ids(fam, edges, ii[0], jj[0]))
     return SeparationWitness(True)

@@ -19,7 +19,7 @@ from sepdim.families import (
     SeparationWitness,
     _family_arrays,
     _family_from_lists,
-    _lane_words,
+    _rank_tables,
     _scan_order,
     disjoint_edge_pairs,
     family_from_json,
@@ -33,14 +33,16 @@ from sepdim.graphs import Graph
 
 
 def brute_verify(fam, g):
-    """Independent oracle: nested loops over pairs and members."""
+    """Independent oracle: nested loops over pairs and members, testing
+    `separates`' condition on each member's ranks of the vertex ids."""
+    ranks = [{v: i for i, v in enumerate(order)} for order in fam.id_orders()]
     edges = g.edges
-    for i, e in enumerate(edges):
-        for f in edges[i + 1:]:
-            if set(e) & set(f):
+    for i, (a, b) in enumerate(edges):
+        for c, d in edges[i + 1:]:
+            if len({a, b, c, d}) < 4:
                 continue
-            if not any(separates(m, e, f) for m in fam.id_orders()):
-                return (e, f)
+            if not any(max(r[a], r[b]) < min(r[c], r[d]) or max(r[c], r[d]) < min(r[a], r[b]) for r in ranks):
+                return (a, b), (c, d)
     return None
 
 
@@ -168,13 +170,14 @@ class TestVerifyPairwiseSuitable:
     def test_empty_family_many_blocks(self):
         # no member: the first disjoint pair, with shared-vertex pairs skipped
         rng = random.Random(11)
-        edges = {tuple(sorted(rng.sample(range(60), 2))) for _ in range(2 * BLOCK_ROWS + 40)}
-        g = Graph.build(range(60), edges)
-        fam = PermutationFamily.build(range(60), [])
+        edges = {tuple(sorted(rng.sample(range(120), 2))) for _ in range(2 * BLOCK_ROWS + 40)}
+        g = Graph.build(range(120), edges)
+        fam = PermutationFamily.build(range(120), [])
         assert g.num_edges > 2 * BLOCK_ROWS
         assert verify_pairwise_suitable(fam, g).counterexample == brute_verify(fam, g)
 
-    @pytest.mark.parametrize("size", [1, DENSE_MEMBERS - 1, DENSE_MEMBERS + 4])
+    # 7 and 12 members lie inside the dense prefix, as does DENSE_MEMBERS - 1
+    @pytest.mark.parametrize("size", [1, 7, 12, DENSE_MEMBERS - 1, DENSE_MEMBERS + 4])
     @pytest.mark.parametrize("where", ["late block", "block boundary"])
     def test_planted_pair_found_in_any_block(self, where, size):
         # Paths 10t - 10t+5 - 10t+6, scrambled in every member but one
@@ -195,12 +198,13 @@ class TestVerifyPairwiseSuitable:
             + [(10 * t + 5, 10 * t + 6) for t in range(paths)] + [e, f],
         )
         rng = random.Random(5)
+        keep = _scan_order(size)[DENSE_MEMBERS] if size > DENSE_MEMBERS else max(size - 4, 0)
         members = []
         for k in range(size):
             blocks = [[10 * t, 10 * t + 5, 10 * t + 6][:: rng.choice((1, -1))] for t in range(paths)]
             rng.shuffle(blocks)
             flat = [v for b in blocks for v in b]
-            if k != max(size - 4, 0):
+            if k != keep:
                 rng.shuffle(flat)
             members.append(flat + planted)
         fam = PermutationFamily.build(g.vertices, members)
@@ -222,6 +226,29 @@ class TestVerifyPairwiseSuitable:
         g = random_k_degenerate_graph(1500, 3, seed=1)
         fam = degenerate_family(g).family
         assert g.num_edges == 3022
+        tracemalloc.start()
+        try:
+            witness = verify_pairwise_suitable(fam, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert witness.ok
+        assert peak < 64 * 2**20
+
+    def test_memory_bounded_when_most_vertices_are_isolated(self):
+        # n = 10^5 vertices, 1000 paths of three edges on 4000 of them and
+        # 8 members: the rank tables range over the 4000 endpoints, where
+        # tables over all n places would take 8 x 2 x 10^5 x 4 words
+        rng = np.random.default_rng(3)
+        n = 10**5
+        ends = rng.permutation(n)[:4000].reshape(1000, 4)
+        g = Graph.build(range(n), [(int(p[k]), int(p[k + 1])) for p in ends for k in range(3)])
+        # member 0 lists each path in path order, which separates every
+        # two disjoint edges; the other members are random
+        first = np.concatenate([ends.ravel(), np.setdiff1d(np.arange(n), ends)])
+        orders = np.stack([first] + [rng.permutation(n) for _ in range(7)])
+        fam = PermutationFamily(tuple(range(n)), orders)
+        assert g.num_edges == 3000
         tracemalloc.start()
         try:
             witness = verify_pairwise_suitable(fam, g)
@@ -260,80 +287,97 @@ class TestVerifyPairwiseSuitable:
         assert verify_pairwise_suitable_sampled(fam, g, 20_000, seed=5).ok
 
 
-# n on both sides of each lane-width step: lanes are n.bit_length() + 1
-# bits wide, so q = 64 // (2 * width) members share a word: 8 below n = 8,
-# then 6, 5, 4, 4 up to 127, 3 up to 511, 2 up to 2^15 - 1 and 1 from 2^15
-LANE_BOUNDARIES = [n for k in range(3, 16) for n in (2**k - 1, 2**k)]
+def planted_pair(m, size, good, where, seed=0):
+    """A graph with m >= 6 edges and a family of `size` members, and the
+    planted pair (e, f).
+
+    Paths 10t - 10t+5 - 10t+6 (the last one may stop at 10t+5) take
+    m - 2 edges.  Every member lists each path's vertices together,
+    then the planted vertices last in increasing order; every member
+    but `good` (None: no such member) then scrambles the path vertices.
+    So `good` alone separates every two disjoint path edges, every
+    member separates a path edge from a planted one, and e and f cross
+    in every member: (e, f) is the one unseparated pair when `good` is
+    kept.  `where` "last two": e, f are the last two edges; "far
+    right": e is edge 1 and f the last edge.
+    """
+    paths = (m - 1) // 2
+    path_vertices = [[10 * t, 10 * t + 5, 10 * t + 6][:2 if t == paths - 1 and m % 2 else 3]
+                     for t in range(paths)]
+    top = 10 * paths
+    a, b, c, d = (top, top + 1, top + 2, top + 3) if where == "last two" else (1, top, top + 1, top + 2)
+    e, f = (a, c), (b, d)
+    g = Graph.build([v for p in path_vertices for v in p] + [a, b, c, d],
+                    [(p[k], p[k + 1]) for p in path_vertices for k in range(len(p) - 1)] + [e, f])
+    rng = random.Random(seed)
+    members = []
+    for k in range(size):
+        blocks = [p[::rng.choice((1, -1))] for p in path_vertices]
+        rng.shuffle(blocks)
+        flat = [v for p in blocks for v in p]
+        if k != good:
+            rng.shuffle(flat)
+        members.append(flat + [a, b, c, d])
+    return g, PermutationFamily.build(g.vertices, members), (e, f)
 
 
-def members_per_word(n):
-    return 64 // (2 * (n.bit_length() + 1))
+class TestBlockBoundaries:
+    @pytest.mark.parametrize("m", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("size", [DENSE_MEMBERS - 1, DENSE_MEMBERS, DENSE_MEMBERS + 1])
+    @pytest.mark.parametrize("where", ["last two", "far right"])
+    def test_planted_pair_matches_brute_oracle(self, m, size, where):
+        # the last block holds 63, 0 and 1 rows mod 64; the member that
+        # separates the paths is the one visited last, which is in the
+        # sift when there are more than DENSE_MEMBERS
+        good = _scan_order(size)[-1]
+        g, fam, pair = planted_pair(m, size, good, where)
+        i, j = g.edges.index(pair[0]), g.edges.index(pair[1])
+        assert g.num_edges == m
+        assert (i, j) == ((m - 2, m - 1) if where == "last two" else (1, m - 1))
+        assert brute_verify(fam, g) == pair
+        assert verify_pairwise_suitable(fam, g) == SeparationWitness(False, pair)
+        # without the planted pair's edges the family is suitable
+        rest = Graph.build(g.vertices, [edge for edge in g.edges if edge not in pair])
+        assert verify_pairwise_suitable(fam, rest).ok
+        if size > DENSE_MEMBERS:
+            # the sift decides: the dense prefix alone leaves a path pair
+            dense = PermutationFamily(fam.ground_set, fam.orders[_scan_order(size)[:DENSE_MEMBERS]])
+            left = verify_pairwise_suitable(dense, rest).counterexample
+            assert left is not None and left == brute_verify(dense, rest)
 
+    @pytest.mark.parametrize("m", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("size", [DENSE_MEMBERS - 1, DENSE_MEMBERS, DENSE_MEMBERS + 1])
+    def test_scrambled_members_match_brute_oracle(self, m, size):
+        # no member keeps the paths together: the counterexample is
+        # whatever pair the random members leave
+        for seed in range(2):
+            g, fam, _ = planted_pair(m, size, None, "far right", seed)
+            assert verify_pairwise_suitable(fam, g).counterexample == brute_verify(fam, g)
 
-def test_members_per_word_steps():
-    assert [members_per_word(n) for n in (7, 8, 127, 128, 511, 512, 2**15 - 1, 2**15, 2**31 - 1)] \
-        == [8, 6, 4, 3, 3, 2, 2, 1, 1]
-
-
-class TestPackedLanes:
-    @pytest.mark.parametrize("n", LANE_BOUNDARIES)
-    def test_lane_words_match_comparisons(self, n):
-        # intervals with ends at 1, 2, n - 1 and n, ties included: every
-        # (i, j) keeps all guard bits iff each packed member overlaps them
-        rng = np.random.default_rng(n)
-        values = np.concatenate([[1, 2, n - 1, n], rng.integers(1, n + 1, 12)])
-        ends = rng.choice(values, (2, DENSE_MEMBERS, 40))
-        lo, hi = ends.min(axis=0), ends.max(axis=0)
-        q = members_per_word(n)
-        for size in sorted({0, 1, q - 1, q, min(q + 1, DENSE_MEMBERS), DENSE_MEMBERS}):
-            narrow = np.min_scalar_type(n)
-            left, right, guards = _lane_words(lo[:size].astype(narrow), hi[:size].astype(narrow), n)
-            assert left.shape == right.shape == (max(-(-size // q), 1), 40)
-            words = left[:, :, None] - right[:, None, :]
-            packed = np.bitwise_and.reduce(words & guards, axis=0) == guards
-            expected = ((hi[:size, :, None] >= lo[:size, None, :])
-                        & (hi[:size, None, :] >= lo[:size, :, None])).all(axis=0)
-            assert (packed == expected).all()
-
-    def test_matches_brute_oracle_at_lane_boundaries(self):
-        # Edge vertices 0..c-1 (c = 10, or n when smaller) and n - c
-        # isolated ones.  Each member is one base order of the edge vertices
-        # with a few adjacent swaps (two in the dense prefix, six past it),
-        # split around the isolated block, so edge ranks reach 1 and n and
-        # members agree often enough to leave counterexamples.  The oracle
-        # runs on the members restricted to the edge vertices: separation
-        # depends only on their relative order.
-        seen = {"inside": 0, "past": 0, "sifted": 0}
-        for n in LANE_BOUNDARIES:
-            rng = random.Random(n)
-            c = min(n, 10)
-            edges = {tuple(sorted(rng.sample(range(c), 2))) for _ in range(12)}
-            g, core = Graph.build(range(n), edges), Graph.build(range(c), edges)
-            q = members_per_word(n)
-            for size in sorted({1, q - 1, q, q + 1, DENSE_MEMBERS + 3}):
-                for _ in range(3):
-                    base = rng.sample(range(c), c)
-                    prefix = _scan_order(size)[:DENSE_MEMBERS]
-                    rows, orders = [], []
-                    for k in range(size):
-                        order = base[:]
-                        for _ in range(2 if k in prefix else 6):
-                            t = rng.randrange(c - 1)
-                            order[t], order[t + 1] = order[t + 1], order[t]
-                        cut = rng.randint(0, c)
-                        rows.append(order[:cut] + list(range(c, n)) + order[cut:])
-                        orders.append(order)
-                    fam = PermutationFamily(tuple(range(n)), np.array(rows, dtype=np.int64).reshape(size, n))
-                    restricted = PermutationFamily.build(range(c), orders)
-                    expected = brute_verify(restricted, core)
-                    assert verify_pairwise_suitable(fam, g).counterexample == expected
-                    if expected is not None:
-                        seen["inside" if size <= DENSE_MEMBERS else "past"] += 1
-                    if size > DENSE_MEMBERS:
-                        # the members past the prefix change the outcome
-                        dense = PermutationFamily(restricted.ground_set, restricted.orders[prefix])
-                        seen["sifted"] += brute_verify(dense, core) != expected
-        assert min(seen.values()) >= 5, seen
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65, 127, BLOCK_ROWS - 1, BLOCK_ROWS])
+    def test_rank_tables_give_the_overlapping_rows(self, rows):
+        # the tables of random edges on N places, read at each column's
+        # upper place (prefix) and lower place (suffix), give exactly the
+        # rows whose interval meets the column's, places 0 and N - 1 included
+        rng = np.random.default_rng(rows)
+        points = 40
+        words = -(-rows // 64)
+        ends = np.concatenate([[[0, points - 1]], rng.integers(0, points, (rows + 30, 2))])
+        block = ends[:rows]
+        rows_of = np.zeros((points, words), np.uint64)
+        for i, (u, v) in enumerate(block):
+            for w in {u, v}:
+                rows_of[w, i // 64] |= np.uint64(1) << np.uint64(i % 64)
+        listed = np.array([rng.permutation(points) for _ in range(3)])
+        tables = _rank_tables(rows_of, listed, np.empty((3, 2, points, words), np.uint64))
+        for k, order in enumerate(listed):
+            place = np.empty(points, np.int64)
+            place[order] = np.arange(points)
+            lo, hi = place[ends].min(axis=1), place[ends].max(axis=1)
+            for j in range(len(ends)):
+                got = tables[k, 0, hi[j]] & tables[k, 1, lo[j]]
+                bits = np.unpackbits(got.astype("<u8").view(np.uint8), bitorder="little")[:rows]
+                assert (bits == ((lo[:rows] <= hi[j]) & (hi[:rows] >= lo[j]))).all()
 
 
 class TestKSuitable:
@@ -541,6 +585,30 @@ def test_verifiers_against_brute_oracle(graph_family, samples, seed):
     assert witness.ok == (expected is None)
     assert witness.counterexample == expected
     assert verify_pairwise_suitable_sampled(fam, g, samples, seed) == witness
+
+
+@st.composite
+def sparse_graphs_with_families(draw):
+    """2-16 vertices with ids spread over 0..10^12, each possible edge
+    present with probability 0.2, 0.5 or 0.9 (up to 120 edges: one or two
+    words of rows; isolated vertices too), and 0 to DENSE_MEMBERS + 3
+    random member orders, so that the sift runs on a quarter of draws."""
+    n = draw(st.sampled_from(range(2, 17)))
+    ids = sorted(draw(st.lists(st.integers(0, 10**12), min_size=n, max_size=n, unique=True)))
+    rnd = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from([0.2, 0.5, 0.9]))
+    edges = [pair for pair in itertools.combinations(ids, 2) if rnd.random() < density]
+    size = draw(st.sampled_from([0, 1, 2, 5, DENSE_MEMBERS - 1, DENSE_MEMBERS, DENSE_MEMBERS + 1, DENSE_MEMBERS + 3]))
+    members = [rnd.sample(ids, n) for _ in range(size)]
+    return Graph.build(ids, edges), PermutationFamily.build(ids, members)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_graphs_with_families())
+def test_sparse_ids_against_brute_oracle(graph_family):
+    g, fam = graph_family
+    expected = brute_verify(fam, g)
+    assert verify_pairwise_suitable(fam, g) == SeparationWitness(expected is None, expected)
 
 
 @settings(max_examples=60)
