@@ -337,8 +337,9 @@ def verify_pairwise_suitable(fam: PermutationFamily, g: Graph) -> SeparationWitn
     than the other ends.  P is the prefix OR of `rows_of` along the
     member's places (lo_i <= p iff an endpoint of i lies at a place <= p)
     and ~B the suffix OR (hi_i >= p iff an endpoint lies at a place >= p),
-    so each table is one gather and one in-place accumulate, and a
-    column reads one word row of each, with no comparison per pair.  The
+    so the two tables take one gather, one copy and two in-place
+    accumulates, and a column reads one word row of each, with no
+    comparison per pair.  The
     members go in groups of at most GROUP_WORDS words of tables (and as
     many of gathers); after each group, the columns with no row left
     drop out.  The bits left are the block's pairs that no dense member

@@ -321,14 +321,23 @@ def planted_pair(m, size, good, where, seed=0):
     return g, PermutationFamily.build(g.vertices, members), (e, f)
 
 
+# Edge counts at the row-block boundaries.  A block takes up to
+# BLOCK_ROWS edges as rows, and the walk stops before a block that would
+# hold only the last edge, which has no later edge.  So BLOCK_ROWS - 1
+# and BLOCK_ROWS edges make one block of 255 or 256 rows (63 and 0 mod
+# 64), BLOCK_ROWS + 1 one block with the last edge a column only, and
+# BLOCK_ROWS + 65 a second block of 65 rows (1 mod 64); 65 edges make one
+# block of two words.
+BLOCK_EDGES = [65, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, BLOCK_ROWS + 65]
+
+
 class TestBlockBoundaries:
-    @pytest.mark.parametrize("m", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("m", BLOCK_EDGES)
     @pytest.mark.parametrize("size", [DENSE_MEMBERS - 1, DENSE_MEMBERS, DENSE_MEMBERS + 1])
     @pytest.mark.parametrize("where", ["last two", "far right"])
     def test_planted_pair_matches_brute_oracle(self, m, size, where):
-        # the last block holds 63, 0 and 1 rows mod 64; the member that
-        # separates the paths is the one visited last, which is in the
-        # sift when there are more than DENSE_MEMBERS
+        # the member that separates the paths is the one visited last,
+        # which is in the sift when there are more than DENSE_MEMBERS
         good = _scan_order(size)[-1]
         g, fam, pair = planted_pair(m, size, good, where)
         i, j = g.edges.index(pair[0]), g.edges.index(pair[1])
@@ -345,7 +354,7 @@ class TestBlockBoundaries:
             left = verify_pairwise_suitable(dense, rest).counterexample
             assert left is not None and left == brute_verify(dense, rest)
 
-    @pytest.mark.parametrize("m", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("m", BLOCK_EDGES)
     @pytest.mark.parametrize("size", [DENSE_MEMBERS - 1, DENSE_MEMBERS, DENSE_MEMBERS + 1])
     def test_scrambled_members_match_brute_oracle(self, m, size):
         # no member keeps the paths together: the counterexample is
