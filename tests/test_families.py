@@ -18,6 +18,7 @@ from sepdim.families import (
     PermutationFamily,
     SeparationWitness,
     _family_arrays,
+    _endpoint_places,
     _family_from_lists,
     _rank_tables,
     _scan_order,
@@ -387,6 +388,99 @@ class TestBlockBoundaries:
                 got = tables[k, 0, hi[j]] & tables[k, 1, lo[j]]
                 bits = np.unpackbits(got.astype("<u8").view(np.uint8), bitorder="little")[:rows]
                 assert (bits == ((lo[:rows] <= hi[j]) & (hi[:rows] >= lo[j]))).all()
+
+
+# n on both sides of each power of two up to 2^15.  The edge ends lie at
+# ranks 1, 2, n - 1 and n and the other vertices are isolated, so the
+# check renumbers ranks spread over 1..n into places 0..N-1 (N <= 2m)
+# before it packs the rows into words; at n = 7 and 8 every vertex lies
+# on an edge and the ranks are kept as they are.
+LANE_BOUNDARIES = [n for k in range(3, 16) for n in (2**k - 1, 2**k)]
+
+
+def brute_overlaps(ranks, edges):
+    """(m, m) bool: edges i and j overlap in every member of `ranks`."""
+    lo, hi = ranks[:, edges].min(axis=2), ranks[:, edges].max(axis=2)
+    return ((hi[:, :, None] >= lo[:, None, :]) & (hi[:, None, :] >= lo[:, :, None])).all(axis=0)
+
+
+class TestPackedLanes:
+    @pytest.mark.parametrize("n", LANE_BOUNDARIES)
+    def test_lane_words_match_comparisons(self, n):
+        # each member's overlap test is packed as words of row bits: its
+        # rank tables read at the keys of `_endpoint_places`.  For every
+        # member count and group size, the AND over the members must be
+        # the two comparisons per member on every (i, j), ties included
+        rng = np.random.default_rng(n)
+        c = min(n, 12)
+        points = rng.choice(n, c, replace=False)
+        pairs = np.array(list(itertools.combinations(sorted(points.tolist()), 2)))
+        edges = pairs[np.sort(rng.choice(len(pairs), min(len(pairs), 40), replace=False))]
+        orders = []
+        for _ in range(DENSE_MEMBERS):
+            first, last = rng.choice(points, (2, 2), replace=False)
+            middle = rng.permutation(np.setdiff1d(np.arange(n), [*first, *last]))
+            orders.append(np.concatenate([first, middle, last]))
+        fam = PermutationFamily(tuple(range(n)), np.array(orders, dtype=np.int64))
+        on_edge = np.zeros(n, bool)
+        on_edge[edges.ravel()] = True
+        m, places = len(edges), np.count_nonzero(on_edge)
+        ranks = fam.rank_matrix
+        assert {1, 2, n - 1, n} <= set(np.take(ranks, edges.ravel(), axis=1).ravel().tolist())
+        for size in sorted({0, 1, 2, DENSE_MEMBERS - 1, DENSE_MEMBERS}):
+            expected = brute_overlaps(ranks[:size], edges)
+            for group in sorted({1, 3, max(size, 1)}):
+                ends, listed, keys = _endpoint_places(fam, edges, on_edge, np.arange(size), group)
+                assert listed.shape == (size, places) and keys.shape == (2 * size, m)
+                rows_of = np.zeros((places, 1), np.uint64)
+                for i, (u, v) in enumerate(ends):
+                    rows_of[[u, v], 0] |= np.uint64(1) << np.uint64(i)
+                words = np.full((m, 1), ~np.uint64(0))
+                for k0 in range(0, size, group):
+                    k1 = min(k0 + group, size)
+                    table = _rank_tables(rows_of, listed[k0:k1], np.empty((k1 - k0, 2, places, 1), np.uint64))
+                    words &= np.bitwise_and.reduce(np.take(table.reshape(-1, 1), keys[2 * k0:2 * k1], axis=0), axis=0)
+                bits = np.unpackbits(words.astype("<u8").view(np.uint8), axis=1, bitorder="little")[:, :m]
+                assert (bits.astype(bool).T == expected).all()
+
+    def test_matches_brute_oracle_at_lane_boundaries(self):
+        # Edge vertices 0..c-1 (c = 10, or n when smaller) and n - c
+        # isolated ones.  Each member is one base order of the edge vertices
+        # with a few adjacent swaps (two in the dense prefix, six past it),
+        # split around the isolated block, so edge ranks reach 1 and n and
+        # members agree often enough to leave counterexamples.  The oracle
+        # runs on the members restricted to the edge vertices: separation
+        # depends only on their relative order.
+        seen = {"inside": 0, "past": 0, "sifted": 0}
+        for n in LANE_BOUNDARIES:
+            rng = random.Random(n)
+            c = min(n, 10)
+            edges = {tuple(sorted(rng.sample(range(c), 2))) for _ in range(12)}
+            g, core = Graph.build(range(n), edges), Graph.build(range(c), edges)
+            for size in (1, 2, DENSE_MEMBERS - 1, DENSE_MEMBERS, DENSE_MEMBERS + 1, DENSE_MEMBERS + 3):
+                for _ in range(3):
+                    base = rng.sample(range(c), c)
+                    prefix = _scan_order(size)[:DENSE_MEMBERS]
+                    rows, orders = [], []
+                    for k in range(size):
+                        order = base[:]
+                        for _ in range(2 if k in prefix else 6):
+                            t = rng.randrange(c - 1)
+                            order[t], order[t + 1] = order[t + 1], order[t]
+                        cut = rng.randint(0, c)
+                        rows.append(order[:cut] + list(range(c, n)) + order[cut:])
+                        orders.append(order)
+                    fam = PermutationFamily(tuple(range(n)), np.array(rows, dtype=np.int64).reshape(size, n))
+                    restricted = PermutationFamily.build(range(c), orders)
+                    expected = brute_verify(restricted, core)
+                    assert verify_pairwise_suitable(fam, g).counterexample == expected
+                    if expected is not None:
+                        seen["inside" if size <= DENSE_MEMBERS else "past"] += 1
+                    if size > DENSE_MEMBERS:
+                        # the members past the prefix change the outcome
+                        dense = PermutationFamily(restricted.ground_set, restricted.orders[prefix])
+                        seen["sifted"] += brute_verify(dense, core) != expected
+        assert min(seen.values()) >= 5, seen
 
 
 class TestKSuitable:
