@@ -24,6 +24,7 @@ from .graphs import (
     degeneracy_order,
     greedy_coloring,
     load_graph,
+    order_ranks,
     serialize_graph,
     star_forest_decomposition,
     subdivide,

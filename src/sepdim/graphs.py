@@ -268,15 +268,22 @@ def degeneracy_order(g: Graph) -> DegeneracyOrder:
     return DegeneracyOrder(tuple(map(g.vertices.__getitem__, order)), k)
 
 
-def _peel_steps(g: Graph, d: DegeneracyOrder) -> np.ndarray:
-    """The peeling step of each position in `g.vertices`; refuses an order
-    that is not `g.vertices` rearranged."""
-    ids, order = np.array(g.vertices), np.array(d.order)
-    rank = np.argsort(order)  # ids are sorted and distinct
-    # the same ids give the same dtype, so a dtype mismatch is a mismatch
-    if order.dtype != ids.dtype or order.shape != ids.shape or not np.array_equal(order[rank], ids):
-        raise ValueError("degeneracy order does not match graph vertices")
-    return rank
+def order_ranks(g: Graph, order, what: str) -> np.ndarray:
+    """The step of each position of `g.vertices` in `order`; ValueError
+    naming `what` unless `order` lists each vertex of g once.  The ids,
+    sorted and distinct, are `order` argsorted.  Ids past int64, which
+    numpy would round to float64 beside smaller ones, are compared as
+    Python ints in object arrays."""
+    big = object if g.vertices and g.vertices[-1] >> 63 else None
+    ids, order = np.array(g.vertices, dtype=big), np.array(order, dtype=big)
+    # the same ids give the same dtype, so a dtype mismatch is a mismatch;
+    # an object array must hold ints only, as 2.0 == 2
+    if order.dtype == ids.dtype and order.shape == ids.shape \
+            and not (big and set(map(type, order.tolist())) - {int}):
+        rank = np.argsort(order)
+        if np.array_equal(order[rank], ids):
+            return rank
+    raise ValueError(f"{what} does not match graph vertices")
 
 
 def star_forest_decomposition(g: Graph, d: DegeneracyOrder) -> np.ndarray:
@@ -306,7 +313,7 @@ def star_forest_decomposition(g: Graph, d: DegeneracyOrder) -> np.ndarray:
     after O(log depth) rounds.
     """
     n, k = g.num_vertices, d.k
-    rank = _peel_steps(g, d)
+    rank = order_ranks(g, d.order, "degeneracy order")
     u, v = g.edge_positions.T
     child = np.where(rank[u] < rank[v], u, v)
     parent = u + v - child
@@ -377,7 +384,7 @@ def greedy_coloring(g: Graph, d: DegeneracyOrder) -> dict[int, int]:
     Vertices are colored in reverse peeling order; every vertex then has
     at most k colored neighbors when its turn comes.
     """
-    steps = _peel_steps(g, d)
+    steps = order_ranks(g, d.order, "degeneracy order")
     indptr, indices = (a.tolist() for a in g.csr)
     by_position = [0] * g.num_vertices  # 0: not coloured yet
     color: dict[int, int] = {}

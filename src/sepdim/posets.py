@@ -21,7 +21,7 @@ from functools import cached_property
 from itertools import permutations
 
 from .exact import DEFAULT_BUDGET, fewest_orders, linear_completion
-from .graphs import Graph
+from .graphs import Graph, order_ranks
 
 
 class PosetError(ValueError):
@@ -136,23 +136,14 @@ def interval_order(intervals) -> Poset:
     return Poset(tuple(elements), tuple(full >> k << k for k in firsts))
 
 
-def edge_intervals(g: Graph, sigma) -> list[tuple[int, int]]:
-    """Each edge of g, in g.edges order, as the open interval between the
-    ranks (from 1) of its endpoints in `sigma`, a sequence that lists
-    every vertex of g once (ValueError otherwise).  Edges never share
-    both ranks, so the intervals are distinct."""
-    rank = {v: i + 1 for i, v in enumerate(sigma)}
-    if len(rank) != len(sigma):
-        raise ValueError("permutation contains repeated vertices")
-    if rank.keys() != set(g.vertices):
-        raise ValueError("permutation does not cover the graph vertices")
-    return [(min(rank[u], rank[v]), max(rank[u], rank[v])) for u, v in g.edges]
-
-
 def interval_order_from(g: Graph, sigma) -> Poset:
-    """The interval order of a graph under a vertex ordering `sigma`: the
-    order of its `edge_intervals`."""
-    return interval_order(edge_intervals(g, sigma))
+    """The interval order of a graph under a vertex ordering `sigma`, a
+    sequence that lists every vertex of g once (ValueError otherwise):
+    each edge is the open interval between the ranks (from 1) of its
+    endpoints.  Edges never share both ranks, so the intervals are
+    distinct."""
+    ranks = order_ranks(g, sigma, "sigma")[g.edge_positions] + 1
+    return interval_order(map(sorted, ranks.tolist()))
 
 
 def canonical_interval_order(n: int) -> Poset:

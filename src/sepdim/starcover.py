@@ -82,8 +82,6 @@ def degenerate_family(g: Graph) -> DegenerateCoverResult:
     number of star forests is at most twice the degeneracy k, so the
     family has at most 4*k*r members.
     """
-    if not g.vertices:
-        raise ValueError("graph must have at least one vertex")
     d = degeneracy_order(g)
     n = g.num_vertices
     roots = star_forest_decomposition(g, d)

@@ -28,10 +28,9 @@ from .graphs import (
     color_classes,
     degeneracy_order,
     greedy_coloring,
-    subdivide,
+    order_ranks,
     subdivision_mids,
 )
-from .posets import edge_intervals
 from .suitable3 import Suitable3Result, build_3_suitable_for, certify_3_suitable
 
 
@@ -52,15 +51,11 @@ def _lift_keys(g: Graph, classes, orders: np.ndarray) -> np.ndarray:
     so it fits in int64 for any n < 2^31, whatever the class count.
     """
     n = g.num_vertices
-    pos = {v: j for j, v in enumerate(g.vertices)}
-    sigma = [pos.get(v, -1) for cls in classes for v in cls]
     sizes = list(map(len, classes))
     if not all(sizes):
         raise ValueError("colour classes must be non-empty")
-    if len(sigma) != n or len(set(sigma)) != n or min(sigma, default=0) < 0:
-        raise ValueError("colour classes do not cover exactly the graph's vertices")
-    rank = np.empty(n, dtype=np.int64)  # σ-rank by position in g.vertices
-    rank[sigma] = np.arange(n)
+    # σ-rank by position in g.vertices
+    rank = order_ranks(g, [v for cls in classes for v in cls], "colour classes")
     # the class of each σ-rank, and each edge's σ-ranks, left end first
     of_rank = np.repeat(np.arange(len(sizes)), sizes)
     end_ranks = rank[g.edge_positions.T]
@@ -194,10 +189,11 @@ def certify_subdivision_family(g: Graph, classes, family: PermutationFamily,
 class SubdividedBoundResult:
     """A subdivision family and what it was built from: the colour
     classes (σ lists them consecutively), F and the height of g's
-    interval order under σ."""
+    interval order under σ.  The family's ground set names the vertices
+    of G^{1/2}; `subdivide(g)` builds that graph for a caller that needs
+    its edges."""
 
     family: PermutationFamily
-    subdivided: Graph
     classes: tuple[tuple[int, ...], ...]
     interval_height: int
     base: Suitable3Result
@@ -218,13 +214,15 @@ class SubdividedBoundResult:
 
 def interval_height(g: Graph, sigma) -> int:
     """Height of g's interval order under σ, a sequence that lists each
-    vertex of g once (the order of its `edge_intervals`), by the greedy
-    interval schedule: take intervals by right end, keeping each that
-    starts at or after the last kept end."""
+    vertex of g once: each edge is the open interval between the σ-ranks
+    of its ends, and the greedy interval schedule takes the intervals by
+    right end, keeping each that starts at or after the last kept end."""
+    left, right = np.sort(order_ranks(g, sigma, "sigma")[g.edge_positions], axis=1).T
+    by_right = np.argsort(right, kind="stable")
     chain, last = 0, 0
-    for right, left in sorted((b, a) for a, b in edge_intervals(g, sigma)):
-        if left >= last:
-            chain, last = chain + 1, right
+    for a, b in zip(left[by_right].tolist(), right[by_right].tolist()):
+        if a >= last:
+            chain, last = chain + 1, b
     return chain
 
 
@@ -233,12 +231,14 @@ def colored_subdivision_family(g: Graph) -> SubdividedBoundResult:
 
     The classes come from a greedy colouring along the degeneracy order;
     listed consecutively they also cap the height of g's interval order
-    under σ at (#classes - 1), which the result reports.  The family is
-    not checked here: callers certify it (`certify_subdivision_family`).
+    under σ at (#classes - 1), which the result reports.  Everything
+    here reads g's position arrays: neither G^{1/2} nor the id pairs
+    `g.edges` are built.  The family is not checked here: callers
+    certify it (`certify_subdivision_family`).
     """
     classes = tuple(color_classes(greedy_coloring(g, degeneracy_order(g))))
     family, base = subdivision_family(g, classes)
     h = interval_height(g, [v for cls in classes for v in cls])
     if g.num_edges and h > len(classes) - 1:
         raise AssertionError("interval order height exceeds the coloring bound")
-    return SubdividedBoundResult(family, subdivide(g), classes, h, base)
+    return SubdividedBoundResult(family, classes, h, base)

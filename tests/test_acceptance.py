@@ -12,7 +12,7 @@ from sepdim.families import (
     verify_k_suitable,
     verify_pairwise_suitable,
 )
-from sepdim.graphs import Graph, check_star_forest, degeneracy_order, star_forest_decomposition
+from sepdim.graphs import Graph, check_star_forest, degeneracy_order, star_forest_decomposition, subdivide
 from sepdim.lowerbound import (
     common_monotone_subset,
     extraction_floor,
@@ -180,7 +180,7 @@ def test_criterion_4_subdivision_pipeline():
             failures.append((seed, "size"))
         if result.interval_height > result.num_classes - 1:
             failures.append((seed, "height"))
-        witness = verify_pairwise_suitable(result.family, result.subdivided)
+        witness = verify_pairwise_suitable(result.family, subdivide(g))
         if not witness.ok:
             failures.append((seed, "verify", witness.counterexample))
     c4 = colored_subdivision_family(cycle(4))

@@ -44,6 +44,21 @@ class TestBoundDegenerate:
         path.write_text("".join(f"0 {i}\n" for i in range(1, 6)))
         assert main(["bound-degenerate", str(path)]) == 0
 
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_empty_graph(self, fmt, tmp_path, capsys):
+        # no vertex, no pair: the empty family certifies and verifies
+        path, out = tmp_path / "empty.txt", str(tmp_path / "fam.json")
+        path.write_text("")
+        assert main(["bound-degenerate", str(path), "--out", out, "--format", fmt]) == 0
+        report = capsys.readouterr().out
+        if fmt == "text":
+            assert "family_size: 0\n" in report and "verdict: ok\n" in report
+        else:
+            doc = json.loads(report)
+            assert doc["family_size"] == 0 and doc["verdict"] == "ok"
+        assert main(["verify", str(path), out]) == 0
+        assert "verdict: ok\n" in capsys.readouterr().out
+
     def test_malformed_input(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1 1\n")
@@ -103,6 +118,16 @@ class TestBoundDegenerate:
         assert open(out + ".subdivided.txt").read() == serialize_graph(oracle)
 
     @pytest.mark.parametrize("command", ["bound-degenerate", "bound-subdivision"])
+    def test_ids_one_float64_apart(self, command, tmp_path, capsys):
+        # numpy holds 1 beside 2^63, 2^63 + 2 and 2^63 + 4 as float64,
+        # one value for the three: the peel steps still rank them apart
+        b = 2**63
+        graph = tmp_path / "near.txt"
+        graph.write_text(f"{b + 2} {b}\n{b} 1\n1 {b + 4}\n")
+        assert main([command, str(graph)]) == 0
+        assert "verdict: ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["bound-degenerate", "bound-subdivision"])
     def test_out_is_written_in_parts(self, command, tmp_path, monkeypatch):
         # one part per member: the file holds the same bytes as the
         # document in one piece
@@ -131,6 +156,15 @@ class TestBoundSubdivision:
         path = tmp_path / "empty.txt"
         path.write_text("")
         assert main(["bound-subdivision", str(path)]) == 0
+
+    def test_reads_positions_only(self, c4_file, tmp_path, monkeypatch):
+        # the family, the height, the certificate and the three files all
+        # come from the position arrays, never from the id pairs
+        def no_edges(g):
+            raise AssertionError("bound-subdivision read Graph.edges")
+
+        monkeypatch.setattr(Graph, "edges", property(no_edges))
+        assert main(["bound-subdivision", c4_file, "--out", str(tmp_path / "fam.json")]) == 0
 
     def test_unsuitable_family_is_an_internal_error(self, c4_file, monkeypatch, capsys):
         # A family one member short, with F cut to match, fails the

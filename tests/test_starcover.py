@@ -130,9 +130,11 @@ class TestDegenerateFamily:
         result = degenerate_family(g)
         assert len(result.family) == 0
 
-    def test_empty_graph_rejected(self):
-        with pytest.raises(ValueError):
-            degenerate_family(Graph.build([], []))
+    def test_empty_graph_gets_the_empty_family(self):
+        g = Graph.build([], [])
+        result = degenerate_family(g)
+        certify_star_cover(g, result)
+        assert len(result.family) == 0 and result.forest_count == 0
 
 
 class TestClaimCaseReplay:

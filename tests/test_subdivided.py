@@ -10,10 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from sepdim.families import PermutationFamily, verify_pairwise_suitable
 from sepdim.graphs import (
+    DegeneracyOrder,
     Graph,
     color_classes,
     degeneracy_order,
     greedy_coloring,
+    order_ranks,
+    star_forest_decomposition,
     subdivide,
     subdivision_mids,
 )
@@ -151,7 +154,7 @@ class TestColoredPipeline:
         sizes = {}
         for n in (4, 7, 12, 40):
             res = colored_subdivision_family(complete(n))
-            assert verify_pairwise_suitable(res.family, res.subdivided).ok
+            assert verify_pairwise_suitable(res.family, subdivide(complete(n))).ok
             sizes[n] = len(res.family)
         assert sizes == {4: 5, 7: 6, 12: 7, 40: 8}
 
@@ -169,7 +172,7 @@ class TestColoredPipeline:
             }
             g = Graph.build(range(1, n + 1), edges)
             res = colored_subdivision_family(g)
-            assert verify_pairwise_suitable(res.family, res.subdivided).ok
+            assert verify_pairwise_suitable(res.family, subdivide(g)).ok
             if g.edges:
                 assert len(res.family) == res.realizer_size + 2
 
@@ -201,17 +204,18 @@ class TestColoredPipeline:
         assert colored_subdivision_family(g).family == colored_subdivision_family(g).family
 
 
-@pytest.mark.parametrize("sigma,match", [
+@pytest.mark.parametrize("sigma,fault", [
     ((4, 3, 2, 1, 1), "repeated"),
     ((1, 2, 3, 4, 9), "cover"),
     ((1, 2, 3), "cover"),
 ])
-def test_interval_height_refuses_what_the_poset_refuses(sigma, match):
-    # σ must list each vertex of the path 1-2-3-4 once, for both readers
+def test_interval_height_refuses_what_the_poset_refuses(sigma, fault):
+    # σ must list each vertex of the path 1-2-3-4 once, for both readers;
+    # a repeated vertex and a miscover get the same wording
     g = Graph.from_edges([(1, 2), (2, 3), (3, 4)])
-    with pytest.raises(ValueError, match=match) as from_height:
+    with pytest.raises(ValueError, match="does not match graph vertices") as from_height:
         interval_height(g, sigma)
-    with pytest.raises(ValueError, match=match) as from_poset:
+    with pytest.raises(ValueError, match="does not match graph vertices") as from_poset:
         height(interval_order_from(g, sigma))
     assert str(from_height.value) == str(from_poset.value)
 
@@ -229,6 +233,49 @@ def test_interval_height_matches_poset_height():
         g = Graph.build(range(n), edges)
         sigma = list(g.vertices)
         rng.shuffle(sigma)
+        assert interval_height(g, sigma) == height(interval_order_from(g, sigma))
+
+
+# every reader of a vertex order, each fed the order its own way (as a
+# peel order, with k = n as a bound on the later neighbours)
+ORDER_READERS = {
+    "interval_height": interval_height,
+    "interval_order_from": interval_order_from,
+    "subdivision_family": lambda g, order: subdivision_family(g, [(v,) for v in order]),
+    "star_forest_decomposition":
+        lambda g, order: star_forest_decomposition(g, DegeneracyOrder(order, g.num_vertices)),
+    "greedy_coloring": lambda g, order: greedy_coloring(g, DegeneracyOrder(order, g.num_vertices)),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(ORDER_READERS))
+@pytest.mark.parametrize("order", [
+    (1, 2, 3, 4, 4),       # a repeated vertex
+    (1, 2, 3),             # a missing one
+    (1, 2, 3, 9),          # a foreign one
+    (1.0, 2.0, 3.0, 4.0),  # floats equal to the ids
+])
+def test_every_order_reader_refuses_the_same_orders(reader, order):
+    g = Graph.from_edges([(1, 2), (2, 3), (3, 4)])
+    with pytest.raises(ValueError, match=" does not match graph vertices$"):
+        ORDER_READERS[reader](g, order)
+
+
+def test_ids_past_int64_are_ranked_exactly():
+    # numpy would hold 2^63 and 2^63 + 2 beside 1 as one float64 value
+    g = Graph.from_edges([(1, 2**63), (2**63, 2**63 + 2)])
+    assert order_ranks(g, (2**63 + 2, 1, 2**63), "order").tolist() == [1, 2, 0]
+    with pytest.raises(ValueError, match="^order does not match graph vertices$"):
+        order_ranks(g, (1, 2.0**63, 2**63 + 2), "order")
+    ids = [0, 5, 2**31, 2**63 - 1, 2**63, 2**63 + 1, 2**64, 2**70 - 1, 2**70]
+    for seed in range(40):
+        rng = random.Random(seed)
+        edges = {tuple(sorted(rng.sample(ids, 2))) for _ in range(rng.randint(0, 20))}
+        g = Graph.build(ids, edges)
+        sigma = rng.sample(ids, len(ids))
+        for reader in ORDER_READERS.values():
+            reader(g, sigma)
+        assert order_ranks(g, sigma, "sigma").tolist() == [sigma.index(v) for v in g.vertices]
         assert interval_height(g, sigma) == height(interval_order_from(g, sigma))
 
 
