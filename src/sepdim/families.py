@@ -68,8 +68,9 @@ import numpy as np
 from .graphs import Edge, Graph
 
 # Row-block height and dense-prefix length of the exhaustive check, and
-# the cap, in uint64 words, on one member group's rank tables and on
-# their gathers (8 MiB each)
+# the cap, in 8-byte words, on one member group's rank tables and on
+# their gathers (8 MiB each); the star cover's forest groups
+# (`starcover._forest_groups`) key, sort and check under the same cap
 BLOCK_ROWS = 256
 DENSE_MEMBERS = 16
 GROUP_WORDS = 1 << 20

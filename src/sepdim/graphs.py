@@ -146,7 +146,7 @@ def _load_array(text: str) -> Graph | None:
     ends = np.fromstring(data[cut:], dtype=np.int64, sep=" ").reshape(-1, 2)
     if ends.size and ends.max() >> _ID_BITS:
         return None
-    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    lo, hi = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
     key = np.sort(lo << _ID_BITS | hi)
     if (lo == hi).any() or (key[1:] == key[:-1]).any():
         return None  # the line parser names the line

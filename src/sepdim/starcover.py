@@ -22,36 +22,48 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .families import PermutationFamily
+from .families import GROUP_WORDS, PermutationFamily
 from .graphs import Graph, check_star_forest, star_forest_decomposition, degeneracy_order
 from .suitable3 import Suitable3Result, build_3_suitable_for, certify_3_suitable
 
 
 def _block_keys(roots: np.ndarray, base_ranks: np.ndarray) -> np.ndarray:
-    """(2r, n) sort keys of one star forest's members, one distinct int64
-    per position: row 2i packs (ρ_i(root), is_root, ρ_i(v)) and row
-    2i + 1 (−ρ_i(root), is_root, ρ_i(v)), where ρ_i is row i of the
-    (r, n) base rank matrix `base_ranks` and root is v's star root."""
+    """(s*2r, n) sort keys of the members of s star forests, stacked
+    (s, n) roots or one forest as (n,), in family order, one distinct
+    int64 per position: row 2(S*r + i) packs (ρ_i(root), is_root, ρ_i(v))
+    and the next row, its twin's, (−ρ_i(root), is_root, ρ_i(v)), where
+    ρ_i is row i of the (r, n) base rank matrix `base_ranks` and root is
+    v's star root in forest S."""
     r, n = base_ranks.shape
-    within = (roots == np.arange(n)) * n + base_ranks  # 1..2n
-    block = base_ranks[:, roots] * (2 * n + 1)
-    keys = np.empty((r, 2, n), dtype=np.int64)
-    np.add(block, within, out=keys[:, 0])
-    np.subtract(within, block, out=keys[:, 1])
-    return keys.reshape(2 * r, n)
+    roots = roots.reshape(-1, n)
+    within = (roots == np.arange(n))[:, None] * n + base_ranks  # 1..2n
+    block = np.take(base_ranks, roots, axis=1).swapaxes(0, 1)
+    block *= 2 * n + 1
+    keys = np.empty((len(roots), r, 2, n), dtype=np.int64)
+    np.add(block, within, out=keys[:, :, 0])
+    np.subtract(within, block, out=keys[:, :, 1])
+    return keys.reshape(-1, n)
 
 
 def construct_sigma(roots: np.ndarray, base_ranks: np.ndarray) -> np.ndarray:
-    """The 2r members of one star forest, as rows of positions.
+    """The 2r members of each of s star forests, as (s*2r, n) rows of
+    positions in family order, from one argsort.
 
-    `roots` is one star forest from `star_forest_decomposition` (the
-    position of each vertex's star root) and `base_ranks` the (r, n)
-    rank matrix of the base family.  Row 2i is the block permutation of
-    base member i: stars form blocks ordered by the base rank of their
-    root, the leaves of a block follow their own base rank and the root
-    comes last.  Row 2i + 1, its twin, reverses the block order.
+    `roots` holds s stacked star forests from `star_forest_decomposition`
+    (the position of each vertex's star root), or one forest as (n,), and
+    `base_ranks` the (r, n) rank matrix of the base family.  Row
+    2(S*r + i) is the block permutation of base member i over forest S:
+    stars form blocks ordered by the base rank of their root, the leaves
+    of a block follow their own base rank and the root comes last.  The
+    next row, its twin, reverses the block order.
     """
     return np.argsort(_block_keys(roots, base_ranks), axis=1)
+
+
+def _forest_groups(s: int, r: int, n: int) -> range:
+    """First forests of the groups that key, sort and check together: as
+    many forests as fit GROUP_WORDS key cells, at least one."""
+    return range(0, s, max(1, GROUP_WORDS // max(2 * r * n, 1)))
 
 
 @dataclass(frozen=True)
@@ -80,7 +92,8 @@ def degenerate_family(g: Graph) -> DegenerateCoverResult:
 
     r is the size of the 3-suitable base family over the vertex ids; the
     number of star forests is at most twice the degeneracy k, so the
-    family has at most 4*k*r members.
+    family has at most 4*k*r members.  The members are made one group of
+    forests at a time (`_forest_groups`), one `construct_sigma` each.
     """
     d = degeneracy_order(g)
     n = g.num_vertices
@@ -91,8 +104,9 @@ def degenerate_family(g: Graph) -> DegenerateCoverResult:
     ranks = base.family.rank_matrix
     per_forest = 2 * len(ranks)
     orders = np.empty((per_forest * len(roots), n), dtype=np.int64)
-    for s, forest in enumerate(roots):
-        orders[s * per_forest:(s + 1) * per_forest] = construct_sigma(forest, ranks)
+    groups = _forest_groups(len(roots), len(ranks), n)
+    for S in groups:
+        orders[S * per_forest:(S + groups.step) * per_forest] = construct_sigma(roots[S:S + groups.step], ranks)
     return DegenerateCoverResult(PermutationFamily(g.vertices, orders), d.k, base, roots)
 
 
@@ -100,7 +114,8 @@ def certify_star_cover(g: Graph, result: DegenerateCoverResult) -> None:
     """Raise AssertionError, naming the failed premise, unless `result`
     is a star-cover family of g whose pairwise suitability follows from
     the construction's proof.  O(s*r*n + m), one vectorised pass per
-    star forest.
+    group of star forests (`_forest_groups`), which names the first
+    forest with a member out of its block order.
 
     Premises: base, the base is 3-suitable over g's positions
     (`certify_3_suitable`); cover, there are s <= 2k star forests, each
@@ -141,10 +156,14 @@ def certify_star_cover(g: Graph, result: DegenerateCoverResult) -> None:
     if covered != g.num_edges:
         raise AssertionError("cover: an edge is a leaf-root pair of no star forest")
     ranks = base.family.rank_matrix
-    for S, forest in enumerate(roots):
-        keys = np.take_along_axis(_block_keys(forest, ranks), fam.orders[2 * S * r:2 * (S + 1) * r], axis=1)
-        if not (np.diff(keys, axis=1) > 0).all():
-            raise AssertionError(f"members: a member of star forest {S} is not its block order")
+    groups = _forest_groups(s, r, g.num_vertices)
+    for S in groups:
+        rows = fam.orders[2 * S * r:2 * (S + groups.step) * r]
+        keys = np.take_along_axis(_block_keys(roots[S:S + groups.step], ranks), rows, axis=1)
+        ordered = (keys[:, 1:] > keys[:, :-1]).all(axis=1)
+        if not ordered.all():
+            bad = S + int(np.argmin(ordered)) // (2 * r)
+            raise AssertionError(f"members: a member of star forest {bad} is not its block order")
 
 
 def random_k_degenerate_graph(n: int, k: int, seed: int = 0) -> Graph:

@@ -14,6 +14,7 @@ from sepdim.families import (
     verify_pairwise_suitable,
 )
 from sepdim.graphs import Graph, degeneracy_order, star_forest_decomposition, subdivide
+from sepdim import starcover
 from sepdim.starcover import (
     certify_star_cover,
     construct_sigma,
@@ -92,6 +93,61 @@ class TestConstructSigmaBatch:
                     block = rank[forest]
                     assert rows[2 * i].tolist() == np.lexsort((rank, is_root, block)).tolist()
                     assert rows[2 * i + 1].tolist() == np.lexsort((rank, is_root, -block)).tolist()
+
+    def test_stacked_forests_equal_the_per_forest_rows(self):
+        g = random_k_degenerate_graph(90, 3, seed=4)
+        result = degenerate_family(g)
+        ranks = result.base.family.rank_matrix
+        per_forest = np.concatenate([construct_sigma(forest, ranks) for forest in result.roots])
+        assert np.array_equal(construct_sigma(result.roots, ranks), per_forest)
+        assert np.array_equal(per_forest, result.family.orders)
+
+
+def group_caps(result):
+    """GROUP_WORDS values giving the default groups, one forest and two
+    forests per group, for star-cover results like `result`."""
+    forest_words = 2 * result.base_size * result.roots.shape[1]
+    return {"default": starcover.GROUP_WORDS, "one": forest_words, "two": 2 * forest_words}
+
+
+def counted_sigma(monkeypatch):
+    """The forest count of each `construct_sigma` call from now on."""
+    calls, sigma = [], starcover.construct_sigma
+    monkeypatch.setattr(starcover, "construct_sigma", lambda roots, ranks: calls.append(len(roots)) or sigma(roots, ranks))
+    return calls
+
+
+class TestForestGroups:
+    """Members are made and certified one group of star forests at a
+    time; the group size changes no member and no certificate verdict."""
+
+    # 5 star forests of 6 base members: two forests per group leave one
+    # forest alone in the last group
+    GRAPH = dict(n=90, k=3, seed=4)
+
+    @pytest.mark.parametrize("cap, groups", [("default", [5]), ("one", [1] * 5), ("two", [2, 2, 1])])
+    def test_group_cap_keeps_the_orders(self, cap, groups, monkeypatch):
+        g = random_k_degenerate_graph(**self.GRAPH)
+        at_default = degenerate_family(g)
+        monkeypatch.setattr(starcover, "GROUP_WORDS", group_caps(at_default)[cap])
+        calls = counted_sigma(monkeypatch)
+        capped = degenerate_family(g)
+        assert calls == groups
+        assert np.array_equal(capped.family.orders, at_default.family.orders)
+        certify_star_cover(g, capped)
+
+    @pytest.mark.parametrize("cap", ["default", "one", "two"])
+    def test_swap_in_the_last_forest_is_named(self, cap, monkeypatch):
+        g = random_k_degenerate_graph(**self.GRAPH)
+        result = degenerate_family(g)
+        monkeypatch.setattr(starcover, "GROUP_WORDS", group_caps(result)[cap])
+        s, r = result.forest_count, result.base_size
+        orders = result.family.orders.copy()
+        last = 2 * (s - 1) * r
+        orders[[last, last + 1]] = orders[[last + 1, last]]  # a member and its twin trade places
+        swapped = dataclasses.replace(result, family=PermutationFamily(g.vertices, orders))
+        with pytest.raises(AssertionError, match=f"^members: .* star forest {s - 1} "):
+            certify_star_cover(g, swapped)
 
 
 class TestDegenerateFamily:
