@@ -37,8 +37,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from math import inf
 from operator import add
+
+import numpy as np
 
 from .families import PermutationFamily, disjoint_edge_pairs
 from .graphs import Graph
@@ -88,177 +89,198 @@ def fewest_orders(
     to one whose order 0 is the same.  So the first untouched order
     stands for all of them, and the mirror skip applies to it.
 
+    Each order is one relation, an m*m-bit integer with bit a*m + b set
+    when a is below b.  Committing X before Y multiplies `below` (bit a*m
+    for each a at or below X, read off the columns) by `above` (the
+    elements at or above Y): the product is `above` in every row of
+    `below`.  Each node keeps its state, and a commit copies what it
+    changes, so rollback needs no log.
+
     Requirement state is kept across commit and rollback instead of
-    being rescanned at every node.  Since a commit only ever goes to a
-    touched order or to the first untouched one, the touched orders are
-    always a prefix 0..j-1.  For each touched order the search keeps
-    each requirement's status there: None once an alternative holds,
-    else the alternatives that fit, in the requirement's own order.
-    Orders only grow, so an alternative that stops fitting never fits
-    again and never holds (that would close a cycle): a status only
-    shrinks.  Each requirement also keeps its candidate count, infinite
-    once it is met: its fitting alternatives on orders 0..j-1, plus its
-    untouched-order ones (mirror skip applied) on order j while j < t.
-    The base statuses are computed once; requirements the base meets
-    are dropped, and the rest seed an order when it is first touched
-    (order 0 is seeded from `first_up`, when given, at the start).
-    A commit on order k recomputes, on k only, the unmet requirements
-    it can change: those with an alternative that puts, opposite some
-    element a, an element that a's row gained.  The old statuses and
-    counts go into the node's undo record next to the old rows.  A met
-    requirement is not updated: nothing reads its statuses until the
-    commit that met it is rolled back, and every later commit is rolled
-    back first.
+    being rescanned at every node.  Requirements the base meets are
+    dropped (and those order 0's base meets), and every alternative of
+    the rest that fits the base has one bit.  Since a commit only ever
+    goes to a touched order or to the first untouched one, the touched
+    orders are always a prefix 0..j-1; each keeps the bitmask of the
+    alternatives that fit it.  Orders only grow, so an alternative that
+    stops fitting never fits again and never holds (that would close a
+    cycle).  The index `hold[a*m + b]` is the bitmask of the alternatives
+    with a in X and b in Y, and `kill`, its transpose, of those with b in
+    X and a in Y.  At each pair a commit adds, the alternatives in kill
+    stop fitting, and those in hold are the only ones that can start to
+    hold: each is tested against its X-before-Y pairs.  An unmet
+    requirement keeps its candidate count: its fitting alternatives on
+    orders 0..j-1, plus its untouched-order ones (mirror skip applied) on
+    order j while j < t.  A met requirement's count is raised to `met`,
+    above every unmet count, and its alternatives leave `unmet`, so no
+    later commit lowers it until the commit that met it is rolled back.
 
     A full rescan lists a requirement's candidates order by order and,
-    within an order, in the requirement's own order: its statuses on
-    orders 0..j-1, then its untouched-order alternatives on order j.
-    The counts are the lengths of those lists.  So the chosen
+    within an order, in the requirement's own order: its fitting
+    alternatives on orders 0..j-1, then its untouched-order ones on
+    order j.  The counts are the lengths of those lists.  So the chosen
     requirement, its candidates and their order, and with them the node
-    count and the relations returned, are those of a full rescan.
+    count and the orders returned, are those of a full rescan.
 
-    Returns (t, the t closed relations, nodes spent), or (None, None,
-    nodes) when no t up to `limit` works.  Nodes count over every t;
-    SearchBudgetExceeded is raised once they pass `budget`.
+    Returns (t, the t orders as closed bitset rows, nodes spent), or
+    (None, None, nodes) when no t up to `limit` works.  Nodes count over
+    every t; SearchBudgetExceeded is raised once they pass `budget`.
     """
     m = len(base_up)
-    symmetric = not any(base_up) and all(
-        (ys, xs) in req for req in requirements for xs, ys in req
-    )
-    # base statuses of the requirements the base leaves unmet, on a
-    # touched order (`seed`) and on the first untouched one (`fresh`)
-    # (`first`: on order 0's own base; a requirement it meets is dropped)
-    seed, first = [], []
+    full = (1 << m) - 1
+    col = sum(1 << a * m for a in range(m))  # column 0: bit a*m per element a
+    base = sum(row << a * m for a, row in enumerate(base_up))
+    first = base if first_up is None else sum(row << a * m for a, row in enumerate(first_up))
+    symmetric = not base and all((ys, xs) in req for req in requirements for xs, ys in req)
+    # alts[g]: alternative g as (Y's row shifts, Y, X, X's column bits,
+    # its X-before-Y pairs, Y), of requirement owner[g]; group[r]:
+    # requirement r's alternatives; fresh[r]: those an untouched order
+    # offers (mirror skip applied)
+    sides, alts, owner, group, fresh = {}, [], [], [], []
     for req in requirements:
-        status = _fitting(base_up, [
-            (xs, sum(1 << x for x in xs), ys, sum(1 << y for y in ys),
-             symmetric and (ys, xs) in req[:i])
-            for i, (xs, ys) in enumerate(req)
-        ])
-        if status is None:
-            continue
-        if first_up is not None:
-            # an alternative that does not fit the base fits no extension
-            first_status = _fitting(first_up, status)
-            if first_status is None:
-                continue
-            first.append(first_status)
-        seed.append(status)
-    fresh = [[alt for alt in status if not alt[4]] for status in seed]
-    # mentions[a][r]: the elements requirement r's alternatives put
-    # opposite a; r's status can change only when row a gains one of them
-    mentions = [{} for _ in range(m)]
-    for r, status in enumerate(seed):
-        for xs, xb, ys, yb, _ in status:
-            for x in xs:
-                mentions[x][r] = mentions[x].get(r, 0) | yb
-            for y in ys:
-                mentions[y][r] = mentions[y].get(r, 0) | xb
-    # count change when order j is first touched: its statuses join, and
-    # the untouched-order candidates leave if j is the last order
-    join = [len(status) for status in seed]
-    join_last = [len(status) - len(f) for status, f in zip(seed, fresh)]
+        start = len(alts)
+        free = []
+        for i, (xs, ys) in enumerate(req):
+            xb, xcol, _ = sides.get(xs) or _side(xs, m, sides)
+            yb, ycol, yshifts = sides.get(ys) or _side(ys, m, sides)
+            pairs = xcol * yb
+            if first & pairs == pairs:  # met by the base, or by order 0's base
+                del alts[start:]
+                break
+            if not base & ycol * xb:
+                if not (i and symmetric and (ys, xs) in req[:i]):
+                    free.append(len(alts))
+                alts.append((yshifts, yb, xs, xcol, pairs, ys))
+        else:
+            owner += [len(group)] * (len(alts) - start)
+            group.append(range(start, len(alts)))
+            fresh.append(free)
+    masks = [(1 << alternatives.stop) - (1 << alternatives.start) for alternatives in group]
+    in_x, in_y = [0] * m, [0] * m
+    for g, (_, _, xs, _, _, ys) in enumerate(alts):
+        bit = 1 << g
+        for x in xs:
+            in_x[x] |= bit
+        for y in ys:
+            in_y[y] |= bit
+    hold = [ix & iy for ix in in_x for iy in in_y]
+    kill = [iy & ix for iy in in_y for ix in in_x]
+    every = first_fit = (1 << len(alts)) - 1
+    counts_fresh = list(map(len, fresh))
+    if first_up is not None:
+        first_fit = sum(1 << g for g, (_, _, xs, _, _, ys) in enumerate(alts)
+                        if not first & sides[ys][1] * sides[xs][0])
+        counts_first = [(first_fit & mask).bit_count() for mask in masks]
+    # count change when order j is first touched: its alternatives join,
+    # and the untouched-order candidates leave if j is the last order
+    join = list(map(len, group))
+    join_last = [len(alternatives) - len(f) for alternatives, f in zip(group, fresh)]
+    widest = max(join, default=0)
     nodes = 0
     for t in range(first_t, limit + 1):
-        ups = [list(base_up) for _ in range(t)]
-        statuses = [None] * t
+        rels = [base] * t
+        fits = [every] * t
         j = 0
-        counts = [len(f) for f in fresh]
+        met = widest * t + 1  # above every count of an unmet requirement
+        # while a met count plus t joins fits in a byte, the counts are a
+        # bytearray, whose `in` and `index` are memchr scans
+        kind = bytearray if met + widest * t < 256 else list
+        counts = kind(counts_fresh)
         if first_up is not None:
-            ups[0] = list(first_up)
-            statuses[0] = list(first)
+            rels[0] = first
+            fits[0] = first_fit
             j = 1
-            counts = [len(s) + (len(f) if t > 1 else 0) for s, f in zip(first, fresh)]
+            counts = kind(map(add, counts_first, counts_fresh) if t > 1 else counts_first)
+        unmet = every  # the alternatives of the requirements not met yet
         # one frame per expanded node on the current path: its untried
-        # candidates, and the undo record of the child explored
+        # candidates and its state, which no commit changes in place
         stack = []
         while True:
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded(f"search budget of {budget} nodes exhausted")
-            fewest = min(counts, default=inf)
-            if fewest == inf:
-                return t, ups, nodes
+            fewest = 0
+            while fewest < met and fewest not in counts:
+                fewest += 1
+            if fewest == met:
+                return t, [[rel >> a * m & full for a in range(m)] for rel in rels], nodes
             r = counts.index(fewest)
-            best = [(k, alt) for k in range(j) for alt in statuses[k][r]]
+            best = []
+            for k in range(j):
+                fit = fits[k]
+                for g in group[r]:
+                    if fit >> g & 1:
+                        best.append((k, g))
             if j < t:
-                best += [(j, alt) for alt in fresh[r]]
-            stack.append((iter(best), []))
+                for g in fresh[r]:
+                    best.append((j, g))
+            stack.append((iter(best), rels, fits, counts, j, unmet))
             while stack:  # backtrack to the deepest untried candidate
-                untried, undo = stack[-1]
-                if undo:
-                    changes, k, log, old_counts = undo.pop()
-                    up = ups[k]
-                    for a, old in reversed(changes):
-                        up[a] = old
-                    status = statuses[k]
-                    for r, old, count in log:
-                        status[r] = old
-                        counts[r] = count
-                    if old_counts is not None:
-                        counts = old_counts
-                        j = k
+                untried, rels, fits, counts, j, unmet = stack[-1]
                 cand = next(untried, None)
-                if cand is not None:
-                    k, (xs, xb, ys, yb, _) = cand
-                    old_counts = None
-                    if k == j:
-                        old_counts = counts
-                        counts = list(map(add, counts, join if k + 1 < t else join_last))
-                        statuses[k] = list(seed)
-                        j += 1
-                    up = ups[k]
-                    above = yb
-                    for y in ys:
-                        above |= up[y]
-                    changes = []
-                    for a in range(m):
-                        old = up[a]
-                        if (xb >> a & 1 or old & xb) and old | above != old:
-                            changes.append((a, old))
-                            up[a] = old | above
-                    status = statuses[k]
-                    log = []
-                    for r in {r for a, old in changes for r, bits in mentions[a].items()
-                              if bits & ~old & up[a]}:
-                        count = counts[r]
-                        if count == inf:
-                            continue
-                        old = status[r]
-                        new = _fitting(up, old)
-                        if new is None:
-                            log.append((r, old, count))
-                            status[r] = None
-                            counts[r] = inf
-                        elif len(new) < len(old):
-                            log.append((r, old, count))
-                            status[r] = new
-                            counts[r] = count - len(old) + len(new)
-                    undo.append((changes, k, log, old_counts))
-                    break
-                stack.pop()
+                if cand is None:
+                    stack.pop()
+                    continue
+                k, g = cand
+                if k == j:
+                    counts = kind(map(add, counts, join if k + 1 < t else join_last))
+                    j += 1
+                else:
+                    counts = counts[:]
+                yshifts, above, xs, below, _, _ = alts[g]
+                rel = rels[k]
+                for shift in yshifts:
+                    above |= rel >> shift & full
+                for x in xs:
+                    below |= rel >> x & col
+                new = below * above & ~rel
+                rel |= new
+                rels = rels[:]
+                rels[k] = rel
+                held = dead = 0
+                while new:
+                    low = new & -new
+                    pair = low.bit_length() - 1
+                    held |= hold[pair]
+                    dead |= kill[pair]
+                    new ^= low
+                fit = fits[k]
+                dead &= fit
+                if dead:
+                    fits = fits[:]
+                    fits[k] = fit & ~dead
+                    dead &= unmet
+                    while dead:
+                        low = dead & -dead
+                        counts[owner[low.bit_length() - 1]] -= 1
+                        dead ^= low
+                held &= fit & unmet
+                while held:
+                    low = held & -held
+                    g = low.bit_length() - 1
+                    pairs = alts[g][4]
+                    if rel & pairs == pairs:
+                        r = owner[g]
+                        counts[r] = met
+                        unmet &= ~masks[r]
+                        held &= unmet
+                    else:
+                        held ^= low
+                break
             else:
                 break
     return None, None, nodes
 
 
-def _fitting(up: list[int], alts) -> list | None:
-    """The alternatives that fit order `up`, in their order, or None when
-    one of them already holds there."""
-    out = []
-    for alt in alts:
-        xs, xb, ys, yb, _ = alt
-        for x in xs:
-            if up[x] & yb != yb:
-                break
-        else:
-            return None
-        for y in ys:
-            if up[y] & xb:
-                break
-        else:
-            out.append(alt)
-    return out
+def _side(xs, m: int, sides: dict) -> tuple:
+    """Side `xs` as (its bitset, bit x*m per element x, the row shifts
+    x*m), recorded in `sides`."""
+    bits = column = 0
+    for x in xs:
+        bits |= 1 << x
+        column |= 1 << x * m
+    side = sides[xs] = bits, column, tuple(x * m for x in xs)
+    return side
 
 
 def linear_completion(up: list[int]) -> list[int]:
@@ -304,32 +326,30 @@ def exact_separation_dimension(
         raise ValueError("limit must be non-negative")
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    incident = {v for e in g.edges for v in e}
-    core = [v for v in g.vertices if v in incident]
-    isolated = [v for v in g.vertices if v not in incident]
-    n = len(core)
-    if n <= SEARCH_VERTEX_MAX:
+    degree = np.bincount(g.edge_positions.ravel(), minlength=g.num_vertices)
+    if np.count_nonzero(degree) <= SEARCH_VERTEX_MAX:
         pairs = list(disjoint_edge_pairs(g))
     else:  # past the guard only a star has no disjoint edge pair; None: not listed
-        pairs = [] if set.intersection(*map(set, g.edges)) else None
+        pairs = [] if degree.max() == g.num_edges else None
     if pairs == []:
         return ExactSearchResult(0, PermutationFamily.build(g.vertices, ()), 0)
     if limit == 0:
         return ExactSearchResult(None, None, 0)
     if pairs is None:
         raise SearchBudgetExceeded(f"exact search is limited to {SEARCH_VERTEX_MAX} non-isolated vertices")
-    index = {v: i for i, v in enumerate(core)}
-    requirements = []
-    for e, f in pairs:
-        e, f = (index[e[0]], index[e[1]]), (index[f[0]], index[f[1]])
-        requirements.append(((e, f), (f, e)))
+    # core and isolated vertices by position in g.vertices, as witness rows list them
+    core, isolated = np.flatnonzero(degree).tolist(), np.flatnonzero(degree == 0).tolist()
+    n = len(core)
+    index = {g.vertices[p]: i for i, p in enumerate(core)}
+    ends = {e: (index[e[0]], index[e[1]]) for e in g.edges}
+    requirements = [((ends[e], ends[f]), (ends[f], ends[e])) for e, f in pairs]
     t, relations, nodes = fewest_orders(
         [0] * n, requirements, 1, limit, budget, _twin_chains(g, index)
     )
     if t is None:
         return ExactSearchResult(None, None, nodes)
-    members = [[core[i] for i in linear_completion(up)] + isolated for up in relations]
-    return ExactSearchResult(t, PermutationFamily.build(g.vertices, members), nodes)
+    rows = [[core[i] for i in linear_completion(up)] + isolated for up in relations]
+    return ExactSearchResult(t, PermutationFamily(g.vertices, rows), nodes)
 
 
 def _twin_chains(g: Graph, index: dict) -> list[int] | None:

@@ -65,7 +65,7 @@ from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .graphs import Edge, Graph
+from .graphs import ID_TABLE_SPAN, Edge, Graph
 
 # Row-block height and dense-prefix length of the exhaustive check, and
 # the cap, in 8-byte words, on one member group's rank tables and on
@@ -74,9 +74,6 @@ from .graphs import Edge, Graph
 BLOCK_ROWS = 256
 DENSE_MEMBERS = 16
 GROUP_WORDS = 1 << 20
-# The array reader takes ids below ID_TABLE_SPAN * n, which map to
-# positions through a lookup table of that many cells
-ID_TABLE_SPAN = 4
 # The family writer hands the id lists out in parts of about this many
 # characters (16 MiB); every document below that is one part
 JSON_PART_CHARS = 1 << 24

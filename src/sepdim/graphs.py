@@ -8,9 +8,11 @@ neighbours) and serialization round-trips bit-exactly.  The id pairs
 
 `load_graph` reads the canonical documents (`v <id>` lines, then
 `<u> <v>` lines, single spaces, ids below 2^31) with numpy in a few
-passes over the whole text.  Any other document, and any canonical one
-with a self-loop or a duplicate edge, goes through the line-by-line
-parser, which names the offending line; both give the same graph.
+passes over the whole text, and maps the ends to positions through one
+table gather when the ids are below ID_TABLE_SPAN * n (a binary search
+otherwise).  Any other document, and any canonical one with a self-loop
+or a duplicate edge, goes through the line-by-line parser, which names
+the offending line; both give the same graph.
 """
 
 from __future__ import annotations
@@ -24,6 +26,11 @@ from itertools import chain
 import numpy as np
 
 Edge = tuple[int, int]
+
+# The array readers (`load_graph` here, `families.family_from_json`) map
+# n distinct ids below ID_TABLE_SPAN * n to positions through a lookup
+# table of at most that many cells
+ID_TABLE_SPAN = 4
 
 
 class GraphFormatError(ValueError):
@@ -154,7 +161,12 @@ def _load_array(text: str) -> Graph | None:
     ids = np.sort(np.concatenate([declared, lo, hi]))
     # np.unique would import numpy.ma, about 1 MiB of peak memory
     ids = ids[np.diff(ids, prepend=-1) > 0]
-    return Graph(tuple(ids.tolist()), np.searchsorted(ids, np.stack([lo, hi], axis=1)))
+    ends = np.stack([lo, hi], axis=1)
+    if len(ids) and ids[-1] < ID_TABLE_SPAN * len(ids):
+        table = np.empty(ids[-1] + 1, np.int64)
+        table[ids] = np.arange(len(ids))
+        return Graph(tuple(ids.tolist()), table[ends])
+    return Graph(tuple(ids.tolist()), np.searchsorted(ids, ends))
 
 
 def _load_lines(text: str) -> Graph:

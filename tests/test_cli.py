@@ -619,6 +619,21 @@ GOLDEN = {
     ("exact", "spider9"): {
         "report": "0eba58556aa8e1dbda558da7b038880294b557fa98a0cf754b57d181cd08bc3a",
     },
+    ("exact", "k44"): {
+        "report": "baf928c08826f1af423374194eefa4b2c1cb342be0d93d32ae0e563b7c1e3014",
+    },
+    ("exact", "petersen"): {
+        "report": "911732580bcf0f789e80221e3a7f81bf07f3a41372df289283cd60e0885925e2",
+    },
+    ("exact", "k6"): {
+        "report": "a343d4dbb598a2ffe551ce9b675f9062ab382ae8eeb9b93a60109ba3fa20d318",
+    },
+    ("exact", "k34"): {
+        "report": "10615547bf170a3dc2ff971464b57a51b9e15ef8c66475740e440f96e402532d",
+    },
+    ("exact", "c10"): {
+        "report": "40c5502fc7cd7d23b1db854767e2fb564a45baaece70fe336abf4d0fd11eaaa6",
+    },
 }
 GOLDEN_GRAPHS = {
     "deg30": _spread_degenerate(30, 2),
@@ -633,6 +648,11 @@ GOLDEN_GRAPHS = {
     "c5": "1 2\n2 3\n3 4\n4 5\n1 5\n",
     "c8": "".join(f"{i} {i % 8 + 1}\n" for i in range(1, 9)),
     "spider9": "".join(f"{u} {v}\n" for u, v in [(1, 2), (2, 3), (1, 4), (4, 5), (1, 6), (6, 7), (1, 8), (8, 9)]),
+    "k44": "".join(f"{u} {v}\n" for u in range(1, 5) for v in range(5, 9)),
+    "petersen": "".join(f"{u} {v}\n" for u, v in [(i + 1, (i + 1) % 5 + 1) for i in range(5)]
+                        + [(i + 6, (i + 2) % 5 + 6) for i in range(5)] + [(i + 1, i + 6) for i in range(5)]),
+    "k34": "".join(f"{u} {v}\n" for u in range(1, 4) for v in range(4, 8)),
+    "c10": "".join(f"{i} {i % 10 + 1}\n" for i in range(1, 11)),
 }
 
 

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from sepdim.graphs import (
     ARRAY_PARSE_MIN_CHARS,
+    ID_TABLE_SPAN,
     DegeneracyOrder,
     Graph,
     GraphFormatError,
@@ -172,6 +173,15 @@ class TestArrayParser:
         assert (3, 70) in load_graph(unicode).edges
         declared = "v 9999999999\n" + "".join(f"{i} {i + 1}\n" for i in range(60))
         assert _load_array(declared).vertices[-1] == 9999999999
+
+    def test_table_and_binary_search_at_the_span(self):
+        # 61 ids: a largest id below ID_TABLE_SPAN * 61 maps through the
+        # table, one at it through the binary search
+        for top in (ID_TABLE_SPAN * 61 - 1, ID_TABLE_SPAN * 61):
+            text = "".join(f"{i} {i + 1}\n" for i in range(59)) + f"3 {top}\n"
+            fast = _load_array(text)
+            assert fast.vertices[-1] == top
+            assert (fast.vertices, fast.edges, fast.edge_positions.tolist()) == parse_outcome(_load_lines, text)
 
     def test_empty_and_vertex_only_documents(self):
         assert _load_array("") == Graph.build((), ())

@@ -530,6 +530,12 @@ def test_engine_spy_sees_both_clients():
     assert _engine_calls(lambda: exact_separation_dimension(c5, limit=3))
 
 
+def test_engine_matches_rescan_on_canonical_8():
+    # canonical-dim 8: 182 requirements over 28 elements, the widest
+    # search the guard admits
+    _assert_engine_matches_rescan(lambda: exact_poset_dimension(canonical_interval_order(8), limit=4))
+
+
 @st.composite
 def sparse_graphs(draw):
     # fewer than 4 vertices hold no disjoint edge pair
@@ -559,7 +565,7 @@ def requirement_lists(draw):
     # a sparse base order, maybe an order-0 base that extends it, and
     # alternatives with disjoint sides, mirrored or not: shapes beyond
     # the ones that the callers build
-    m = draw(st.integers(2, 7))
+    m = draw(st.integers(2, 12))  # separation searches reach SEARCH_VERTEX_MAX elements
     pairs = list(combinations(range(m), 2))
     base_pairs = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3))
     base_up = list(Poset.build(range(m), base_pairs).up)
@@ -598,11 +604,32 @@ def test_engine_matches_rescan_on_3_suitable(n):
     assert _outcome(exact.fewest_orders, args) == _outcome(_rescan_dfs, args)
 
 
+def test_engine_matches_rescan_with_a_wide_requirement():
+    # 80 alternatives in one requirement: the counts are a bytearray at
+    # t = 1 and a list from t = 2 on, where a met count plus t joins of 80
+    # would pass 255
+    n = 5
+    requirements = [
+        ((tuple(v for v in triple if v != a), (a,)),)
+        for triple in combinations(range(n), 3)
+        for a in triple
+    ]
+    wide = [((x,), (y,)) for x, y in permutations(range(n), 2)]
+    for x in range(n):
+        for pair in combinations([v for v in range(n) if v != x], 2):
+            wide += [((x,), pair), (pair, (x,))]
+    args = ([0] * n, requirements + [tuple(wide)], 1, 4, 100_000)
+    outcome = _outcome(exact.fewest_orders, args)
+    assert outcome[0] == 4 and outcome == _outcome(_rescan_dfs, args)
+
+
 # node counts of the full-rescan engine: keeping requirement state
 # incrementally must expand exactly the same nodes
 _PETERSEN = [(i + 1, (i + 1) % 5 + 1) for i in range(5)] \
     + [(i + 6, (i + 2) % 5 + 6) for i in range(5)] + [(i + 1, i + 6) for i in range(5)]
 _NODE_COUNT_GRAPHS = {
+    "k7": (list(combinations(range(1, 8), 2)), 1_374),
+    "k8": (list(combinations(range(1, 9), 2)), 1_877),
     "k44": ([(u, v) for u in range(1, 5) for v in range(5, 9)], 298),
     "petersen": (_PETERSEN, 8_521),
     "k6": (list(combinations(range(1, 7), 2)), 28),
