@@ -108,7 +108,11 @@ def fewest_orders(
     with a in X and b in Y, and `kill`, its transpose, of those with b in
     X and a in Y.  At each pair a commit adds, the alternatives in kill
     stop fitting, and those in hold are the only ones that can start to
-    hold: each is tested against its X-before-Y pairs.  An unmet
+    hold: each is tested against its X-before-Y pairs.  The two lists
+    share their m*m integers.  They, `masks` and each alternative's
+    `pairs` are built before the first node, so the budget does not bound
+    them: for A alternatives of one pair each, each of the three takes
+    about A*A/16 bytes (140 MiB in all for an antichain of 160).  An unmet
     requirement keeps its candidate count: its fitting alternatives on
     orders 0..j-1, plus its untouched-order ones (mirror skip applied) on
     order j while j < t.  A met requirement's count is raised to `met`,
@@ -164,7 +168,7 @@ def fewest_orders(
         for y in ys:
             in_y[y] |= bit
     hold = [ix & iy for ix in in_x for iy in in_y]
-    kill = [iy & ix for iy in in_y for ix in in_x]
+    kill = [hold[b * m + a] for a in range(m) for b in range(m)]
     every = first_fit = (1 << len(alts)) - 1
     counts_fresh = list(map(len, fresh))
     if first_up is not None:
@@ -182,15 +186,12 @@ def fewest_orders(
         fits = [every] * t
         j = 0
         met = widest * t + 1  # above every count of an unmet requirement
-        # while a met count plus t joins fits in a byte, the counts are a
-        # bytearray, whose `in` and `index` are memchr scans
-        kind = bytearray if met + widest * t < 256 else list
-        counts = kind(counts_fresh)
+        counts = counts_fresh
         if first_up is not None:
             rels[0] = first
             fits[0] = first_fit
             j = 1
-            counts = kind(map(add, counts_first, counts_fresh) if t > 1 else counts_first)
+            counts = list(map(add, counts_first, counts_fresh)) if t > 1 else counts_first
         unmet = every  # the alternatives of the requirements not met yet
         # one frame per expanded node on the current path: its untried
         # candidates and its state, which no commit changes in place
@@ -199,9 +200,7 @@ def fewest_orders(
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded(f"search budget of {budget} nodes exhausted")
-            fewest = 0
-            while fewest < met and fewest not in counts:
-                fewest += 1
+            fewest = min(counts, default=met)
             if fewest == met:
                 return t, [[rel >> a * m & full for a in range(m)] for rel in rels], nodes
             r = counts.index(fewest)
@@ -223,7 +222,7 @@ def fewest_orders(
                     continue
                 k, g = cand
                 if k == j:
-                    counts = kind(map(add, counts, join if k + 1 < t else join_last))
+                    counts = list(map(add, counts, join if k + 1 < t else join_last))
                     j += 1
                 else:
                     counts = counts[:]

@@ -604,25 +604,6 @@ def test_engine_matches_rescan_on_3_suitable(n):
     assert _outcome(exact.fewest_orders, args) == _outcome(_rescan_dfs, args)
 
 
-def test_engine_matches_rescan_with_a_wide_requirement():
-    # 80 alternatives in one requirement: the counts are a bytearray at
-    # t = 1 and a list from t = 2 on, where a met count plus t joins of 80
-    # would pass 255
-    n = 5
-    requirements = [
-        ((tuple(v for v in triple if v != a), (a,)),)
-        for triple in combinations(range(n), 3)
-        for a in triple
-    ]
-    wide = [((x,), (y,)) for x, y in permutations(range(n), 2)]
-    for x in range(n):
-        for pair in combinations([v for v in range(n) if v != x], 2):
-            wide += [((x,), pair), (pair, (x,))]
-    args = ([0] * n, requirements + [tuple(wide)], 1, 4, 100_000)
-    outcome = _outcome(exact.fewest_orders, args)
-    assert outcome[0] == 4 and outcome == _outcome(_rescan_dfs, args)
-
-
 # node counts of the full-rescan engine: keeping requirement state
 # incrementally must expand exactly the same nodes
 _PETERSEN = [(i + 1, (i + 1) % 5 + 1) for i in range(5)] \
